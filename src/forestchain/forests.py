@@ -1,15 +1,16 @@
 """Directed spanning forests, cycle-rooted spanning forests, and exact weight sums.
 
-This module is deliberately the brute-force side: every forest with a given
-root set is enumerated (all parent maps, cyclic ones rejected), every
-functional map is enumerated for the cycle-rooted case, and the weight
-sums w(R), w_ij(R), Sigma_j, Sigma^(r), Sigma_ij, w^ec are exact
-rational sums over those enumerations. Determinant shortcuts live elsewhere
+This module is deliberately the brute-force side: w(R), w_ij(R), Sigma_j,
+Sigma^(r), Sigma_ij and w^ec are exact sums over explicit enumerations, all
+made by one backtracking walker, ``_walk``. It assigns the free states in
+ascending order, trying targets in ascending order, so configurations come
+out in ``itertools.product`` order with the cyclic ones dropped. It follows
+only positive-probability arcs of a chain, rejects an arc the moment it
+closes a cycle (the cycle-rooted case keeps it) and carries the integer
+prefix product down; rows are scaled to integers once per chain. No forest
+is stored: a walk holds one length-n vector per level, so its memory does
+not grow with the number of forests. Determinant shortcuts live elsewhere
 and are checked against these sums.
-
-Enumeration only depends on (n, roots), so forest structures are cached and
-shared across chains; per-chain sums clear each row's denominator once and
-accumulate plain integers, which keeps the inner loops cheap.
 """
 
 from __future__ import annotations
@@ -260,59 +261,106 @@ class CycleWeights:
 
 
 # ---------------------------------------------------------------------------
-# structure enumeration (chain independent, cached)
+# the walker
 
-@lru_cache(maxsize=None)
-def _forest_structures(n: int, roots: frozenset[int]):
-    """All forest parent vectors with this exact root set, with per-state roots."""
+def _arcs(n: int, roots: frozenset[int], nums=None, cyclic: bool = False):
+    """Ascending (target, factor) arcs per free state: all with factor 1, or
+    the positive ones of the scaled rows ``nums``; self-loops only if cyclic."""
+    return [[(u, 1 if nums is None else nums[v][u]) for u in range(n)
+             if (cyclic or u != v) and (nums is None or nums[v][u])]
+            for v in range(n) if v not in roots]
+
+
+def _walk(n: int, roots: frozenset[int], arcs, cyclic: bool = False):
+    """Yield (succ, root_of, w) for every successor map drawn from ``arcs``.
+
+    ``arcs[d]`` lists the candidate arcs of the d-th free state. An arc that
+    closes a cycle is rejected, or kept when ``cyclic``. ``root_of[v]`` is
+    the root v drains into, or -1 when v's component holds a cycle; ``w``
+    is the product of the chosen factors. ``succ`` is one list updated in
+    place (-1 at the roots): copy it to keep it.
+    """
     free = [v for v in range(n) if v not in roots]
-    out = []
-    choices = [[u for u in range(n) if u != v] for v in free]
-    for combo in itertools.product(*choices):
-        parent = [-1] * n
-        for v, u in zip(free, combo):
-            parent[v] = u
-        root_of, cycles = _classify(n, roots, parent)
-        if cycles:
+    succ = [-1] * n
+    last = len(free) - 1
+    if last < 0:
+        yield succ, tuple(range(n)), 1
+        return
+    # ends[d][v]: where v's path leads once free[:d] are assigned, which is
+    # a root, an unassigned state, or -1 for a cycle
+    ends = [tuple(range(n))] + [()] * last
+    prefix = [1] * (last + 1)
+    pos = [0] * (last + 1)
+    d = 0
+    while d >= 0:
+        v, cur = free[d], ends[d]
+        if d == last:
+            # the leaves of one node differ only in where v's subtree drains
+            leaf_ends: dict[int, tuple[int, ...]] = {}
+            for u, x in arcs[d]:
+                e = cur[u]
+                if e == v:
+                    if not cyclic:
+                        continue
+                    e = -1
+                succ[v] = u
+                root_of = leaf_ends.get(e)
+                if root_of is None:
+                    root_of = leaf_ends[e] = tuple([e if t == v else t for t in cur])
+                yield succ, root_of, prefix[d] * x
+            d -= 1
             continue
-        out.append((tuple(parent), root_of))
-    return tuple(out)
+        k = pos[d]
+        if k == len(arcs[d]):
+            pos[d] = 0
+            d -= 1
+            continue
+        pos[d] = k + 1
+        u, x = arcs[d][k]
+        e = cur[u]
+        if e == v:
+            if not cyclic:
+                continue
+            e = -1
+        succ[v] = u
+        ends[d + 1] = tuple([e if t == v else t for t in cur])
+        prefix[d + 1] = prefix[d] * x
+        d += 1
 
 
-@lru_cache(maxsize=None)
-def _ecrsf_structures(n: int, roots: frozenset[int]):
-    """All successor vectors on the non-root states, classified."""
-    free = [v for v in range(n) if v not in roots]
-    out = []
-    for combo in itertools.product(range(n), repeat=len(free)):
-        succ = [-1] * n
-        for v, u in zip(free, combo):
-            succ[v] = u
-        root_of, cycles = _classify(n, roots, succ)
-        out.append((tuple(succ), root_of, cycles))
-    return tuple(out)
+def _spread(groups: dict) -> tuple:
+    """(total, {(i, r): weight}) from weights keyed by root-of vector; r >= 0."""
+    total = 0
+    table: dict = {}
+    for root_of, w in groups.items():
+        total += w
+        for i, r in enumerate(root_of):
+            if r >= 0:
+                table[(i, r)] = table.get((i, r), 0) + w
+    return total, table
 
 
 def enumerate_forests(n: int, roots: Iterable[int],
                       guard: int = DEFAULT_GUARD) -> Iterator[RootedForest]:
     """Yield every spanning forest whose root set is exactly ``roots``.
 
-    The count is k * n^(n-k-1) for |roots| = k. Candidates are all parent
-    maps on the free vertices; cyclic ones are rejected by pointer chasing.
+    The count is k * n^(n-k-1) for |roots| = k. Forests come in
+    ``itertools.product`` order over the free states' parents, cyclic
+    parent maps dropped.
     """
     rs = _check_roots(n, roots)
     _check_guard(n, rs, guard)
-    for parent, _root_of in _forest_structures(n, rs):
-        yield RootedForest(n, rs, parent)
+    for succ, _root_of, _w in _walk(n, rs, _arcs(n, rs)):
+        yield RootedForest(n, rs, tuple(succ))
 
 
 def enumerate_ecrsf(n: int, tree_roots: Iterable[int],
                     guard: int = DEFAULT_GUARD) -> Iterator[Ecrsf]:
-    """Yield every ECRSF with the given tree roots (every successor map is one)."""
+    """Yield every ECRSF with these tree roots: every successor map, in order."""
     rs = _check_roots(n, tree_roots, allow_empty=True)
     _check_guard(n, rs, guard)
-    for succ, _root_of, _cycles in _ecrsf_structures(n, rs):
-        yield Ecrsf(n, rs, succ)
+    for succ, _root_of, _w in _walk(n, rs, _arcs(n, rs, cyclic=True), cyclic=True):
+        yield Ecrsf(n, rs, tuple(succ))
 
 
 def cayley_count(n: int, k: int) -> int:
@@ -369,30 +417,17 @@ def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]):
     """(w(roots), {(i, j): weight of forests where i's tree has root j}).
 
     Every forest with this root set has the same denominator (one row
-    denominator per free vertex), so the sum runs over plain integers.
+    denominator per free vertex), so the walk sums plain integers, one per
+    root-of vector, and spreads them over the (i, j) table at the end.
     """
-    n = p.n
     nums, dens = _scaled_rows(p)
-    free = [v for v in range(n) if v not in roots]
-    denom = prod(dens[v] for v in free)
-    total = 0
-    table: dict[tuple[int, int], int] = {}
-    for parent, root_of in _forest_structures(n, roots):
-        w = 1
-        for v in free:
-            x = nums[v][parent[v]]
-            if not x:
-                w = 0
-                break
-            w *= x
-        if not w:
-            continue
-        total += w
-        for i in range(n):
-            key = (i, root_of[i])
-            table[key] = table.get(key, 0) + w
+    denom = prod(dens[v] for v in range(p.n) if v not in roots)
+    groups: dict[tuple[int, ...], int] = {}
+    for _succ, root_of, w in _walk(p.n, roots, _arcs(p.n, roots, nums)):
+        groups[root_of] = groups.get(root_of, 0) + w
+    total, table = _spread(groups)
     return (Fraction(total, denom),
-            {key: Fraction(v, denom) for key, v in table.items()})
+            {key: Fraction(x, denom) for key, x in table.items()})
 
 
 def w_sum(p: TransitionMatrix, roots: Iterable[int],
@@ -417,39 +452,21 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     return _root_set_sums(p, rs)[1].get((i, j), Fraction(0))
 
 
+@dataclass(frozen=True)
 class ForestSums:
-    """All forest weight sums of one chain, enumerated lazily and cached globally.
+    """Tree sums of one chain: sigma(j) = w({j}) and sigma1 = sum_j sigma(j)."""
 
-    sigma(j) = w({j}), sigma1 = sum_j sigma(j). The heavier maps (w, w_target,
-    sigma_pair, sigma_r) delegate to the cached module-level sums.
-    """
-
-    def __init__(self, chain: TransitionMatrix, guard: int = DEFAULT_GUARD):
-        self.chain = chain
-        self.guard = guard
-        self.sigma_vector = tuple(
-            w_sum(chain, {j}, guard) for j in range(chain.n))
-        self.sigma1 = sum(self.sigma_vector)
+    sigma_vector: tuple[Fraction, ...]
+    sigma1: Fraction
 
     def sigma(self, j: int) -> Fraction:
         return self.sigma_vector[j]
 
-    def sigma_r(self, r: int) -> Fraction:
-        return sigma_r(self.chain, r, self.guard)
-
-    def w(self, roots: Iterable[int]) -> Fraction:
-        return w_sum(self.chain, roots, self.guard)
-
-    def w_target(self, roots: Iterable[int], i: int, j: int) -> Fraction:
-        return w_target_sum(self.chain, roots, i, j, self.guard)
-
-    def sigma_pair(self, i: int, j: int, method: str = "tree-deletion") -> Fraction:
-        return sigma_pair(self.chain, i, j, method, self.guard)
-
 
 def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     """Tree sums Sigma_j = w({j}) and their total Sigma^(1)."""
-    return ForestSums(p, guard)
+    vec = tuple(w_sum(p, {j}, guard) for j in range(p.n))
+    return ForestSums(vec, sum(vec, Fraction(0)))
 
 
 def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction:
@@ -492,25 +509,21 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
     _check_guard(p.n, rs, guard)
     nums, dens = _scaled_rows(p)
     free = [v for v in range(p.n) if v != j]
-    denom = prod(dens[v] for v in free)
+    # arcs into j are followed even at probability zero, their factors settled
+    # at the leaf: last exit k gets row k's denominator back, the rest pay
+    arcs = [[(u, 1 if u == j else x) for u, x in enumerate(nums[v])
+             if u != v and (x or u == j)] for v in free]
     total = 0
-    for parent, _root_of in _forest_structures(p.n, rs):
-        v = i
-        while parent[v] != j:
-            v = parent[v]
-        k = v
-        # deleting edge k -> j drops its numerator and restores row k's denominator
-        w = dens[k]
-        for u in free:
-            if u == k:
-                continue
-            x = nums[u][parent[u]]
-            if not x:
-                w = 0
-                break
-            w *= x
+    for succ, _root_of, w in _walk(p.n, rs, arcs):
+        k = i
+        while succ[k] != j:
+            k = succ[k]
+        w *= dens[k]
+        for v in free:
+            if succ[v] == j and v != k:
+                w *= nums[v][j]
         total += w
-    return Fraction(total, denom)
+    return Fraction(total, prod(dens[v] for v in free))
 
 
 def last_exit_state(t: RootedForest, i: int) -> int:
@@ -536,35 +549,18 @@ def w_ec_sums(p: TransitionMatrix, alpha: CycleWeights,
     """
     rs = _check_roots(p.n, tree_roots, allow_empty=True)
     _check_guard(p.n, rs, guard)
-    n = p.n
     nums, dens = _scaled_rows(p)
-    free = [v for v in range(n) if v not in rs]
-    denom = prod(dens[v] for v in free)
-    total = Fraction(0)
-    table: dict[tuple[int, int], Fraction] = {}
-    for succ, root_of, cycles in _ecrsf_structures(n, rs):
-        w = 1
-        for v in free:
-            x = nums[v][succ[v]]
-            if not x:
-                w = 0
-                break
-            w *= x
-        if not w:
-            continue
+    denom = prod(dens[v] for v in range(p.n) if v not in rs)
+    groups: dict[tuple[int, ...], Fraction] = {}
+    for succ, root_of, w in _walk(p.n, rs, _arcs(p.n, rs, nums, cyclic=True),
+                                  cyclic=True):
         weight = Fraction(w, denom)
-        for cyc in cycles:
-            a = alpha.weight(cyc)
-            if a == 0:
-                weight = Fraction(0)
-                break
-            weight *= a
-        if not weight:
-            continue
-        total += weight
-        for i in range(n):
-            r = root_of[i]
-            if r >= 0:
-                key = (i, r)
-                table[key] = table.get(key, Fraction(0)) + weight
-    return total, table
+        if -1 in root_of:
+            for cyc in _classify(p.n, rs, succ)[1]:
+                weight *= alpha.weight(cyc)
+                if not weight:
+                    break
+        if weight:
+            groups[root_of] = groups.get(root_of, 0) + weight
+    total, table = _spread(groups)
+    return Fraction(total), table

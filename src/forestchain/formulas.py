@@ -25,7 +25,6 @@ from .chains import (
 from .forests import (
     DEFAULT_GUARD,
     CycleWeights,
-    ForestSums,
     enumerate_forests,
     forest_weight,
     sigma_pair,
@@ -257,12 +256,13 @@ def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
     pi = tuple(s / sums.sigma1 for s in sums.sigma_vector)
     n = p.n
     mat = [[Fraction(0)] * n for _ in range(n)]
+    # the two-tree tables behind Sigma^(2) also give every Sigma_ij
+    k = 1 + sigma_r(p, 2, guard) / sums.sigma1
     for j in range(n):
         mat[j][j] = sums.sigma1 / sums.sigma(j)
         for i in range(n):
             if i != j:
-                mat[i][j] = sums.sigma_pair(i, j) / sums.sigma(j)
-    k = 1 + sums.sigma_r(2) / sums.sigma1
+                mat[i][j] = sigma_pair(p, i, j, "two-forest", guard) / sums.sigma(j)
     return ChainAnalysis(pi, tuple(tuple(row) for row in mat), k)
 
 

@@ -121,8 +121,7 @@ def _restricted_laplacian(p: TransitionMatrix, keep: Sequence[int]) -> list[list
 # ---------------------------------------------------------------------------
 # graph structure
 
-def _reachable(p: TransitionMatrix, start: int) -> set[int]:
-    support = p.support()
+def _reachable(support: Sequence[Sequence[int]], start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
@@ -136,8 +135,9 @@ def _reachable(p: TransitionMatrix, start: int) -> set[int]:
 
 def irreducibility_certificate(p: TransitionMatrix) -> tuple[int, int] | None:
     """None when irreducible, else a pair (i, j) with j unreachable from i."""
+    support = p.support()
     for i in range(p.n):
-        reach = _reachable(p, i)
+        reach = _reachable(support, i)
         for j in range(p.n):
             if j not in reach:
                 return (i, j)
@@ -196,7 +196,8 @@ class RecurrentClasses:
 
 def recurrent_classes(p: TransitionMatrix) -> RecurrentClasses:
     """Recurrent classes = closed strongly connected components."""
-    reach = [_reachable(p, i) for i in range(p.n)]
+    support = p.support()
+    reach = [_reachable(support, i) for i in range(p.n)]
     assigned: set[int] = set()
     classes = []
     transient = []

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,13 @@ from forestchain import (
     RootedForest,
     cayley_count,
     ecrsf_from_json,
+    exact_det,
     ecrsf_weight,
     enumerate_ecrsf,
     enumerate_forests,
     forest_from_json,
     forest_weight,
+    laplacian,
     last_exit_state,
     sigma_pair,
     sigma_r,
@@ -91,6 +94,45 @@ def test_enumerate_ecrsf_counts(u4):
     assert sum(1 for _ in enumerate_ecrsf(3, {0, 1, 2})) == 1
 
 
+def _successor_maps(n, roots):
+    """Every successor map on the free states, in itertools.product order."""
+    free = [v for v in range(n) if v not in roots]
+    maps = []
+    for combo in itertools.product(range(n), repeat=len(free)):
+        succ = [-1] * n
+        for v, u in zip(free, combo):
+            succ[v] = u
+        maps.append(tuple(succ))
+    return maps
+
+
+def _drains_to_roots(succ):
+    """True when every state reaches a root (-1 successor) within n steps."""
+    for start in range(len(succ)):
+        v = start
+        for _ in range(len(succ)):
+            if succ[v] == -1:
+                break
+            v = succ[v]
+        if succ[v] != -1:
+            return False
+    return True
+
+
+def test_enumeration_order_is_pinned():
+    # gof_test sums its chi-square statistic in law order, so seeded
+    # `sample --gof` output depends on the order the laws are built in
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for roots in itertools.combinations(range(n), k):
+                maps = _successor_maps(n, roots)
+                if k:
+                    assert ([f.parent for f in enumerate_forests(n, roots)]
+                            == [s for s in maps if _drains_to_roots(s)])
+                if n <= 4:
+                    assert [e.successor for e in enumerate_ecrsf(n, roots)] == maps
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -121,6 +163,23 @@ def test_w_sum_matches_enumeration(fixture_a, u4):
                     (forest_weight(f, p) for f in enumerate_forests(p.n, roots)),
                     Fraction(0))
                 assert w_sum(p, roots) == total
+
+
+def test_tree_walk_memory_does_not_grow_with_tree_count():
+    # 8^6 = 262144 trees rooted at {0}; the walk keeps no per-tree state
+    n = 8
+    p = chain([[Fraction((3 * i + 5 * j) % 7 + 1, sum((3 * i + 5 * c) % 7 + 1
+                                                      for c in range(n)))
+                for j in range(n)] for i in range(n)])
+    tracemalloc.start()
+    try:
+        w = w_sum(p, {0})
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    lap = laplacian(p)
+    assert w == exact_det([row[1:] for row in lap[1:]])
 
 
 def test_w_target_sum_examples(fixture_a):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,13 +19,17 @@ from forestchain import (
     green_occupation,
     hitting_distribution,
     kemeny,
+    kemeny_trace,
     mean_hitting_time,
     mean_return_time,
     mfpt,
+    mfpt_solve,
     mfpt_via_modified_chain,
     stationary,
+    stationary_solve,
     uniform_chain,
 )
+from forestchain import verify
 
 from conftest import chain
 
@@ -144,6 +149,27 @@ def test_analyze_bundle(fixture_a):
     # diagonal times stationary weight is 1
     for j in range(3):
         assert analysis.mfpt[j][j] * analysis.pi[j] == 1
+
+
+def test_analyze_two_forest_mfpt_matches_tree_deletion(fixture_a):
+    # analyze reads Sigma_ij from two-tree tables, mfpt deletes tree edges
+    sparse = verify.random_irreducible_chain(random.Random(6), 6)
+    assert any(x == 0 for row in sparse.rows for x in row)
+    for p in (fixture_a, sparse):
+        m = analyze(p).mfpt
+        for i, j in itertools.permutations(range(p.n), 2):
+            assert m[i][j] == mfpt(p, i, j)
+
+
+def test_analyze_dense_n8_matches_oracle():
+    n = 8
+    p = chain([[F((2 * i + 3 * j) % 9 + 1, sum((2 * i + 3 * c) % 9 + 1
+                                                for c in range(n)))
+                for j in range(n)] for i in range(n)])
+    a = analyze(p)
+    assert a.pi == stationary_solve(p)
+    assert a.mfpt == mfpt_solve(p)
+    assert a.kemeny == kemeny_trace(p)
 
 
 def test_cesaro_forest(fixture_a, r3):
