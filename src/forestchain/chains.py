@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -68,6 +68,19 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _check_row(i: int, cells: Iterable[tuple[int, Fraction]]) -> None:
+    """Row ``i``, given as (column, entry) pairs by ascending column (zero
+    entries may be left out), must be nonnegative and sum to exactly 1."""
+    total = Fraction(0)
+    for j, x in cells:
+        if x < 0:
+            raise ChainParseError(
+                f"negative entry {format_rational(x)} at ({i},{j})")
+        total += x
+    if total != 1:
+        raise ChainParseError(f"row {i} sums to {format_rational(total)}")
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """A row-stochastic matrix of exact rationals.
@@ -79,6 +92,7 @@ class TransitionMatrix:
 
     rows: Matrix
     labels: tuple[str, ...] | None = None
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
@@ -90,19 +104,23 @@ class TransitionMatrix:
             if len(row) != n:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
-            for j, x in enumerate(row):
-                if x < 0:
-                    raise ChainParseError(
-                        f"negative entry {format_rational(x)} at ({i},{j})")
-            total = sum(row)
-            if total != 1:
-                raise ChainParseError(f"row {i} sums to {format_rational(total)}")
+            _check_row(i, enumerate(row))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:
                 raise ChainParseError(
                     f"{len(labels)} labels for {n} states")
             object.__setattr__(self, "labels", labels)
+        # chains key the forest caches, so hash the n² entries only once
+        object.__setattr__(self, "_hash", hash((self.rows, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: the memoized hash is only valid in the
+        # process that computed it
+        return (TransitionMatrix, (self.rows, self.labels))
 
     @property
     def n(self) -> int:
@@ -229,6 +247,13 @@ def chain_from_edge_list(text: str) -> TransitionMatrix:
     if not entries:
         raise ChainParseError("empty edge list")
     n, cells, labels = _index_edges(entries)
+    # validate from the listed cells first, so that a bad document fails
+    # before an n x n matrix is built (`0 2000 1` declares 2001 states)
+    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+    for (i, j), x in cells.items():
+        by_row.setdefault(i, []).append((j, x))
+    for i in range(n):
+        _check_row(i, sorted(by_row.get(i, ())))
     rows = tuple(
         tuple(cells.get((i, j), Fraction(0)) for j in range(n)) for i in range(n))
     return TransitionMatrix(rows, labels)

@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .chains import (
     InfeasibleRootSetError,
@@ -29,6 +27,9 @@ from .chains import (
     laplacian,
     weighted_laplacian,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SingularMatrixError(ValueError):
@@ -317,10 +318,13 @@ def kemeny_trace(p: TransitionMatrix) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# float-side limits
+# float-side limits (numpy is imported here only, so that no exact route
+# pays for it)
 
 def cesaro_average(p: TransitionMatrix, steps: int) -> np.ndarray:
     """(1/N) * sum_{k=1..N} P^k in double precision."""
+    import numpy as np
+
     if steps < 1:
         raise ValueError("step count must be >= 1")
     mat = np.array([[float(x) for x in row] for row in p.rows])
@@ -343,6 +347,8 @@ def sigma1_series(p: TransitionMatrix, terms: int) -> float:
         raise PeriodicChainError(f"chain is periodic with period {period(p)}")
     if terms < 1:
         raise ValueError("need at least one term")
+    import numpy as np
+
     mat = np.array([[float(x) for x in row] for row in p.rows])
     cur = np.eye(p.n)
     s = 0.0

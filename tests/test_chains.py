@@ -1,4 +1,6 @@
 import json
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,37 @@ def test_edge_list_bad_line():
 def test_edge_list_duplicate_cell():
     with pytest.raises(ChainParseError, match="duplicate"):
         chain_from_edge_list("0 1 1/2\n0 1 1/2\n1 0 1\n")
+
+
+def test_edge_list_fails_before_densifying():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainParseError, match="^row 1 sums to 0$"):
+            chain_from_edge_list("0 2000 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_edge_list_negative_entry_matches_dense_error():
+    text = "0 1 1\n1 1 -1/2\n1 0 3/2\n"
+    dense = ((Fraction(0), Fraction(1)), (Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ChainParseError) as sparse_err:
+        chain_from_edge_list(text)
+    with pytest.raises(ChainParseError) as dense_err:
+        TransitionMatrix(dense)
+    assert str(sparse_err.value) == str(dense_err.value)
+    assert str(sparse_err.value) == "negative entry -1/2 at (1,1)"
+
+
+def test_hash_is_memoized_and_survives_pickling():
+    p = chain_from_edge_list("a b 1/2\na a 1/2\nb a 1\n")
+    assert hash(p) == hash((p.rows, p.labels))
+    # label hashes differ between processes, so loading recomputes the memo
+    object.__setattr__(p, "_hash", 0)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash((p.rows, p.labels))
 
 
 def test_transition_matrix_validation():

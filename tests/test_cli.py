@@ -216,6 +216,24 @@ def test_edge_list_format(capsys, tmp_path):
     assert doc["labels"] == ["a", "b"]
 
 
+def test_edge_list_row_error_exits_cleanly(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 2000 1\n"))
+    code, _, err = run_cli(capsys, ["analyze", "--format", "edges"])
+    assert code == 2
+    assert json.loads(err) == {"error": "parse", "detail": "row 1 sums to 0"}
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import forestchain.cli, sys; "
+         "print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "a.json"
     path.write_text(A_DOC)

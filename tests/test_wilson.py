@@ -1,5 +1,6 @@
 import collections
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from forestchain import (
     wilson_forest,
     wilson_tree,
 )
+
+from forestchain.wilson import _chi2_sf
 
 from conftest import chain
 
@@ -262,6 +265,29 @@ def test_gof_gross_mismatch_fails():
     report = gof_test({"a": 450, "b": 50}, {"a": 0.5, "b": 0.5})
     assert not report.passed
     assert report.p_value < 1e-6
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(20)
+    worst = 0.0
+    for _ in range(400):
+        dof = rng.choice((rng.randint(1, 20), rng.randint(1, 20000)))
+        x = dof * rng.uniform(0, 3) + rng.uniform(0, 40)
+        want = float(stats.chi2.sf(x, dof))
+        if want > 1e-300:
+            worst = max(worst, abs(_chi2_sf(x, dof) - want) / want)
+    assert worst <= 1e-9
+
+
+def test_chi2_sf_at_zero_is_one():
+    for dof in (1, 2, 3, 10, 16806):
+        assert _chi2_sf(0, dof) == 1
+
+
+def test_chi2_sf_does_not_underflow_at_large_dof():
+    # e^{-x/2} alone underflows here; the tail is near its median
+    assert 0.4 < _chi2_sf(16806, 16806) < 0.6
 
 
 def test_gof_threshold_is_tunable():
