@@ -93,6 +93,8 @@ class TransitionMatrix:
     rows: Matrix
     labels: tuple[str, ...] | None = None
     _hash: int = field(init=False, compare=False, repr=False)
+    _support: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
@@ -113,13 +115,17 @@ class TransitionMatrix:
             object.__setattr__(self, "labels", labels)
         # chains key the forest caches, so hash the n² entries only once
         object.__setattr__(self, "_hash", hash((self.rows, self.labels)))
+        # the graph checks ask for the support many times per chain; the
+        # entries are checked nonnegative above, so nonzero means positive
+        object.__setattr__(self, "_support", tuple(
+            tuple(j for j, x in enumerate(row) if x) for row in rows))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # rebuild on unpickling: the memoized hash is only valid in the
-        # process that computed it
+        # process that computed it, and the support is recomputed with it
         return (TransitionMatrix, (self.rows, self.labels))
 
     @property
@@ -131,8 +137,7 @@ class TransitionMatrix:
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbors along positive-probability arcs, per state."""
-        return tuple(
-            tuple(j for j, x in enumerate(row) if x > 0) for row in self.rows)
+        return self._support
 
 
 @dataclass(frozen=True)

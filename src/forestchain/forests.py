@@ -403,7 +403,15 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
     return w
 
 
-@lru_cache(maxsize=None)
+# Cache bounds, in entries. A chain needs one scaled-row entry and at most
+# one entry per nonempty root set: 255 at n = 8, where sigma_r over every r
+# reads them all, 63 at n = 6. So the working set of the chain in use fits,
+# and the chains used before it are evicted instead of kept for good.
+_SCALED_ROWS_CACHE_SIZE = 64
+_ROOT_SET_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SCALED_ROWS_CACHE_SIZE)
 def _scaled_rows(p: TransitionMatrix):
     """Integer numerators after clearing each row's common denominator."""
     dens = tuple(lcm(*(x.denominator for x in row)) for row in p.rows)
@@ -412,7 +420,7 @@ def _scaled_rows(p: TransitionMatrix):
     return nums, dens
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_SET_CACHE_SIZE)
 def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]):
     """(w(roots), {(i, j): weight of forests where i's tree has root j}).
 

@@ -8,18 +8,20 @@ tables in ``forests``. The chi-square upper tail behind the report's
 p-value is computed in closed form from the standard library (Abramowitz &
 Stegun 26.4.4 for odd and 26.4.5 for even degrees of freedom).
 
-Randomness contract: every sampler call owns a fresh ``random.Random``
-seeded from its SamplerConfig; batch helpers derive one child seed per
-sample index with a splitmix64 mix. Identical config, identical stream,
-on any platform (the Mersenne Twister sequence for an integer seed is
-pinned by CPython).
+Randomness contract: every draw owns a fresh ``random.Random``, seeded
+with cfg.seed by the single-draw samplers; batch samplers derive one child
+seed per sample index with a splitmix64 mix, so draw k of a batch is the
+single draw at that child seed. Identical config, identical stream, on any
+platform (the Mersenne Twister sequence for an integer seed is pinned by
+CPython). Batches check the chain and build the walk tables once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -102,29 +104,38 @@ def loop_erase(path: PathTrace | Sequence[int]) -> PathTrace:
 
 
 class _Stepper:
-    """Exact categorical walk steps via integer thresholds per row."""
+    """Exact categorical walk steps via integer thresholds per row.
+
+    Row i's positive entries, scaled to integers over the row denominator
+    dens[i], become cumulative thresholds ``cuts[i]`` leading to the states
+    ``targets[i]``. A uniform r in [0, dens[i]) steps to the target of the
+    first threshold above r.
+    """
 
     def __init__(self, p: TransitionMatrix):
         nums, dens = _scaled_rows(p)
-        self.dens = dens
-        table = []
-        for row in nums:
+        cuts, targets = [], []
+        for i, (row, den) in enumerate(zip(nums, dens)):
             acc = 0
-            cells = []
+            row_cuts, row_targets = [], []
             for j, weight in enumerate(row):
                 if weight:
                     acc += weight
-                    cells.append((acc, j))
-            table.append(tuple(cells))
-        self.table = tuple(table)
+                    row_cuts.append(acc)
+                    row_targets.append(j)
+            # every r in [0, den) must land on some threshold
+            if acc != den:
+                raise ValueError(
+                    f"row {i} mass {acc} does not cover its denominator {den}")
+            cuts.append(tuple(row_cuts))
+            targets.append(tuple(row_targets))
+        self.dens = dens
+        self.cuts = tuple(cuts)
+        self.targets = tuple(targets)
 
     def step(self, rng: random.Random, i: int) -> int:
-        # rows sum to dens[i] exactly, so the scan always lands
         r = rng.randrange(self.dens[i])
-        for acc, j in self.table[i]:
-            if r < acc:
-                return j
-        raise AssertionError("row mass does not cover its denominator")
+        return self.targets[i][bisect_right(self.cuts[i], r)]
 
 
 def _site_order(n: int, site_order: Sequence[int] | None) -> tuple[int, ...]:
@@ -138,12 +149,41 @@ def _site_order(n: int, site_order: Sequence[int] | None) -> tuple[int, ...]:
 
 def _walk_into(stepper: _Stepper, rng: random.Random, start: int,
                settled: set[int]) -> list[int]:
+    step = stepper.step
     path = [start]
     v = start
     while v not in settled:
-        v = stepper.step(rng, v)
+        v = step(rng, v)
         path.append(v)
     return path
+
+
+def _forest_setup(p: TransitionMatrix, roots: Iterable[int],
+                  site_order: Sequence[int] | None):
+    """(root set, site order, stepper) shared by every draw of one batch."""
+    rs = _check_roots(p.n, roots)
+    stranded = oracle.states_not_reaching(p, rs)
+    if stranded:
+        raise InfeasibleRootSetError(
+            f"states {list(stranded)} cannot reach roots {sorted(rs)}: "
+            "forest weight is zero")
+    return rs, _site_order(p.n, site_order), _Stepper(p)
+
+
+def _draw_forest(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
+                 seed: int) -> RootedForest:
+    """One forest from a fresh generator seeded with ``seed``."""
+    rng = random.Random(seed)
+    parent = [-1] * len(order)
+    settled = set(rs)
+    for start in order:
+        if start in settled:
+            continue
+        branch = loop_erase(_walk_into(stepper, rng, start, settled)).states
+        for a, b in zip(branch, branch[1:]):
+            parent[a] = b
+            settled.add(a)
+    return RootedForest(len(order), rs, tuple(parent))
 
 
 def wilson_tree(p: TransitionMatrix, root: int, cfg: SamplerConfig,
@@ -161,25 +201,7 @@ def wilson_forest(p: TransitionMatrix, roots: Iterable[int],
     resulting law does not depend on it. Refuses infeasible root sets up
     front (zero forest weight means the walk would never terminate).
     """
-    rs = _check_roots(p.n, roots)
-    stranded = oracle.states_not_reaching(p, rs)
-    if stranded:
-        raise InfeasibleRootSetError(
-            f"states {list(stranded)} cannot reach roots {sorted(rs)}: "
-            "forest weight is zero")
-    order = _site_order(p.n, site_order)
-    rng = random.Random(cfg.seed)
-    stepper = _Stepper(p)
-    parent = [-1] * p.n
-    settled = set(rs)
-    for start in order:
-        if start in settled:
-            continue
-        branch = loop_erase(_walk_into(stepper, rng, start, settled)).states
-        for a, b in zip(branch, branch[1:]):
-            parent[a] = b
-            settled.add(a)
-    return RootedForest(p.n, rs, tuple(parent))
+    return _draw_forest(*_forest_setup(p, roots, site_order), cfg.seed)
 
 
 def sample_trees(p: TransitionMatrix, root: int, cfg: SamplerConfig,
@@ -190,13 +212,14 @@ def sample_trees(p: TransitionMatrix, root: int, cfg: SamplerConfig,
 def sample_forests(p: TransitionMatrix, roots: Iterable[int],
                    cfg: SamplerConfig,
                    site_order: Sequence[int] | None = None) -> list[RootedForest]:
-    """cfg.sample_count independent forests, one derived seed per index."""
-    rs = frozenset(roots)
-    return [
-        wilson_forest(p, rs, replace(cfg, seed=derive_seed(cfg.seed, k),
-                                     sample_count=1), site_order)
-        for k in range(cfg.sample_count)
-    ]
+    """cfg.sample_count independent forests, one derived seed per index.
+
+    Draw k equals ``wilson_forest`` with seed derive_seed(cfg.seed, k); the
+    checks and the stepper are set up once for the whole batch.
+    """
+    rs, order, stepper = _forest_setup(p, roots, site_order)
+    return [_draw_forest(rs, order, stepper, derive_seed(cfg.seed, k))
+            for k in range(cfg.sample_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +284,52 @@ def _check_ec_feasible(p: TransitionMatrix, alpha: CycleWeights,
             "nor a positive-weight cycle: total cycle-rooted weight is zero")
 
 
+def _ecrsf_setup(p: TransitionMatrix, alpha: CycleWeights | None,
+                 tree_roots: Iterable[int], site_order: Sequence[int] | None,
+                 guard: int):
+    """(root set, site order, stepper) shared by every cycle-rooted draw."""
+    if alpha is None:
+        raise ValueError("kkw_sample needs cycle weights (alpha)")
+    rs = _check_roots(p.n, tree_roots, allow_empty=True)
+    _check_ec_feasible(p, alpha, rs, guard)
+    return rs, _site_order(p.n, site_order), _Stepper(p)
+
+
+def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
+                alpha: CycleWeights, seed: int) -> Ecrsf:
+    """One cycle-rooted forest from a fresh generator seeded with ``seed``."""
+    rng = random.Random(seed)
+    step = stepper.step
+    succ = [-1] * len(order)
+    settled = set(rs)
+    for start in order:
+        if start in settled:
+            continue
+        path = [start]
+        pos = {start: 0}
+        while True:
+            v = step(rng, path[-1])
+            if v in settled:
+                break
+            if v in pos:
+                cycle = tuple(path[pos[v]:])
+                bias = alpha.weight(cycle)
+                if rng.randrange(bias.denominator) < bias.numerator:
+                    break
+                for dropped in path[pos[v] + 1:]:
+                    del pos[dropped]
+                del path[pos[v] + 1:]
+                continue
+            pos[v] = len(path)
+            path.append(v)
+        # settle the branch: it ends in v, a settled state or its own cycle
+        for a, b in zip(path, path[1:]):
+            succ[a] = b
+        succ[path[-1]] = v
+        settled.update(path)
+    return Ecrsf(len(order), rs, tuple(succ))
+
+
 def kkw_sample(p: TransitionMatrix, alpha: CycleWeights | None,
                tree_roots: Iterable[int], cfg: SamplerConfig,
                site_order: Sequence[int] | None = None,
@@ -270,63 +339,27 @@ def kkw_sample(p: TransitionMatrix, alpha: CycleWeights | None,
     The walk runs as in the forest sampler, but each time it closes a cycle
     a coin with bias alpha(cycle) decides between keeping the whole looped
     branch as a settled component and popping the cycle. alpha ≡ 0
-    reproduces the plain forest sampler's law.
+    reproduces the plain forest sampler's law. ``alpha`` defaults to
+    cfg.alpha.
     """
     if alpha is None:
         alpha = cfg.alpha
-    if alpha is None:
-        raise ValueError("kkw_sample needs cycle weights (alpha)")
-    rs = _check_roots(p.n, tree_roots, allow_empty=True)
-    _check_ec_feasible(p, alpha, rs, guard)
-    order = _site_order(p.n, site_order)
-    rng = random.Random(cfg.seed)
-    stepper = _Stepper(p)
-    succ = [-1] * p.n
-    settled = set(rs)
-
-    def settle(path: list[int], closing: int) -> None:
-        for a, b in zip(path, path[1:]):
-            succ[a] = b
-        succ[path[-1]] = closing
-        settled.update(path)
-
-    for start in order:
-        if start in settled:
-            continue
-        path = [start]
-        pos = {start: 0}
-        while True:
-            v = stepper.step(rng, path[-1])
-            if v in settled:
-                settle(path, v)
-                break
-            if v in pos:
-                cycle = tuple(path[pos[v]:])
-                bias = alpha.weight(cycle)
-                if rng.randrange(bias.denominator) < bias.numerator:
-                    settle(path, v)
-                    break
-                for dropped in path[pos[v] + 1:]:
-                    del pos[dropped]
-                del path[pos[v] + 1:]
-                continue
-            pos[v] = len(path)
-            path.append(v)
-    return Ecrsf(p.n, rs, tuple(succ))
+    rs, order, stepper = _ecrsf_setup(p, alpha, tree_roots, site_order, guard)
+    return _draw_ecrsf(rs, order, stepper, alpha, cfg.seed)
 
 
 def sample_ecrsf(p: TransitionMatrix, tree_roots: Iterable[int],
                  cfg: SamplerConfig,
                  site_order: Sequence[int] | None = None,
                  guard: int = DEFAULT_GUARD) -> list[Ecrsf]:
-    """cfg.sample_count independent draws with cfg.alpha cycle weights."""
-    rs = frozenset(tree_roots)
-    return [
-        kkw_sample(p, None, rs,
-                   replace(cfg, seed=derive_seed(cfg.seed, k), sample_count=1),
-                   site_order, guard)
-        for k in range(cfg.sample_count)
-    ]
+    """cfg.sample_count independent draws with cfg.alpha cycle weights.
+
+    Draw k equals ``kkw_sample`` with seed derive_seed(cfg.seed, k); the
+    checks and the stepper are set up once for the whole batch.
+    """
+    rs, order, stepper = _ecrsf_setup(p, cfg.alpha, tree_roots, site_order, guard)
+    return [_draw_ecrsf(rs, order, stepper, cfg.alpha, derive_seed(cfg.seed, k))
+            for k in range(cfg.sample_count)]
 
 
 def lerw_path_prob(p: TransitionMatrix, roots: Iterable[int],

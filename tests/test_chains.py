@@ -136,6 +136,14 @@ def test_support(fixture_a):
     assert fixture_a.support() == ((1, 2), (0, 2), (0,))
 
 
+def test_support_is_memoized_and_survives_pickling(fixture_a):
+    assert fixture_a.support() is fixture_a.support()
+    q = pickle.loads(pickle.dumps(fixture_a))
+    assert q.support() == ((1, 2), (0, 2), (0,))
+    assert q == fixture_a and hash(q) == hash(fixture_a)
+    assert repr(q) == repr(fixture_a) and "_support" not in repr(q)
+
+
 def test_uniform_chain_rows():
     u = uniform_chain(3)
     assert all(x == Fraction(1, 3) for row in u.rows for x in row)

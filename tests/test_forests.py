@@ -28,6 +28,8 @@ from forestchain import (
     w_target_sum,
 )
 
+from forestchain.forests import _root_set_sums, _scaled_rows
+
 from conftest import chain
 
 
@@ -327,3 +329,15 @@ def test_w_ec_sums_empty_roots(d2):
     total, table = w_ec_sums(d2, CycleWeights.constant(1), set())
     assert total == 1  # only the 2-cycle survives
     assert table == {}
+
+
+def test_forest_caches_are_bounded():
+    bound = _root_set_sums.cache_info().maxsize
+    assert bound is not None and _scaled_rows.cache_info().maxsize is not None
+    # more distinct chains than either cache holds, one root set each
+    for k in range(bound + 10):
+        q = Fraction(1, k + 2)
+        w_sum(chain([[1 - q, q], [Fraction(1, 2), Fraction(1, 2)]]), {0})
+    for cached in (_root_set_sums, _scaled_rows):
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize

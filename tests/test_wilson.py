@@ -1,6 +1,8 @@
 import collections
+import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 from forestchain import (
     CycleWeights,
     Ecrsf,
+    EnumerationGuardError,
     InfeasibleRootSetError,
     PathTrace,
     RootedForest,
@@ -27,7 +30,8 @@ from forestchain import (
     wilson_tree,
 )
 
-from forestchain.wilson import _chi2_sf
+from forestchain import oracle, wilson
+from forestchain.wilson import _Stepper, _chi2_sf
 
 from conftest import chain
 
@@ -190,6 +194,136 @@ def test_sample_ecrsf_stream(fixture_a):
     again = sample_ecrsf(fixture_a, {0}, cfg)
     assert [(d.successor, d.cycles) for d in draws] \
         == [(d.successor, d.cycles) for d in again]
+
+
+# -- batch set-up and pinned streams -----------------------------------------
+
+G4 = chain([
+    [0, F(1, 2), F(1, 4), F(1, 4)],
+    [F(1, 3), 0, F(1, 3), F(1, 3)],
+    [F(1, 5), F(2, 5), 0, F(2, 5)],
+    [F(1, 2), F(1, 6), F(1, 3), 0],
+])
+# lazy copy of G4: a self-loop of mass 1/2 at every state
+LAZY4 = chain([[F(1, 2) * (i == j) + F(1, 2) * G4.rows[i][j] for j in range(4)]
+               for i in range(4)])
+HALF = CycleWeights.constant(F(1, 2))
+
+
+def _stream_digest(draws):
+    return hashlib.sha256(repr([d.edges() for d in draws]).encode()).hexdigest()
+
+
+# SHA-256 of the edges of 200 draws at seed 1069, recorded with the sampler
+# that set up its checks and stepper again for every draw
+GOLDEN_STREAMS = [
+    (lambda cfg: sample_forests(G4, {0}, cfg),
+     "65d90be094f1d975a73e169be4cfd474423692cf3ac86a8710772dac116bf59c"),
+    (lambda cfg: sample_forests(G4, {1, 3}, cfg),
+     "988b0ef33a820d0ef30afefa1b2cccc8722852ea4fa1654b7a1c4ce0c9c891d0"),
+    (lambda cfg: sample_forests(G4, {0}, cfg, site_order=(3, 2, 1, 0)),
+     "d55d164fe18e4205030e4de771a7ddd6f49624425901dca762550298f2ecde34"),
+    (lambda cfg: sample_forests(LAZY4, {2}, cfg),
+     "3d2b406b5828cd5801de6435edcd2280ce6cfd4faef83455aa3d10fe4fb4819f"),
+    (lambda cfg: sample_ecrsf(G4, {0}, cfg),
+     "2cef441e6d909ea5376eb64d4fbd58664468b6688bf9907fc28d24fea160e6a8"),
+    (lambda cfg: sample_ecrsf(G4, set(), cfg),
+     "297737fa6333cd9c9a1b254dc50a78bff96c1f533301724eeecd4ae6b3dc71ef"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN_STREAMS)))
+def test_seeded_streams_are_pinned(case):
+    draw, digest = GOLDEN_STREAMS[case]
+    cfg = SamplerConfig(seed=1069, sample_count=200, alpha=HALF)
+    assert _stream_digest(draw(cfg)) == digest
+
+
+def test_batch_draw_equals_single_draw():
+    cfg = SamplerConfig(seed=1069, sample_count=40, alpha=HALF)
+    forests = sample_forests(LAZY4, {1, 3}, cfg, site_order=(2, 0, 3, 1))
+    ecrsfs = sample_ecrsf(G4, set(), cfg)
+    for k in (0, 1, 17, 39):
+        one = replace(cfg, seed=derive_seed(cfg.seed, k), sample_count=1)
+        assert forests[k] == wilson_forest(LAZY4, {1, 3}, one,
+                                           site_order=(2, 0, 3, 1))
+        assert ecrsfs[k] == kkw_sample(G4, None, set(), one)
+
+
+def test_batch_checks_feasibility_once(monkeypatch):
+    calls = []
+    original = oracle.states_not_reaching
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "states_not_reaching", counting)
+    sample_forests(G4, {0}, SamplerConfig(seed=3, sample_count=200))
+    assert len(calls) == 1
+    sample_ecrsf(G4, {0}, SamplerConfig(seed=3, sample_count=200, alpha=HALF))
+    assert len(calls) == 2
+
+
+def _no_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw ran before the batch checks failed")
+    monkeypatch.setattr(wilson, "_draw_forest", refuse)
+    monkeypatch.setattr(wilson, "_draw_ecrsf", refuse)
+
+
+def test_batch_refusals_come_before_any_draw(monkeypatch, r3, fixture_a):
+    _no_draws(monkeypatch)
+    cfg = SamplerConfig(seed=1, sample_count=200)
+    with pytest.raises(InfeasibleRootSetError) as info:
+        sample_forests(r3, {1}, cfg)
+    assert str(info.value) == \
+        "states [2] cannot reach roots [1]: forest weight is zero"
+    with pytest.raises(InfeasibleRootSetError) as info:
+        sample_ecrsf(r3, {1}, replace(cfg, alpha=CycleWeights.constant(0)))
+    assert str(info.value) == (
+        "states [2] reach neither the roots [1] nor a positive-weight cycle: "
+        "total cycle-rooted weight is zero")
+    with pytest.raises(EnumerationGuardError) as info:
+        sample_ecrsf(fixture_a, set(), replace(cfg, alpha=HALF), guard=2)
+    assert str(info.value) == ("3 states need a cycle search, above the guard "
+                               "of 2; pass a larger guard to override")
+    with pytest.raises(ValueError) as info:
+        sample_ecrsf(fixture_a, {0}, cfg)
+    assert str(info.value) == "kkw_sample needs cycle weights (alpha)"
+
+
+class _FixedDraw:
+    def __init__(self, r):
+        self.r = r
+
+    def randrange(self, _stop):
+        return self.r
+
+
+def test_stepper_bisect_matches_linear_scan():
+    for p in (G4, LAZY4):
+        stepper = _Stepper(p)
+        for i in range(p.n):
+            den = stepper.dens[i]
+            expected = []
+            for r in range(den):
+                acc = 0
+                for j, x in enumerate(p.rows[i]):
+                    acc += x * den
+                    if x and r < acc:
+                        expected.append(j)
+                        break
+            rigged = [stepper.step(_FixedDraw(r), i) for r in range(den)]
+            assert rigged == expected
+
+
+def test_stepper_checks_every_row_at_build():
+    p = chain([[F(1, 2), F(1, 2)], [0, 1]])
+    # a row that lost mass after validation: 1/2 + 1/4 over denominator 4
+    object.__setattr__(p, "rows", ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))))
+    with pytest.raises(ValueError, match="row 1 mass 3 does not cover"):
+        _Stepper(p)
 
 
 # -- branch law --------------------------------------------------------------
