@@ -41,6 +41,11 @@ class InfeasibleRootSetError(ValueError):
     """The root set has zero total forest weight (unreachable roots)."""
 
 
+#: Largest state count an edge list may declare. The sampler runs far past
+#: the sizes enumeration reaches, but every chain is stored as a dense n x n
+#: matrix of Fractions; the cap keeps that under 2^22 entries.
+MAX_STATES = 2048
+
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
 
 
@@ -223,7 +228,8 @@ def _index_edges(
     """Map edge-list vertex tokens to dense indices.
 
     All-integer tokens are taken literally as indices; otherwise tokens are
-    labels, indexed in order of first appearance.
+    labels, indexed in order of first appearance. More than ``MAX_STATES``
+    states are refused here, before any matrix is built.
     """
     tokens = [t for (a, b, _c) in entries for t in (a, b)]
     if all(t.isdigit() for t in tokens):
@@ -237,6 +243,9 @@ def _index_edges(
                 ids[t] = len(ids)
         n = len(ids)
         labels = tuple(sorted(ids, key=ids.get))
+    if n > MAX_STATES:
+        raise ChainParseError(
+            f"state index {n - 1} exceeds the limit of {MAX_STATES} states")
     cells: dict[tuple[int, int], Fraction] = {}
     for (a, b, c) in entries:
         key = (ids[a], ids[b])

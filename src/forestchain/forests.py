@@ -138,6 +138,17 @@ class RootedForest:
         object.__setattr__(self, "_root_of", root_of)
 
     @classmethod
+    def _trusted(cls, n: int, roots: frozenset[int], parent: tuple[int, ...],
+                 root_of: tuple[int, ...]) -> "RootedForest":
+        """A forest the walker built, acyclic by construction: skip the checks
+        and take its root-of vector instead of classifying the parents again."""
+        f = object.__new__(cls)
+        for name, value in (("n", n), ("roots", roots), ("parent", parent),
+                            ("_root_of", root_of)):
+            object.__setattr__(f, name, value)
+        return f
+
+    @classmethod
     def from_parent_map(cls, n: int, roots: Iterable[int],
                         parent: Mapping[int, int]) -> "RootedForest":
         rs = frozenset(int(r) for r in roots)
@@ -350,8 +361,8 @@ def enumerate_forests(n: int, roots: Iterable[int],
     """
     rs = _check_roots(n, roots)
     _check_guard(n, rs, guard)
-    for succ, _root_of, _w in _walk(n, rs, _arcs(n, rs)):
-        yield RootedForest(n, rs, tuple(succ))
+    for succ, root_of, _w in _walk(n, rs, _arcs(n, rs)):
+        yield RootedForest._trusted(n, rs, tuple(succ), root_of)
 
 
 def enumerate_ecrsf(n: int, tree_roots: Iterable[int],
@@ -409,6 +420,9 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 # and the chains used before it are evicted instead of kept for good.
 _SCALED_ROWS_CACHE_SIZE = 64
 _ROOT_SET_CACHE_SIZE = 256
+# A chain has one tree-deletion row per target state, and the guard admits
+# trees on at most 9 states by default.
+_TREE_DELETION_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_SCALED_ROWS_CACHE_SIZE)
@@ -513,25 +527,50 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
         return total
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
-    rs = frozenset([j])
-    _check_guard(p.n, rs, guard)
+    _check_guard(p.n, frozenset([j]), guard)
+    return _tree_deletion_row(p, j)[i]
+
+
+@lru_cache(maxsize=_TREE_DELETION_CACHE_SIZE)
+def _tree_deletion_row(p: TransitionMatrix, j: int) -> tuple[Fraction, ...]:
+    """Sigma_ij by tree deletion for every start state i (0 at i = j).
+
+    A tree's term for i depends on i only through k(i, j, t), the last state
+    before j on i's branch, so one walk over the trees rooted at j sums the
+    integer weights per vector of those heads and spreads each group once.
+    """
+    n = p.n
     nums, dens = _scaled_rows(p)
-    free = [v for v in range(p.n) if v != j]
+    free = [v for v in range(n) if v != j]
     # arcs into j are followed even at probability zero, their factors settled
-    # at the leaf: last exit k gets row k's denominator back, the rest pay
+    # per group: the head k gets row k's denominator back, the others pay
     arcs = [[(u, 1 if u == j else x) for u, x in enumerate(nums[v])
              if u != v and (x or u == j)] for v in free]
-    total = 0
-    for succ, _root_of, w in _walk(p.n, rs, arcs):
-        k = i
-        while succ[k] != j:
-            k = succ[k]
-        w *= dens[k]
+    groups: dict[tuple[int, ...], int] = {}
+    for succ, _root_of, w in _walk(n, frozenset([j]), arcs):
+        head = [-1] * n
         for v in free:
-            if succ[v] == j and v != k:
-                w *= nums[v][j]
-        total += w
-    return Fraction(total, prod(dens[v] for v in free))
+            k = v
+            while succ[k] != j:
+                k = succ[k]
+            head[v] = k
+        key = tuple(head)
+        groups[key] = groups.get(key, 0) + w
+    row = [0] * n
+    for head, w in groups.items():
+        children = {k for k in head if k >= 0}
+        share = {}
+        for k in children:
+            x = w * dens[k]
+            for h in children:
+                if h != k:
+                    x *= nums[h][j]
+            share[k] = x
+        for i, k in enumerate(head):
+            if k >= 0:
+                row[i] += share[k]
+    denom = prod(dens[v] for v in free)
+    return tuple(Fraction(x, denom) for x in row)
 
 
 def last_exit_state(t: RootedForest, i: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -134,6 +135,12 @@ def _reachable(support: Sequence[Sequence[int]], start: int) -> set[int]:
     return seen
 
 
+# Bound, in chains, on the memo below: the formulas check their chain on every
+# call, and chung_occupation alone makes up to five such calls per triple.
+_CERTIFICATE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
 def irreducibility_certificate(p: TransitionMatrix) -> tuple[int, int] | None:
     """None when irreducible, else a pair (i, j) with j unreachable from i."""
     support = p.support()

@@ -90,6 +90,11 @@ def loop_erase(path: PathTrace | Sequence[int]) -> PathTrace:
     states = path.states if isinstance(path, PathTrace) else tuple(path)
     if not states:
         raise ValueError("empty path")
+    return PathTrace(tuple(_erase_loops(states)))
+
+
+def _erase_loops(states: Sequence[int]) -> list[int]:
+    """Loop erasure of a nonempty path of int states, as a list."""
     out: list[int] = []
     pos: dict[int, int] = {}
     for s in states:
@@ -100,7 +105,7 @@ def loop_erase(path: PathTrace | Sequence[int]) -> PathTrace:
         else:
             pos[s] = len(out)
             out.append(s)
-    return PathTrace(tuple(out))
+    return out
 
 
 class _Stepper:
@@ -179,7 +184,7 @@ def _draw_forest(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
     for start in order:
         if start in settled:
             continue
-        branch = loop_erase(_walk_into(stepper, rng, start, settled)).states
+        branch = _erase_loops(_walk_into(stepper, rng, start, settled))
         for a, b in zip(branch, branch[1:]):
             parent[a] = b
             settled.add(a)

@@ -21,6 +21,8 @@ from forestchain import (
     uniform_chain,
     weighted_laplacian,
 )
+from forestchain import chains
+from forestchain.chains import MAX_STATES
 
 from conftest import chain
 
@@ -103,6 +105,34 @@ def test_edge_list_fails_before_densifying():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_edge_list_state_cap_comes_before_the_matrix():
+    # a valid document, one state over the cap: refused while parsing, with
+    # a peak far below the 2049 x 2049 matrix it would have built
+    text = "".join(f"{v} {v} 1\n" for v in range(MAX_STATES + 1))
+    for parse in (chain_from_edge_list, parse_conductances):
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                    ChainParseError,
+                    match=f"^state index {MAX_STATES} exceeds the limit of "
+                          f"{MAX_STATES} states$"):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_edge_list_state_cap_boundary(monkeypatch):
+    monkeypatch.setattr(chains, "MAX_STATES", 3)
+    assert chain_from_edge_list("0 0 1\n1 1 1\n2 2 1\n").n == 3
+    assert parse_conductances("a b 1\nb c 1\nc a 1\n").n == 3
+    with pytest.raises(ChainParseError, match="^state index 3 exceeds"):
+        chain_from_edge_list("0 0 1\n3 3 1\n")
+    with pytest.raises(ChainParseError, match="^state index 3 exceeds"):
+        parse_conductances("a b 1\nb c 1\nc d 1\n")
 
 
 def test_edge_list_negative_entry_matches_dense_error():

@@ -224,6 +224,18 @@ def test_edge_list_row_error_exits_cleanly(capsys, monkeypatch):
     assert json.loads(err) == {"error": "parse", "detail": "row 1 sums to 0"}
 
 
+def test_edge_list_over_the_state_cap_exits_2(capsys, monkeypatch):
+    import io
+    from forestchain.chains import MAX_STATES
+    text = "".join(f"{v} {v} 1\n" for v in range(MAX_STATES + 1))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, ["analyze", "--format", "edges"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "parse",
+        "detail": f"state index {MAX_STATES} exceeds the limit of {MAX_STATES} states"}
+
+
 def test_cli_import_loads_neither_scipy_nor_numpy():
     proc = subprocess.run(
         [sys.executable, "-c",

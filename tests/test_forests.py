@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from forestchain import (
     enumerate_forests,
     forest_from_json,
     forest_weight,
+    irreducibility_certificate,
     laplacian,
     last_exit_state,
+    mfpt,
     sigma_pair,
     sigma_r,
     sigma_sums,
@@ -28,7 +31,14 @@ from forestchain import (
     w_target_sum,
 )
 
-from forestchain.forests import _root_set_sums, _scaled_rows
+from forestchain import forests
+from forestchain.forests import (
+    DEFAULT_GUARD,
+    _root_set_sums,
+    _scaled_rows,
+    _tree_deletion_row,
+)
+from forestchain.verify import random_irreducible_chain
 
 from conftest import chain
 
@@ -133,6 +143,18 @@ def test_enumeration_order_is_pinned():
                             == [s for s in maps if _drains_to_roots(s)])
                 if n <= 4:
                     assert [e.successor for e in enumerate_ecrsf(n, roots)] == maps
+
+
+def test_enumerated_forests_equal_validated_ones():
+    # the enumerator builds forests without re-validating them
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for roots in itertools.combinations(range(n), k):
+                for f in enumerate_forests(n, roots):
+                    g = RootedForest(n, frozenset(roots), f.parent)
+                    assert f == g and hash(f) == hash(g)
+                    assert ([f.root_of(v) for v in range(n)]
+                            == [g.root_of(v) for v in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +293,53 @@ def test_sigma_pair_methods_agree(fixture_a, u4):
                         == sigma_pair(p, i, j, "two-forest"))
 
 
+def _sigma_pair_by_trees(p, i, j):
+    """Sigma_ij straight from the definition: over the trees rooted at j,
+    the product of p over every edge except k(i, j, t) -> j."""
+    total = Fraction(0)
+    for t in enumerate_forests(p.n, {j}):
+        k = last_exit_state(t, i)
+        w = Fraction(1)
+        for v, u in t.edges():
+            if v != k:
+                w *= p.rows[v][u]
+        total += w
+    return total
+
+
+def _reference_chains(fixture_a, u4):
+    rng = random.Random(20161)
+    return [fixture_a, u4] + [random_irreducible_chain(rng, n)
+                              for n in (5, 5, 6, 6)]
+
+
+def test_sigma_pair_matches_tree_definition(fixture_a, u4):
+    # on fixture_a's tree 0 -> 2 -> 1 the deleted arc 2 -> 1 has probability
+    # zero; the factor is left out, so the tree still adds p_02 = 1/2
+    assert _sigma_pair_by_trees(fixture_a, 0, 1) == Fraction(3, 2)
+    for p in _reference_chains(fixture_a, u4):
+        for i, j in itertools.permutations(range(p.n), 2):
+            assert sigma_pair(p, i, j) == _sigma_pair_by_trees(p, i, j)
+
+
+def test_tree_deletion_reads_no_pair_tables(monkeypatch, fixture_a, u4):
+    # the forest route's Sigma_ij must stay independent of the two-forest
+    # tables it is checked against
+    chains = _reference_chains(fixture_a, u4)
+    pairs = [(p, i, j) for p in chains
+             for i, j in itertools.permutations(range(p.n), 2)]
+    expected = [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs]
+    real = forests._root_set_sums
+
+    def singletons_only(p, roots):
+        assert len(roots) < 2, f"read the root set {sorted(roots)}"
+        return real(p, roots)
+
+    monkeypatch.setattr(forests, "_root_set_sums", singletons_only)
+    _tree_deletion_row.cache_clear()
+    assert [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs] == expected
+
+
 def test_last_exit_state():
     t = RootedForest(4, frozenset({3}), (1, 3, 1, -1))
     # path 0 -> 1 -> 3: last state before the root is 1
@@ -332,12 +401,18 @@ def test_w_ec_sums_empty_roots(d2):
 
 
 def test_forest_caches_are_bounded():
-    bound = _root_set_sums.cache_info().maxsize
-    assert bound is not None and _scaled_rows.cache_info().maxsize is not None
-    # more distinct chains than either cache holds, one root set each
-    for k in range(bound + 10):
+    caches = (_root_set_sums, _scaled_rows, _tree_deletion_row,
+              irreducibility_certificate)
+    assert all(c.cache_info().maxsize is not None for c in caches)
+    # one row per target state, and the guard admits trees on this many
+    assert _tree_deletion_row.cache_info().maxsize >= DEFAULT_GUARD + 1
+    # more distinct chains than any cache holds
+    for k in range(_root_set_sums.cache_info().maxsize + 10):
         q = Fraction(1, k + 2)
-        w_sum(chain([[1 - q, q], [Fraction(1, 2), Fraction(1, 2)]]), {0})
-    for cached in (_root_set_sums, _scaled_rows):
+        p = chain([[1 - q, q], [Fraction(1, 2), Fraction(1, 2)]])
+        w_sum(p, {0})
+        sigma_pair(p, 1, 0)
+        irreducibility_certificate(p)
+    for cached in caches:
         info = cached.cache_info()
         assert info.currsize <= info.maxsize

@@ -29,6 +29,7 @@ from forestchain import (
     undirected_tree_count,
     uniform_chain,
 )
+from forestchain.oracle import require_irreducible
 
 from conftest import chain
 
@@ -153,6 +154,21 @@ def test_irreducibility_certificate(fixture_a, r3):
     assert cert is not None
     i, j = cert
     assert (i, j) in {(1, 0), (1, 2), (2, 0), (2, 1)}
+
+
+def test_require_irreducible_error_is_the_same_when_cached(r3):
+    irreducibility_certificate.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ReducibleChainError) as exc:
+            require_irreducible(r3)
+        errors.append(exc.value)
+    info = irreducibility_certificate.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    first, second = errors
+    assert str(first) == str(second)
+    assert first.certificate == second.certificate == irreducibility_certificate(r3)
+    assert first.infeasible_singletons == second.infeasible_singletons
 
 
 def test_recurrent_classes(fixture_a, r3):
