@@ -44,6 +44,7 @@ from .forests import (
     sigma_pair,
     sigma_r,
     sigma_sums,
+    tree_sum,
     w_ec_sums,
     w_sum,
     w_target_sum,

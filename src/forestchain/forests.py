@@ -1,16 +1,29 @@
 """Directed spanning forests, cycle-rooted spanning forests, and exact weight sums.
 
-This module is deliberately the brute-force side: w(R), w_ij(R), Sigma_j,
-Sigma^(r), Sigma_ij and w^ec are exact sums over explicit enumerations, all
-made by one backtracking walker, ``_walk``. It assigns the free states in
-ascending order, trying targets in ascending order, so configurations come
-out in ``itertools.product`` order with the cyclic ones dropped. It follows
-only positive-probability arcs of a chain, rejects an arc the moment it
-closes a cycle (the cycle-rooted case keeps it) and carries the integer
-prefix product down; rows are scaled to integers once per chain. No forest
-is stored: a walk holds one length-n vector per level, so its memory does
-not grow with the number of forests. Determinant shortcuts live elsewhere
-and are checked against these sums.
+This module is the counting side: w(R), w_ij(R), Sigma_j, Sigma^(r),
+Sigma_ij and w^ec are exact sums over forests, with no determinant and no
+solve. Rows are scaled to integers once per chain, so every sum is over
+plain integers with one common denominator per root set.
+
+The forest sums w(R) and w_ij(R) group the forests by their depth layers.
+The states whose parent is a root form a nonempty layer C; removing the
+roots leaves a forest rooted at C. So F(S, B), the weight of the forests
+on a state set S rooted at B, satisfies
+F(S, B) = sum over nonempty C in S - B of prod_{c in C} p(c, B) F(S - B, C),
+with F(B, B) = 1 and p(c, B) = sum_{b in B} p_cb. A per-chain memo keeps F
+over bitmask pairs; a root set with f free states reads at most 3^f of
+them. Splitting a forest at the vertex set of b's tree gives w_ib(R) with
+no further memo.
+
+One backtracking walker, ``_walk``, serves what the layers do not: listing
+forests and cycle-rooted configurations, the tree-deletion Sigma_ij (an
+independent check of the layer sums) and the cycle-rooted sums w^ec. It
+assigns the free states in ascending order, trying targets in ascending
+order, so configurations come out in ``itertools.product`` order with the
+cyclic ones dropped. It follows only positive-probability arcs of a chain,
+rejects an arc the moment it closes a cycle (the cycle-rooted case keeps
+it) and carries the integer prefix product down. No configuration is
+stored: a walk holds one length-n vector per level.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ __all__ = [
     "RootedForest", "Ecrsf", "CycleWeights", "ForestSums",
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
     "forest_weight", "ecrsf_weight", "w_sum", "w_target_sum", "sigma_sums",
-    "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums",
+    "sigma_r", "sigma_pair", "tree_sum", "last_exit_state", "w_ec_sums",
     "forest_from_json", "ecrsf_from_json",
 ]
 
@@ -218,6 +231,31 @@ class Ecrsf:
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "_root_of", root_of)
 
+    @classmethod
+    def _trusted(cls, n: int, roots: frozenset[int], successor: tuple[int, ...],
+                 root_of: tuple[int, ...]) -> "Ecrsf":
+        """A configuration the walker built: take its root-of vector and look
+        for cycles only in the components it marks -1."""
+        cycles = []
+        if -1 in root_of:
+            seen = [r != -1 for r in root_of]
+            for v0 in range(n):
+                if seen[v0]:
+                    continue
+                path = []
+                v = v0
+                while not seen[v]:
+                    seen[v] = True
+                    path.append(v)
+                    v = successor[v]
+                if v in path:
+                    cycles.append(canonical_cycle(path[path.index(v):]))
+            cycles.sort()
+        e = object.__new__(cls)
+        e.__dict__.update(n=n, tree_roots=roots, successor=successor,
+                          cycles=tuple(cycles), _root_of=root_of)
+        return e
+
     def successor_map(self) -> dict[int, int]:
         return {v: u for v, u in enumerate(self.successor) if u != -1}
 
@@ -370,8 +408,8 @@ def enumerate_ecrsf(n: int, tree_roots: Iterable[int],
     """Yield every ECRSF with these tree roots: every successor map, in order."""
     rs = _check_roots(n, tree_roots, allow_empty=True)
     _check_guard(n, rs, guard)
-    for succ, _root_of, _w in _walk(n, rs, _arcs(n, rs, cyclic=True), cyclic=True):
-        yield Ecrsf(n, rs, tuple(succ))
+    for succ, root_of, _w in _walk(n, rs, _arcs(n, rs, cyclic=True), cyclic=True):
+        yield Ecrsf._trusted(n, rs, tuple(succ), root_of)
 
 
 def cayley_count(n: int, k: int) -> int:
@@ -414,12 +452,15 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
     return w
 
 
-# Cache bounds, in entries. A chain needs one scaled-row entry and at most
-# one entry per nonempty root set: 255 at n = 8, where sigma_r over every r
-# reads them all, 63 at n = 6. So the working set of the chain in use fits,
-# and the chains used before it are evicted instead of kept for good.
+# Cache bounds, in entries. The layer sums keep one chain, the one in use:
+# its memo and up to _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8,
+# where sigma_r over every r reads them all). The memo is cleared before a
+# root set when it has grown past _LAYER_MEMO_SIZE; one root set with f free
+# states adds at most 3^f entries plus two per (root, subset of free states).
 _SCALED_ROWS_CACHE_SIZE = 64
+_LAYER_CACHE_SIZE = 1
 _ROOT_SET_CACHE_SIZE = 256
+_LAYER_MEMO_SIZE = 1 << 17
 # A chain has one tree-deletion row per target state, and the guard admits
 # trees on at most 9 states by default.
 _TREE_DELETION_CACHE_SIZE = 64
@@ -434,22 +475,116 @@ def _scaled_rows(p: TransitionMatrix):
     return nums, dens
 
 
-@lru_cache(maxsize=_ROOT_SET_CACHE_SIZE)
-def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]):
-    """(w(roots), {(i, j): weight of forests where i's tree has root j}).
+class _LayerSums:
+    """Depth-layer forest sums of one chain over bitmasks of states.
 
-    Every forest with this root set has the same denominator (one row
-    denominator per free vertex), so the walk sums plain integers, one per
-    root-of vector, and spreads them over the (i, j) table at the end.
+    ``layer(s, b)`` is F(S, B), the integer weight (rows scaled as in
+    ``_scaled_rows``) of the forests on the state set S rooted at B, B ⊆ S.
+    Every state outside B picks one parent inside S, so F(S, B) carries
+    one row denominator per state of S - B.
     """
-    nums, dens = _scaled_rows(p)
-    denom = prod(dens[v] for v in range(p.n) if v not in roots)
-    groups: dict[tuple[int, ...], int] = {}
-    for _succ, root_of, w in _walk(p.n, roots, _arcs(p.n, roots, nums)):
-        groups[root_of] = groups.get(root_of, 0) + w
-    total, table = _spread(groups)
-    return (Fraction(total, denom),
-            {key: Fraction(x, denom) for key, x in table.items()})
+
+    def __init__(self, p: TransitionMatrix):
+        self.n = p.n
+        self.nums, self.dens = _scaled_rows(p)
+        self.memo: dict[int, int] = {}
+        self.tables: dict[frozenset[int], tuple] = {}
+
+    def layer(self, s: int, b: int) -> int:
+        if s == b:
+            return 1
+        if not b:
+            return 0
+        memo = self.memo
+        key = s << self.n | b
+        total = memo.get(key)
+        if total is not None:
+            return total
+        rest = s ^ b
+        # prods[k] = prod of p(c, B) over the layer C = masks[k]; states with
+        # no arc into B never join it
+        prods, masks = [1], [0]
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            row = self.nums[low.bit_length() - 1]
+            pull = 0
+            t = b
+            while t:
+                bit = t & -t
+                t ^= bit
+                pull += row[bit.bit_length() - 1]
+            if pull:
+                prods += [x * pull for x in prods]
+                masks += [c | low for c in masks]
+        total = 0
+        shift = rest << self.n
+        for x, c in zip(prods[1:], masks[1:]):
+            if c == rest:
+                total += x
+                continue
+            below = memo.get(shift | c)
+            if below is None:
+                below = self.layer(rest, c)
+            total += x * below
+        memo[key] = total
+        return total
+
+    def root_set(self, roots: frozenset[int]) -> tuple:
+        """(w(R), {(i, b): w_ib(R)}), nonzero entries only, i over all states.
+
+        A forest rooted at R splits at the vertex set X ∪ {b} of b's tree:
+        w_ib(R) sums F(X ∪ {b}, {b}) F(V - X - {b}, R - {b}) over the X that
+        contain i, and over every X when i = b, which gives w(R).
+        """
+        got = self.tables.get(roots)
+        if got is not None:
+            return got
+        if len(self.memo) > _LAYER_MEMO_SIZE:
+            self.memo.clear()
+        layer = self.layer
+        r = sum(1 << v for v in roots)
+        free = ((1 << self.n) - 1) ^ r
+        denom = prod(self.dens[v] for v in range(self.n) if v not in roots)
+        table: dict[tuple[int, int], Fraction] = {}
+        w = 0
+        for b in roots:
+            bit = 1 << b
+            others = r ^ bit
+            share = [0] * self.n
+            x = free
+            while True:
+                t = layer((free ^ x) | others, others)
+                if t:
+                    t *= layer(x | bit, bit)
+                    share[b] += t
+                    m = x
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        share[low.bit_length() - 1] += t
+                if not x:
+                    break
+                x = (x - 1) & free
+            w = share[b]  # every root's share at itself is the whole w(R)
+            for i, t in enumerate(share):
+                if t:
+                    table[(i, b)] = Fraction(t, denom)
+        if len(self.tables) >= _ROOT_SET_CACHE_SIZE:
+            del self.tables[next(iter(self.tables))]
+        got = self.tables[roots] = (Fraction(w, denom), table)
+        return got
+
+
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
+def _layer_sums(p: TransitionMatrix) -> _LayerSums:
+    return _LayerSums(p)
+
+
+def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]):
+    """(w(roots), {(i, j): weight of forests where i's tree has root j})."""
+    return _layer_sums(p).root_set(roots)
 
 
 def w_sum(p: TransitionMatrix, roots: Iterable[int],
@@ -528,12 +663,12 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
     _check_guard(p.n, frozenset([j]), guard)
-    return _tree_deletion_row(p, j)[i]
+    return _tree_deletion_row(p, j)[1][i]
 
 
 @lru_cache(maxsize=_TREE_DELETION_CACHE_SIZE)
-def _tree_deletion_row(p: TransitionMatrix, j: int) -> tuple[Fraction, ...]:
-    """Sigma_ij by tree deletion for every start state i (0 at i = j).
+def _tree_deletion_row(p: TransitionMatrix, j: int):
+    """(Sigma_j, Sigma_ij by tree deletion for every start state i, 0 at i = j).
 
     A tree's term for i depends on i only through k(i, j, t), the last state
     before j on i's branch, so one walk over the trees rooted at j sums the
@@ -556,9 +691,11 @@ def _tree_deletion_row(p: TransitionMatrix, j: int) -> tuple[Fraction, ...]:
             head[v] = k
         key = tuple(head)
         groups[key] = groups.get(key, 0) + w
+    total = 0
     row = [0] * n
     for head, w in groups.items():
         children = {k for k in head if k >= 0}
+        total += w * prod(nums[h][j] for h in children)
         share = {}
         for k in children:
             x = w * dens[k]
@@ -570,7 +707,15 @@ def _tree_deletion_row(p: TransitionMatrix, j: int) -> tuple[Fraction, ...]:
             if k >= 0:
                 row[i] += share[k]
     denom = prod(dens[v] for v in free)
-    return tuple(Fraction(x, denom) for x in row)
+    return Fraction(total, denom), tuple(Fraction(x, denom) for x in row)
+
+
+def tree_sum(p: TransitionMatrix, j: int, guard: int = DEFAULT_GUARD) -> Fraction:
+    """Sigma_j = w({j}) from the same tree walk as tree-deletion sigma_pair."""
+    if not 0 <= j < p.n:
+        raise ValueError(f"state {j} out of range")
+    _check_guard(p.n, frozenset([j]), guard)
+    return _tree_deletion_row(p, j)[0]
 
 
 def last_exit_state(t: RootedForest, i: int) -> int:

@@ -30,6 +30,7 @@ from .forests import (
     sigma_pair,
     sigma_r,
     sigma_sums,
+    tree_sum,
     w_ec_sums,
     w_sum,
     w_target_sum,
@@ -59,10 +60,13 @@ def mfpt(p: TransitionMatrix, i: int, j: int,
     if i == j:
         raise ValueError("mfpt needs i != j; use mean_return_time for i = j")
     oracle.require_irreducible(p)
-    sj = w_sum(p, {j}, guard)
+    # numerator and tree sum come from one tree walk, not the layer sums
+    # that analyze uses, so the two routes to m_ij stay independent
+    sij = sigma_pair(p, i, j, "tree-deletion", guard)
+    sj = tree_sum(p, j, guard)
     if sj == 0:
         raise InfeasibleRootSetError(f"tree sum at state {j} vanishes")
-    return sigma_pair(p, i, j, "tree-deletion", guard) / sj
+    return sij / sj
 
 
 def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:

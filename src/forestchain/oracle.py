@@ -248,6 +248,12 @@ def period(p: TransitionMatrix) -> int:
 # ---------------------------------------------------------------------------
 # chain solves
 
+# Bound, in chains, on the memo below: mfpt_solve and fundamental_matrix each
+# need pi, and a caller checking a chain asks for pi as well.
+_STATIONARY_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_STATIONARY_CACHE_SIZE)
 def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
     """Exact solution of pi P = pi, sum(pi) = 1."""
     require_irreducible(p)

@@ -254,3 +254,28 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kemeny"] == "16/7"
+
+
+def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
+    # pi, the MFPT systems and the fundamental matrix share one stationary
+    # solve: n first-step systems, one inverse and one solve for pi in all
+    from forestchain import oracle
+    doc = {"n": 4, "rows": [["1/8", "3/8", "1/4", "1/4"],
+                            ["1/5", "0", "2/5", "2/5"],
+                            ["1/2", "1/6", "0", "1/3"],
+                            ["1/7", "2/7", "3/7", "1/7"]]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    real = oracle._solve
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "_solve", counting)
+    oracle.stationary_solve.cache_clear()
+    code, out, _ = run_cli(capsys, ["analyze", "--input", str(path)])
+    assert code == 0 and json.loads(out)["methods_agree"] is True
+    assert sorted(calls) == [3, 3, 3, 3, 4, 4]
+    assert oracle.stationary_solve.cache_info().maxsize is not None

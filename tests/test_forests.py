@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -31,14 +32,14 @@ from forestchain import (
     w_target_sum,
 )
 
-from forestchain import forests
+from forestchain import forests, formulas, oracle
 from forestchain.forests import (
     DEFAULT_GUARD,
-    _root_set_sums,
+    _layer_sums,
     _scaled_rows,
     _tree_deletion_row,
 )
-from forestchain.verify import random_irreducible_chain
+from forestchain.verify import random_chain, random_irreducible_chain
 
 from conftest import chain
 
@@ -157,6 +158,19 @@ def test_enumerated_forests_equal_validated_ones():
                             == [g.root_of(v) for v in range(n)])
 
 
+def test_enumerated_ecrsf_equal_validated_ones():
+    # the enumerator builds configurations from the walk's root-of vector
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for roots in itertools.combinations(range(n), k):
+                for e in enumerate_ecrsf(n, roots):
+                    g = Ecrsf(n, frozenset(roots), e.successor)
+                    assert e == g and hash(e) == hash(g)
+                    assert e.cycles == g.cycles
+                    assert ([e.root_of(v) for v in range(n)]
+                            == [g.root_of(v) for v in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -187,6 +201,109 @@ def test_w_sum_matches_enumeration(fixture_a, u4):
                     (forest_weight(f, p) for f in enumerate_forests(p.n, roots)),
                     Fraction(0))
                 assert w_sum(p, roots) == total
+
+
+def _layer_test_chains():
+    """Seeded dense, sparse irreducible and reducible chains, n = 1..6."""
+    rng = random.Random(2016)
+    out = []
+    for n in range(1, 7):
+        dense = chain([[Fraction(w, sum(ws)) for w in ws]
+                       for ws in ([rng.randint(1, 9) for _ in range(n)]
+                                  for _ in range(n))])
+        reducible = random_chain(rng, n)
+        while n > 1 and irreducibility_certificate(reducible) is None:
+            reducible = random_chain(rng, n)
+        out += [dense, random_irreducible_chain(rng, n), reducible]
+    return out
+
+
+def test_layer_sums_match_forest_enumeration():
+    # w(R) and every w_ij(R) against the forests listed one by one
+    for p in _layer_test_chains():
+        for k in range(1, p.n + 1):
+            for roots in itertools.combinations(range(p.n), k):
+                total = Fraction(0)
+                by_root: dict = {}
+                for f in enumerate_forests(p.n, roots):
+                    w = forest_weight(f, p)
+                    total += w
+                    for i in range(p.n):
+                        key = (i, f.root_of(i))
+                        by_root[key] = by_root.get(key, 0) + w
+                assert w_sum(p, roots) == total
+                for i in range(p.n):
+                    for j in roots:
+                        assert w_target_sum(p, roots, i, j) == \
+                            by_root.get((i, j), 0)
+
+
+def test_layer_route_never_walks(monkeypatch, fixture_a):
+    rng = random.Random(7)
+    p = chain([[Fraction(w, sum(ws)) for w in ws]
+               for ws in ([rng.randint(1, 9) for _ in range(5)]
+                          for _ in range(5))])
+    cases = [(p, {0}), (p, {1, 3}), (fixture_a, {0})]
+
+    def run():
+        out = []
+        for q, roots in cases:
+            out.append((w_sum(q, roots),
+                        [w_target_sum(q, roots, i, j)
+                         for i in range(q.n) for j in range(q.n)],
+                        formulas.analyze(q), formulas.absorption(q, roots)))
+        return out
+
+    expected = run()
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the layer route walked")
+
+    monkeypatch.setattr(forests, "_walk", no_walk)
+    _layer_sums.cache_clear()
+    assert run() == expected
+
+
+def test_layer_sums_stay_within_their_bounds(monkeypatch):
+    # one chain's memo and root-set tables do not grow without bound
+    monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 4)
+    monkeypatch.setattr(forests, "_LAYER_MEMO_SIZE", 20)
+    _layer_sums.cache_clear()
+    p = uniform_chain(6)
+    for k in range(1, 6):
+        for roots in itertools.combinations(range(6), k):
+            assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
+            layers = _layer_sums(p)
+            assert len(layers.tables) <= 4
+            # cleared before a root set once past the bound; one root set
+            # with f free states adds at most 3^f + 2 |R| 2^f entries
+            f = 6 - k
+            assert len(layers.memo) <= 20 + 3 ** f + 2 * k * 2 ** f
+
+
+def test_absorption_with_many_roots_is_cheap():
+    # n = 40 with three free states: the layer memo indexes subsets of the
+    # free states only, never of all n
+    n = 40
+    p = chain([[Fraction(1 + (3 * i + 7 * j) % 5, sum(1 + (3 * i + 7 * c) % 5
+                                                      for c in range(n)))
+                for j in range(n)] for i in range(n)])
+    roots = set(range(n)) - {4, 19, 33}
+    _layer_sums.cache_clear()
+    start = time.perf_counter()
+    ab = formulas.absorption(p, roots)
+    assert time.perf_counter() - start < 1.0
+    _layer_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        again = formulas.absorption(p, roots)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert again == ab
+    assert ab.green == oracle.green_matrix_solve(p, roots)
+    assert ab.hit == oracle.hitting_solve(p, roots)
 
 
 def test_tree_walk_memory_does_not_grow_with_tree_count():
@@ -340,6 +457,22 @@ def test_tree_deletion_reads_no_pair_tables(monkeypatch, fixture_a, u4):
     assert [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs] == expected
 
 
+def test_tree_deletion_reads_no_layer_sums(monkeypatch, fixture_a, u4):
+    # tree-deletion Sigma_ij and mfpt come from the tree walk alone, so
+    # treealg compares two different algorithms
+    chains = _reference_chains(fixture_a, u4)
+    pairs = [(p, i, j) for p in chains
+             for i, j in itertools.permutations(range(p.n), 2)]
+    expected = [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs]
+
+    def no_layers(p):
+        raise AssertionError("tree deletion read the layer sums")
+
+    monkeypatch.setattr(forests, "_layer_sums", no_layers)
+    _tree_deletion_row.cache_clear()
+    assert [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs] == expected
+
+
 def test_last_exit_state():
     t = RootedForest(4, frozenset({3}), (1, 3, 1, -1))
     # path 0 -> 1 -> 3: last state before the root is 1
@@ -401,13 +534,13 @@ def test_w_ec_sums_empty_roots(d2):
 
 
 def test_forest_caches_are_bounded():
-    caches = (_root_set_sums, _scaled_rows, _tree_deletion_row,
+    caches = (_layer_sums, _scaled_rows, _tree_deletion_row,
               irreducibility_certificate)
     assert all(c.cache_info().maxsize is not None for c in caches)
     # one row per target state, and the guard admits trees on this many
     assert _tree_deletion_row.cache_info().maxsize >= DEFAULT_GUARD + 1
     # more distinct chains than any cache holds
-    for k in range(_root_set_sums.cache_info().maxsize + 10):
+    for k in range(max(c.cache_info().maxsize for c in caches) + 10):
         q = Fraction(1, k + 2)
         p = chain([[1 - q, q], [Fraction(1, 2), Fraction(1, 2)]])
         w_sum(p, {0})

@@ -172,6 +172,18 @@ def test_analyze_dense_n8_matches_oracle():
     assert a.kemeny == kemeny_trace(p)
 
 
+def test_analyze_dense_n9_matches_oracle():
+    # eight free states per singleton root set: the default guard admits it
+    n = 9
+    p = chain([[F((4 * i + 5 * j) % 7 + 1, sum((4 * i + 5 * c) % 7 + 1
+                                               for c in range(n)))
+                for j in range(n)] for i in range(n)])
+    a = analyze(p)
+    assert a.pi == stationary_solve(p)
+    assert a.mfpt == mfpt_solve(p)
+    assert a.kemeny == kemeny_trace(p)
+
+
 def test_cesaro_forest(fixture_a, r3):
     assert cesaro_forest(r3, 0, 1) == F(1, 2)
     assert cesaro_forest(r3, 0, 0) == 0  # transient target

@@ -171,6 +171,21 @@ def test_require_irreducible_error_is_the_same_when_cached(r3):
     assert first.infeasible_singletons == second.infeasible_singletons
 
 
+def test_oracle_does_not_import_the_forest_route():
+    import ast
+    from forestchain import oracle
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    assert not any("forests" in name or "formulas" in name for name in names)
+
+
 def test_recurrent_classes(fixture_a, r3):
     rc = recurrent_classes(r3)
     assert rc.classes == ((1,), (2,))
