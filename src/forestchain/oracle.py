@@ -1,11 +1,11 @@
 """Exact linear-algebra reference route, independent of forest enumeration.
 
-Determinants are computed by fraction-free Bareiss elimination over integers
-after clearing each row's denominator; linear systems are solved by exact
-Gauss-Jordan elimination over rationals. On top of those sit the stationary,
-first-passage and Green solves, the fundamental matrix, the Cesaro average,
-the trace-power series for the tree-sum total, and the undirected counting
-identities (Temperley shift, principal-minor sum, complete prism). Graph-side
+Determinants and solves share one fraction-free elimination over integer
+rows, whose last pivot is the determinant or the solution's denominator. On
+top of it sit the stationary, first-passage and Green solves, the
+fundamental matrix, two float checks (the Cesaro average and the trace-power
+series for the tree-sum total) and the undirected counting identities
+(Temperley shift, principal-minor sum, complete prism). Graph-side
 structure (reachability, recurrent classes, periodicity) also lives here so
 that every consumer shares one certified decomposition.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .chains import (
     InfeasibleRootSetError,
@@ -28,9 +28,6 @@ from .chains import (
     laplacian,
     weighted_laplacian,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class SingularMatrixError(ValueError):
@@ -44,72 +41,67 @@ class PeriodicChainError(ValueError):
 # ---------------------------------------------------------------------------
 # determinants and solves
 
-def _int_bareiss(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix, fraction-free, in place."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    scale = 1
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        scale *= d
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out, scale
+
+
+def _eliminate(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination of n integer rows, in place.
+
+    Rows may carry right-hand sides after their n coefficients. Updates
+    divide exactly by the previous pivot, and a swap negates the row it
+    moves down, so the determinant and the solution stay. Without
+    right-hand sides only rows below each pivot are updated and the last
+    pivot d is the determinant; with them every other row is too, leaving
+    d I beside d X. Raises SingularMatrixError on a zero pivot column.
+    """
+    n = len(rows)
+    below_only = all(len(row) == n for row in rows)
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                # exact division: Bareiss guarantees divisibility by prev
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
+    for k in range(n):
+        r = next((r for r in range(k, n) if rows[r][k]), None)
+        if r is None:
+            raise SingularMatrixError(f"singular system (column {k})")
+        if r != k:
+            rows[k], rows[r] = rows[r], [-x for x in rows[k]]
+        row_k = rows[k]
+        pivot = row_k[k]
+        for i in range(k + 1 if below_only else 0, n):
+            if i != k:
+                row_i = rows[i]
+                mik = row_i[k]
+                rows[i] = [(x * pivot - mik * y) // prev
+                           for x, y in zip(row_i, row_k)]
         prev = pivot
-    return sign * m[-1][-1]
+    return prev
 
 
 def exact_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix."""
-    n = len(m)
     rows = [[Fraction(x) for x in row] for row in m]
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return Fraction(1)
-    mult = 1
-    cleared = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        mult *= d
-        cleared.append([int(x * d) for x in row])
-    return Fraction(_int_bareiss(cleared), mult)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    cleared, scale = _integer_rows(rows)
+    try:
+        return Fraction(_eliminate(cleared), scale)
+    except SingularMatrixError:
+        return Fraction(0)
 
 
 def _solve(a: Sequence[Sequence[Fraction]],
            b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly by Gauss-Jordan; raises SingularMatrixError."""
+    """Solve A X = B exactly; raises SingularMatrixError."""
     n = len(a)
-    width = len(b[0]) if n else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"singular system (column {col})")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:n + width] for row in aug]
+    rows, _ = _integer_rows([list(a[i]) + list(b[i]) for i in range(n)])
+    d = _eliminate(rows)
+    return [[Fraction(x, d) for x in row[n:]] for row in rows]
 
 
 def _identity(n: int) -> list[list[Fraction]]:
@@ -331,22 +323,36 @@ def kemeny_trace(p: TransitionMatrix) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# float-side limits (numpy is imported here only, so that no exact route
-# pays for it)
+# float-side limits
 
-def cesaro_average(p: TransitionMatrix, steps: int) -> np.ndarray:
-    """(1/N) * sum_{k=1..N} P^k in double precision."""
-    import numpy as np
+FloatMatrix = tuple[tuple[float, ...], ...]
 
+
+def _float_product(a: FloatMatrix, b: FloatMatrix) -> FloatMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+def _float_sum(a: FloatMatrix, b: FloatMatrix) -> FloatMatrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def cesaro_average(p: TransitionMatrix, steps: int) -> FloatMatrix:
+    """(1/N) * sum_{k=1..N} P^k in double precision, by doubling the sum S(m)
+    along the bits of N: S(2m) = S(m) + P^m S(m), S(2m+1) = S(2m) + P^(2m+1).
+    """
     if steps < 1:
         raise ValueError("step count must be >= 1")
-    mat = np.array([[float(x) for x in row] for row in p.rows])
-    acc = np.zeros_like(mat)
-    cur = np.eye(p.n)
-    for _ in range(steps):
-        cur = cur @ mat
-        acc += cur
-    return acc / steps
+    mat = tuple(tuple(float(x) for x in row) for row in p.rows)
+    power = total = mat  # P^m and S(m), m = 1
+    for bit in bin(steps)[3:]:
+        total = _float_sum(total, _float_product(power, total))
+        power = _float_product(power, power)
+        if bit == "1":
+            power = _float_product(power, mat)
+            total = _float_sum(total, power)
+    return tuple(tuple(x / steps for x in row) for row in total)
 
 
 def sigma1_series(p: TransitionMatrix, terms: int) -> float:
@@ -360,15 +366,13 @@ def sigma1_series(p: TransitionMatrix, terms: int) -> float:
         raise PeriodicChainError(f"chain is periodic with period {period(p)}")
     if terms < 1:
         raise ValueError("need at least one term")
-    import numpy as np
-
-    mat = np.array([[float(x) for x in row] for row in p.rows])
-    cur = np.eye(p.n)
+    mat = tuple(tuple(float(x) for x in row) for row in p.rows)
+    cur = mat  # P^k
     s = 0.0
     for k in range(1, terms + 1):
-        cur = cur @ mat
-        s += (np.trace(cur) - 1.0) / k
-    return float(math.exp(-s))
+        s += (sum(cur[i][i] for i in range(p.n)) - 1.0) / k
+        cur = _float_product(cur, mat)
+    return math.exp(-s)
 
 
 # ---------------------------------------------------------------------------

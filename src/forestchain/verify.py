@@ -25,7 +25,6 @@ from . import chains, forests, formulas, oracle, wilson
 from .chains import TransitionMatrix, format_rational, uniform_chain
 
 DEFAULT_SEED = 1069
-SUITE_NAMES = ("kirchhoff", "green", "kemeny", "chung", "treealg", "wilson")
 
 
 @dataclass(frozen=True)
@@ -474,31 +473,28 @@ def suite_wilson(samples: int = 50_000, chain_count: int = 10,
 # ---------------------------------------------------------------------------
 # driver
 
-_SUITES: dict[str, Callable[..., SuiteResult]] = {
-    "kirchhoff": suite_kirchhoff,
-    "green": suite_green,
-    "kemeny": suite_kemeny,
-    "chung": suite_chung,
-    "treealg": suite_treealg,
+# suite name -> (suite function, the keyword that --trials sets)
+_SUITES: dict[str, tuple[Callable[..., SuiteResult], str]] = {
+    "kirchhoff": (suite_kirchhoff, "trials"),
+    "green": (suite_green, "trials"),
+    "kemeny": (suite_kemeny, "trials"),
+    "chung": (suite_chung, "trials"),
+    "treealg": (suite_treealg, "trials"),
+    "wilson": (suite_wilson, "samples"),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, trials: int | None = None, max_n: int | None = None,
               seed: int | None = None,
               guard: int = forests.DEFAULT_GUARD) -> SuiteResult:
-    """One suite with defaults filled in; wilson reads trials as samples."""
-    seed = DEFAULT_SEED if seed is None else seed
-    if name == "wilson":
-        return suite_wilson(samples=trials or 50_000, max_n=max_n or 4,
-                            seed=seed, guard=guard)
+    """One suite; trials and max_n left unset (or 0) take the suite's defaults."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {', '.join(SUITE_NAMES)}")
-    fn = _SUITES[name]
-    defaults = {"kirchhoff": (200, 6), "green": (200, 6), "kemeny": (200, 6),
-                "chung": (100, 5), "treealg": (100, 5)}[name]
-    return fn(trials=trials or defaults[0], max_n=max_n or defaults[1],
-              seed=seed, guard=guard)
+    fn, count_keyword = _SUITES[name]
+    given = {k: v for k, v in ((count_keyword, trials), ("max_n", max_n)) if v}
+    return fn(seed=DEFAULT_SEED if seed is None else seed, guard=guard, **given)
 
 
 def run_suites(names: Iterable[str], trials: int | None = None,

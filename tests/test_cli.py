@@ -246,6 +246,26 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_imports_only_the_standard_library():
+    import ast
+    from pathlib import Path
+
+    import forestchain
+    for path in Path(forestchain.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "forestchain", (
+                    f"{path.name} imports {name}")
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "a.json"
     path.write_text(A_DOC)

@@ -1,12 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from forestchain import (
     InfeasibleRootSetError,
     PeriodicChainError,
     ReducibleChainError,
+    SingularMatrixError,
     WeightedDigraph,
     cesaro_average,
     complete_prism,
@@ -29,7 +31,7 @@ from forestchain import (
     undirected_tree_count,
     uniform_chain,
 )
-from forestchain.oracle import require_irreducible
+from forestchain.oracle import _solve, require_irreducible
 
 from conftest import chain
 
@@ -55,6 +57,73 @@ def test_exact_det_examples(fixture_a):
 def test_exact_det_needs_pivoting():
     m = ((F(0), F(1)), (F(1), F(0)))
     assert exact_det(m) == -1
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(n) for b in range(a + 1, n))
+        term = F(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _seeded_matrix(rng, n):
+    return [[F(0) if rng.random() < 0.3
+             else F(rng.randint(-4, 4), rng.randint(1, 5))
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_exact_det_matches_leibniz_expansion():
+    rng = random.Random(11)
+    singular = 0
+    for t in range(300):
+        n = 1 + t % 5
+        m = _seeded_matrix(rng, n)
+        if t % 3 == 0:
+            m[0][0] = F(0)  # the first pivot needs a row swap
+        if t % 7 == 0 and n > 1:
+            m[-1] = [x * F(-2, 3) for x in m[0]]
+        expected = _leibniz_det(m)
+        assert exact_det(m) == expected
+        singular += expected == 0
+    assert singular >= 40
+
+
+def test_solve_satisfies_the_system_exactly():
+    rng = random.Random(12)
+    systems = [([[F(0), F(1)], [F(1), F(0)]], [[F(2)], [F(3)]])]
+    while len(systems) < 100:
+        n = 2 + len(systems) % 4
+        a = _seeded_matrix(rng, n)
+        a[0][0] = F(0)  # the first pivot needs a row swap
+        if _leibniz_det(a) == 0:
+            continue
+        b = [[F(rng.randint(-5, 5), rng.randint(1, 3))
+              for _ in range(1 + n % 3)] for _ in range(n)]
+        systems.append((a, b))
+    for a, b in systems:
+        n, width = len(a), len(b[0])
+        x = _solve(a, b)
+        assert [[sum((a[i][k] * x[k][j] for k in range(n)), F(0))
+                 for j in range(width)] for i in range(n)] == b
+
+
+def test_solve_refuses_singular_systems():
+    rng = random.Random(13)
+    for t in range(40):
+        n = 2 + t % 4
+        a = _seeded_matrix(rng, n)
+        a[t % n] = [3 * x for x in a[(t + 1) % n]]
+        eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        with pytest.raises(SingularMatrixError):
+            _solve(a, eye)
+    with pytest.raises(SingularMatrixError):
+        _solve([[F(0), F(1)], [F(0), F(2)]], [[F(1)], [F(1)]])
 
 
 def test_stationary_solve(fixture_a, d2):
@@ -118,12 +187,13 @@ def test_hitting_solve(fixture_a, r3):
 
 def test_cesaro_average(fixture_a, d2, r3):
     avg = cesaro_average(d2, 2)
-    assert np.allclose(avg, 0.5)
+    assert all(abs(x - 0.5) <= 1e-8 + 1e-5 * 0.5 for row in avg for x in row)
     avg3 = cesaro_average(r3, 10_000)
     assert abs(avg3[0][1] - 0.5) < 1e-3
     pi = (3 / 7, 3 / 14, 5 / 14)
     avg_a = cesaro_average(fixture_a, 10_000)
-    assert np.max(np.abs(avg_a - np.array([pi] * 3))) < 1e-3
+    assert [len(row) for row in avg_a] == [3, 3, 3]
+    assert max(abs(x - q) for row in avg_a for x, q in zip(row, pi)) < 1e-3
 
 
 def test_sigma1_series(fixture_a, d2):
