@@ -153,8 +153,9 @@ class RootedForest:
     @classmethod
     def _trusted(cls, n: int, roots: frozenset[int], parent: tuple[int, ...],
                  root_of: tuple[int, ...]) -> "RootedForest":
-        """A forest the walker built, acyclic by construction: skip the checks
-        and take its root-of vector instead of classifying the parents again."""
+        """A forest the enumeration walker or the sampler built, acyclic by
+        construction: skip the checks and take its root-of vector instead of
+        classifying the parents again."""
         f = object.__new__(cls)
         for name, value in (("n", n), ("roots", roots), ("parent", parent),
                             ("_root_of", root_of)):
@@ -234,8 +235,9 @@ class Ecrsf:
     @classmethod
     def _trusted(cls, n: int, roots: frozenset[int], successor: tuple[int, ...],
                  root_of: tuple[int, ...]) -> "Ecrsf":
-        """A configuration the walker built: take its root-of vector and look
-        for cycles only in the components it marks -1."""
+        """A configuration the enumeration walker or the sampler built: take
+        its root-of vector and look for cycles only in the components it
+        marks -1."""
         cycles = []
         if -1 in root_of:
             seen = [r != -1 for r in root_of]

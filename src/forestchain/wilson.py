@@ -2,18 +2,27 @@
 
 The samplers draw rooted forests (and their cycle-rooted generalization)
 with probability proportional to the transition-weight product, using
-random walks with chronological loop erasure. Exact per-path laws and a
-chi-square report make the samplers testable against the enumeration
-tables in ``forests``. The chi-square upper tail behind the report's
-p-value is computed in closed form from the standard library (Abramowitz &
-Stegun 26.4.4 for odd and 26.4.5 for even degrees of freedom).
+random walks with chronological loop erasure. The forest sampler follows
+Wilson's RandomTreeWithRoot (Wilson 1996): a walk keeps only the last exit
+from each state it visits, and the branch traced from its start along those
+pointers is its chronological loop erasure, so no path is stored or erased.
+The cycle-rooted sampler pops loops as they close, because each closed
+cycle needs its coin at that moment. Exact per-path laws and a chi-square
+report make the samplers testable against the enumeration tables in
+``forests``. The chi-square upper tail behind the report's p-value is
+computed in closed form from the standard library (Abramowitz & Stegun
+26.4.4 for odd and 26.4.5 for even degrees of freedom).
 
 Randomness contract: every draw owns a fresh ``random.Random``, seeded
 with cfg.seed by the single-draw samplers; batch samplers derive one child
 seed per sample index with a splitmix64 mix, so draw k of a batch is the
 single draw at that child seed. Identical config, identical stream, on any
 platform (the Mersenne Twister sequence for an integer seed is pinned by
-CPython). Batches check the chain and build the walk tables once.
+CPython). Each walk step and each cycle coin takes a uniform integer below
+a denominator d by calling ``getrandbits(d.bit_length())`` until the value
+is below d, which consumes the generator exactly as ``randrange(d)`` does.
+Batches check the chain and build the walk tables once, and a cycle-rooted
+batch asks the cycle weights for each distinct cycle once.
 """
 
 from __future__ import annotations
@@ -35,10 +44,15 @@ from .forests import (
     RootedForest,
     _check_roots,
     _scaled_rows,
+    canonical_cycle,
     w_sum,
 )
 
 _MASK64 = (1 << 64) - 1
+# bound now: the draws build through these even where bench/tracing.py swaps
+# the module's ``RootedForest`` and ``Ecrsf`` names for plain functions
+_trusted_forest = RootedForest._trusted
+_trusted_ecrsf = Ecrsf._trusted
 
 
 @dataclass(frozen=True)
@@ -90,11 +104,6 @@ def loop_erase(path: PathTrace | Sequence[int]) -> PathTrace:
     states = path.states if isinstance(path, PathTrace) else tuple(path)
     if not states:
         raise ValueError("empty path")
-    return PathTrace(tuple(_erase_loops(states)))
-
-
-def _erase_loops(states: Sequence[int]) -> list[int]:
-    """Loop erasure of a nonempty path of int states, as a list."""
     out: list[int] = []
     pos: dict[int, int] = {}
     for s in states:
@@ -105,7 +114,7 @@ def _erase_loops(states: Sequence[int]) -> list[int]:
         else:
             pos[s] = len(out)
             out.append(s)
-    return out
+    return PathTrace(tuple(out))
 
 
 class _Stepper:
@@ -114,7 +123,9 @@ class _Stepper:
     Row i's positive entries, scaled to integers over the row denominator
     dens[i], become cumulative thresholds ``cuts[i]`` leading to the states
     ``targets[i]``. A uniform r in [0, dens[i]) steps to the target of the
-    first threshold above r.
+    first threshold above r. The draws take r inline, as ``randrange`` does:
+    ``getrandbits(bits[i])`` with bits[i] = dens[i].bit_length(), drawn again
+    while it is at least dens[i].
     """
 
     def __init__(self, p: TransitionMatrix):
@@ -135,12 +146,9 @@ class _Stepper:
             cuts.append(tuple(row_cuts))
             targets.append(tuple(row_targets))
         self.dens = dens
+        self.bits = tuple(den.bit_length() for den in dens)
         self.cuts = tuple(cuts)
         self.targets = tuple(targets)
-
-    def step(self, rng: random.Random, i: int) -> int:
-        r = rng.randrange(self.dens[i])
-        return self.targets[i][bisect_right(self.cuts[i], r)]
 
 
 def _site_order(n: int, site_order: Sequence[int] | None) -> tuple[int, ...]:
@@ -150,17 +158,6 @@ def _site_order(n: int, site_order: Sequence[int] | None) -> tuple[int, ...]:
     if sorted(order) != list(range(n)):
         raise ValueError("site order must be a permutation of the states")
     return order
-
-
-def _walk_into(stepper: _Stepper, rng: random.Random, start: int,
-               settled: set[int]) -> list[int]:
-    step = stepper.step
-    path = [start]
-    v = start
-    while v not in settled:
-        v = step(rng, v)
-        path.append(v)
-    return path
 
 
 def _forest_setup(p: TransitionMatrix, roots: Iterable[int],
@@ -177,18 +174,34 @@ def _forest_setup(p: TransitionMatrix, roots: Iterable[int],
 
 def _draw_forest(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
                  seed: int) -> RootedForest:
-    """One forest from a fresh generator seeded with ``seed``."""
-    rng = random.Random(seed)
-    parent = [-1] * len(order)
-    settled = set(rs)
+    """One forest from a fresh generator seeded with ``seed``.
+
+    Each walk keeps only the last exit from every state it visits; the
+    branch from ``start`` along those pointers is the walk's loop erasure.
+    ``root_of`` is -1 until a state is settled.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    bits, dens = stepper.bits, stepper.dens
+    cuts, targets = stepper.cuts, stepper.targets
+    n = len(order)
+    parent = [-1] * n
+    root_of = [-1] * n
+    for r in rs:
+        root_of[r] = r
     for start in order:
-        if start in settled:
-            continue
-        branch = _erase_loops(_walk_into(stepper, rng, start, settled))
-        for a, b in zip(branch, branch[1:]):
-            parent[a] = b
-            settled.add(a)
-    return RootedForest(len(order), rs, tuple(parent))
+        v = start
+        while root_of[v] < 0:
+            x = getrandbits(bits[v])
+            while x >= dens[v]:
+                x = getrandbits(bits[v])
+            # assigned left to right: the old v's parent, then v
+            parent[v] = v = targets[v][bisect_right(cuts[v], x)]
+        r = root_of[v]
+        v = start
+        while root_of[v] < 0:
+            root_of[v] = r
+            v = parent[v]
+    return _trusted_forest(n, rs, tuple(parent), tuple(root_of))
 
 
 def wilson_tree(p: TransitionMatrix, root: int, cfg: SamplerConfig,
@@ -300,26 +313,65 @@ def _ecrsf_setup(p: TransitionMatrix, alpha: CycleWeights | None,
     return rs, _site_order(p.n, site_order), _Stepper(p)
 
 
+class _CycleCoins(dict):
+    """Memo of cycle coins for one batch: cycle -> (numerator, denominator,
+    denominator bits) of its weight under ``alpha``.
+
+    A cycle is stored as walked and canonically rotated, so each distinct
+    cycle is weighed once however often and from wherever it closes.
+    """
+
+    def __init__(self, alpha: CycleWeights):
+        super().__init__()
+        self.alpha = alpha
+
+    def __missing__(self, cycle: tuple[int, ...]) -> tuple[int, int, int]:
+        key = canonical_cycle(cycle)
+        coin = self.get(key)
+        if coin is None:
+            bias = self.alpha.weight(key)
+            den = bias.denominator
+            coin = self[key] = (bias.numerator, den, den.bit_length())
+        self[cycle] = coin
+        return coin
+
+
 def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
-                alpha: CycleWeights, seed: int) -> Ecrsf:
-    """One cycle-rooted forest from a fresh generator seeded with ``seed``."""
-    rng = random.Random(seed)
-    step = stepper.step
-    succ = [-1] * len(order)
-    settled = set(rs)
+                coins: _CycleCoins, seed: int) -> Ecrsf:
+    """One cycle-rooted forest from a fresh generator seeded with ``seed``.
+
+    ``root_of`` is -2 until a state is settled and -1 once it drains into
+    a kept cycle.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    bits, dens = stepper.bits, stepper.dens
+    cuts, targets = stepper.cuts, stepper.targets
+    n = len(order)
+    succ = [-1] * n
+    root_of = [-2] * n
+    for r in rs:
+        root_of[r] = r
     for start in order:
-        if start in settled:
+        if root_of[start] > -2:
             continue
         path = [start]
         pos = {start: 0}
+        v = start
         while True:
-            v = step(rng, path[-1])
-            if v in settled:
+            x = getrandbits(bits[v])
+            while x >= dens[v]:
+                x = getrandbits(bits[v])
+            v = targets[v][bisect_right(cuts[v], x)]
+            r = root_of[v]
+            if r > -2:
                 break
             if v in pos:
-                cycle = tuple(path[pos[v]:])
-                bias = alpha.weight(cycle)
-                if rng.randrange(bias.denominator) < bias.numerator:
+                num, den, k = coins[tuple(path[pos[v]:])]
+                x = getrandbits(k)
+                while x >= den:
+                    x = getrandbits(k)
+                if x < num:
+                    r = -1
                     break
                 for dropped in path[pos[v] + 1:]:
                     del pos[dropped]
@@ -331,8 +383,9 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
         for a, b in zip(path, path[1:]):
             succ[a] = b
         succ[path[-1]] = v
-        settled.update(path)
-    return Ecrsf(len(order), rs, tuple(succ))
+        for a in path:
+            root_of[a] = r
+    return _trusted_ecrsf(n, rs, tuple(succ), tuple(root_of))
 
 
 def kkw_sample(p: TransitionMatrix, alpha: CycleWeights | None,
@@ -350,7 +403,7 @@ def kkw_sample(p: TransitionMatrix, alpha: CycleWeights | None,
     if alpha is None:
         alpha = cfg.alpha
     rs, order, stepper = _ecrsf_setup(p, alpha, tree_roots, site_order, guard)
-    return _draw_ecrsf(rs, order, stepper, alpha, cfg.seed)
+    return _draw_ecrsf(rs, order, stepper, _CycleCoins(alpha), cfg.seed)
 
 
 def sample_ecrsf(p: TransitionMatrix, tree_roots: Iterable[int],
@@ -360,10 +413,12 @@ def sample_ecrsf(p: TransitionMatrix, tree_roots: Iterable[int],
     """cfg.sample_count independent draws with cfg.alpha cycle weights.
 
     Draw k equals ``kkw_sample`` with seed derive_seed(cfg.seed, k); the
-    checks and the stepper are set up once for the whole batch.
+    checks and the stepper are set up once for the whole batch, and the
+    draws share one memo of cycle coins.
     """
     rs, order, stepper = _ecrsf_setup(p, cfg.alpha, tree_roots, site_order, guard)
-    return [_draw_ecrsf(rs, order, stepper, cfg.alpha, derive_seed(cfg.seed, k))
+    coins = _CycleCoins(cfg.alpha)
+    return [_draw_ecrsf(rs, order, stepper, coins, derive_seed(cfg.seed, k))
             for k in range(cfg.sample_count)]
 
 

@@ -1,7 +1,9 @@
 import collections
 import hashlib
 import json
+import math
 import random
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from forestchain import (
 )
 
 from forestchain import oracle, wilson
+from forestchain.forests import canonical_cycle
 from forestchain.wilson import _Stepper, _chi2_sf
 
 from conftest import chain
@@ -293,15 +296,8 @@ def test_batch_refusals_come_before_any_draw(monkeypatch, r3, fixture_a):
     assert str(info.value) == "kkw_sample needs cycle weights (alpha)"
 
 
-class _FixedDraw:
-    def __init__(self, r):
-        self.r = r
-
-    def randrange(self, _stop):
-        return self.r
-
-
 def test_stepper_bisect_matches_linear_scan():
+    # the draws step from i to targets[i][bisect_right(cuts[i], r)]
     for p in (G4, LAZY4):
         stepper = _Stepper(p)
         for i in range(p.n):
@@ -314,8 +310,159 @@ def test_stepper_bisect_matches_linear_scan():
                     if x and r < acc:
                         expected.append(j)
                         break
-            rigged = [stepper.step(_FixedDraw(r), i) for r in range(den)]
+            rigged = [stepper.targets[i][bisect_right(stepper.cuts[i], r)]
+                      for r in range(den)]
             assert rigged == expected
+
+
+def _bounded(getrandbits, den):
+    """The draws' inline uniform integer below den."""
+    k = den.bit_length()
+    x = getrandbits(k)
+    while x >= den:
+        x = getrandbits(k)
+    return x
+
+
+# row denominators 1, 3, 2^4 - 1, 2^4 + 1, one above 10^30 (in a row with a
+# self-loop) and 2^3; the lazy copy doubles each
+HUGE = 2 * 10 ** 30 + 1
+ODD6 = chain([
+    [0, 1, 0, 0, 0, 0],
+    [F(1, 3), 0, F(2, 3), 0, 0, 0],
+    [0, F(1, 15), 0, F(14, 15), 0, 0],
+    [F(1, 17), F(4, 17), F(4, 17), 0, F(8, 17), 0],
+    [F(10 ** 30 + 1, HUGE), 0, 0, 0, F(10 ** 30, HUGE), 0],
+    [0, 0, F(3, 8), 0, F(5, 8), 0],
+])
+ODD6_LAZY = chain([[F(1, 2) * (i == j) + F(1, 2) * ODD6.rows[i][j]
+                    for j in range(6)] for i in range(6)])
+
+
+def test_inline_bounded_draw_is_randrange():
+    dens = [1, 2, 3, HUGE, *_Stepper(ODD6).dens]
+    for k in (2, 3, 5, 8, 31, 32, 33, 53, 64, 65, 100):
+        dens += [2 ** k - 1, 2 ** k, 2 ** k + 1]
+    assert max(_Stepper(ODD6).dens) == HUGE > 10 ** 30
+    for seed in range(60):
+        want, got = random.Random(seed), random.Random(seed)
+        for den in dens:
+            for _ in range(5):
+                assert _bounded(got.getrandbits, den) == want.randrange(den)
+        assert got.getstate() == want.getstate()
+
+
+def _walk_step(p, rng, v):
+    """One step the way the sampler first took it: randrange, linear scan."""
+    den = math.lcm(*(x.denominator for x in p.rows[v]))
+    r = rng.randrange(den)
+    acc = 0
+    for j, x in enumerate(p.rows[v]):
+        acc += x * den
+        if x and r < acc:
+            return j
+
+
+def _reference_forest(p, rs, seed):
+    """Forest by storing each walk and erasing its loops afterwards."""
+    rng = random.Random(seed)
+    parent = [-1] * p.n
+    settled = set(rs)
+    for start in range(p.n):
+        path = [start]
+        while path[-1] not in settled:
+            path.append(_walk_step(p, rng, path[-1]))
+        branch = loop_erase(path).states
+        for a, b in zip(branch, branch[1:]):
+            parent[a] = b
+        settled.update(branch)
+    return parent
+
+
+def _reference_ecrsf(p, alpha, rs, seed):
+    """Cycle-rooted forest with a fresh weight and randrange coin per closure."""
+    rng = random.Random(seed)
+    succ = [-1] * p.n
+    settled = set(rs)
+    for start in range(p.n):
+        if start in settled:
+            continue
+        path = [start]
+        while True:
+            v = _walk_step(p, rng, path[-1])
+            if v in settled:
+                break
+            if v in path:
+                bias = alpha.weight(path[path.index(v):])
+                if rng.randrange(bias.denominator) < bias.numerator:
+                    break
+                del path[path.index(v) + 1:]
+                continue
+            path.append(v)
+        for a, b in zip(path, path[1:]):
+            succ[a] = b
+        succ[path[-1]] = v
+        settled.update(path)
+    return succ
+
+
+def test_draws_match_randrange_reference():
+    alpha = CycleWeights(lambda c: F(1, len(c) + 2) if len(c) > 1 else 1)
+    cfg = SamplerConfig(seed=4242, sample_count=150, alpha=alpha)
+    for p in (ODD6, ODD6_LAZY):
+        for roots in ({0}, {2, 4}):
+            draws = sample_forests(p, roots, cfg)
+            assert [list(f.parent) for f in draws] == [
+                _reference_forest(p, roots, derive_seed(cfg.seed, k))
+                for k in range(cfg.sample_count)]
+        for roots in ({0}, set()):
+            draws = sample_ecrsf(p, roots, cfg)
+            assert [list(e.successor) for e in draws] == [
+                _reference_ecrsf(p, alpha, roots, derive_seed(cfg.seed, k))
+                for k in range(cfg.sample_count)]
+
+
+@given(st.data())
+def test_last_exit_retrace_is_loop_erasure(data):
+    settled = data.draw(st.sets(st.integers(0, 7), min_size=1, max_size=7))
+    free = sorted(set(range(8)) - settled)
+    walk = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=40))
+    walk.append(data.draw(st.sampled_from(sorted(settled))))
+    last_exit = {}
+    for a, b in zip(walk, walk[1:]):
+        last_exit[a] = b
+    branch = [walk[0]]
+    while branch[-1] not in settled:
+        branch.append(last_exit[branch[-1]])
+    assert tuple(branch) == loop_erase(walk).states
+
+
+def test_cycle_weights_called_once_per_cycle_per_batch():
+    seen = collections.Counter()
+
+    def rule(cycle):
+        seen[cycle] += 1
+        return F(1, len(cycle) + 1)
+
+    alpha = CycleWeights(rule)
+    for p, roots in ((G4, {0}), (LAZY4, {2})):
+        seen.clear()
+        cfg = SamplerConfig(seed=1069, sample_count=200, alpha=alpha)
+        batch = sample_ecrsf(p, roots, cfg)
+        assert seen and set(seen.values()) == {1}
+        assert all(c == canonical_cycle(c) for c in seen)
+        assert sum(len(e.cycles) for e in batch) > len(seen)
+        for k, draw in enumerate(batch):
+            one = replace(cfg, seed=derive_seed(cfg.seed, k), sample_count=1)
+            single = kkw_sample(p, None, roots, one)
+            assert (draw, draw.cycles) == (single, single.cycles)
+
+
+def test_cycle_weight_out_of_range_still_raises():
+    cfg = SamplerConfig(seed=1069, sample_count=200,
+                        alpha=CycleWeights(lambda _cycle: F(3, 2)))
+    with pytest.raises(ValueError, match=r"cycle weight 3/2 outside \[0,1\]"):
+        sample_ecrsf(G4, {0}, cfg)
 
 
 def test_stepper_checks_every_row_at_build():
