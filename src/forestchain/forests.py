@@ -5,19 +5,25 @@ Sigma_ij and w^ec are exact sums over forests, with no determinant and no
 solve. Rows are scaled to integers once per chain, so every sum is over
 plain integers with one common denominator per root set.
 
-The forest sums w(R) and w_ij(R) group the forests by their depth layers.
-The states whose parent is a root form a nonempty layer C; removing the
-roots leaves a forest rooted at C. So F(S, B), the weight of the forests
-on a state set S rooted at B, satisfies
-F(S, B) = sum over nonempty C in S - B of prod_{c in C} p(c, B) F(S - B, C),
-with F(B, B) = 1 and p(c, B) = sum_{b in B} p_cb. A per-chain memo keeps F
-over bitmask pairs; a root set with f free states reads at most 3^f of
-them. Splitting a forest at the vertex set of b's tree gives w_ib(R) with
-no further memo.
+The forest sums w(R) and w_ij(R) are built from rooted-tree sums.
+T(B, X) is the weight of the forests on X ∪ B rooted at B, with the states
+of B merged into one root that pulls each state c with p(c, B) =
+sum_{b in B} p_cb. Cutting such a forest at the subtree of B's children
+that holds the least state m of X gives
+T(B, X) = sum over m in Y ⊆ X of A(B, Y) T(B, X - Y),
+A(B, Y) = sum over c in Y of p(c, B) T({c}, Y - {c}),
+with T(B, ∅) = 1. A per-chain memo keeps, for each state set S, the tree
+sums T({c}, S - {c}) at every c in S and the pulls A({c}, S) at every c
+outside it. A root set with f free states reads the entries of the subsets
+of its free states, filled with about f 3^(f-1) / 2 multiply-adds, so all
+the tree sums of an n-state chain cost about n 3^(n-1) / 2. Splitting a
+forest at the free states X of b's tree gives
+w_ib(R) = sum over X containing i of T({b}, X) T(R - {b}, free - X),
+with the other roots merged into one.
 
-One backtracking walker, ``_walk``, serves what the layers do not: listing
-forests and cycle-rooted configurations, the tree-deletion Sigma_ij (an
-independent check of the layer sums) and the cycle-rooted sums w^ec. It
+One backtracking walker, ``_walk``, serves what the tree sums do not:
+listing forests and cycle-rooted configurations, the tree-deletion Sigma_ij
+(an independent check of the tree sums) and the cycle-rooted sums w^ec. It
 assigns the free states in ascending order, trying targets in ascending
 order, so configurations come out in ``itertools.product`` order with the
 cyclic ones dropped. It follows only positive-probability arcs of a chain,
@@ -454,11 +460,12 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
     return w
 
 
-# Cache bounds, in entries. The layer sums keep one chain, the one in use:
-# its memo and up to _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8,
-# where sigma_r over every r reads them all). The memo is cleared before a
-# root set when it has grown past _LAYER_MEMO_SIZE; one root set with f free
-# states adds at most 3^f entries plus two per (root, subset of free states).
+# Cache bounds. The tree sums keep one chain, the one in use: its memo and
+# up to _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8, where sigma_r
+# over every r reads them all). The memo holds n integers per state set; it
+# is cleared before a root set when it holds more than _LAYER_MEMO_SIZE. One
+# root set with f free states adds at most an entry per nonempty subset of
+# them, or of all n states when it has one root: n (2^(f+1) - 1) integers.
 _SCALED_ROWS_CACHE_SIZE = 64
 _LAYER_CACHE_SIZE = 1
 _ROOT_SET_CACHE_SIZE = 256
@@ -477,102 +484,181 @@ def _scaled_rows(p: TransitionMatrix):
     return nums, dens
 
 
-class _LayerSums:
-    """Depth-layer forest sums of one chain over bitmasks of states.
+def _subsets(mask: int) -> list[int]:
+    """The nonempty subsets of a bitmask, in increasing order."""
+    out = []
+    x = 0
+    while x != mask:
+        x = (x - mask) & mask
+        out.append(x)
+    return out
 
-    ``layer(s, b)`` is F(S, B), the integer weight (rows scaled as in
-    ``_scaled_rows``) of the forests on the state set S rooted at B, B ⊆ S.
-    Every state outside B picks one parent inside S, so F(S, B) carries
-    one row denominator per state of S - B.
+
+class _TreeSums:
+    """Rooted-tree sums of one chain over bitmasks of states.
+
+    Weights are integers, rows scaled as in ``_scaled_rows``. ``memo[S]``
+    is (vals, members) for a nonempty state set S: at c in S, vals[c] is
+    the weight of the spanning trees on S rooted at c, T({c}, S - {c}); at
+    c outside S it is the pull A({c}, S) = sum_{d in S} p_dc T({d}, S - {d}),
+    the weight of those trees hung from c by one more arc. ``members``
+    lists S's states in ascending order.
     """
 
     def __init__(self, p: TransitionMatrix):
         self.n = p.n
         self.nums, self.dens = _scaled_rows(p)
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
         self.tables: dict[frozenset[int], tuple] = {}
 
-    def layer(self, s: int, b: int) -> int:
-        if s == b:
-            return 1
-        if not b:
-            return 0
-        memo = self.memo
-        key = s << self.n | b
-        total = memo.get(key)
-        if total is not None:
-            return total
-        rest = s ^ b
-        # prods[k] = prod of p(c, B) over the layer C = masks[k]; states with
-        # no arc into B never join it
-        prods, masks = [1], [0]
-        m = rest
-        while m:
-            low = m & -m
-            m ^= low
-            row = self.nums[low.bit_length() - 1]
-            pull = 0
-            t = b
-            while t:
-                bit = t & -t
-                t ^= bit
-                pull += row[bit.bit_length() - 1]
-            if pull:
-                prods += [x * pull for x in prods]
-                masks += [c | low for c in masks]
-        total = 0
-        shift = rest << self.n
-        for x, c in zip(prods[1:], masks[1:]):
-            if c == rest:
-                total += x
+    def _fill(self, subsets: list[int]) -> None:
+        """Memo entries for ``subsets``, every nonempty subset of one mask in
+        increasing order.
+
+        A tree on S rooted at c splits at the children of c: the subtree
+        holding the least other state m is a block Y hung from c, and the
+        rest is a tree on S - Y rooted at c. So T({c}, S - {c}) sums
+        A({c}, Y) T({c}, S - Y - {c}) over the Y ⊆ S - {c} that contain m.
+        Subsets come in increasing order, so every block is already there.
+        """
+        memo, nums, n = self.memo, self.nums, self.n
+        for s in subsets:
+            if s in memo:
                 continue
-            below = memo.get(shift | c)
-            if below is None:
-                below = self.layer(rest, c)
-            total += x * below
-        memo[key] = total
-        return total
+            m0 = s & -s
+            i0 = m0.bit_length() - 1
+            rest = s ^ m0
+            if not rest:
+                vals = list(nums[i0])
+                vals[i0] = 1
+                memo[s] = (vals, (i0,))
+                continue
+            vals = [0] * n
+            members = (i0,) + memo[rest][1]
+            # roots c other than m0: the block holds m0 and leaves c outside
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                pull = memo[m0 | sub][0]
+                tree, heads = memo[rest ^ sub]
+                for c in heads:
+                    vals[c] += pull[c] * tree[c]
+            # root m0: the block holds the next state m1
+            m1 = rest & -rest
+            rest2, keep = rest ^ m1, s ^ m1
+            sub = rest2
+            t = 0
+            while True:
+                t += memo[m1 | sub][0][i0] * memo[keep ^ sub][0][i0]
+                if not sub:
+                    break
+                sub = (sub - 1) & rest2
+            vals[i0] = t
+            outside = [c for c in range(n) if not s >> c & 1]
+            for d in members:
+                t, row = vals[d], nums[d]
+                for c in outside:
+                    vals[c] += row[c] * t
+            memo[s] = (vals, members)
+
+    def _column(self, subsets: list[int], block) -> dict[int, int]:
+        """{X: T(B, X)} over X in ``subsets`` and X = 0, for the states of
+        ``block`` merged into one root B.
+
+        The subtree of B's children holding the least state m of X gives
+        T(B, X) = sum over m in Y ⊆ X of A(B, Y) T(B, X - Y), where the pull
+        A(B, Y) is the sum of the memo's A({b}, Y) over b in B. When B is
+        one state, the memo entry of X with that state added holds T(B, X).
+        """
+        memo = self.memo
+        block = tuple(block)
+        root = block[0] if len(block) == 1 else -1
+        col = {0: 1}
+        pull = None
+        for x in subsets:
+            if root >= 0:
+                known = memo.get(x | 1 << root)
+                if known is not None:
+                    col[x] = known[0][root]
+                    continue
+            if pull is None:
+                pull = {y: sum(memo[y][0][b] for b in block) for y in subsets}
+            m = x & -x
+            rest = x ^ m
+            t = 0
+            sub = rest
+            while True:
+                t += pull[m | sub] * col[rest ^ sub]
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+            col[x] = t
+        return col
+
+    def _split(self, roots: frozenset[int], free: int, denom: int):
+        """({(i, b): w_ib(R)}, integer w(R)) for a root set of two or more.
+
+        The last root's shares come by difference: every free state's tree
+        has one root, so the w_ib(R) over b in R add up to w(R).
+        """
+        n, memo = self.n, self.memo
+        subsets = _subsets(free)
+        self._fill(subsets)
+        *firsts, last = sorted(roots)
+        table: dict[tuple[int, int], Fraction] = {}
+        left: list[int] = []
+        for b in firsts:
+            others = self._column(subsets, roots - {b})
+            share = [0] * n
+            for x, t in self._column(subsets, (b,)).items():
+                u = others[free ^ x]
+                if not (t and u):
+                    continue
+                t *= u
+                share[b] += t
+                if x:
+                    for i in memo[x][1]:
+                        share[i] += t
+            if not left:
+                left = [share[b]] * n  # a root's share at itself is w(R)
+            for i, t in enumerate(share):
+                if t:
+                    table[(i, b)] = Fraction(t, denom)
+                    left[i] -= t
+        for i, t in enumerate(left):
+            if t:
+                table[(i, last)] = Fraction(t, denom)
+        return table, left[last]
 
     def root_set(self, roots: frozenset[int]) -> tuple:
         """(w(R), {(i, b): w_ib(R)}), nonzero entries only, i over all states.
 
-        A forest rooted at R splits at the vertex set X ∪ {b} of b's tree:
-        w_ib(R) sums F(X ∪ {b}, {b}) F(V - X - {b}, R - {b}) over the X that
-        contain i, and over every X when i = b, which gives w(R).
+        A forest rooted at R splits at the free states X of b's tree:
+        w_ib(R) sums T({b}, X) T(R - {b}, free - X) over the X that contain
+        i, and over every X when i = b, which gives w(R). The other roots
+        act as one merged root, pulling each state with the sum of its
+        arcs into them. A forest with one root b is a spanning tree, whose
+        weight the memo entry of all n states holds at b.
         """
         got = self.tables.get(roots)
         if got is not None:
             return got
-        if len(self.memo) > _LAYER_MEMO_SIZE:
+        if len(self.memo) * self.n > _LAYER_MEMO_SIZE:
             self.memo.clear()
-        layer = self.layer
-        r = sum(1 << v for v in roots)
-        free = ((1 << self.n) - 1) ^ r
-        denom = prod(self.dens[v] for v in range(self.n) if v not in roots)
-        table: dict[tuple[int, int], Fraction] = {}
-        w = 0
-        for b in roots:
-            bit = 1 << b
-            others = r ^ bit
-            share = [0] * self.n
-            x = free
-            while True:
-                t = layer((free ^ x) | others, others)
-                if t:
-                    t *= layer(x | bit, bit)
-                    share[b] += t
-                    m = x
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        share[low.bit_length() - 1] += t
-                if not x:
-                    break
-                x = (x - 1) & free
-            w = share[b]  # every root's share at itself is the whole w(R)
-            for i, t in enumerate(share):
-                if t:
-                    table[(i, b)] = Fraction(t, denom)
+        n = self.n
+        full = (1 << n) - 1
+        free = full ^ sum(1 << v for v in roots)
+        denom = prod(self.dens[v] for v in range(n) if v not in roots)
+        memo = self.memo
+        if len(roots) == 1:
+            (b,) = roots
+            if full not in memo:
+                self._fill(_subsets(full))
+            w = memo[full][0][b]
+            table = dict.fromkeys([(i, b) for i in range(n)],
+                                  Fraction(w, denom)) if w else {}
+        else:
+            table, w = self._split(roots, free, denom)
         if len(self.tables) >= _ROOT_SET_CACHE_SIZE:
             del self.tables[next(iter(self.tables))]
         got = self.tables[roots] = (Fraction(w, denom), table)
@@ -580,8 +666,8 @@ class _LayerSums:
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
-def _layer_sums(p: TransitionMatrix) -> _LayerSums:
-    return _LayerSums(p)
+def _layer_sums(p: TransitionMatrix) -> _TreeSums:
+    return _TreeSums(p)
 
 
 def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]):

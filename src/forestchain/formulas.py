@@ -60,7 +60,7 @@ def mfpt(p: TransitionMatrix, i: int, j: int,
     if i == j:
         raise ValueError("mfpt needs i != j; use mean_return_time for i = j")
     oracle.require_irreducible(p)
-    # numerator and tree sum come from one tree walk, not the layer sums
+    # numerator and tree sum come from one tree walk, not the tree sums
     # that analyze uses, so the two routes to m_ij stay independent
     sij = sigma_pair(p, i, j, "tree-deletion", guard)
     sj = tree_sum(p, j, guard)
@@ -72,8 +72,13 @@ def mfpt(p: TransitionMatrix, i: int, j: int,
 def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:
     """K = 1 + Sigma^(2) / Sigma^(1), independent of the start state."""
     oracle.require_irreducible(p)
-    sums = sigma_sums(p, guard)
-    return 1 + sigma_r(p, 2, guard) / sums.sigma1
+    return _kemeny(p, sigma_sums(p, guard).sigma1, guard)
+
+
+def _kemeny(p: TransitionMatrix, sigma1: Fraction, guard: int) -> Fraction:
+    # a one-state chain has no two-tree forest: Sigma^(2) is an empty sum
+    sigma2 = sigma_r(p, 2, guard) if p.n > 1 else Fraction(0)
+    return 1 + sigma2 / sigma1
 
 
 def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -261,7 +266,7 @@ def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
     n = p.n
     mat = [[Fraction(0)] * n for _ in range(n)]
     # the two-tree tables behind Sigma^(2) also give every Sigma_ij
-    k = 1 + sigma_r(p, 2, guard) / sums.sigma1
+    k = _kemeny(p, sums.sigma1, guard)
     for j in range(n):
         mat[j][j] = sums.sigma1 / sums.sigma(j)
         for i in range(n):

@@ -65,6 +65,18 @@ def test_analyze_from_stdin(capsys, monkeypatch):
     assert json.loads(out)["kemeny"] == "16/7"
 
 
+def test_analyze_one_state_chain(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 1, "rows": [["1"]]}'))
+    code, out, _ = run_cli(capsys, ["analyze"])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["pi"] == doc["pi_oracle"] == ["1"]
+    assert doc["mfpt"] == doc["mfpt_oracle"] == [["1"]]
+    assert doc["kemeny"] == doc["kemeny_oracle"] == "1"
+    assert doc["methods_agree"] is True
+
+
 def test_analyze_reducible_exit_and_certificate(capsys, r3_file):
     code, out, err = run_cli(capsys, ["analyze", "--input", r3_file])
     assert code == 3

@@ -273,12 +273,16 @@ def test_layer_sums_stay_within_their_bounds(monkeypatch):
     for k in range(1, 6):
         for roots in itertools.combinations(range(6), k):
             assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
-            layers = _layer_sums(p)
-            assert len(layers.tables) <= 4
+            sums = _layer_sums(p)
+            assert len(sums.tables) <= 4
             # cleared before a root set once past the bound; one root set
-            # with f free states adds at most 3^f + 2 |R| 2^f entries
+            # with f free states adds at most one entry of n integers per
+            # nonempty subset of its free states, or of all n states when
+            # it has one root
             f = 6 - k
-            assert len(layers.memo) <= 20 + 3 ** f + 2 * k * 2 ** f
+            held = sum(len(vals) for vals, _members in sums.memo.values())
+            assert held == 6 * len(sums.memo)
+            assert held <= 20 + 6 * (2 ** (f + 1) - 1)
 
 
 def test_absorption_with_many_roots_is_cheap():

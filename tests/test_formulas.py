@@ -151,6 +151,16 @@ def test_analyze_bundle(fixture_a):
         assert analysis.mfpt[j][j] * analysis.pi[j] == 1
 
 
+def test_one_state_chain():
+    # Sigma^(2) is an empty sum, so K = 1 + 0 / Sigma^(1) = 1
+    p = chain([[F(1)]])
+    a = analyze(p)
+    assert a.pi == (1,) == stationary(p) == stationary_solve(p)
+    assert a.mfpt == ((1,),) == mfpt_solve(p)
+    assert a.kemeny == kemeny(p) == kemeny_trace(p) == 1
+    assert mean_return_time(p, 0) == 1
+
+
 def test_analyze_two_forest_mfpt_matches_tree_deletion(fixture_a):
     # analyze reads Sigma_ij from two-tree tables, mfpt deletes tree edges
     sparse = verify.random_irreducible_chain(random.Random(6), 6)

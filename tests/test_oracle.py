@@ -241,10 +241,9 @@ def test_require_irreducible_error_is_the_same_when_cached(r3):
     assert first.infeasible_singletons == second.infeasible_singletons
 
 
-def test_oracle_does_not_import_the_forest_route():
+def _imported_names(module) -> set[str]:
     import ast
-    from forestchain import oracle
-    with open(oracle.__file__, encoding="utf-8") as fh:
+    with open(module.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     names = set()
     for node in ast.walk(tree):
@@ -253,7 +252,19 @@ def test_oracle_does_not_import_the_forest_route():
         elif isinstance(node, ast.ImportFrom):
             names.add(node.module or "")
             names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_oracle_does_not_import_the_forest_route():
+    from forestchain import oracle
+    names = _imported_names(oracle)
     assert not any("forests" in name or "formulas" in name for name in names)
+
+
+def test_forest_route_does_not_import_the_oracle():
+    from forestchain import forests
+    names = _imported_names(forests)
+    assert not any("oracle" in name or "formulas" in name for name in names)
 
 
 def test_recurrent_classes(fixture_a, r3):
