@@ -38,6 +38,7 @@ from .forests import (
     ecrsf_weight,
     enumerate_ecrsf,
     enumerate_forests,
+    exact_law,
     forest_from_json,
     forest_weight,
     last_exit_state,

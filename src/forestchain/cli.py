@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -32,14 +33,10 @@ from .forests import (
     CycleWeights,
     EnumerationGuardError,
     cayley_count,
-    ecrsf_weight,
-    enumerate_ecrsf,
     enumerate_forests,
-    forest_weight,
+    exact_law,
     sigma_r,
     sigma_sums,
-    w_ec_sums,
-    w_sum,
 )
 
 
@@ -245,9 +242,6 @@ def cmd_count(args) -> int:
 
 def cmd_sample(args) -> int:
     p = _read_chain(args)
-    cfg = wilson.SamplerConfig(seed=args.seed, sample_count=args.count)
-    gof_doc = None
-
     if args.mode == "tree":
         if args.root is None:
             raise ChainParseError("--mode tree needs --root")
@@ -263,33 +257,21 @@ def cmd_sample(args) -> int:
         else:
             roots = sorted(set(_parse_states(args.roots, p.n, "--roots")))
 
-    if args.mode in ("tree", "forest"):
+    alpha = (None if args.mode in ("tree", "forest")
+             else CycleWeights.constant(parse_rational(args.alpha)))
+    cfg = wilson.SamplerConfig(seed=args.seed, sample_count=args.count,
+                               alpha=alpha)
+    if alpha is None:
         draws = wilson.sample_forests(p, roots, cfg)
-        for f in draws:
-            print(json.dumps(f.to_json()))
-        if args.gof:
-            law = verify_mod._tree_law(p, frozenset(roots), args.guard)
-            report = wilson.gof_test(verify_mod._forest_counts(draws), law)
-            gof_doc = report.to_json()
     else:
-        alpha = CycleWeights.constant(parse_rational(args.alpha))
-        cfg = wilson.SamplerConfig(seed=args.seed, sample_count=args.count,
-                                   alpha=alpha)
         draws = wilson.sample_ecrsf(p, roots, cfg, guard=args.guard)
-        for f in draws:
-            print(json.dumps(f.to_json()))
-        if args.gof:
-            total, _table = w_ec_sums(p, alpha, roots, args.guard)
-            law = {}
-            for f in enumerate_ecrsf(p.n, roots, args.guard):
-                weight = ecrsf_weight(f, p, alpha)
-                if weight:
-                    law[f] = weight / total
-            counts = {}
-            for f in draws:
-                counts[f] = counts.get(f, 0) + 1
-            report = wilson.gof_test(counts, law)
-            gof_doc = report.to_json()
+    gof_doc = None
+    if args.gof:
+        # before any draw is printed, so a refused law leaves stdout empty
+        law = exact_law(p, roots, alpha, args.guard)
+        gof_doc = wilson.gof_test(Counter(draws), law).to_json()
+    for f in draws:
+        print(json.dumps(f.to_json()))
 
     distinct = len(set(draws))
     summary = {

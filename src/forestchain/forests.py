@@ -22,14 +22,15 @@ w_ib(R) = sum over X containing i of T({b}, X) T(R - {b}, free - X),
 with the other roots merged into one.
 
 One backtracking walker, ``_walk``, serves what the tree sums do not:
-listing forests and cycle-rooted configurations, the tree-deletion Sigma_ij
-(an independent check of the tree sums) and the cycle-rooted sums w^ec. It
-assigns the free states in ascending order, trying targets in ascending
-order, so configurations come out in ``itertools.product`` order with the
-cyclic ones dropped. It follows only positive-probability arcs of a chain,
-rejects an arc the moment it closes a cycle (the cycle-rooted case keeps
-it) and carries the integer prefix product down. No configuration is
-stored: a walk holds one length-n vector per level.
+listing forests and cycle-rooted configurations, their exact laws, the
+tree-deletion Sigma_ij (an independent check of the tree sums) and the
+cycle-rooted sums w^ec. It assigns the free states in ascending order,
+trying targets in ascending order, so configurations come out in
+``itertools.product`` order with the cyclic ones dropped. It follows only
+positive-probability arcs of a chain, rejects an arc the moment it closes a
+cycle (the cycle-rooted case keeps it) and carries the integer prefix
+product down. No configuration is stored: a walk holds one length-n vector
+per level.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .chains import InfeasibleRootSetError, TransitionMatrix, format_rational
 
@@ -49,7 +50,7 @@ __all__ = [
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
     "forest_weight", "ecrsf_weight", "w_sum", "w_target_sum", "sigma_sums",
     "sigma_r", "sigma_pair", "tree_sum", "last_exit_state", "w_ec_sums",
-    "forest_from_json", "ecrsf_from_json",
+    "exact_law", "forest_from_json", "ecrsf_from_json",
 ]
 
 #: Maximum number of free (non-root) vertices enumerated without an override.
@@ -168,13 +169,6 @@ class RootedForest:
             object.__setattr__(f, name, value)
         return f
 
-    @classmethod
-    def from_parent_map(cls, n: int, roots: Iterable[int],
-                        parent: Mapping[int, int]) -> "RootedForest":
-        rs = frozenset(int(r) for r in roots)
-        vec = tuple(-1 if v in rs else int(parent[v]) for v in range(n))
-        return cls(n, rs, vec)
-
     def parent_map(self) -> dict[int, int]:
         return {v: u for v, u in enumerate(self.parent) if u != -1}
 
@@ -198,12 +192,20 @@ class RootedForest:
         }
 
 
-def forest_from_json(doc: dict) -> RootedForest:
+def _from_json(doc: dict) -> tuple[int, frozenset[int], tuple[int, ...]]:
+    """(n, roots, parent vector) of a configuration document."""
     parent = {int(v): int(u) for v, u in doc["parent"].items()}
-    roots = [int(r) for r in doc["roots"]]
+    roots = frozenset(int(r) for r in doc["roots"])
     n = max([*roots, *parent.keys(), *parent.values()], default=-1) + 1
     n = max(n, doc.get("n", 0))
-    return RootedForest.from_parent_map(n, roots, parent)
+    missing = [v for v in range(n) if v not in roots and v not in parent]
+    if missing:
+        raise ValueError(f"state {missing[0]} is not a root and has no parent")
+    return n, roots, tuple(-1 if v in roots else parent[v] for v in range(n))
+
+
+def forest_from_json(doc: dict) -> RootedForest:
+    return RootedForest(*_from_json(doc))
 
 
 @dataclass(frozen=True)
@@ -284,12 +286,7 @@ class Ecrsf:
 
 
 def ecrsf_from_json(doc: dict) -> Ecrsf:
-    succ = {int(v): int(u) for v, u in doc["parent"].items()}
-    roots = frozenset(int(r) for r in doc["roots"])
-    n = max([*roots, *succ.keys(), *succ.values()], default=-1) + 1
-    n = max(n, doc.get("n", 0))
-    vec = tuple(-1 if v in roots else succ[v] for v in range(n))
-    return Ecrsf(n, roots, vec)
+    return Ecrsf(*_from_json(doc))
 
 
 @dataclass(frozen=True)
@@ -385,16 +382,24 @@ def _walk(n: int, roots: frozenset[int], arcs, cyclic: bool = False):
         d += 1
 
 
-def _spread(groups: dict) -> tuple:
-    """(total, {(i, r): weight}) from weights keyed by root-of vector; r >= 0."""
-    total = 0
-    table: dict = {}
-    for root_of, w in groups.items():
-        total += w
-        for i, r in enumerate(root_of):
-            if r >= 0:
-                table[(i, r)] = table.get((i, r), 0) + w
-    return total, table
+def _weighted(p: TransitionMatrix, roots: frozenset[int],
+              alpha: CycleWeights | None):
+    """Yield (succ, root_of, w) for the configurations of positive weight:
+    forests when ``alpha`` is None, else cycle-rooted ones, in ``_walk``
+    order. ``w`` is the weight times the free rows' common denominators:
+    the scaled rows' integer factors, times alpha of each cycle.
+    """
+    cyclic = alpha is not None
+    nums = _scaled_rows(p)[0]
+    for succ, root_of, w in _walk(p.n, roots, _arcs(p.n, roots, nums, cyclic),
+                                  cyclic):
+        if cyclic and -1 in root_of:
+            for cyc in _classify(p.n, roots, succ)[1]:
+                w *= alpha.weight(cyc)
+                if not w:
+                    break
+        if w:
+            yield succ, root_of, w
 
 
 def enumerate_forests(n: int, roots: Iterable[int],
@@ -829,18 +834,38 @@ def w_ec_sums(p: TransitionMatrix, alpha: CycleWeights,
     """
     rs = _check_roots(p.n, tree_roots, allow_empty=True)
     _check_guard(p.n, rs, guard)
-    nums, dens = _scaled_rows(p)
+    groups: dict = {}
+    for _succ, root_of, w in _weighted(p, rs, alpha):
+        groups[root_of] = groups.get(root_of, 0) + w
+    table: dict = {}
+    for root_of, w in groups.items():
+        for i, r in enumerate(root_of):
+            if r >= 0:
+                table[(i, r)] = table.get((i, r), 0) + w
+    dens = _scaled_rows(p)[1]
     denom = prod(dens[v] for v in range(p.n) if v not in rs)
-    groups: dict[tuple[int, ...], Fraction] = {}
-    for succ, root_of, w in _walk(p.n, rs, _arcs(p.n, rs, nums, cyclic=True),
-                                  cyclic=True):
-        weight = Fraction(w, denom)
-        if -1 in root_of:
-            for cyc in _classify(p.n, rs, succ)[1]:
-                weight *= alpha.weight(cyc)
-                if not weight:
-                    break
-        if weight:
-            groups[root_of] = groups.get(root_of, 0) + weight
-    total, table = _spread(groups)
-    return Fraction(total), table
+    return (Fraction(sum(groups.values()), denom),
+            {k: Fraction(w, denom) for k, w in table.items()})
+
+
+def exact_law(p: TransitionMatrix, roots: Iterable[int],
+              alpha: CycleWeights | None = None,
+              guard: int = DEFAULT_GUARD) -> dict:
+    """{configuration: probability} under the sampler's law, over the
+    configurations of positive weight in ``enumerate_*`` order.
+
+    With ``alpha`` None: forests rooted at ``roots``, Pi^P(f) / w(R).
+    Otherwise: cycle-rooted configurations with these tree roots (possibly
+    none), their (P, alpha)-weight over w^ec(R). Zero total weight raises
+    ``InfeasibleRootSetError``.
+    """
+    rs = _check_roots(p.n, roots, allow_empty=alpha is not None)
+    _check_guard(p.n, rs, guard)
+    make = RootedForest._trusted if alpha is None else Ecrsf._trusted
+    weighted = [(make(p.n, rs, tuple(succ), root_of), w)
+                for succ, root_of, w in _weighted(p, rs, alpha)]
+    total = sum(w for _f, w in weighted)
+    if not total:
+        raise InfeasibleRootSetError(
+            f"root set {sorted(rs)} has zero total weight")
+    return {f: Fraction(w, total) for f, w in weighted}

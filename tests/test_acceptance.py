@@ -5,6 +5,7 @@ against seeded corpora so failures replay. Budgets are wall-clock seconds.
 """
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -245,9 +246,9 @@ def test_criterion_10_sampler_goodness_of_fit(announce):
         guard = forests.DEFAULT_GUARD
 
         def tree_fit(p, root, seed):
-            law = verify._tree_law(p, frozenset({root}), guard)
+            law = forests.exact_law(p, {root}, guard=guard)
             cfg = SamplerConfig(seed=seed, sample_count=draws)
-            got = verify._forest_counts(sample_trees(p, root, cfg))
+            got = Counter(sample_trees(p, root, cfg))
             report = wilson.gof_test(got, law)
             assert report.passed, (report.p_value, report.statistic)
 
@@ -278,7 +279,7 @@ def test_criterion_10_sampler_goodness_of_fit(announce):
         # cycle sampler with zero cycle weights follows the forest law
         a = fixture_a()
         law = {f.parent: prob
-               for f, prob in verify._tree_law(a, frozenset({0}), guard).items()}
+               for f, prob in forests.exact_law(a, {0}, guard=guard).items()}
         cfg = SamplerConfig(seed=SEED + 13, sample_count=20_000,
                             alpha=CycleWeights.constant(0))
         got: dict = {}

@@ -1,6 +1,9 @@
+import ast
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +194,41 @@ def test_sample_ecrsf_runs(capsys, a_file):
     assert "cycles" in first
 
 
+# stdout digests of `sample --gof` as recorded before the law builders were
+# merged into forests.exact_law; the chi-square statistic is a float sum in
+# the law's key order, so a reordered law changes the digest
+C4_DOC = json.dumps({"n": 4, "rows": [["0", "1/2", "1/4", "1/4"],
+                                      ["1/3", "0", "2/3", "0"],
+                                      ["1/5", "2/5", "0", "2/5"],
+                                      ["1/2", "0", "1/4", "1/4"]]})
+
+
+@pytest.mark.parametrize("mode,digest", [
+    (["--root", "0"],
+     "be84a621600f8a5a7ec05fa23d84404e6d96b586cba72fdc4ab07873618aaeb0"),
+    (["--mode", "ecrsf", "--roots", "0", "--alpha", "1/2"],
+     "618edcece8ceef49127779645a363d52a42437e9c3472dacd0e902e9cfdfe656"),
+])
+def test_sample_gof_stdout_is_pinned(capsys, tmp_path, mode, digest):
+    path = tmp_path / "c4.json"
+    path.write_text(C4_DOC)
+    code, out, _ = run_cli(
+        capsys, ["sample", "--input", str(path), *mode, "--count", "300",
+                 "--seed", "1069", "--gof"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sample_gof_over_the_guard_prints_no_draws(capsys, monkeypatch):
+    import io
+    rows = [["1/10"] * 10 for _ in range(10)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n": 10, "rows": rows})))
+    code, out, err = run_cli(
+        capsys, ["sample", "--root", "0", "--count", "3", "--gof"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "guard"
+
+
 def test_sample_rejects_bad_root(capsys, a_file):
     code, _, err = run_cli(
         capsys, ["sample", "--input", a_file, "--mode", "tree",
@@ -276,6 +314,28 @@ def test_package_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "forestchain", (
                     f"{path.name} imports {name}")
+
+
+def test_cli_and_verify_use_no_private_sibling_names():
+    import forestchain
+    package = Path(forestchain.__file__).parent
+    siblings = {path.stem for path in package.glob("*.py")}
+    for name in ("cli.py", "verify.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        # local names bound to sibling modules: `from . import verify as v`
+        local = {alias.asname or alias.name
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and node.module is None
+                 for alias in node.names if alias.name in siblings}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{name} imports {private}"
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in local):
+                assert False, f"{name} uses {node.value.id}.{node.attr}"
 
 
 def test_module_entry_point(tmp_path):

@@ -10,6 +10,7 @@ from forestchain import (
     CycleWeights,
     Ecrsf,
     EnumerationGuardError,
+    InfeasibleRootSetError,
     RootedForest,
     cayley_count,
     ecrsf_from_json,
@@ -17,6 +18,7 @@ from forestchain import (
     ecrsf_weight,
     enumerate_ecrsf,
     enumerate_forests,
+    exact_law,
     forest_from_json,
     forest_weight,
     irreducibility_certificate,
@@ -74,6 +76,12 @@ def test_ecrsf_classification():
     assert tree.cycles == ()
     assert tree.root_of(1) == 0
     assert ecrsf_from_json(e.to_json()) == e
+
+
+@pytest.mark.parametrize("read", [forest_from_json, ecrsf_from_json])
+def test_from_json_names_a_state_without_parent(read):
+    with pytest.raises(ValueError, match="state 1 is not a root and has no parent"):
+        read({"roots": [0], "parent": {"2": 0}})
 
 
 def test_enumerate_forest_counts_match_cayley():
@@ -553,3 +561,49 @@ def test_forest_caches_are_bounded():
     for cached in caches:
         info = cached.cache_info()
         assert info.currsize <= info.maxsize
+
+
+def _enumerated_law(p, roots, alpha):
+    """The law written out from its definition: enumerate, weigh, normalise."""
+    if alpha is None:
+        weighted = [(f, forest_weight(f, p)) for f in enumerate_forests(p.n, roots)]
+    else:
+        weighted = [(e, ecrsf_weight(e, p, alpha))
+                    for e in enumerate_ecrsf(p.n, roots)]
+    total = sum(w for _f, w in weighted)
+    return total, [(f, w / total) for f, w in weighted if w]
+
+
+def test_exact_law_matches_enumeration_in_order(fixture_a, u4, r3):
+    rules = [None, CycleWeights.constant(0),
+             CycleWeights.constant(Fraction(1, 2)), CycleWeights.constant(1),
+             # cycle-dependent: 2-cycles vanish, others by length
+             CycleWeights(lambda c: 0 if len(c) == 2 else Fraction(1, len(c)))]
+    rng = random.Random(29)
+    chains = [fixture_a, u4, r3, *(random_chain(rng, n) for n in (2, 3, 4, 5))]
+    cases = 0
+    for p in chains:
+        for alpha in rules:
+            for k in range(0 if alpha else 1, p.n + 1):
+                for roots in itertools.combinations(range(p.n), k):
+                    total, want = _enumerated_law(p, roots, alpha)
+                    if not total:
+                        with pytest.raises(InfeasibleRootSetError):
+                            exact_law(p, roots, alpha)
+                        continue
+                    assert list(exact_law(p, roots, alpha).items()) == want
+                    cases += 1
+    assert cases > 300
+
+
+def test_exact_law_refusals(r3, u4):
+    with pytest.raises(InfeasibleRootSetError):
+        exact_law(r3, {0})
+    with pytest.raises(InfeasibleRootSetError):
+        exact_law(r3, {0}, CycleWeights.constant(0))
+    with pytest.raises(EnumerationGuardError):
+        exact_law(uniform_chain(10), {0})
+    with pytest.raises(EnumerationGuardError):
+        exact_law(u4, set(), CycleWeights.constant(1), guard=3)
+    with pytest.raises(ValueError, match="root set must be nonempty"):
+        exact_law(u4, set())

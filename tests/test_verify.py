@@ -107,6 +107,25 @@ def test_fault_injection_is_caught(monkeypatch):
     assert replay.n >= 2
 
 
+def test_wilson_suite_checks_the_law_it_is_given(monkeypatch):
+    # the sampler suite reads its laws through verify.forests.exact_law, so
+    # a law with one configuration's mass moved to another must fail it
+    real = verify.forests.exact_law
+
+    def crooked(*args, **kw):
+        law = real(*args, **kw)
+        if len(law) > 1:
+            first, second = list(law)[:2]
+            law[second] += law[first]
+            law[first] = 0
+        return law
+
+    monkeypatch.setattr(verify.forests, "exact_law", crooked)
+    result = run_suite("wilson", trials=2000, max_n=3, seed=17)
+    assert not result.passed
+    assert "uniform 4-state tree sampler" in result.failures[0]
+
+
 def test_suite_failure_stops_early(monkeypatch):
     calls = []
     real = verify.forests.w_sum
