@@ -2,7 +2,8 @@
 
 Transition matrices and weighted digraphs over exact rationals
 (``fractions.Fraction``), ingestion from matrix/edge-list documents, and the
-Laplacians L = I - P and L^{G,c} that the forest identities are stated in.
+Laplacians L = I - P and L^{G,c} that the forest identities are stated in,
+and each chain's rows scaled to integers, which both routes compute from.
 Everything here is immutable and arithmetic is never rounded.
 """
 
@@ -12,6 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 #: Row-major square matrix of exact rationals.
@@ -333,6 +336,23 @@ def from_conductances(g: WeightedDigraph) -> TransitionMatrix:
     for (t, h, c) in g.arcs:
         rows[t][h] = c / totals[t]
     return TransitionMatrix(tuple(tuple(r) for r in rows), g.labels)
+
+
+# Bound, in chains, on the memo below: the forest sums, the sampler and the
+# oracle solves each ask for the scaled rows of the chain in use.
+_SCALED_ROWS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_SCALED_ROWS_CACHE_SIZE)
+def scaled_rows(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...],
+                                              tuple[int, ...]]:
+    """(nums, dens): row i of P is nums[i] / dens[i] with integer nums[i],
+    dens[i] being the lcm of the row's denominators."""
+    dens = tuple(lcm(*(x.denominator for x in row)) for row in p.rows)
+    nums = tuple(
+        tuple(x.numerator * (d // x.denominator) for x in row)
+        for row, d in zip(p.rows, dens))
+    return nums, dens
 
 
 def laplacian(p: TransitionMatrix) -> Matrix:

@@ -2,8 +2,11 @@
 
 This module is the counting side: w(R), w_ij(R), Sigma_j, Sigma^(r),
 Sigma_ij and w^ec are exact sums over forests, with no determinant and no
-solve. Rows are scaled to integers once per chain, so every sum is over
-plain integers with one common denominator per root set.
+solve. Rows are scaled to integers once per chain (``chains.scaled_rows``),
+so a forest's weight is an integer over D_R, the product of the free
+states' row denominators. Each root set keeps its sums as integers over
+D_R (``root_set_sums``); a sum over several root sets brings them to one
+denominator and makes a single Fraction per output value.
 
 The forest sums w(R) and w_ij(R) are built from rooted-tree sums.
 T(B, X) is the weight of the forests on X ∪ B rooted at B, with the states
@@ -39,16 +42,23 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from math import prod
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .chains import InfeasibleRootSetError, TransitionMatrix, format_rational
+from .chains import (
+    InfeasibleRootSetError,
+    TransitionMatrix,
+    format_rational,
+    # bound under this name too, since the sampler imports it from here
+    scaled_rows as _scaled_rows,
+)
 
 __all__ = [
     "DEFAULT_GUARD", "EnumerationGuardError", "InfeasibleRootSetError",
     "RootedForest", "Ecrsf", "CycleWeights", "ForestSums",
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
-    "forest_weight", "ecrsf_weight", "w_sum", "w_target_sum", "sigma_sums",
+    "forest_weight", "ecrsf_weight", "RootSetSums", "root_set_sums",
+    "w_sum", "w_target_sum", "sigma_sums",
     "sigma_r", "sigma_pair", "tree_sum", "last_exit_state", "w_ec_sums",
     "exact_law", "forest_from_json", "ecrsf_from_json",
 ]
@@ -471,22 +481,12 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 # is cleared before a root set when it holds more than _LAYER_MEMO_SIZE. One
 # root set with f free states adds at most an entry per nonempty subset of
 # them, or of all n states when it has one root: n (2^(f+1) - 1) integers.
-_SCALED_ROWS_CACHE_SIZE = 64
 _LAYER_CACHE_SIZE = 1
 _ROOT_SET_CACHE_SIZE = 256
 _LAYER_MEMO_SIZE = 1 << 17
 # A chain has one tree-deletion row per target state, and the guard admits
 # trees on at most 9 states by default.
 _TREE_DELETION_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_SCALED_ROWS_CACHE_SIZE)
-def _scaled_rows(p: TransitionMatrix):
-    """Integer numerators after clearing each row's common denominator."""
-    dens = tuple(lcm(*(x.denominator for x in row)) for row in p.rows)
-    nums = tuple(
-        tuple(int(x * d) for x in row) for row, d in zip(p.rows, dens))
-    return nums, dens
 
 
 def _subsets(mask: int) -> list[int]:
@@ -497,6 +497,20 @@ def _subsets(mask: int) -> list[int]:
         x = (x - mask) & mask
         out.append(x)
     return out
+
+
+class RootSetSums(NamedTuple):
+    """The forest sums of one root set R as integers over one denominator.
+
+    ``weight`` is w(R) D_R and ``table[(i, b)]`` is w_ib(R) D_R, the weight
+    of the forests in which i's tree has root b, nonzero entries only, i
+    over all states. D_R = ``denom`` is the product of dens_v over the free
+    states v, with dens_v the lcm of row v's denominators.
+    """
+
+    weight: int
+    table: dict[tuple[int, int], int]
+    denom: int
 
 
 class _TreeSums:
@@ -600,8 +614,9 @@ class _TreeSums:
             col[x] = t
         return col
 
-    def _split(self, roots: frozenset[int], free: int, denom: int):
-        """({(i, b): w_ib(R)}, integer w(R)) for a root set of two or more.
+    def _split(self, roots: frozenset[int], free: int):
+        """({(i, b): w_ib(R)}, w(R)) for a root set of two or more, both
+        integers over D_R.
 
         The last root's shares come by difference: every free state's tree
         has one root, so the w_ib(R) over b in R add up to w(R).
@@ -610,7 +625,7 @@ class _TreeSums:
         subsets = _subsets(free)
         self._fill(subsets)
         *firsts, last = sorted(roots)
-        table: dict[tuple[int, int], Fraction] = {}
+        table: dict[tuple[int, int], int] = {}
         left: list[int] = []
         for b in firsts:
             others = self._column(subsets, roots - {b})
@@ -628,15 +643,16 @@ class _TreeSums:
                 left = [share[b]] * n  # a root's share at itself is w(R)
             for i, t in enumerate(share):
                 if t:
-                    table[(i, b)] = Fraction(t, denom)
+                    table[(i, b)] = t
                     left[i] -= t
         for i, t in enumerate(left):
             if t:
-                table[(i, last)] = Fraction(t, denom)
+                table[(i, last)] = t
         return table, left[last]
 
-    def root_set(self, roots: frozenset[int]) -> tuple:
-        """(w(R), {(i, b): w_ib(R)}), nonzero entries only, i over all states.
+    def root_set(self, roots: frozenset[int]) -> RootSetSums:
+        """w(R) and {(i, b): w_ib(R)} as integers over D_R, nonzero entries
+        only, i over all states.
 
         A forest rooted at R splits at the free states X of b's tree:
         w_ib(R) sums T({b}, X) T(R - {b}, free - X) over the X that contain
@@ -653,20 +669,19 @@ class _TreeSums:
         n = self.n
         full = (1 << n) - 1
         free = full ^ sum(1 << v for v in roots)
-        denom = prod(self.dens[v] for v in range(n) if v not in roots)
         memo = self.memo
         if len(roots) == 1:
             (b,) = roots
             if full not in memo:
                 self._fill(_subsets(full))
             w = memo[full][0][b]
-            table = dict.fromkeys([(i, b) for i in range(n)],
-                                  Fraction(w, denom)) if w else {}
+            table = dict.fromkeys([(i, b) for i in range(n)], w) if w else {}
         else:
-            table, w = self._split(roots, free, denom)
+            table, w = self._split(roots, free)
         if len(self.tables) >= _ROOT_SET_CACHE_SIZE:
             del self.tables[next(iter(self.tables))]
-        got = self.tables[roots] = (Fraction(w, denom), table)
+        denom = prod(self.dens[v] for v in range(n) if v not in roots)
+        got = self.tables[roots] = RootSetSums(w, table, denom)
         return got
 
 
@@ -675,17 +690,28 @@ def _layer_sums(p: TransitionMatrix) -> _TreeSums:
     return _TreeSums(p)
 
 
-def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]):
-    """(w(roots), {(i, j): weight of forests where i's tree has root j})."""
+def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]) -> RootSetSums:
     return _layer_sums(p).root_set(roots)
+
+
+def root_set_sums(p: TransitionMatrix, roots: Iterable[int],
+                  guard: int = DEFAULT_GUARD) -> RootSetSums:
+    """Integer forest sums of the root set R: w(R) and every w_ib(R) over D_R.
+
+    The result is cached and shared: read it, do not change it. Callers
+    that combine several root sets scale each by the row denominators of
+    its roots, which brings them all over the product of every dens_v.
+    """
+    rs = _check_roots(p.n, roots)
+    _check_guard(p.n, rs, guard)
+    return _root_set_sums(p, rs)
 
 
 def w_sum(p: TransitionMatrix, roots: Iterable[int],
           guard: int = DEFAULT_GUARD) -> Fraction:
     """w(R): total P-weight of forests rooted exactly at R."""
-    rs = _check_roots(p.n, roots)
-    _check_guard(p.n, rs, guard)
-    return _root_set_sums(p, rs)[0]
+    got = root_set_sums(p, roots, guard)
+    return Fraction(got.weight, got.denom)
 
 
 def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -695,11 +721,10 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     When j is already a root this is the harmonic numerator w_ij(R); when it
     is not, the root set is enlarged to R ∪ {j} as in the Green numerator.
     """
-    rs = _check_roots(p.n, roots) | {int(j)}
-    _check_guard(p.n, rs, guard)
+    got = root_set_sums(p, _check_roots(p.n, roots) | {int(j)}, guard)
     if not 0 <= i < p.n:
         raise ValueError(f"state {i} out of range")
-    return _root_set_sums(p, rs)[1].get((i, j), Fraction(0))
+    return Fraction(got.table.get((i, j), 0), got.denom)
 
 
 @dataclass(frozen=True)
@@ -715,18 +740,25 @@ class ForestSums:
 
 def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     """Tree sums Sigma_j = w({j}) and their total Sigma^(1)."""
-    vec = tuple(w_sum(p, {j}, guard) for j in range(p.n))
-    return ForestSums(vec, sum(vec, Fraction(0)))
+    sums = [root_set_sums(p, (j,), guard) for j in range(p.n)]
+    dens = _scaled_rows(p)[1]
+    # w({j}) D_{j} dens_j = w({j}) prod(dens)
+    total = sum(got.weight * d for got, d in zip(sums, dens))
+    return ForestSums(tuple(Fraction(got.weight, got.denom) for got in sums),
+                      Fraction(total, prod(dens)))
 
 
 def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """Sigma^(r): total weight of forests with exactly r trees, any root sets."""
     if not 1 <= r <= p.n:
         raise ValueError(f"tree count {r} out of range 1..{p.n}")
-    total = Fraction(0)
+    dens = _scaled_rows(p)[1]
+    total = 0
     for roots in itertools.combinations(range(p.n), r):
-        total += w_sum(p, roots, guard)
-    return total
+        # w(R) D_R prod_{b in R} dens_b = w(R) prod(dens)
+        total += (root_set_sums(p, roots, guard).weight
+                  * prod(dens[b] for b in roots))
+    return Fraction(total, prod(dens))
 
 
 def sigma_pair(p: TransitionMatrix, i: int, j: int,
@@ -748,11 +780,14 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
     if not (0 <= i < p.n and 0 <= j < p.n):
         raise ValueError(f"states ({i},{j}) out of range")
     if method == "two-forest":
-        total = Fraction(0)
+        dens = _scaled_rows(p)[1]
+        total = 0
         for k in range(p.n):
             if k != j:
-                total += w_target_sum(p, {j, k}, i, k, guard)
-        return total
+                got = root_set_sums(p, (j, k), guard)
+                total += got.table.get((i, k), 0) * dens[k]
+        # w_ik({j, k}) is an integer over D_{j,k} = prod(dens) / (dens_j dens_k)
+        return Fraction(total * dens[j], prod(dens))
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
     _check_guard(p.n, frozenset([j]), guard)

@@ -6,6 +6,14 @@ and the stopped-walk distribution over cycle-rooted configurations. Every
 operation here has an independent linear-algebra counterpart in
 ``oracle``; the two routes are kept separate on purpose and compared in the
 test and verify suites.
+
+The forest sums arrive as integers over a known denominator
+(``forests.root_set_sums``): D_R, the product of the row denominators dens_v
+of the states v outside R. A ratio of two sums is then a ratio of integers
+once both are brought to one denominator, and each output value is a single
+Fraction of two integers. Two facts do that: D_R = D_{R ∪ {j}} dens_j, and
+w(R) D_R times the dens_b of the roots b is w(R) times the product of every
+dens_v, the same for all R.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from . import oracle
@@ -21,37 +30,69 @@ from .chains import (
     Matrix,
     ReducibleChainError,
     TransitionMatrix,
+    scaled_rows,
 )
 from .forests import (
     DEFAULT_GUARD,
     CycleWeights,
+    RootSetSums,
     enumerate_forests,
     forest_weight,
+    root_set_sums,
     sigma_pair,
     sigma_r,
     sigma_sums,
     tree_sum,
     w_ec_sums,
-    w_sum,
-    w_target_sum,
 )
+
+
+def _check_state(p: TransitionMatrix, i: int) -> None:
+    if not 0 <= i < p.n:
+        raise ValueError(f"state {i} out of range")
+
+
+def _tree_weights(p: TransitionMatrix, guard: int) -> tuple[list[int], int]:
+    """Sigma_j times the product of every dens_v, for each j, and their total
+    (Sigma^(1) on the same scale)."""
+    dens = scaled_rows(p)[1]
+    trees = [root_set_sums(p, (j,), guard).weight * dens[j]
+             for j in range(p.n)]
+    return trees, sum(trees)
+
+
+def _weight(p: TransitionMatrix, roots: Iterable[int],
+            guard: int) -> RootSetSums:
+    """The integer sums of a root set, which must have positive weight."""
+    got = root_set_sums(p, roots, guard)
+    if got.weight == 0:
+        raise InfeasibleRootSetError(
+            f"root set {sorted(set(roots))} has zero forest weight")
+    return got
+
+
+def _green_numerator(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
+                     guard: int) -> int:
+    """w_ij(R ∪ {j}) D_R: the Green numerator over w(R)'s denominator."""
+    got = root_set_sums(p, frozenset(roots) | {j}, guard)
+    return got.table.get((i, j), 0) * scaled_rows(p)[1][j]
 
 
 def stationary(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> tuple[Fraction, ...]:
     """pi_j = Sigma_j / Sigma^(1) for an irreducible chain."""
     oracle.require_irreducible(p)
-    sums = sigma_sums(p, guard)
-    return tuple(s / sums.sigma1 for s in sums.sigma_vector)
+    trees, total = _tree_weights(p, guard)
+    return tuple(Fraction(t, total) for t in trees)
 
 
 def mean_return_time(p: TransitionMatrix, j: int,
                      guard: int = DEFAULT_GUARD) -> Fraction:
     """m_jj = Sigma^(1) / Sigma_j."""
     oracle.require_irreducible(p)
-    sums = sigma_sums(p, guard)
-    if sums.sigma(j) == 0:
+    trees, total = _tree_weights(p, guard)
+    if trees[j] == 0:
         raise InfeasibleRootSetError(f"tree sum at state {j} vanishes")
-    return sums.sigma1 / sums.sigma(j)
+    return Fraction(total, trees[j])
 
 
 def mfpt(p: TransitionMatrix, i: int, j: int,
@@ -72,10 +113,7 @@ def mfpt(p: TransitionMatrix, i: int, j: int,
 def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:
     """K = 1 + Sigma^(2) / Sigma^(1), independent of the start state."""
     oracle.require_irreducible(p)
-    return _kemeny(p, sigma_sums(p, guard).sigma1, guard)
-
-
-def _kemeny(p: TransitionMatrix, sigma1: Fraction, guard: int) -> Fraction:
+    sigma1 = sigma_sums(p, guard).sigma1
     # a one-state chain has no two-tree forest: Sigma^(2) is an empty sum
     sigma2 = sigma_r(p, 2, guard) if p.n > 1 else Fraction(0)
     return 1 + sigma2 / sigma1
@@ -87,10 +125,9 @@ def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     rs = frozenset(roots)
     if i in rs or j in rs:
         raise ValueError("green_occupation needs i and j outside the root set")
-    w = w_sum(p, rs, guard)
-    if w == 0:
-        raise InfeasibleRootSetError(f"root set {sorted(rs)} has zero forest weight")
-    return w_target_sum(p, rs, i, j, guard) / w
+    w = _weight(p, rs, guard).weight
+    _check_state(p, i)
+    return Fraction(_green_numerator(p, rs, i, j, guard), w)
 
 
 def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
@@ -99,14 +136,11 @@ def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
     rs = frozenset(roots)
     if i in rs:
         raise ValueError("mean_hitting_time needs i outside the root set")
-    w = w_sum(p, rs, guard)
-    if w == 0:
-        raise InfeasibleRootSetError(f"root set {sorted(rs)} has zero forest weight")
-    total = Fraction(0)
-    for j in range(p.n):
-        if j not in rs:
-            total += w_target_sum(p, rs, i, j, guard)
-    return total / w
+    w = _weight(p, rs, guard).weight
+    _check_state(p, i)
+    total = sum(_green_numerator(p, rs, i, j, guard)
+                for j in range(p.n) if j not in rs)
+    return Fraction(total, w)
 
 
 def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
@@ -117,19 +151,27 @@ def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
         raise ValueError("root set must be nonempty")
     if i in rs:
         return tuple(Fraction(1 if j == i else 0) for j in rs)
-    w = w_sum(p, rs, guard)
-    if w == 0:
-        raise InfeasibleRootSetError(f"root set {rs} has zero forest weight")
-    return tuple(w_target_sum(p, rs, i, j, guard) / w for j in rs)
+    got = _weight(p, rs, guard)
+    _check_state(p, i)
+    return tuple(Fraction(got.table.get((i, j), 0), got.weight) for j in rs)
 
 
 # ---------------------------------------------------------------------------
 # Cesaro forest limit
 
 def _class_root_choices(p: TransitionMatrix, guard: int):
+    """(classes, [(R, w_ib(R) table, scale)], total): one root per recurrent
+    class. Each table times its scale, the dens_b of its roots, and the
+    total of those weights are all over the product of every dens_v."""
     rc = oracle.recurrent_classes(p)
-    choices = [frozenset(ch) for ch in itertools.product(*rc.classes)]
-    total = sum((w_sum(p, ch, guard) for ch in choices), Fraction(0))
+    dens = scaled_rows(p)[1]
+    choices = []
+    total = 0
+    for ch in itertools.product(*rc.classes):
+        got = root_set_sums(p, ch, guard)
+        scale = prod(dens[b] for b in ch)
+        choices.append((frozenset(ch), got.table, scale))
+        total += got.weight * scale
     return rc, choices, total
 
 
@@ -144,23 +186,22 @@ def cesaro_forest(p: TransitionMatrix, i: int, j: int,
     rc, choices, total = _class_root_choices(p, guard)
     if rc.class_of(j) is None:
         return Fraction(0)
-    num = Fraction(0)
-    for roots in choices:
-        if j in roots:
-            num += w_target_sum(p, roots, i, j, guard)
-    return num / total
+    _check_state(p, i)
+    num = sum(table.get((i, j), 0) * scale
+              for roots, table, scale in choices if j in roots)
+    return Fraction(num, total)
 
 
 def cesaro_forest_matrix(p: TransitionMatrix,
                          guard: int = DEFAULT_GUARD) -> Matrix:
     """All Cesaro limits at once; rows are probability vectors."""
     _rc, choices, total = _class_root_choices(p, guard)
-    out = [[Fraction(0)] * p.n for _ in range(p.n)]
-    for roots in choices:
+    out = [[0] * p.n for _ in range(p.n)]
+    for roots, table, scale in choices:
         for j in roots:
             for i in range(p.n):
-                out[i][j] += w_target_sum(p, roots, i, j, guard)
-    return tuple(tuple(x / total for x in row) for row in out)
+                out[i][j] += table.get((i, j), 0) * scale
+    return tuple(tuple(Fraction(x, total) for x in row) for row in out)
 
 
 def chung_occupation(p: TransitionMatrix, i: int, j: int, k: int,
@@ -226,7 +267,7 @@ def feasibility(p: TransitionMatrix, roots: Iterable[int],
                 guard: int = DEFAULT_GUARD) -> FeasibilityReport:
     """Evaluate the feasibility conditions separately; they must agree."""
     rs = frozenset(roots)
-    weight_positive = w_sum(p, rs, guard) > 0
+    weight_positive = root_set_sums(p, rs, guard).weight > 0
     exists = False
     for f in enumerate_forests(p.n, rs, guard):
         if forest_weight(f, p) > 0:
@@ -234,7 +275,10 @@ def feasibility(p: TransitionMatrix, roots: Iterable[int],
             break
     unreachable = oracle.states_not_reaching(p, rs)
     keep = [v for v in range(p.n) if v not in rs]
-    lap = [[(1 if a == b else 0) - p.rows[a][b] for b in keep] for a in keep]
+    # L(R) with row a scaled by dens_a: the same determinant up to D_R > 0
+    nums, dens = scaled_rows(p)
+    lap = [[(dens[a] if a == b else 0) - nums[a][b] for b in keep]
+           for a in keep]
     det_nonzero = oracle.exact_det(lap) != 0
     return FeasibilityReport(
         roots=tuple(sorted(rs)),
@@ -259,20 +303,41 @@ class ChainAnalysis:
 
 
 def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
-    """Full tree-formula analysis of an irreducible chain."""
+    """Full tree-formula analysis of an irreducible chain.
+
+    With s_j = w({j}) D_{j} and S = sum_l s_l dens_l: pi_j = s_j dens_j / S,
+    m_jj = S / (s_j dens_j), m_ij = sum_{k != j} t_ik({j, k}) dens_k / s_j
+    with t_ik({j, k}) = w_ik({j, k}) D_{j,k}, and
+    K = 1 + sum_{a < b} w({a, b}) D_{a,b} dens_a dens_b / S.
+    """
     oracle.require_irreducible(p)
-    sums = sigma_sums(p, guard)
-    pi = tuple(s / sums.sigma1 for s in sums.sigma_vector)
     n = p.n
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    # the two-tree tables behind Sigma^(2) also give every Sigma_ij
-    k = _kemeny(p, sums.sigma1, guard)
-    for j in range(n):
-        mat[j][j] = sums.sigma1 / sums.sigma(j)
+    dens = scaled_rows(p)[1]
+    trees, total = _tree_weights(p, guard)
+    # outputs are built as tuple([...]): CPython grows a generator's tuple
+    # from a guessed size and shrinks it, and each such call strands one
+    # freed tuple on a per-size free list; those fill up (about 1 MB more
+    # resident memory after 600 n = 7 chains through analyze and absorption)
+    pi = tuple([Fraction(t, total) for t in trees])
+    # the two-tree tables behind Sigma^(2) also give every Sigma_ij:
+    # sums[j][i] collects sum_k t_ik({j, k}) dens_k
+    sums = [[0] * n for _ in range(n)]
+    pairs = 0
+    for a, b in itertools.combinations(range(n), 2):
+        got = root_set_sums(p, (a, b), guard)
+        table = got.table
+        pairs += got.weight * dens[a] * dens[b]
+        to_a, to_b = sums[a], sums[b]
         for i in range(n):
-            if i != j:
-                mat[i][j] = sigma_pair(p, i, j, "two-forest", guard) / sums.sigma(j)
-    return ChainAnalysis(pi, tuple(tuple(row) for row in mat), k)
+            to_a[i] += table.get((i, b), 0) * dens[b]
+            to_b[i] += table.get((i, a), 0) * dens[a]
+    # s_j = trees[j] / dens[j], so m_ij = sums[j][i] dens_j / trees[j]
+    mfpt = tuple([
+        tuple([Fraction(total, trees[j]) if i == j
+               else Fraction(sums[j][i] * dens[j], trees[j])
+               for j in range(n)])
+        for i in range(n)])
+    return ChainAnalysis(pi, mfpt, Fraction(total + pairs, total))
 
 
 @dataclass(frozen=True)
@@ -290,17 +355,21 @@ def absorption(p: TransitionMatrix, roots: Iterable[int],
                guard: int = DEFAULT_GUARD) -> AbsorptionAnalysis:
     """Tree-formula absorption picture for a feasible root set."""
     rs = sorted(set(roots))
-    w = w_sum(p, rs, guard)
-    if w == 0:
-        raise InfeasibleRootSetError(f"root set {rs} has zero forest weight")
+    base = _weight(p, rs, guard)
+    w, table = base.weight, base.table
     interior = [v for v in range(p.n) if v not in set(rs)]
-    green = tuple(
-        tuple(w_target_sum(p, rs, i, j, guard) / w for j in interior)
-        for i in interior)
-    hit = tuple(
-        tuple(w_target_sum(p, rs, i, j, guard) / w for j in rs)
-        for i in interior)
-    mean_hit = tuple(sum(row, Fraction(0)) for row in green)
+    # G_ij = t_ij(R ∪ {j}) dens_j / W(R), as D_R = D_{R ∪ {j}} dens_j, with
+    # t the integer tables and W(R) = w(R) D_R
+    dens = scaled_rows(p)[1]
+    cols = []
+    for j in interior:
+        col = root_set_sums(p, rs + [j], guard).table
+        cols.append([col.get((i, j), 0) * dens[j] for i in interior])
+    rows = list(zip(*cols))
+    green = tuple([tuple([Fraction(x, w) for x in row]) for row in rows])
+    hit = tuple([tuple([Fraction(table.get((i, b), 0), w) for b in rs])
+                 for i in interior])
+    mean_hit = tuple([Fraction(sum(row), w) for row in rows])
     return AbsorptionAnalysis(tuple(rs), tuple(interior), green, hit, mean_hit)
 
 

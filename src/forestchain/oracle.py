@@ -8,6 +8,12 @@ series for the tree-sum total) and the undirected counting identities
 (Temperley shift, principal-minor sum, complete prism). Graph-side
 structure (reachability, recurrent classes, periodicity) also lives here so
 that every consumer shares one certified decomposition.
+
+The Green, hitting and first-passage solves take I - P with each row i
+scaled by its denominator dens_i (``chains.scaled_rows``), so their systems
+are integer from the start: dens_i delta_ij - num_ij on the left, and
+dens_i e_i, num_ib or dens_i on the right. Each solution entry is then one
+Fraction of two integers.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .chains import (
     TransitionMatrix,
     WeightedDigraph,
     laplacian,
+    scaled_rows,
     weighted_laplacian,
 )
 
@@ -41,12 +48,14 @@ class PeriodicChainError(ValueError):
 # ---------------------------------------------------------------------------
 # determinants and solves
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those lcms."""
     scale = 1
     out = []
     for row in rows:
-        d = lcm(*(x.denominator for x in row))
+        # a list, not a generator: a generator's argument tuple is resized,
+        # and the freed tuples pile up on CPython's per-size free lists
+        d = lcm(*[x.denominator for x in row])
         scale *= d
         out.append([x.numerator * (d // x.denominator) for x in row])
     return out, scale
@@ -95,21 +104,25 @@ def exact_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
         return Fraction(0)
 
 
-def _solve(a: Sequence[Sequence[Fraction]],
-           b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly; raises SingularMatrixError."""
+def _solve(a: Sequence[Sequence[Fraction | int]],
+           b: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
+    """Solve A X = B exactly; raises SingularMatrixError.
+
+    Entries may be Fractions or ints; each row of [A | B] is scaled to
+    integers first, which leaves X unchanged.
+    """
     n = len(a)
-    rows, _ = _integer_rows([list(a[i]) + list(b[i]) for i in range(n)])
+    rows, _ = _integer_rows([[*a[i], *b[i]] for i in range(n)])
     d = _eliminate(rows)
     return [[Fraction(x, d) for x in row[n:]] for row in rows]
 
 
-def _identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _restricted_laplacian(p: TransitionMatrix, keep: Sequence[int]) -> list[list[Fraction]]:
-    return [[(1 if i == j else 0) - p.rows[i][j] for j in keep] for i in keep]
+def _scaled_laplacian(p: TransitionMatrix, keep: Sequence[int]) -> list[list[int]]:
+    """I - P on the states ``keep`` with row i times dens_i, so each entry is
+    the integer dens_i delta_ij - num_ij."""
+    nums, dens = scaled_rows(p)
+    return [[(dens[i] if i == j else 0) - nums[i][j] for j in keep]
+            for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +278,10 @@ def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """L(R)^{-1}, rows and columns indexed by sorted(S \\ R)."""
     rs = set(roots)
     keep = [v for v in range(p.n) if v not in rs]
-    a = _restricted_laplacian(p, keep)
+    dens = scaled_rows(p)[1]
+    b = [[dens[i] if i == j else 0 for j in keep] for i in keep]
     try:
-        inv = _solve(a, _identity(len(keep)))
+        inv = _solve(_scaled_laplacian(p, keep), b)
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {sorted(rs)} infeasible: L(R) is singular") from e
@@ -278,10 +292,10 @@ def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """Hitting matrix rows sorted(S \\ R) by columns sorted(R), exact."""
     rs = sorted(set(roots))
     keep = [v for v in range(p.n) if v not in set(rs)]
-    a = _restricted_laplacian(p, keep)
-    b = [[p.rows[i][j] for j in rs] for i in keep]
+    nums = scaled_rows(p)[0]
+    b = [[nums[i][j] for j in rs] for i in keep]
     try:
-        x = _solve(a, b)
+        x = _solve(_scaled_laplacian(p, keep), b)
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {rs} infeasible: L(R) is singular") from e
@@ -293,12 +307,11 @@ def mfpt_solve(p: TransitionMatrix) -> Matrix:
     require_irreducible(p)
     n = p.n
     pi = stationary_solve(p)
+    dens = scaled_rows(p)[1]
     out = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         keep = [v for v in range(n) if v != j]
-        a = _restricted_laplacian(p, keep)
-        b = [[Fraction(1)] for _ in keep]
-        x = _solve(a, b)
+        x = _solve(_scaled_laplacian(p, keep), [[dens[i]] for i in keep])
         for row, i in zip(x, keep):
             out[i][j] = row[0]
         out[j][j] = 1 / pi[j]
@@ -310,9 +323,14 @@ def fundamental_matrix(p: TransitionMatrix) -> Matrix:
     require_irreducible(p)
     pi = stationary_solve(p)
     n = p.n
-    a = [[(1 if i == j else 0) - p.rows[i][j] + pi[j] for j in range(n)]
-         for i in range(n)]
-    z = _solve(a, _identity(n))
+    # row i times dens_i q, with q the common denominator of pi
+    dens = scaled_rows(p)[1]
+    q = lcm(*[x.denominator for x in pi])
+    pis = [x.numerator * (q // x.denominator) for x in pi]
+    a = [[c * q + pi_j * d for c, pi_j in zip(row, pis)]
+         for row, d in zip(_scaled_laplacian(p, range(n)), dens)]
+    b = [[d * q if i == j else 0 for j in range(n)] for i, d in enumerate(dens)]
+    z = _solve(a, b)
     return tuple(tuple(row) for row in z)
 
 

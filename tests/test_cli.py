@@ -219,6 +219,53 @@ def test_sample_gof_stdout_is_pinned(capsys, tmp_path, mode, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout digests of analyze, hit and green as recorded while the forest sums
+# and the oracle solves still went through a Fraction per entry; Fractions
+# are canonical, so integer-only arithmetic must print the same bytes
+M3_DOC = json.dumps({"n": 3, "rows": [["1/2", "1/2", "0"],
+                                      ["1/1000003", "0", "1000002/1000003"],
+                                      ["2/3", "1/7", "4/21"]]})
+PINNED_DOCS = {"a": A_DOC, "r3": R3_DOC, "c4": C4_DOC, "m3": M3_DOC}
+
+
+@pytest.mark.parametrize("doc,argv,digest", [
+    ("a", ["analyze"],
+     "49d9c1cc7cd441c9c94290211fe177f257c04ed4f725425bf442bf5342792d43"),
+    ("a", ["analyze", "--float"],
+     "e111bcd50ae38f1f42dba0729d4a02c7b0d50e6c604f853d63c3aef4b2b168c3"),
+    ("c4", ["analyze"],
+     "f7c623d50bc469d90114d4546737ad43d483a4615f0327b8528adf9d6cdb3372"),
+    ("c4", ["analyze", "--float"],
+     "a52c8ef1511d5a093608a815ffd58718eebf9293f3a47b763acefa31a8af1a82"),
+    ("m3", ["analyze"],
+     "bdd743513023263ad0473004cfe809a936b8f4ce87cc824205047f79cb76d547"),
+    ("r3", ["hit", "--targets", "1,2", "--from", "0"],
+     "3b64808788051f66e17a7091e7d5f0c105f8300095c925e3f15938b5cba70fc6"),
+    ("a", ["hit", "--targets", "0", "--from", "1"],
+     "f25cf457fe87c48edd26a2b110fd13295310196097f422a840e613d3e17f72cf"),
+    ("a", ["hit", "--targets", "1,2", "--from", "2"],
+     "3a0063091031c8ee84cdd615489268281abd3b387665b8108969ba6812d3822f"),
+    ("c4", ["hit", "--targets", "0,3", "--from", "1", "--float"],
+     "4f852e8d6209f0325e91a9400ac77ab8f9f7e50b512b8edacfea32f8e9aeca9a"),
+    ("m3", ["hit", "--targets", "2", "--from", "0"],
+     "8a8a3e2cbcce83ea247609fb12771ddc8bba69e8c02f0a3f18a449523d2170ad"),
+    ("a", ["green", "--targets", "0"],
+     "1f55e9f35e5e24dd562e7a4303ab8b985a6b0fb4816ab3f4f30bb979f5ef3a70"),
+    ("r3", ["green", "--targets", "1,2"],
+     "8d40e08a0ca735e187abdb8d43665cbd9c0c3217e509fc722f5b809d92eaf9a2"),
+    ("c4", ["green", "--targets", "2", "--float"],
+     "312bdc0e1ace72ac10049249fef1076700529635dc4da7b1300ef592c368f8da"),
+    ("m3", ["green", "--targets", "0"],
+     "45d8cd0fa9dae9f40ee918480ae729b766bebeceac7450736c0d00377d635fd1"),
+])
+def test_exact_stdout_is_pinned(capsys, tmp_path, doc, argv, digest):
+    path = tmp_path / f"{doc}.json"
+    path.write_text(PINNED_DOCS[doc])
+    code, out, _ = run_cli(capsys, [argv[0], "--input", str(path), *argv[1:]])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sample_gof_over_the_guard_prints_no_draws(capsys, monkeypatch):
     import io
     rows = [["1/10"] * 10 for _ in range(10)]

@@ -485,6 +485,13 @@ def test_tree_deletion_reads_no_layer_sums(monkeypatch, fixture_a, u4):
     assert [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs] == expected
 
 
+def test_w_target_sum_rejects_states_out_of_range(u4):
+    # the target joins the root set, so it is checked like a root
+    for i, j in ((1, 4), (1, -1), (7, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            w_target_sum(u4, {0}, i, j)
+
+
 def test_last_exit_state():
     t = RootedForest(4, frozenset({3}), (1, 3, 1, -1))
     # path 0 -> 1 -> 3: last state before the root is 1

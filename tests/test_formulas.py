@@ -18,6 +18,8 @@ from forestchain import (
     green_matrix_solve,
     green_occupation,
     hitting_distribution,
+    hitting_solve,
+    irreducibility_certificate,
     kemeny,
     kemeny_trace,
     mean_hitting_time,
@@ -25,11 +27,12 @@ from forestchain import (
     mfpt,
     mfpt_solve,
     mfpt_via_modified_chain,
+    sigma_r,
     stationary,
     stationary_solve,
     uniform_chain,
 )
-from forestchain import verify
+from forestchain import forests, formulas, verify
 
 from conftest import chain
 
@@ -288,3 +291,87 @@ def test_irreducibility_gatekeeping(r3):
                  lambda: mfpt_via_modified_chain(r3, 0, 1)):
         with pytest.raises(ReducibleChainError):
             call()
+
+
+# ---------------------------------------------------------------------------
+# integer forest sums: one Fraction per output value
+
+# one state; rows mixing denominators 2 and 1000003; zero arcs and
+# self-loops; and a reducible chain, so some of its root sets are infeasible
+EDGE_CHAINS = (
+    [[1]],
+    [[F(1, 2), F(1, 2) - F(1, 1000003), F(1, 1000003)],
+     [F(1, 1000003), 0, F(1000002, 1000003)],
+     [F(2, 3), F(1, 7), F(4, 21)]],
+    [[F(1, 3), F(2, 3), 0, 0],
+     [0, F(1, 2), F(1, 2), 0],
+     [0, 0, 0, 1],
+     [F(3, 4), 0, 0, F(1, 4)]],
+    [[F(1, 2), F(1, 1000003), F(1000001, 2000006), 0],
+     [0, 1, 0, 0],
+     [0, F(1, 2), 0, F(1, 2)],
+     [0, 0, 0, 1]],
+)
+
+
+def test_forest_formulas_read_no_fraction_sums(monkeypatch, fixture_a, r3):
+    # analyze, absorption, sigma_r and the Cesaro matrix combine the integer
+    # root-set tables; none goes through the per-entry Fraction accessors
+    p = verify.random_irreducible_chain(random.Random(3), 5)
+    mixed = chain(EDGE_CHAINS[1])
+
+    def run():
+        return ([analyze(q) for q in (fixture_a, p, mixed)],
+                [absorption(q, roots) for q, roots in
+                 ((fixture_a, {0}), (p, {1, 3}), (r3, {1, 2}), (mixed, {2}))],
+                [sigma_r(q, r) for q in (fixture_a, p, mixed)
+                 for r in range(1, q.n + 1)],
+                [cesaro_forest_matrix(q) for q in (fixture_a, p, r3, mixed)])
+
+    expected = run()
+
+    def no_fraction_sums(*args, **kwargs):
+        raise AssertionError("read a per-entry Fraction forest sum")
+
+    for module in (forests, formulas):
+        for name in ("w_sum", "w_target_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_fraction_sums)
+    assert run() == expected
+    assert expected[0][0].kemeny == F(16, 7)
+    assert expected[0][1].mfpt == mfpt_solve(p)
+
+
+@pytest.mark.parametrize("rows", EDGE_CHAINS)
+def test_routes_agree_on_edge_chains(rows):
+    p = chain(rows)
+    irreducible = irreducibility_certificate(p) is None
+    if irreducible:
+        a = analyze(p)
+        assert a.pi == stationary(p) == stationary_solve(p)
+        assert a.mfpt == mfpt_solve(p)
+        assert a.kemeny == kemeny(p) == kemeny_trace(p)
+    infeasible = 0
+    for k in range(1, p.n + 1):
+        for roots in itertools.combinations(range(p.n), k):
+            interior = [v for v in range(p.n) if v not in roots]
+            if not feasibility(p, roots).feasible:
+                infeasible += 1
+                for call in (lambda: absorption(p, roots),
+                             lambda: green_matrix_solve(p, roots),
+                             lambda: hitting_solve(p, roots),
+                             lambda: mean_hitting_time(p, roots, interior[0]),
+                             lambda: hitting_distribution(p, roots, interior[0])):
+                    with pytest.raises(InfeasibleRootSetError):
+                        call()
+                continue
+            ab = absorption(p, roots)
+            assert ab.green == green_matrix_solve(p, roots)
+            assert ab.hit == hitting_solve(p, roots)
+            for at, i in enumerate(interior):
+                assert ab.mean_hit[at] == sum(ab.green[at], F(0)) \
+                    == mean_hitting_time(p, roots, i)
+                assert ab.hit[at] == hitting_distribution(p, roots, i)
+                for bt, j in enumerate(interior):
+                    assert ab.green[at][bt] == green_occupation(p, roots, i, j)
+    assert (infeasible > 0) == (not irreducible)

@@ -126,6 +126,44 @@ def test_solve_refuses_singular_systems():
         _solve([[F(0), F(1)], [F(0), F(2)]], [[F(1)], [F(1)]])
 
 
+def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
+    # I - P is built with each row scaled by its denominator, so these solves
+    # hand the elimination integers and never build a Fraction Laplacian
+    from forestchain import oracle
+    p = chain([[F(1, 2), F(1, 2) - F(1, 1000003), F(1, 1000003)],
+               [F(1, 1000003), F(0), F(1000002, 1000003)],
+               [F(2, 3), F(1, 7), F(4, 21)]])
+    # mfpt_solve reads pi from this cache; the stationary system may stay
+    # rational
+    stationary_solve(p)
+
+    def run():
+        return (green_matrix_solve(p, {0}), green_matrix_solve(p, {1, 2}),
+                hitting_solve(p, {0}), hitting_solve(p, {0, 2}), mfpt_solve(p))
+
+    expected = run()
+    real = oracle._solve
+    sizes = []
+
+    def integer_rows(a, b):
+        assert all(type(x) is int for row in (*a, *b) for x in row)
+        sizes.append(len(a))
+        return real(a, b)
+
+    def no_fraction_laplacian(*args, **kwargs):
+        raise AssertionError("built I - P over Fractions")
+
+    monkeypatch.setattr(oracle, "_solve", integer_rows)
+    monkeypatch.setattr(oracle, "laplacian", no_fraction_laplacian)
+    assert run() == expected
+    assert sorted(sizes) == [1, 1, 2, 2, 2, 2, 2]
+    assert expected[1] == ((F(2),),)  # 1 / (1 - p_00)
+    m = expected[-1]
+    for i, j in itertools.permutations(range(3), 2):
+        assert m[i][j] == 1 + sum(p.rows[i][k] * m[k][j]
+                                  for k in range(3) if k != j)
+
+
 def test_stationary_solve(fixture_a, d2):
     assert stationary_solve(fixture_a) == (F(3, 7), F(3, 14), F(5, 14))
     assert stationary_solve(d2) == (F(1, 2), F(1, 2))
