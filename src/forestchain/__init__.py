@@ -45,7 +45,6 @@ from .forests import (
     sigma_pair,
     sigma_r,
     sigma_sums,
-    tree_sum,
     w_ec_sums,
     w_sum,
     w_target_sum,

@@ -24,16 +24,19 @@ forest at the free states X of b's tree gives
 w_ib(R) = sum over X containing i of T({b}, X) T(R - {b}, free - X),
 with the other roots merged into one.
 
+Sigma_j = w({j}) and the two-tree Sigma_ij = sum_{k != j} w_ik({j, k})
+come from these sums, and so does every first-passage formula.
+
 One backtracking walker, ``_walk``, serves what the tree sums do not:
 listing forests and cycle-rooted configurations, their exact laws, the
-tree-deletion Sigma_ij (an independent check of the tree sums) and the
-cycle-rooted sums w^ec. It assigns the free states in ascending order,
-trying targets in ascending order, so configurations come out in
-``itertools.product`` order with the cyclic ones dropped. It follows only
-positive-probability arcs of a chain, rejects an arc the moment it closes a
-cycle (the cycle-rooted case keeps it) and carries the integer prefix
-product down. No configuration is stored: a walk holds one length-n vector
-per level.
+tree-deletion Sigma_ij (the reference the two-tree Sigma_ij is checked
+against) and the cycle-rooted sums w^ec. It assigns the free states in
+ascending order, trying targets in ascending order, so configurations come
+out in ``itertools.product`` order with the cyclic ones dropped. It
+follows only positive-probability arcs of a chain, rejects an arc the
+moment it closes a cycle (the cycle-rooted case keeps it) and carries the
+integer prefix product down. No configuration is stored: a walk holds one
+length-n vector per level.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ __all__ = [
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
     "forest_weight", "ecrsf_weight", "RootSetSums", "root_set_sums",
     "w_sum", "w_target_sum", "sigma_sums",
-    "sigma_r", "sigma_pair", "tree_sum", "last_exit_state", "w_ec_sums",
+    "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums",
     "exact_law", "forest_from_json", "ecrsf_from_json",
 ]
 
@@ -780,23 +783,25 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
     if not (0 <= i < p.n and 0 <= j < p.n):
         raise ValueError(f"states ({i},{j}) out of range")
     if method == "two-forest":
+        # every root set {j, k} leaves the same n - 2 states free
+        _check_guard(p.n, frozenset([i, j]), guard)
         dens = _scaled_rows(p)[1]
         total = 0
         for k in range(p.n):
             if k != j:
-                got = root_set_sums(p, (j, k), guard)
+                got = _root_set_sums(p, frozenset([j, k]))
                 total += got.table.get((i, k), 0) * dens[k]
         # w_ik({j, k}) is an integer over D_{j,k} = prod(dens) / (dens_j dens_k)
         return Fraction(total * dens[j], prod(dens))
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
     _check_guard(p.n, frozenset([j]), guard)
-    return _tree_deletion_row(p, j)[1][i]
+    return _tree_deletion_row(p, j)[i]
 
 
 @lru_cache(maxsize=_TREE_DELETION_CACHE_SIZE)
 def _tree_deletion_row(p: TransitionMatrix, j: int):
-    """(Sigma_j, Sigma_ij by tree deletion for every start state i, 0 at i = j).
+    """Sigma_ij by tree deletion for every start state i, 0 at i = j.
 
     A tree's term for i depends on i only through k(i, j, t), the last state
     before j on i's branch, so one walk over the trees rooted at j sums the
@@ -819,11 +824,9 @@ def _tree_deletion_row(p: TransitionMatrix, j: int):
             head[v] = k
         key = tuple(head)
         groups[key] = groups.get(key, 0) + w
-    total = 0
     row = [0] * n
     for head, w in groups.items():
         children = {k for k in head if k >= 0}
-        total += w * prod(nums[h][j] for h in children)
         share = {}
         for k in children:
             x = w * dens[k]
@@ -835,15 +838,7 @@ def _tree_deletion_row(p: TransitionMatrix, j: int):
             if k >= 0:
                 row[i] += share[k]
     denom = prod(dens[v] for v in free)
-    return Fraction(total, denom), tuple(Fraction(x, denom) for x in row)
-
-
-def tree_sum(p: TransitionMatrix, j: int, guard: int = DEFAULT_GUARD) -> Fraction:
-    """Sigma_j = w({j}) from the same tree walk as tree-deletion sigma_pair."""
-    if not 0 <= j < p.n:
-        raise ValueError(f"state {j} out of range")
-    _check_guard(p.n, frozenset([j]), guard)
-    return _tree_deletion_row(p, j)[0]
+    return tuple(Fraction(x, denom) for x in row)
 
 
 def last_exit_state(t: RootedForest, i: int) -> int:

@@ -42,8 +42,8 @@ from .forests import (
     sigma_pair,
     sigma_r,
     sigma_sums,
-    tree_sum,
     w_ec_sums,
+    w_sum,
 )
 
 
@@ -97,17 +97,21 @@ def mean_return_time(p: TransitionMatrix, j: int,
 
 def mfpt(p: TransitionMatrix, i: int, j: int,
          guard: int = DEFAULT_GUARD) -> Fraction:
-    """m_ij = Sigma_ij / Sigma_j for i != j."""
+    """m_ij = Sigma_ij / Sigma_j for i != j, both from the tree sums.
+
+    Sigma_j = w({j}), and Sigma_ij is the two-tree sum
+    sum_{k != j} w_ik({j, k}), as in ``analyze``. The tree-deletion
+    Sigma_ij stays the reference that ``verify``'s treealg suite compares
+    the two-tree sums with.
+    """
     if i == j:
         raise ValueError("mfpt needs i != j; use mean_return_time for i = j")
     oracle.require_irreducible(p)
-    # numerator and tree sum come from one tree walk, not the tree sums
-    # that analyze uses, so the two routes to m_ij stay independent
-    sij = sigma_pair(p, i, j, "tree-deletion", guard)
-    sj = tree_sum(p, j, guard)
-    if sj == 0:
-        raise InfeasibleRootSetError(f"tree sum at state {j} vanishes")
-    return sij / sj
+    if not (0 <= i < p.n and 0 <= j < p.n):
+        raise ValueError(f"states ({i},{j}) out of range")
+    # w({j}) first: its guard check covers the n - 1 free states of a tree
+    sj = w_sum(p, (j,), guard)
+    return sigma_pair(p, i, j, "two-forest", guard) / sj
 
 
 def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:

@@ -280,22 +280,10 @@ def _check_ec_feasible(p: TransitionMatrix, alpha: CycleWeights,
         raise EnumerationGuardError(
             f"{len(stranded)} states need a cycle search, above the guard of "
             f"{guard}; pass a larger guard to override")
+    # no path leaves the stranded set, so a stranded state that reaches a
+    # good cycle at all reaches it inside that set
     good = _positive_cycle_states(p, alpha, stranded)
-    reached = set(good)
-    frontier = list(good)
-    rev: dict[int, list[int]] = {v: [] for v in stranded}
-    support = p.support()
-    for v in stranded:
-        for u in support[v]:
-            if u in stranded:
-                rev[u].append(v)
-    while frontier:
-        u = frontier.pop()
-        for v in rev[u]:
-            if v not in reached:
-                reached.add(v)
-                frontier.append(v)
-    missing = stranded - reached
+    missing = stranded.intersection(oracle.states_not_reaching(p, good))
     if missing:
         raise InfeasibleRootSetError(
             f"states {sorted(missing)} reach neither the roots {sorted(roots)} "

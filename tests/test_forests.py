@@ -24,7 +24,6 @@ from forestchain import (
     irreducibility_certificate,
     laplacian,
     last_exit_state,
-    mfpt,
     sigma_pair,
     sigma_r,
     sigma_sums,
@@ -452,12 +451,12 @@ def test_sigma_pair_matches_tree_definition(fixture_a, u4):
 
 
 def test_tree_deletion_reads_no_pair_tables(monkeypatch, fixture_a, u4):
-    # the forest route's Sigma_ij must stay independent of the two-forest
+    # the tree-deletion Sigma_ij must stay independent of the two-forest
     # tables it is checked against
     chains = _reference_chains(fixture_a, u4)
     pairs = [(p, i, j) for p in chains
              for i, j in itertools.permutations(range(p.n), 2)]
-    expected = [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs]
+    expected = [sigma_pair(p, i, j) for p, i, j in pairs]
     real = forests._root_set_sums
 
     def singletons_only(p, roots):
@@ -466,23 +465,23 @@ def test_tree_deletion_reads_no_pair_tables(monkeypatch, fixture_a, u4):
 
     monkeypatch.setattr(forests, "_root_set_sums", singletons_only)
     _tree_deletion_row.cache_clear()
-    assert [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs] == expected
+    assert [sigma_pair(p, i, j) for p, i, j in pairs] == expected
 
 
 def test_tree_deletion_reads_no_layer_sums(monkeypatch, fixture_a, u4):
-    # tree-deletion Sigma_ij and mfpt come from the tree walk alone, so
-    # treealg compares two different algorithms
+    # tree-deletion Sigma_ij comes from the tree walk alone, so treealg
+    # compares two different algorithms
     chains = _reference_chains(fixture_a, u4)
     pairs = [(p, i, j) for p in chains
              for i, j in itertools.permutations(range(p.n), 2)]
-    expected = [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs]
+    expected = [sigma_pair(p, i, j) for p, i, j in pairs]
 
     def no_layers(p):
         raise AssertionError("tree deletion read the layer sums")
 
     monkeypatch.setattr(forests, "_layer_sums", no_layers)
     _tree_deletion_row.cache_clear()
-    assert [(sigma_pair(p, i, j), mfpt(p, i, j)) for p, i, j in pairs] == expected
+    assert [sigma_pair(p, i, j) for p, i, j in pairs] == expected
 
 
 def test_w_target_sum_rejects_states_out_of_range(u4):

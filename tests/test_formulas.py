@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -165,13 +166,35 @@ def test_one_state_chain():
 
 
 def test_analyze_two_forest_mfpt_matches_tree_deletion(fixture_a):
-    # analyze reads Sigma_ij from two-tree tables, mfpt deletes tree edges
+    # analyze reads Sigma_ij from two-tree tables; tree deletion walks the
+    # trees rooted at j
     sparse = verify.random_irreducible_chain(random.Random(6), 6)
     assert any(x == 0 for row in sparse.rows for x in row)
     for p in (fixture_a, sparse):
         m = analyze(p).mfpt
         for i, j in itertools.permutations(range(p.n), 2):
-            assert m[i][j] == mfpt(p, i, j)
+            assert m[i][j] == (forests.sigma_pair(p, i, j, "tree-deletion")
+                               / forests.w_sum(p, {j}))
+
+
+def test_first_passage_formulas_read_no_tree_deletion(monkeypatch, fixture_a):
+    # mfpt and chung_occupation read the tree sums; tree deletion is only
+    # the reference they are checked against
+    sparse = verify.random_irreducible_chain(random.Random(6), 6)
+    chains = (fixture_a, sparse)
+    expected = [mfpt_solve(p) for p in chains]
+
+    def no_walk(p, j):
+        raise AssertionError("read the tree-deletion walk")
+
+    monkeypatch.setattr(forests, "_tree_deletion_row", no_walk)
+    for p, m in zip(chains, expected):
+        for i, j in itertools.permutations(range(p.n), 2):
+            assert mfpt(p, i, j) == m[i][j]
+        for i, j, k in itertools.product(range(p.n), repeat=3):
+            if k not in (i, j):
+                assert (chung_occupation(p, i, j, k)
+                        == green_occupation(p, {k}, i, j))
 
 
 def test_analyze_dense_n8_matches_oracle():
@@ -192,9 +215,18 @@ def test_analyze_dense_n9_matches_oracle():
                                                for c in range(n)))
                 for j in range(n)] for i in range(n)])
     a = analyze(p)
+    m = mfpt_solve(p)
     assert a.pi == stationary_solve(p)
-    assert a.mfpt == mfpt_solve(p)
+    assert a.mfpt == m
     assert a.kemeny == kemeny_trace(p)
+    # mfpt and chung_occupation read the same tree sums as analyze; a walk
+    # over the trees rooted at each target took 9 to 15 s per target here
+    # on a 2-vCPU host
+    start = time.perf_counter()
+    for i, j in itertools.permutations(range(n), 2):
+        assert mfpt(p, i, j) == m[i][j]
+    assert chung_occupation(p, 2, 5, 7) == green_occupation(p, {7}, 2, 5)
+    assert time.perf_counter() - start < 5
 
 
 def test_cesaro_forest(fixture_a, r3):

@@ -27,6 +27,7 @@ from forestchain import (
     sample_forests,
     sample_trees,
     uniform_chain,
+    w_ec_sums,
     w_sum,
     wilson_forest,
     wilson_tree,
@@ -34,6 +35,7 @@ from forestchain import (
 
 from forestchain import oracle, wilson
 from forestchain.forests import canonical_cycle
+from forestchain.verify import random_chain
 from forestchain.wilson import _Stepper, _chi2_sf
 
 from conftest import chain
@@ -181,6 +183,44 @@ def test_kkw_feasibility_depends_on_alpha(r3):
     e = kkw_sample(r3, CycleWeights.constant(1), {1}, cfg)
     cycle_states = {s for cyc in e.cycles for s in cyc}
     assert 2 in cycle_states
+
+
+def test_kkw_refuses_exactly_when_cycle_rooted_weight_vanishes():
+    # alpha is zero on every cycle through state 3, so of the two stranded
+    # classes {1, 2} and {3, 4} only the first reaches a positive cycle
+    alpha = CycleWeights(lambda cyc: 0 if 3 in cyc else F(1, 2))
+    cfg = SamplerConfig(seed=5, sample_count=1, alpha=alpha)
+    two_classes = chain([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0],
+                         [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]])
+    assert w_ec_sums(two_classes, alpha, {0})[0] == 0
+    with pytest.raises(InfeasibleRootSetError) as info:
+        sample_ecrsf(two_classes, {0}, cfg)
+    assert str(info.value) == (
+        "states [3, 4] reach neither the roots [0] nor a positive-weight "
+        "cycle: total cycle-rooted weight is zero")
+    # an arc 4 -> 1 lets {3, 4} drain into the positive cycle
+    drained = chain([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0],
+                     [0, 0, 0, 0, 1], [0, F(1, 2), 0, F(1, 2), 0]])
+    assert w_ec_sums(drained, alpha, {0})[0] > 0
+    assert len(sample_ecrsf(drained, {0}, cfg)) == 1
+    # seeded sparse chains, self-loops included, under a rule that is zero
+    # on every cycle whose states add up to an even number
+    parity = CycleWeights(lambda cyc: F(1, len(cyc)) if sum(cyc) % 2 else 0)
+    rng = random.Random(2027)
+    outcomes = set()
+    for t in range(200):
+        n = rng.randint(2, 5)
+        p = random_chain(rng, n)
+        roots = rng.sample(range(n), rng.randint(0, 2))
+        total = w_ec_sums(p, parity, roots)[0]
+        try:
+            sample_ecrsf(p, roots, replace(cfg, seed=t, alpha=parity))
+            refused = False
+        except InfeasibleRootSetError:
+            refused = True
+        assert refused == (total == 0), (p.rows, roots)
+        outcomes.add(refused)
+    assert outcomes == {False, True}
 
 
 def test_kkw_requires_alpha(fixture_a):
