@@ -3,10 +3,11 @@
 This module is the counting side: w(R), w_ij(R), Sigma_j, Sigma^(r),
 Sigma_ij and w^ec are exact sums over forests, with no determinant and no
 solve. Rows are scaled to integers once per chain (``chains.scaled_rows``),
-so a forest's weight is an integer over D_R, the product of the free
-states' row denominators. Each root set keeps its sums as integers over
-D_R (``root_set_sums``); a sum over several root sets brings them to one
-denominator and makes a single Fraction per output value.
+so a forest's weight is an integer over the product of the free states' row
+denominators. Each root set keeps its sums times the row denominators of
+its roots as well (``root_set_sums``), so every sum of a chain is an
+integer over one denominator, the product of all its row denominators, and
+a ratio of sums is a single Fraction of two integers.
 
 The forest sums w(R) and w_ij(R) are built from rooted-tree sums.
 T(B, X) is the weight of the forests on X ∪ B rooted at B, with the states
@@ -505,10 +506,11 @@ def _subsets(mask: int) -> list[int]:
 class RootSetSums(NamedTuple):
     """The forest sums of one root set R as integers over one denominator.
 
-    ``weight`` is w(R) D_R and ``table[(i, b)]`` is w_ib(R) D_R, the weight
-    of the forests in which i's tree has root b, nonzero entries only, i
-    over all states. D_R = ``denom`` is the product of dens_v over the free
-    states v, with dens_v the lcm of row v's denominators.
+    ``weight`` is w(R) D and ``table[(i, b)]`` is w_ib(R) D, the weight of
+    the forests in which i's tree has root b, nonzero entries only, i over
+    all states. D = ``denom`` is the product of dens_v over every state v,
+    with dens_v the lcm of row v's denominators: the same for every root
+    set of a chain.
     """
 
     weight: int
@@ -530,6 +532,7 @@ class _TreeSums:
     def __init__(self, p: TransitionMatrix):
         self.n = p.n
         self.nums, self.dens = _scaled_rows(p)
+        self.denom = prod(self.dens)
         self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
         self.tables: dict[frozenset[int], tuple] = {}
 
@@ -617,9 +620,10 @@ class _TreeSums:
             col[x] = t
         return col
 
-    def _split(self, roots: frozenset[int], free: int):
+    def _split(self, roots: frozenset[int], free: int, scale: int):
         """({(i, b): w_ib(R)}, w(R)) for a root set of two or more, both
-        integers over D_R.
+        integers over D_R, the product of the free rows' denominators, and
+        then times ``scale``.
 
         The last root's shares come by difference: every free state's tree
         has one root, so the w_ib(R) over b in R add up to w(R).
@@ -646,23 +650,25 @@ class _TreeSums:
                 left = [share[b]] * n  # a root's share at itself is w(R)
             for i, t in enumerate(share):
                 if t:
-                    table[(i, b)] = t
+                    table[(i, b)] = t * scale
                     left[i] -= t
         for i, t in enumerate(left):
             if t:
-                table[(i, last)] = t
-        return table, left[last]
+                table[(i, last)] = t * scale
+        return table, left[last] * scale
 
     def root_set(self, roots: frozenset[int]) -> RootSetSums:
-        """w(R) and {(i, b): w_ib(R)} as integers over D_R, nonzero entries
-        only, i over all states.
+        """w(R) and {(i, b): w_ib(R)} as integers over the chain's
+        denominator, nonzero entries only, i over all states.
 
         A forest rooted at R splits at the free states X of b's tree:
         w_ib(R) sums T({b}, X) T(R - {b}, free - X) over the X that contain
         i, and over every X when i = b, which gives w(R). The other roots
         act as one merged root, pulling each state with the sum of its
         arcs into them. A forest with one root b is a spanning tree, whose
-        weight the memo entry of all n states holds at b.
+        weight the memo entry of all n states holds at b. Both come over
+        D_R, the product of the free rows' denominators, and are multiplied
+        by the roots' ones once, here.
         """
         got = self.tables.get(roots)
         if got is not None:
@@ -673,18 +679,18 @@ class _TreeSums:
         full = (1 << n) - 1
         free = full ^ sum(1 << v for v in roots)
         memo = self.memo
+        scale = prod(self.dens[b] for b in roots)
         if len(roots) == 1:
             (b,) = roots
             if full not in memo:
                 self._fill(_subsets(full))
-            w = memo[full][0][b]
+            w = memo[full][0][b] * scale
             table = dict.fromkeys([(i, b) for i in range(n)], w) if w else {}
         else:
-            table, w = self._split(roots, free)
+            table, w = self._split(roots, free, scale)
         if len(self.tables) >= _ROOT_SET_CACHE_SIZE:
             del self.tables[next(iter(self.tables))]
-        denom = prod(self.dens[v] for v in range(n) if v not in roots)
-        got = self.tables[roots] = RootSetSums(w, table, denom)
+        got = self.tables[roots] = RootSetSums(w, table, self.denom)
         return got
 
 
@@ -699,11 +705,10 @@ def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]) -> RootSetSums:
 
 def root_set_sums(p: TransitionMatrix, roots: Iterable[int],
                   guard: int = DEFAULT_GUARD) -> RootSetSums:
-    """Integer forest sums of the root set R: w(R) and every w_ib(R) over D_R.
+    """Integer forest sums of the root set R: w(R) and every w_ib(R), over
+    a denominator shared by every root set of the chain.
 
-    The result is cached and shared: read it, do not change it. Callers
-    that combine several root sets scale each by the row denominators of
-    its roots, which brings them all over the product of every dens_v.
+    The result is cached and shared: read it, do not change it.
     """
     rs = _check_roots(p.n, roots)
     _check_guard(p.n, rs, guard)
@@ -744,24 +749,18 @@ class ForestSums:
 def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     """Tree sums Sigma_j = w({j}) and their total Sigma^(1)."""
     sums = [root_set_sums(p, (j,), guard) for j in range(p.n)]
-    dens = _scaled_rows(p)[1]
-    # w({j}) D_{j} dens_j = w({j}) prod(dens)
-    total = sum(got.weight * d for got, d in zip(sums, dens))
-    return ForestSums(tuple(Fraction(got.weight, got.denom) for got in sums),
-                      Fraction(total, prod(dens)))
+    denom = sums[0].denom
+    return ForestSums(tuple(Fraction(got.weight, denom) for got in sums),
+                      Fraction(sum(got.weight for got in sums), denom))
 
 
 def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """Sigma^(r): total weight of forests with exactly r trees, any root sets."""
     if not 1 <= r <= p.n:
         raise ValueError(f"tree count {r} out of range 1..{p.n}")
-    dens = _scaled_rows(p)[1]
-    total = 0
-    for roots in itertools.combinations(range(p.n), r):
-        # w(R) D_R prod_{b in R} dens_b = w(R) prod(dens)
-        total += (root_set_sums(p, roots, guard).weight
-                  * prod(dens[b] for b in roots))
-    return Fraction(total, prod(dens))
+    sums = [root_set_sums(p, roots, guard)
+            for roots in itertools.combinations(range(p.n), r)]
+    return Fraction(sum(got.weight for got in sums), sums[0].denom)
 
 
 def sigma_pair(p: TransitionMatrix, i: int, j: int,
@@ -785,14 +784,9 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
     if method == "two-forest":
         # every root set {j, k} leaves the same n - 2 states free
         _check_guard(p.n, frozenset([i, j]), guard)
-        dens = _scaled_rows(p)[1]
-        total = 0
-        for k in range(p.n):
-            if k != j:
-                got = _root_set_sums(p, frozenset([j, k]))
-                total += got.table.get((i, k), 0) * dens[k]
-        # w_ik({j, k}) is an integer over D_{j,k} = prod(dens) / (dens_j dens_k)
-        return Fraction(total * dens[j], prod(dens))
+        total = sum(_root_set_sums(p, frozenset([j, k])).table.get((i, k), 0)
+                    for k in range(p.n) if k != j)
+        return Fraction(total, _layer_sums(p).denom)
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
     _check_guard(p.n, frozenset([j]), guard)

@@ -7,13 +7,10 @@ operation here has an independent linear-algebra counterpart in
 ``oracle``; the two routes are kept separate on purpose and compared in the
 test and verify suites.
 
-The forest sums arrive as integers over a known denominator
-(``forests.root_set_sums``): D_R, the product of the row denominators dens_v
-of the states v outside R. A ratio of two sums is then a ratio of integers
-once both are brought to one denominator, and each output value is a single
-Fraction of two integers. Two facts do that: D_R = D_{R ∪ {j}} dens_j, and
-w(R) D_R times the dens_b of the roots b is w(R) times the product of every
-dens_v, the same for all R.
+The forest sums arrive as integers (``forests.root_set_sums``) over one
+denominator per chain, shared by all its root sets. Every quantity here is
+a ratio of such sums, so each output value is a single Fraction of two of
+those integers, with no rescaling.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Iterable
 
 from . import oracle
@@ -39,11 +35,7 @@ from .forests import (
     enumerate_forests,
     forest_weight,
     root_set_sums,
-    sigma_pair,
-    sigma_r,
-    sigma_sums,
     w_ec_sums,
-    w_sum,
 )
 
 
@@ -52,13 +44,22 @@ def _check_state(p: TransitionMatrix, i: int) -> None:
         raise ValueError(f"state {i} out of range")
 
 
+def _check_pair(p: TransitionMatrix, i: int, j: int) -> None:
+    if not (0 <= i < p.n and 0 <= j < p.n):
+        raise ValueError(f"states ({i},{j}) out of range")
+
+
 def _tree_weights(p: TransitionMatrix, guard: int) -> tuple[list[int], int]:
-    """Sigma_j times the product of every dens_v, for each j, and their total
-    (Sigma^(1) on the same scale)."""
-    dens = scaled_rows(p)[1]
-    trees = [root_set_sums(p, (j,), guard).weight * dens[j]
-             for j in range(p.n)]
+    """The integer tree sums Sigma_j = w({j}) and their total Sigma^(1)."""
+    trees = [root_set_sums(p, (j,), guard).weight for j in range(p.n)]
     return trees, sum(trees)
+
+
+def _two_tree(p: TransitionMatrix, i: int, j: int, guard: int) -> int:
+    """The integer Sigma_ij = sum_{k != j} w_ik({j, k}); 0 at i = j, as j's
+    tree has root j in every such forest."""
+    return sum(root_set_sums(p, (j, k), guard).table.get((i, k), 0)
+               for k in range(p.n) if k != j)
 
 
 def _weight(p: TransitionMatrix, roots: Iterable[int],
@@ -69,13 +70,6 @@ def _weight(p: TransitionMatrix, roots: Iterable[int],
         raise InfeasibleRootSetError(
             f"root set {sorted(set(roots))} has zero forest weight")
     return got
-
-
-def _green_numerator(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
-                     guard: int) -> int:
-    """w_ij(R ∪ {j}) D_R: the Green numerator over w(R)'s denominator."""
-    got = root_set_sums(p, frozenset(roots) | {j}, guard)
-    return got.table.get((i, j), 0) * scaled_rows(p)[1][j]
 
 
 def stationary(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> tuple[Fraction, ...]:
@@ -89,9 +83,8 @@ def mean_return_time(p: TransitionMatrix, j: int,
                      guard: int = DEFAULT_GUARD) -> Fraction:
     """m_jj = Sigma^(1) / Sigma_j."""
     oracle.require_irreducible(p)
+    _check_state(p, j)
     trees, total = _tree_weights(p, guard)
-    if trees[j] == 0:
-        raise InfeasibleRootSetError(f"tree sum at state {j} vanishes")
     return Fraction(total, trees[j])
 
 
@@ -107,20 +100,19 @@ def mfpt(p: TransitionMatrix, i: int, j: int,
     if i == j:
         raise ValueError("mfpt needs i != j; use mean_return_time for i = j")
     oracle.require_irreducible(p)
-    if not (0 <= i < p.n and 0 <= j < p.n):
-        raise ValueError(f"states ({i},{j}) out of range")
+    _check_pair(p, i, j)
     # w({j}) first: its guard check covers the n - 1 free states of a tree
-    sj = w_sum(p, (j,), guard)
-    return sigma_pair(p, i, j, "two-forest", guard) / sj
+    sj = root_set_sums(p, (j,), guard).weight
+    return Fraction(_two_tree(p, i, j, guard), sj)
 
 
 def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:
     """K = 1 + Sigma^(2) / Sigma^(1), independent of the start state."""
     oracle.require_irreducible(p)
-    sigma1 = sigma_sums(p, guard).sigma1
-    # a one-state chain has no two-tree forest: Sigma^(2) is an empty sum
-    sigma2 = sigma_r(p, 2, guard) if p.n > 1 else Fraction(0)
-    return 1 + sigma2 / sigma1
+    total = _tree_weights(p, guard)[1]
+    pairs = sum(root_set_sums(p, roots, guard).weight
+                for roots in itertools.combinations(range(p.n), 2))
+    return Fraction(total + pairs, total)
 
 
 def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -131,7 +123,7 @@ def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
         raise ValueError("green_occupation needs i and j outside the root set")
     w = _weight(p, rs, guard).weight
     _check_state(p, i)
-    return Fraction(_green_numerator(p, rs, i, j, guard), w)
+    return Fraction(root_set_sums(p, rs | {j}, guard).table.get((i, j), 0), w)
 
 
 def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
@@ -142,7 +134,7 @@ def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
         raise ValueError("mean_hitting_time needs i outside the root set")
     w = _weight(p, rs, guard).weight
     _check_state(p, i)
-    total = sum(_green_numerator(p, rs, i, j, guard)
+    total = sum(root_set_sums(p, rs | {j}, guard).table.get((i, j), 0)
                 for j in range(p.n) if j not in rs)
     return Fraction(total, w)
 
@@ -164,18 +156,15 @@ def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
 # Cesaro forest limit
 
 def _class_root_choices(p: TransitionMatrix, guard: int):
-    """(classes, [(R, w_ib(R) table, scale)], total): one root per recurrent
-    class. Each table times its scale, the dens_b of its roots, and the
-    total of those weights are all over the product of every dens_v."""
+    """(classes, [(R, w_ib(R) table)], total of the w(R)): one root per
+    recurrent class."""
     rc = oracle.recurrent_classes(p)
-    dens = scaled_rows(p)[1]
     choices = []
     total = 0
     for ch in itertools.product(*rc.classes):
         got = root_set_sums(p, ch, guard)
-        scale = prod(dens[b] for b in ch)
-        choices.append((frozenset(ch), got.table, scale))
-        total += got.weight * scale
+        choices.append((frozenset(ch), got.table))
+        total += got.weight
     return rc, choices, total
 
 
@@ -187,12 +176,12 @@ def cesaro_forest(p: TransitionMatrix, i: int, j: int,
     the probability that the random forest puts i in a tree rooted at j.
     Zero for transient j. Works for reducible chains.
     """
+    _check_state(p, i)
+    _check_state(p, j)
     rc, choices, total = _class_root_choices(p, guard)
     if rc.class_of(j) is None:
         return Fraction(0)
-    _check_state(p, i)
-    num = sum(table.get((i, j), 0) * scale
-              for roots, table, scale in choices if j in roots)
+    num = sum(table.get((i, j), 0) for roots, table in choices if j in roots)
     return Fraction(num, total)
 
 
@@ -201,23 +190,30 @@ def cesaro_forest_matrix(p: TransitionMatrix,
     """All Cesaro limits at once; rows are probability vectors."""
     _rc, choices, total = _class_root_choices(p, guard)
     out = [[0] * p.n for _ in range(p.n)]
-    for roots, table, scale in choices:
+    for roots, table in choices:
         for j in roots:
             for i in range(p.n):
-                out[i][j] += table.get((i, j), 0) * scale
+                out[i][j] += table.get((i, j), 0)
     return tuple(tuple(Fraction(x, total) for x in row) for row in out)
 
 
 def chung_occupation(p: TransitionMatrix, i: int, j: int, k: int,
                      guard: int = DEFAULT_GUARD) -> Fraction:
-    """(m_ik + m_kj - m_ij 1{i!=j}) / m_jj, the occupation-before-k identity."""
+    """(m_ik + m_kj - m_ij 1{i!=j}) / m_jj, the occupation-before-k identity.
+
+    With m_ab = S_ab / W_b and m_jj = Sigma^(1) / W_j, where S_ab is the
+    two-tree Sigma_ab and W_b = w({b}), this is
+    (S_ik W_j + (S_kj - S_ij) W_k) / (Sigma^(1) W_k); S_jj = 0.
+    """
     if i == k or j == k:
         raise ValueError("chung_occupation needs i != k and j != k")
     oracle.require_irreducible(p)
-    m_ik = mfpt(p, i, k, guard)
-    m_kj = mfpt(p, k, j, guard)
-    m_ij = mfpt(p, i, j, guard) if i != j else Fraction(0)
-    return (m_ik + m_kj - m_ij) / mean_return_time(p, j, guard)
+    _check_pair(p, i, k)
+    trees, total = _tree_weights(p, guard)
+    _check_pair(p, k, j)
+    num = (_two_tree(p, i, k, guard) * trees[j]
+           + (_two_tree(p, k, j, guard) - _two_tree(p, i, j, guard)) * trees[k])
+    return Fraction(num, total * trees[k])
 
 
 def ecrsf_stopped_distribution(
@@ -231,8 +227,7 @@ def ecrsf_stopped_distribution(
     is on loop formation and the vector is empty.
     """
     rs = sorted(set(roots))
-    if not 0 <= i < p.n:
-        raise ValueError(f"state {i} out of range")
+    _check_state(p, i)
     if i in rs:
         return tuple(Fraction(1 if j == i else 0) for j in rs), Fraction(1)
     total, table = w_ec_sums(p, CycleWeights.constant(1), rs, guard)
@@ -279,7 +274,8 @@ def feasibility(p: TransitionMatrix, roots: Iterable[int],
             break
     unreachable = oracle.states_not_reaching(p, rs)
     keep = [v for v in range(p.n) if v not in rs]
-    # L(R) with row a scaled by dens_a: the same determinant up to D_R > 0
+    # L(R) with row a scaled by dens_a: the same determinant up to the
+    # product of those dens_a > 0
     nums, dens = scaled_rows(p)
     lap = [[(dens[a] if a == b else 0) - nums[a][b] for b in keep]
            for a in keep]
@@ -309,14 +305,13 @@ class ChainAnalysis:
 def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
     """Full tree-formula analysis of an irreducible chain.
 
-    With s_j = w({j}) D_{j} and S = sum_l s_l dens_l: pi_j = s_j dens_j / S,
-    m_jj = S / (s_j dens_j), m_ij = sum_{k != j} t_ik({j, k}) dens_k / s_j
-    with t_ik({j, k}) = w_ik({j, k}) D_{j,k}, and
-    K = 1 + sum_{a < b} w({a, b}) D_{a,b} dens_a dens_b / S.
+    With Sigma_j = w({j}) and Sigma^(1) = sum_l Sigma_l: pi_j =
+    Sigma_j / Sigma^(1), m_jj = Sigma^(1) / Sigma_j,
+    m_ij = sum_{k != j} w_ik({j, k}) / Sigma_j and
+    K = 1 + sum_{a < b} w({a, b}) / Sigma^(1).
     """
     oracle.require_irreducible(p)
     n = p.n
-    dens = scaled_rows(p)[1]
     trees, total = _tree_weights(p, guard)
     # outputs are built as tuple([...]): CPython grows a generator's tuple
     # from a guessed size and shrinks it, and each such call strands one
@@ -324,21 +319,20 @@ def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
     # resident memory after 600 n = 7 chains through analyze and absorption)
     pi = tuple([Fraction(t, total) for t in trees])
     # the two-tree tables behind Sigma^(2) also give every Sigma_ij:
-    # sums[j][i] collects sum_k t_ik({j, k}) dens_k
+    # sums[j][i] collects sum_k w_ik({j, k})
     sums = [[0] * n for _ in range(n)]
     pairs = 0
     for a, b in itertools.combinations(range(n), 2):
         got = root_set_sums(p, (a, b), guard)
         table = got.table
-        pairs += got.weight * dens[a] * dens[b]
+        pairs += got.weight
         to_a, to_b = sums[a], sums[b]
         for i in range(n):
-            to_a[i] += table.get((i, b), 0) * dens[b]
-            to_b[i] += table.get((i, a), 0) * dens[a]
-    # s_j = trees[j] / dens[j], so m_ij = sums[j][i] dens_j / trees[j]
+            to_a[i] += table.get((i, b), 0)
+            to_b[i] += table.get((i, a), 0)
     mfpt = tuple([
         tuple([Fraction(total, trees[j]) if i == j
-               else Fraction(sums[j][i] * dens[j], trees[j])
+               else Fraction(sums[j][i], trees[j])
                for j in range(n)])
         for i in range(n)])
     return ChainAnalysis(pi, mfpt, Fraction(total + pairs, total))
@@ -362,13 +356,11 @@ def absorption(p: TransitionMatrix, roots: Iterable[int],
     base = _weight(p, rs, guard)
     w, table = base.weight, base.table
     interior = [v for v in range(p.n) if v not in set(rs)]
-    # G_ij = t_ij(R ∪ {j}) dens_j / W(R), as D_R = D_{R ∪ {j}} dens_j, with
-    # t the integer tables and W(R) = w(R) D_R
-    dens = scaled_rows(p)[1]
+    # G_ij = w_ij(R ∪ {j}) / w(R)
     cols = []
     for j in interior:
         col = root_set_sums(p, rs + [j], guard).table
-        cols.append([col.get((i, j), 0) * dens[j] for i in interior])
+        cols.append([col.get((i, j), 0) for i in interior])
     rows = list(zip(*cols))
     green = tuple([tuple([Fraction(x, w) for x in row]) for row in rows])
     hit = tuple([tuple([Fraction(table.get((i, b), 0), w) for b in rs])
@@ -388,6 +380,8 @@ def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,
     if i == j:
         raise ValueError("needs i != j")
     oracle.require_irreducible(p)
+    _check_state(p, i)
+    _check_state(p, j)
     rows = [list(row) for row in p.rows]
     rows[j] = [Fraction(1 if c == i else 0) for c in range(p.n)]
     modified = TransitionMatrix(tuple(tuple(r) for r in rows))
@@ -400,6 +394,5 @@ def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,
     pos = {v: a for a, v in enumerate(cls)}
     sub = TransitionMatrix(tuple(
         tuple(modified.rows[v][u] for u in cls) for v in cls))
-    sums = sigma_sums(sub, guard)
-    sj = sums.sigma(pos[j])
-    return (sums.sigma1 - sj) / sj
+    trees, total = _tree_weights(sub, guard)
+    return Fraction(total - trees[pos[j]], trees[pos[j]])

@@ -9,11 +9,11 @@ series for the tree-sum total) and the undirected counting identities
 structure (reachability, recurrent classes, periodicity) also lives here so
 that every consumer shares one certified decomposition.
 
-The Green, hitting and first-passage solves take I - P with each row i
-scaled by its denominator dens_i (``chains.scaled_rows``), so their systems
-are integer from the start: dens_i delta_ij - num_ij on the left, and
-dens_i e_i, num_ib or dens_i on the right. Each solution entry is then one
-Fraction of two integers.
+The stationary, Green, hitting and first-passage solves take I - P with
+each row i scaled by its denominator dens_i (``chains.scaled_rows``), so
+their systems are integer from the start: dens_i delta_ij - num_ij on the
+left (transposed for pi), and dens_i e_i, num_ib or dens_i on the right.
+Each solution entry is then one Fraction of two integers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .chains import (
     ReducibleChainError,
     TransitionMatrix,
     WeightedDigraph,
-    laplacian,
     scaled_rows,
     weighted_laplacian,
 )
@@ -260,18 +259,22 @@ _STATIONARY_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_STATIONARY_CACHE_SIZE)
 def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
-    """Exact solution of pi P = pi, sum(pi) = 1."""
+    """Exact solution of pi P = pi, sum(pi) = 1.
+
+    With row i of I - P scaled by dens_i, pi (I - P) = 0 holds for
+    y_i = pi_i / dens_i, and sum(pi) = 1 becomes sum_i dens_i y_i = 1.
+    """
     require_irreducible(p)
     n = p.n
-    lap = laplacian(p)
-    a = [[lap[j][i] for j in range(n)] for i in range(n)]  # transpose
-    a[n - 1] = [Fraction(1)] * n  # replace one redundant equation
-    b = [[Fraction(0)] for _ in range(n - 1)] + [[Fraction(1)]]
+    dens = scaled_rows(p)[1]
+    a = [list(col) for col in zip(*_scaled_laplacian(p, range(n)))]
+    a[n - 1] = list(dens)  # replace one redundant equation
+    b = [[0] for _ in range(n - 1)] + [[1]]
     try:
-        x = _solve(a, b)
+        y = _solve(a, b)
     except SingularMatrixError as e:
         raise ReducibleChainError(f"stationary system singular: {e}") from e
-    return tuple(row[0] for row in x)
+    return tuple(row[0] * d for row, d in zip(y, dens))
 
 
 def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:

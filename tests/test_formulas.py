@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -347,18 +348,32 @@ EDGE_CHAINS = (
 
 
 def test_forest_formulas_read_no_fraction_sums(monkeypatch, fixture_a, r3):
-    # analyze, absorption, sigma_r and the Cesaro matrix combine the integer
-    # root-set tables; none goes through the per-entry Fraction accessors
+    # every forest formula reads the integer root-set tables, all over one
+    # denominator per chain; none goes through the per-entry Fraction
+    # accessors or the Fraction sums built on them
     p = verify.random_irreducible_chain(random.Random(3), 5)
     mixed = chain(EDGE_CHAINS[1])
+    irreducible = (fixture_a, p, mixed)
 
     def run():
-        return ([analyze(q) for q in (fixture_a, p, mixed)],
+        return ([analyze(q) for q in irreducible],
                 [absorption(q, roots) for q, roots in
                  ((fixture_a, {0}), (p, {1, 3}), (r3, {1, 2}), (mixed, {2}))],
-                [sigma_r(q, r) for q in (fixture_a, p, mixed)
+                [sigma_r(q, r) for q in irreducible
                  for r in range(1, q.n + 1)],
-                [cesaro_forest_matrix(q) for q in (fixture_a, p, r3, mixed)])
+                [cesaro_forest_matrix(q) for q in (fixture_a, p, r3, mixed)],
+                [(stationary(q), kemeny(q),
+                  [mean_return_time(q, j) for j in range(q.n)],
+                  [(mfpt(q, i, j), mfpt_via_modified_chain(q, i, j))
+                   for i, j in itertools.permutations(range(q.n), 2)],
+                  [chung_occupation(q, i, j, k)
+                   for i, j, k in itertools.product(range(q.n), repeat=3)
+                   if k not in (i, j)])
+                 for q in irreducible],
+                [(green_occupation(q, roots, i, j), mean_hitting_time(q, roots, i),
+                  hitting_distribution(q, roots, i))
+                 for q, roots, i, j in ((fixture_a, {0}, 1, 2), (p, {1, 3}, 0, 4),
+                                        (r3, {1, 2}, 0, 0), (mixed, {2}, 1, 0))])
 
     expected = run()
 
@@ -366,12 +381,50 @@ def test_forest_formulas_read_no_fraction_sums(monkeypatch, fixture_a, r3):
         raise AssertionError("read a per-entry Fraction forest sum")
 
     for module in (forests, formulas):
-        for name in ("w_sum", "w_target_sum"):
+        for name in ("w_sum", "w_target_sum", "sigma_sums", "sigma_r",
+                     "sigma_pair"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_fraction_sums)
     assert run() == expected
     assert expected[0][0].kemeny == F(16, 7)
     assert expected[0][1].mfpt == mfpt_solve(p)
+    for q, analysis, (pi, k, returns, pairs, _occupation) in zip(
+            irreducible, expected[0], expected[4]):
+        assert pi == analysis.pi and k == analysis.kemeny
+        assert returns == [analysis.mfpt[j][j] for j in range(q.n)]
+        assert [m for m, _modified in pairs] == [
+            analysis.mfpt[i][j] for i, j in itertools.permutations(range(q.n), 2)]
+    # every root set of a chain shares one denominator, the product of the
+    # row denominators
+    for q in (fixture_a, p, r3, mixed):
+        dens = [math.lcm(*(x.denominator for x in row)) for row in q.rows]
+        assert {forests.root_set_sums(q, roots).denom
+                for r in range(1, q.n + 1)
+                for roots in itertools.combinations(range(q.n), r)} == {math.prod(dens)}
+
+
+OUT_OF_RANGE = [
+    (mean_return_time, (-1,), -1),
+    (mean_return_time, (5,), 5),
+    (cesaro_forest, (0, 99), 99),
+    (cesaro_forest, (99, 0), 99),
+    (mfpt_via_modified_chain, (0, -1), -1),
+    (mfpt_via_modified_chain, (0, 5), 5),
+    (mfpt_via_modified_chain, (-1, 0), -1),
+]
+
+
+@pytest.mark.parametrize("call, args, state", OUT_OF_RANGE,
+                         ids=[f"{call.__name__}{args}"
+                              for call, args, _ in OUT_OF_RANGE])
+def test_out_of_range_states_are_refused_before_any_sum(monkeypatch, call,
+                                                         args, state):
+    def no_sums(*args, **kwargs):
+        raise AssertionError("read a forest sum")
+
+    monkeypatch.setattr(formulas, "root_set_sums", no_sums)
+    with pytest.raises(ValueError, match=rf"^state {state} out of range$"):
+        call(uniform_chain(3), *args)
 
 
 @pytest.mark.parametrize("rows", EDGE_CHAINS)

@@ -129,13 +129,12 @@ def test_solve_refuses_singular_systems():
 def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     # I - P is built with each row scaled by its denominator, so these solves
     # hand the elimination integers and never build a Fraction Laplacian
-    from forestchain import oracle
+    from forestchain import chains as chains_module, oracle
     p = chain([[F(1, 2), F(1, 2) - F(1, 1000003), F(1, 1000003)],
                [F(1, 1000003), F(0), F(1000002, 1000003)],
                [F(2, 3), F(1, 7), F(4, 21)]])
-    # mfpt_solve reads pi from this cache; the stationary system may stay
-    # rational
-    stationary_solve(p)
+    # mfpt_solve reads pi from this cache
+    pi = stationary_solve(p)
 
     def run():
         return (green_matrix_solve(p, {0}), green_matrix_solve(p, {1, 2}),
@@ -154,9 +153,16 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
         raise AssertionError("built I - P over Fractions")
 
     monkeypatch.setattr(oracle, "_solve", integer_rows)
-    monkeypatch.setattr(oracle, "laplacian", no_fraction_laplacian)
+    # the oracle does not import the Fraction Laplacian at all
+    assert not hasattr(oracle, "laplacian")
+    monkeypatch.setattr(chains_module, "laplacian", no_fraction_laplacian)
     assert run() == expected
     assert sorted(sizes) == [1, 1, 2, 2, 2, 2, 2]
+    # the stationary system is integer too: one solve in y_i = pi_i / dens_i
+    sizes.clear()
+    stationary_solve.cache_clear()
+    assert stationary_solve(p) == pi and sizes == [3]
+    assert sum(pi) == 1
     assert expected[1] == ((F(2),),)  # 1 / (1 - p_00)
     m = expected[-1]
     for i, j in itertools.permutations(range(3), 2):
