@@ -25,8 +25,17 @@ forest at the free states X of b's tree gives
 w_ib(R) = sum over X containing i of T({b}, X) T(R - {b}, free - X),
 with the other roots merged into one.
 
-Sigma_j = w({j}) and the two-tree Sigma_ij = sum_{k != j} w_ik({j, k})
-come from these sums, and so does every first-passage formula.
+The sums that split the states into two blocks are read straight from the
+memo, one pass over its subsets X and no root-set table. With
+tau(X) = sum_{k in X} T({k}, X - {k}) the weight of all spanning trees of
+X, the two-tree Sigma_ij = sum_{k != j} w_ik({j, k}) sums
+tau(X) T({j}, V - X - {j}) over the X that hold i and not j, and
+Sigma^(2) sums tau(X) tau(V - X) over the splits {X, V - X}
+(``two_tree_sums``), about 2^n n^2 / 4 multiply-adds after the fill. The
+Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
+the free sets X that hold i and j (``green_sums``), about 2^f f^2 / 4 for
+f free states. A chain's two-tree sums take one such pass and are kept; a
+root set's Green numerators take one pass in place of f root-set tables.
 
 One backtracking walker, ``_walk``, serves what the tree sums do not:
 listing forests and cycle-rooted configurations, their exact laws, the
@@ -59,9 +68,10 @@ from .chains import (
 
 __all__ = [
     "DEFAULT_GUARD", "EnumerationGuardError", "InfeasibleRootSetError",
-    "RootedForest", "Ecrsf", "CycleWeights", "ForestSums",
+    "RootedForest", "Ecrsf", "CycleWeights", "ForestSums", "check_roots",
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
     "forest_weight", "ecrsf_weight", "RootSetSums", "root_set_sums",
+    "TwoTreeSums", "two_tree_sums", "GreenSums", "green_sums",
     "w_sum", "w_target_sum", "sigma_sums",
     "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums",
     "exact_law", "forest_from_json", "ecrsf_from_json",
@@ -75,7 +85,9 @@ class EnumerationGuardError(ValueError):
     """Candidate space too large for exhaustive enumeration."""
 
 
-def _check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> frozenset[int]:
+def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> frozenset[int]:
+    """The root set as a frozenset of ints, each checked to be a state of
+    an n-state chain; empty only when ``allow_empty``."""
     rs = frozenset(int(r) for r in roots)
     if not rs and not allow_empty:
         raise ValueError("root set must be nonempty")
@@ -151,7 +163,7 @@ class RootedForest:
     parent: tuple[int, ...]
 
     def __post_init__(self):
-        roots = _check_roots(self.n, self.roots)
+        roots = check_roots(self.n, self.roots)
         parent = tuple(int(u) for u in self.parent)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "parent", parent)
@@ -238,7 +250,7 @@ class Ecrsf:
     cycles: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        roots = _check_roots(self.n, self.tree_roots, allow_empty=True)
+        roots = check_roots(self.n, self.tree_roots, allow_empty=True)
         succ = tuple(int(u) for u in self.successor)
         object.__setattr__(self, "tree_roots", roots)
         object.__setattr__(self, "successor", succ)
@@ -424,7 +436,7 @@ def enumerate_forests(n: int, roots: Iterable[int],
     ``itertools.product`` order over the free states' parents, cyclic
     parent maps dropped.
     """
-    rs = _check_roots(n, roots)
+    rs = check_roots(n, roots)
     _check_guard(n, rs, guard)
     for succ, root_of, _w in _walk(n, rs, _arcs(n, rs)):
         yield RootedForest._trusted(n, rs, tuple(succ), root_of)
@@ -433,7 +445,7 @@ def enumerate_forests(n: int, roots: Iterable[int],
 def enumerate_ecrsf(n: int, tree_roots: Iterable[int],
                     guard: int = DEFAULT_GUARD) -> Iterator[Ecrsf]:
     """Yield every ECRSF with these tree roots: every successor map, in order."""
-    rs = _check_roots(n, tree_roots, allow_empty=True)
+    rs = check_roots(n, tree_roots, allow_empty=True)
     _check_guard(n, rs, guard)
     for succ, root_of, _w in _walk(n, rs, _arcs(n, rs, cyclic=True), cyclic=True):
         yield Ecrsf._trusted(n, rs, tuple(succ), root_of)
@@ -479,13 +491,16 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
     return w
 
 
-# Cache bounds. The tree sums keep one chain, the one in use: its memo and
-# up to _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8, where sigma_r
-# over every r reads them all). The memo holds n integers per state set; it
-# is cleared before a root set when it holds more than _LAYER_MEMO_SIZE. One
-# root set with f free states adds at most an entry per nonempty subset of
-# them, or of all n states when it has one root: n (2^(f+1) - 1) integers.
-_LAYER_CACHE_SIZE = 1
+# Cache bounds. The tree sums keep two chains, so that a sub-chain read in
+# the middle of a caller's work (mfpt_via_modified_chain) does not evict the
+# caller's: per chain its memo, its two-tree sums and up to
+# _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8, where sigma_r over
+# every r reads them all). The memo holds n integers per state set; it is
+# cleared before a root set or a pass when it holds more than
+# _LAYER_MEMO_SIZE. One root set with f free states adds at most an entry
+# per nonempty subset of them, or of all n states when it has one root:
+# n (2^(f+1) - 1) integers.
+_LAYER_CACHE_SIZE = 2
 _ROOT_SET_CACHE_SIZE = 256
 _LAYER_MEMO_SIZE = 1 << 17
 # A chain has one tree-deletion row per target state, and the guard admits
@@ -518,6 +533,36 @@ class RootSetSums(NamedTuple):
     denom: int
 
 
+class TwoTreeSums(NamedTuple):
+    """The one- and two-tree sums of a chain as integers over ``denom``,
+    the denominator of its ``RootSetSums``.
+
+    ``trees[j]`` is Sigma_j D = w({j}) D and ``total`` is Sigma^(1) D.
+    ``pairs`` is Sigma^(2) D, the weight of every forest of two trees, and
+    ``sigma[i][j]`` is the two-tree Sigma_ij D = sum_{k != j} w_ik({j, k}) D,
+    0 at i = j.
+    """
+
+    trees: tuple[int, ...]
+    total: int
+    pairs: int
+    sigma: tuple[tuple[int, ...], ...]
+    denom: int
+
+
+class GreenSums(NamedTuple):
+    """The Green numerators of a root set R as integers over ``denom``,
+    the denominator of its ``RootSetSums``.
+
+    ``interior`` lists the states outside R in ascending order, and
+    ``table[a][b]`` is w_ij(R ∪ {j}) D for i = interior[a], j = interior[b].
+    """
+
+    interior: tuple[int, ...]
+    table: tuple[tuple[int, ...], ...]
+    denom: int
+
+
 class _TreeSums:
     """Rooted-tree sums of one chain over bitmasks of states.
 
@@ -535,6 +580,12 @@ class _TreeSums:
         self.denom = prod(self.dens)
         self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
         self.tables: dict[frozenset[int], tuple] = {}
+        self.two_trees: TwoTreeSums | None = None
+
+    def _make_room(self) -> None:
+        """Clear the memo once it holds more than _LAYER_MEMO_SIZE integers."""
+        if len(self.memo) * self.n > _LAYER_MEMO_SIZE:
+            self.memo.clear()
 
     def _fill(self, subsets: list[int]) -> None:
         """Memo entries for ``subsets``, every nonempty subset of one mask in
@@ -673,8 +724,7 @@ class _TreeSums:
         got = self.tables.get(roots)
         if got is not None:
             return got
-        if len(self.memo) * self.n > _LAYER_MEMO_SIZE:
-            self.memo.clear()
+        self._make_room()
         n = self.n
         full = (1 << n) - 1
         free = full ^ sum(1 << v for v in roots)
@@ -693,6 +743,93 @@ class _TreeSums:
         got = self.tables[roots] = RootSetSums(w, table, self.denom)
         return got
 
+    def two_tree(self) -> TwoTreeSums:
+        """The one- and two-tree sums, read in one pass over the memo
+        entries of every state set, and kept.
+
+        A forest of two trees splits the states into k's tree on X and j's
+        tree on V - X. So Sigma_ij sums tau(X) T({j}, V - X - {j}) over the
+        X that hold i and not j, and Sigma^(2) sums tau(X) tau(V - X) over
+        the X that hold state 0, where tau(X) = sum_{k in X} T({k}, X - {k}).
+        Each memo tree is taken times its root's dens, so a pair of trees
+        spanning all states is over the chain's denominator.
+        """
+        got = self.two_trees
+        if got is not None:
+            return got
+        self._make_room()
+        n, memo, dens = self.n, self.memo, self.dens
+        full = (1 << n) - 1
+        if full not in memo:
+            self._fill(_subsets(full))
+        # scaled[X][k] = T({k}, X - {k}) dens_k at each k in X
+        scaled: list[list[int]] = [[]]
+        tau = [0]
+        for x in range(1, full + 1):
+            vals, members = memo[x]
+            row = [0] * n
+            for k in members:
+                row[k] = vals[k] * dens[k]
+            scaled.append(row)
+            tau.append(sum(row))
+        by_target = [[0] * n for _ in range(n)]  # by_target[j][i] = Sigma_ij
+        pairs = 0
+        for x in range(1, full):
+            t = tau[x]
+            if not t:
+                continue
+            y = full ^ x
+            if x & 1:
+                pairs += t * tau[y]
+            members = memo[x][1]
+            tails = scaled[y]
+            for j in memo[y][1]:
+                g = t * tails[j]
+                if g:
+                    row = by_target[j]
+                    for i in members:
+                        row[i] += g
+        got = self.two_trees = TwoTreeSums(
+            tuple(scaled[full]), tau[full], pairs,
+            tuple(zip(*by_target)), self.denom)
+        return got
+
+    def green(self, roots: frozenset[int]) -> GreenSums:
+        """The Green numerators of a root set, read in one pass over the
+        subsets of its free states.
+
+        A forest rooted at R ∪ {j} splits at the free states X of j's tree:
+        w_ij(R ∪ {j}) sums T({j}, X - {j}) T(R, free - X) over the X that
+        hold i and j, with the states of R merged into one root. Times
+        dens_j and the roots' dens, each product is over the chain's
+        denominator.
+        """
+        self._make_room()
+        n, memo, dens = self.n, self.memo, self.dens
+        free = ((1 << n) - 1) ^ sum(1 << v for v in roots)
+        subsets = _subsets(free)
+        self._fill(subsets)
+        merged = self._column(subsets, roots)
+        scale = prod(dens[b] for b in roots)
+        by_target = [[0] * n for _ in range(n)]  # by_target[j][i]
+        for x in subsets:
+            u = merged[free ^ x]
+            if not u:
+                continue
+            u *= scale
+            vals, members = memo[x]
+            for j in members:
+                g = vals[j] * dens[j] * u
+                if g:
+                    row = by_target[j]
+                    for i in members:
+                        row[i] += g
+        interior = tuple(v for v in range(n) if v not in roots)
+        return GreenSums(interior,
+                         tuple(tuple(by_target[j][i] for j in interior)
+                               for i in interior),
+                         self.denom)
+
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
 def _layer_sums(p: TransitionMatrix) -> _TreeSums:
@@ -710,9 +847,30 @@ def root_set_sums(p: TransitionMatrix, roots: Iterable[int],
 
     The result is cached and shared: read it, do not change it.
     """
-    rs = _check_roots(p.n, roots)
+    rs = check_roots(p.n, roots)
     _check_guard(p.n, rs, guard)
     return _root_set_sums(p, rs)
+
+
+def two_tree_sums(p: TransitionMatrix,
+                  guard: int = DEFAULT_GUARD) -> TwoTreeSums:
+    """Integer one- and two-tree sums of the chain: every Sigma_j, Sigma^(1),
+    Sigma^(2) and every two-tree Sigma_ij, over the chain's denominator.
+
+    The result is cached and shared: read it, do not change it.
+    """
+    # the trees span all n states, n - 1 of them free, as at w({j})
+    _check_guard(p.n, frozenset([0]), guard)
+    return _layer_sums(p).two_tree()
+
+
+def green_sums(p: TransitionMatrix, roots: Iterable[int],
+               guard: int = DEFAULT_GUARD) -> GreenSums:
+    """Integer Green numerators w_ij(R ∪ {j}) of the root set R, for every
+    pair of states outside R, over the chain's denominator."""
+    rs = check_roots(p.n, roots)
+    _check_guard(p.n, rs, guard)
+    return _layer_sums(p).green(rs)
 
 
 def w_sum(p: TransitionMatrix, roots: Iterable[int],
@@ -729,7 +887,7 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     When j is already a root this is the harmonic numerator w_ij(R); when it
     is not, the root set is enlarged to R ∪ {j} as in the Green numerator.
     """
-    got = root_set_sums(p, _check_roots(p.n, roots) | {int(j)}, guard)
+    got = root_set_sums(p, check_roots(p.n, roots) | {int(j)}, guard)
     if not 0 <= i < p.n:
         raise ValueError(f"state {i} out of range")
     return Fraction(got.table.get((i, j), 0), got.denom)
@@ -856,7 +1014,7 @@ def w_ec_sums(p: TransitionMatrix, alpha: CycleWeights,
     With alpha identically 0 every configuration containing a cycle drops
     out and this reduces to the plain forest sums.
     """
-    rs = _check_roots(p.n, tree_roots, allow_empty=True)
+    rs = check_roots(p.n, tree_roots, allow_empty=True)
     _check_guard(p.n, rs, guard)
     groups: dict = {}
     for _succ, root_of, w in _weighted(p, rs, alpha):
@@ -883,7 +1041,7 @@ def exact_law(p: TransitionMatrix, roots: Iterable[int],
     none), their (P, alpha)-weight over w^ec(R). Zero total weight raises
     ``InfeasibleRootSetError``.
     """
-    rs = _check_roots(p.n, roots, allow_empty=alpha is not None)
+    rs = check_roots(p.n, roots, allow_empty=alpha is not None)
     _check_guard(p.n, rs, guard)
     make = RootedForest._trusted if alpha is None else Ecrsf._trusted
     weighted = [(make(p.n, rs, tuple(succ), root_of), w)

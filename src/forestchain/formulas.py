@@ -7,10 +7,12 @@ operation here has an independent linear-algebra counterpart in
 ``oracle``; the two routes are kept separate on purpose and compared in the
 test and verify suites.
 
-The forest sums arrive as integers (``forests.root_set_sums``) over one
-denominator per chain, shared by all its root sets. Every quantity here is
-a ratio of such sums, so each output value is a single Fraction of two of
-those integers, with no rescaling.
+The forest sums arrive as integers over one denominator per chain: the
+root-set tables (``forests.root_set_sums``), the one- and two-tree sums
+(``forests.two_tree_sums``) and the Green numerators
+(``forests.green_sums``). Every quantity here is a ratio of such sums, so
+each output value is a single Fraction of two of those integers, with no
+rescaling.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ from .forests import (
     DEFAULT_GUARD,
     CycleWeights,
     RootSetSums,
+    check_roots,
     enumerate_forests,
     forest_weight,
+    green_sums,
     root_set_sums,
+    two_tree_sums,
     w_ec_sums,
 )
 
@@ -47,19 +52,6 @@ def _check_state(p: TransitionMatrix, i: int) -> None:
 def _check_pair(p: TransitionMatrix, i: int, j: int) -> None:
     if not (0 <= i < p.n and 0 <= j < p.n):
         raise ValueError(f"states ({i},{j}) out of range")
-
-
-def _tree_weights(p: TransitionMatrix, guard: int) -> tuple[list[int], int]:
-    """The integer tree sums Sigma_j = w({j}) and their total Sigma^(1)."""
-    trees = [root_set_sums(p, (j,), guard).weight for j in range(p.n)]
-    return trees, sum(trees)
-
-
-def _two_tree(p: TransitionMatrix, i: int, j: int, guard: int) -> int:
-    """The integer Sigma_ij = sum_{k != j} w_ik({j, k}); 0 at i = j, as j's
-    tree has root j in every such forest."""
-    return sum(root_set_sums(p, (j, k), guard).table.get((i, k), 0)
-               for k in range(p.n) if k != j)
 
 
 def _weight(p: TransitionMatrix, roots: Iterable[int],
@@ -75,8 +67,8 @@ def _weight(p: TransitionMatrix, roots: Iterable[int],
 def stationary(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> tuple[Fraction, ...]:
     """pi_j = Sigma_j / Sigma^(1) for an irreducible chain."""
     oracle.require_irreducible(p)
-    trees, total = _tree_weights(p, guard)
-    return tuple(Fraction(t, total) for t in trees)
+    sums = two_tree_sums(p, guard)
+    return tuple(Fraction(t, sums.total) for t in sums.trees)
 
 
 def mean_return_time(p: TransitionMatrix, j: int,
@@ -84,8 +76,8 @@ def mean_return_time(p: TransitionMatrix, j: int,
     """m_jj = Sigma^(1) / Sigma_j."""
     oracle.require_irreducible(p)
     _check_state(p, j)
-    trees, total = _tree_weights(p, guard)
-    return Fraction(total, trees[j])
+    sums = two_tree_sums(p, guard)
+    return Fraction(sums.total, sums.trees[j])
 
 
 def mfpt(p: TransitionMatrix, i: int, j: int,
@@ -101,18 +93,15 @@ def mfpt(p: TransitionMatrix, i: int, j: int,
         raise ValueError("mfpt needs i != j; use mean_return_time for i = j")
     oracle.require_irreducible(p)
     _check_pair(p, i, j)
-    # w({j}) first: its guard check covers the n - 1 free states of a tree
-    sj = root_set_sums(p, (j,), guard).weight
-    return Fraction(_two_tree(p, i, j, guard), sj)
+    sums = two_tree_sums(p, guard)
+    return Fraction(sums.sigma[i][j], sums.trees[j])
 
 
 def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:
     """K = 1 + Sigma^(2) / Sigma^(1), independent of the start state."""
     oracle.require_irreducible(p)
-    total = _tree_weights(p, guard)[1]
-    pairs = sum(root_set_sums(p, roots, guard).weight
-                for roots in itertools.combinations(range(p.n), 2))
-    return Fraction(total + pairs, total)
+    sums = two_tree_sums(p, guard)
+    return Fraction(sums.total + sums.pairs, sums.total)
 
 
 def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -132,23 +121,22 @@ def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
     rs = frozenset(roots)
     if i in rs:
         raise ValueError("mean_hitting_time needs i outside the root set")
-    w = _weight(p, rs, guard).weight
+    check_roots(p.n, rs)
     _check_state(p, i)
-    total = sum(root_set_sums(p, rs | {j}, guard).table.get((i, j), 0)
-                for j in range(p.n) if j not in rs)
-    return Fraction(total, w)
+    w = _weight(p, rs, guard).weight
+    numerators = green_sums(p, rs, guard)
+    return Fraction(sum(numerators.table[numerators.interior.index(i)]), w)
 
 
 def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
                          guard: int = DEFAULT_GUARD) -> tuple[Fraction, ...]:
     """P_i(X_{T_R} = j) for j in sorted(R): w_ij(R) / w(R); point mass on R."""
     rs = sorted(set(roots))
-    if not rs:
-        raise ValueError("root set must be nonempty")
+    check_roots(p.n, rs)
     if i in rs:
         return tuple(Fraction(1 if j == i else 0) for j in rs)
-    got = _weight(p, rs, guard)
     _check_state(p, i)
+    got = _weight(p, rs, guard)
     return tuple(Fraction(got.table.get((i, j), 0), got.weight) for j in rs)
 
 
@@ -209,11 +197,11 @@ def chung_occupation(p: TransitionMatrix, i: int, j: int, k: int,
         raise ValueError("chung_occupation needs i != k and j != k")
     oracle.require_irreducible(p)
     _check_pair(p, i, k)
-    trees, total = _tree_weights(p, guard)
+    sums = two_tree_sums(p, guard)
     _check_pair(p, k, j)
-    num = (_two_tree(p, i, k, guard) * trees[j]
-           + (_two_tree(p, k, j, guard) - _two_tree(p, i, j, guard)) * trees[k])
-    return Fraction(num, total * trees[k])
+    s, trees = sums.sigma, sums.trees
+    num = s[i][k] * trees[j] + (s[k][j] - s[i][j]) * trees[k]
+    return Fraction(num, sums.total * trees[k])
 
 
 def ecrsf_stopped_distribution(
@@ -227,6 +215,7 @@ def ecrsf_stopped_distribution(
     is on loop formation and the vector is empty.
     """
     rs = sorted(set(roots))
+    check_roots(p.n, rs, allow_empty=True)
     _check_state(p, i)
     if i in rs:
         return tuple(Fraction(1 if j == i else 0) for j in rs), Fraction(1)
@@ -307,35 +296,24 @@ def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
 
     With Sigma_j = w({j}) and Sigma^(1) = sum_l Sigma_l: pi_j =
     Sigma_j / Sigma^(1), m_jj = Sigma^(1) / Sigma_j,
-    m_ij = sum_{k != j} w_ik({j, k}) / Sigma_j and
-    K = 1 + sum_{a < b} w({a, b}) / Sigma^(1).
+    m_ij = Sigma_ij / Sigma_j with the two-tree Sigma_ij =
+    sum_{k != j} w_ik({j, k}), and K = 1 + Sigma^(2) / Sigma^(1).
     """
     oracle.require_irreducible(p)
     n = p.n
-    trees, total = _tree_weights(p, guard)
+    sums = two_tree_sums(p, guard)
+    trees, total, sigma = sums.trees, sums.total, sums.sigma
     # outputs are built as tuple([...]): CPython grows a generator's tuple
     # from a guessed size and shrinks it, and each such call strands one
     # freed tuple on a per-size free list; those fill up (about 1 MB more
     # resident memory after 600 n = 7 chains through analyze and absorption)
     pi = tuple([Fraction(t, total) for t in trees])
-    # the two-tree tables behind Sigma^(2) also give every Sigma_ij:
-    # sums[j][i] collects sum_k w_ik({j, k})
-    sums = [[0] * n for _ in range(n)]
-    pairs = 0
-    for a, b in itertools.combinations(range(n), 2):
-        got = root_set_sums(p, (a, b), guard)
-        table = got.table
-        pairs += got.weight
-        to_a, to_b = sums[a], sums[b]
-        for i in range(n):
-            to_a[i] += table.get((i, b), 0)
-            to_b[i] += table.get((i, a), 0)
     mfpt = tuple([
         tuple([Fraction(total, trees[j]) if i == j
-               else Fraction(sums[j][i], trees[j])
+               else Fraction(sigma[i][j], trees[j])
                for j in range(n)])
         for i in range(n)])
-    return ChainAnalysis(pi, mfpt, Fraction(total + pairs, total))
+    return ChainAnalysis(pi, mfpt, Fraction(total + sums.pairs, total))
 
 
 @dataclass(frozen=True)
@@ -355,18 +333,14 @@ def absorption(p: TransitionMatrix, roots: Iterable[int],
     rs = sorted(set(roots))
     base = _weight(p, rs, guard)
     w, table = base.weight, base.table
-    interior = [v for v in range(p.n) if v not in set(rs)]
     # G_ij = w_ij(R ∪ {j}) / w(R)
-    cols = []
-    for j in interior:
-        col = root_set_sums(p, rs + [j], guard).table
-        cols.append([col.get((i, j), 0) for i in interior])
-    rows = list(zip(*cols))
+    numerators = green_sums(p, rs, guard)
+    interior, rows = numerators.interior, numerators.table
     green = tuple([tuple([Fraction(x, w) for x in row]) for row in rows])
     hit = tuple([tuple([Fraction(table.get((i, b), 0), w) for b in rs])
                  for i in interior])
     mean_hit = tuple([Fraction(sum(row), w) for row in rows])
-    return AbsorptionAnalysis(tuple(rs), tuple(interior), green, hit, mean_hit)
+    return AbsorptionAnalysis(tuple(rs), interior, green, hit, mean_hit)
 
 
 def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,
@@ -394,5 +368,8 @@ def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,
     pos = {v: a for a, v in enumerate(cls)}
     sub = TransitionMatrix(tuple(
         tuple(modified.rows[v][u] for u in cls) for v in cls))
-    trees, total = _tree_weights(sub, guard)
-    return Fraction(total - trees[pos[j]], trees[pos[j]])
+    # the singleton tables, not the two-tree pass that mfpt reads, so that
+    # the two sides of this identity come from different sums
+    trees = [root_set_sums(sub, (a,), guard).weight for a in range(sub.n)]
+    tj = trees[pos[j]]
+    return Fraction(sum(trees) - tj, tj)

@@ -104,8 +104,9 @@ def exact_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def _solve(a: Sequence[Sequence[Fraction | int]],
-           b: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly; raises SingularMatrixError.
+           b: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
+    """Solve A X = B exactly as (d X, d), with d X an integer matrix and d
+    the elimination's last pivot; raises SingularMatrixError.
 
     Entries may be Fractions or ints; each row of [A | B] is scaled to
     integers first, which leaves X unchanged.
@@ -113,7 +114,12 @@ def _solve(a: Sequence[Sequence[Fraction | int]],
     n = len(a)
     rows, _ = _integer_rows([[*a[i], *b[i]] for i in range(n)])
     d = _eliminate(rows)
-    return [[Fraction(x, d) for x in row[n:]] for row in rows]
+    return [row[n:] for row in rows], d
+
+
+def _ratios(x: list[list[int]], d: int) -> Matrix:
+    """The matrix X of a solve's (d X, d)."""
+    return tuple(tuple(Fraction(v, d) for v in row) for row in x)
 
 
 def _scaled_laplacian(p: TransitionMatrix, keep: Sequence[int]) -> list[list[int]]:
@@ -271,10 +277,10 @@ def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
     a[n - 1] = list(dens)  # replace one redundant equation
     b = [[0] for _ in range(n - 1)] + [[1]]
     try:
-        y = _solve(a, b)
+        y, d = _solve(a, b)
     except SingularMatrixError as e:
         raise ReducibleChainError(f"stationary system singular: {e}") from e
-    return tuple(row[0] * d for row, d in zip(y, dens))
+    return tuple(Fraction(row[0] * dens_i, d) for row, dens_i in zip(y, dens))
 
 
 def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
@@ -288,7 +294,7 @@ def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {sorted(rs)} infeasible: L(R) is singular") from e
-    return tuple(tuple(row) for row in inv)
+    return _ratios(*inv)
 
 
 def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
@@ -302,7 +308,7 @@ def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {rs} infeasible: L(R) is singular") from e
-    return tuple(tuple(row) for row in x)
+    return _ratios(*x)
 
 
 def mfpt_solve(p: TransitionMatrix) -> Matrix:
@@ -314,15 +320,15 @@ def mfpt_solve(p: TransitionMatrix) -> Matrix:
     out = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         keep = [v for v in range(n) if v != j]
-        x = _solve(_scaled_laplacian(p, keep), [[dens[i]] for i in keep])
+        x, d = _solve(_scaled_laplacian(p, keep), [[dens[i]] for i in keep])
         for row, i in zip(x, keep):
-            out[i][j] = row[0]
+            out[i][j] = Fraction(row[0], d)
         out[j][j] = 1 / pi[j]
     return tuple(tuple(row) for row in out)
 
 
-def fundamental_matrix(p: TransitionMatrix) -> Matrix:
-    """Z = (I - P + Pi)^{-1} with Pi the stationary projector."""
+def _fundamental_solve(p: TransitionMatrix) -> tuple[list[list[int]], int]:
+    """(d Z, d) for Z = (I - P + Pi)^{-1}, Pi the stationary projector."""
     require_irreducible(p)
     pi = stationary_solve(p)
     n = p.n
@@ -333,14 +339,18 @@ def fundamental_matrix(p: TransitionMatrix) -> Matrix:
     a = [[c * q + pi_j * d for c, pi_j in zip(row, pis)]
          for row, d in zip(_scaled_laplacian(p, range(n)), dens)]
     b = [[d * q if i == j else 0 for j in range(n)] for i, d in enumerate(dens)]
-    z = _solve(a, b)
-    return tuple(tuple(row) for row in z)
+    return _solve(a, b)
+
+
+def fundamental_matrix(p: TransitionMatrix) -> Matrix:
+    """Z = (I - P + Pi)^{-1} with Pi the stationary projector."""
+    return _ratios(*_fundamental_solve(p))
 
 
 def kemeny_trace(p: TransitionMatrix) -> Fraction:
-    """Trace of the fundamental matrix."""
-    z = fundamental_matrix(p)
-    return sum((z[i][i] for i in range(p.n)), Fraction(0))
+    """Trace of the fundamental matrix: the integer diagonal of d Z over d."""
+    z, d = _fundamental_solve(p)
+    return Fraction(sum(row[i] for i, row in enumerate(z)), d)
 
 
 # ---------------------------------------------------------------------------

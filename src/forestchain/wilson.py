@@ -42,9 +42,9 @@ from .forests import (
     Ecrsf,
     EnumerationGuardError,
     RootedForest,
-    _check_roots,
     _scaled_rows,
     canonical_cycle,
+    check_roots,
     w_sum,
 )
 
@@ -163,7 +163,7 @@ def _site_order(n: int, site_order: Sequence[int] | None) -> tuple[int, ...]:
 def _forest_setup(p: TransitionMatrix, roots: Iterable[int],
                   site_order: Sequence[int] | None):
     """(root set, site order, stepper) shared by every draw of one batch."""
-    rs = _check_roots(p.n, roots)
+    rs = check_roots(p.n, roots)
     stranded = oracle.states_not_reaching(p, rs)
     if stranded:
         raise InfeasibleRootSetError(
@@ -296,7 +296,7 @@ def _ecrsf_setup(p: TransitionMatrix, alpha: CycleWeights | None,
     """(root set, site order, stepper) shared by every cycle-rooted draw."""
     if alpha is None:
         raise ValueError("kkw_sample needs cycle weights (alpha)")
-    rs = _check_roots(p.n, tree_roots, allow_empty=True)
+    rs = check_roots(p.n, tree_roots, allow_empty=True)
     _check_ec_feasible(p, alpha, rs, guard)
     return rs, _site_order(p.n, site_order), _Stepper(p)
 
@@ -417,7 +417,7 @@ def lerw_path_prob(p: TransitionMatrix, roots: Iterable[int],
 
     P(branch = i_1 … i_K) = [w(R ∪ {i_1..i_{K-1}}) / w(R)] · Π p-steps.
     """
-    rs = _check_roots(p.n, roots)
+    rs = check_roots(p.n, roots)
     states = path.states if isinstance(path, PathTrace) else tuple(path)
     if len(states) < 2:
         raise ValueError("path must take at least one step")

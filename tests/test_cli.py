@@ -1,13 +1,18 @@
 import ast
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from forestchain import cli
+from forestchain import cli, format_rational
 
 A_DOC = json.dumps({
     "n": 3,
@@ -418,3 +423,80 @@ def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
     assert code == 0 and json.loads(out)["methods_agree"] is True
     assert sorted(calls) == [3, 3, 3, 3, 4, 4]
     assert oracle.stationary_solve.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line
+
+# wall-clock budget for one command on a chain of at most five states; such
+# a command takes a few milliseconds
+FUZZ_BUDGET_S = 2.0
+
+
+@st.composite
+def _cli_cases(draw):
+    """(argv, stdin text) for analyze, hit or green on a random document.
+
+    Rows are random weights normalised, so most documents are valid chains;
+    zero weights make reducible chains and infeasible target sets. One
+    document in five has an all-zero row or a negative entry, which the
+    parser refuses, and target and start states may fall out of range.
+    """
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=n,
+                                     max_size=n), min_size=n, max_size=n))
+    for i, ws in enumerate(weights):
+        if not any(ws):
+            ws[(i + 1) % n] = 1
+    rows = [[Fraction(w, sum(ws)) for w in ws] for ws in weights]
+    broken = draw(st.integers(0, 9))
+    if broken < 2:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = ([Fraction(0)] * n if broken == 0
+                   else rows[i][:j] + [rows[i][j] - 1] + rows[i][j + 1:])
+    fmt = draw(st.sampled_from(["matrix", "edges"]))
+    if fmt == "matrix":
+        text = json.dumps({"n": n, "rows": [[format_rational(x) for x in row]
+                                            for row in rows]})
+    else:
+        names = (str if draw(st.booleans()) else "s{}".format)
+        text = "".join(f"{names(i)} {names(j)} {format_rational(x)}\n"
+                       for i, row in enumerate(rows)
+                       for j, x in enumerate(row) if x)
+    command = draw(st.sampled_from(["analyze", "hit", "green"]))
+    argv = [command, "--format", fmt]
+    # a state index, out of range one time in eight
+    state = st.integers(0, 7).flatmap(
+        lambda k: st.sampled_from([-1, n]) if k == 0 else st.integers(0, n - 1))
+    if command != "analyze":
+        targets = draw(st.lists(state, min_size=1, max_size=n))
+        argv.append("--targets=" + ",".join(map(str, targets)))
+    if command == "hit":
+        argv.append(f"--from={draw(state)}")
+    if draw(st.booleans()):
+        argv.append("--float")
+    return argv, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cli_cases())
+def test_cli_fuzz_exits_cleanly_and_routes_agree(case):
+    argv, text = case
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            start = time.perf_counter()
+            code = cli.main(argv)
+            elapsed = time.perf_counter() - start
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+    assert elapsed < FUZZ_BUDGET_S
+    if code == 0:
+        assert json.loads(out.getvalue())["methods_agree"] is True
+    else:
+        # a refusal prints nothing on stdout and one error line on stderr
+        assert out.getvalue() == ""
+        assert "error" in json.loads(err.getvalue())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -39,6 +40,9 @@ from forestchain.forests import (
     _layer_sums,
     _scaled_rows,
     _tree_deletion_row,
+    green_sums,
+    root_set_sums,
+    two_tree_sums,
 )
 from forestchain.verify import random_chain, random_irreducible_chain
 
@@ -482,6 +486,185 @@ def test_tree_deletion_reads_no_layer_sums(monkeypatch, fixture_a, u4):
     monkeypatch.setattr(forests, "_layer_sums", no_layers)
     _tree_deletion_row.cache_clear()
     assert [sigma_pair(p, i, j) for p, i, j in pairs] == expected
+
+
+def _two_tree_chains(fixture_a, u4):
+    """fixture_a, u4, and a seeded dense and sparse chain at n = 2..7."""
+    rng = random.Random(2014)
+    out = [fixture_a, u4]
+    for n in range(2, 8):
+        out.append(chain([[Fraction(w, sum(ws)) for w in ws]
+                          for ws in ([rng.randint(1, 9) for _ in range(n)]
+                                     for _ in range(n))]))
+        out.append(random_chain(rng, n))
+    return out
+
+
+def _two_trees_by_forests(p):
+    """(Sigma_ij matrix, Sigma^(2)) from the two-tree forests listed one by
+    one: a forest rooted at {j, k} adds its weight to Sigma_ij for each i in
+    k's tree. Each row is taken over the lcm of its denominators, so the
+    weights of one root set are integers over one denominator."""
+    n = p.n
+    dens = [math.lcm(*(x.denominator for x in row)) for row in p.rows]
+    nums = [[x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(p.rows, dens)]
+    sigma = [[Fraction(0)] * n for _ in range(n)]
+    pairs = Fraction(0)
+    for roots in itertools.combinations(range(n), 2):
+        denom = math.prod(dens[v] for v in range(n) if v not in roots)
+        into = {r: [0] * n for r in roots}
+        for f in enumerate_forests(n, roots):
+            w = 1
+            for v, u in enumerate(f.parent):
+                if u >= 0:
+                    w *= nums[v][u]
+            if w:
+                for i in range(n):
+                    into[f.root_of(i)][i] += w
+        a, b = roots
+        # i in k's tree counts towards Sigma_ij, j the other root
+        for i in range(n):
+            sigma[i][b] += Fraction(into[a][i], denom)
+            sigma[i][a] += Fraction(into[b][i], denom)
+        pairs += Fraction(into[a][a], denom)
+    return sigma, pairs
+
+
+def test_two_tree_sums_match_both_references(fixture_a, u4):
+    # the one-pass two-tree matrix against two-forest and tree-deletion
+    # sigma_pair, the forests listed one by one, and sigma_r
+    for p in _two_tree_chains(fixture_a, u4):
+        sums = two_tree_sums(p)
+        d = sums.denom
+        assert d == root_set_sums(p, {0}).denom
+        by_forests, pairs = _two_trees_by_forests(p)
+        for i, j in itertools.product(range(p.n), repeat=2):
+            got = Fraction(sums.sigma[i][j], d)
+            assert got == by_forests[i][j]
+            if i != j:
+                assert got == sigma_pair(p, i, j, "two-forest") \
+                    == sigma_pair(p, i, j, "tree-deletion")
+        assert Fraction(sums.pairs, d) == pairs == sigma_r(p, 2)
+        assert [Fraction(t, d) for t in sums.trees] == \
+            list(sigma_sums(p).sigma_vector)
+        assert Fraction(sums.total, d) == sigma_r(p, 1)
+        assert two_tree_sums(p) is sums
+
+
+def test_two_tree_sums_keep_the_tree_guard(u4):
+    # the trees span all n states, so n - 1 of them are free
+    with pytest.raises(EnumerationGuardError, match="^3 free vertices"):
+        two_tree_sums(u4, guard=2)
+    assert two_tree_sums(u4, guard=3).total > 0
+
+
+def test_green_sums_match_the_solve():
+    # every proper root set of dense, sparse and reducible chains, n = 1..6:
+    # w_ij(R ∪ {j}) / w(R) is the Green matrix wherever w(R) > 0
+    infeasible = 0
+    for p in _layer_test_chains():
+        for k in range(1, p.n):
+            for roots in itertools.combinations(range(p.n), k):
+                got = green_sums(p, roots)
+                base = root_set_sums(p, roots)
+                assert got.denom == base.denom
+                assert got.interior == tuple(
+                    v for v in range(p.n) if v not in roots)
+                for a, i in enumerate(got.interior):
+                    for b, j in enumerate(got.interior):
+                        assert got.table[a][b] == root_set_sums(
+                            p, set(roots) | {j}).table.get((i, j), 0)
+                if not base.weight:
+                    infeasible += 1
+                    with pytest.raises(InfeasibleRootSetError):
+                        oracle.green_matrix_solve(p, roots)
+                    with pytest.raises(InfeasibleRootSetError):
+                        formulas.absorption(p, roots)
+                    continue
+                assert tuple(tuple(Fraction(x, base.weight) for x in row)
+                             for row in got.table) == \
+                    oracle.green_matrix_solve(p, roots)
+    assert infeasible > 0
+
+
+def test_formulas_read_no_root_set_tables_beyond_r(monkeypatch, fixture_a, u4):
+    # analyze, mfpt, kemeny, chung_occupation, stationary and
+    # mean_return_time read the one-pass two-tree sums; absorption and
+    # mean_hitting_time read R's own table and the Green pass only
+    chains = _two_tree_chains(fixture_a, u4)[:8]
+    chains = [p for p in chains if irreducibility_certificate(p) is None]
+    cases = [(p, roots) for p in chains for roots in ({0}, {0, p.n - 1})]
+
+    def run():
+        return ([formulas.analyze(p) for p in chains],
+                [[formulas.mfpt(p, i, j) for i, j in
+                  itertools.permutations(range(p.n), 2)] for p in chains],
+                [formulas.kemeny(p) for p in chains],
+                [[formulas.chung_occupation(p, i, j, k) for i, j, k in
+                  itertools.product(range(p.n), repeat=3) if k not in (i, j)]
+                 for p in chains],
+                [(formulas.stationary(p),
+                  [formulas.mean_return_time(p, j) for j in range(p.n)])
+                 for p in chains])
+
+    def absorb(p, roots):
+        return (formulas.absorption(p, roots),
+                [formulas.mean_hitting_time(p, roots, i)
+                 for i in range(p.n) if i not in roots])
+
+    expected = run()
+    absorbed = [absorb(p, roots) for p, roots in cases]
+    real = forests._root_set_sums
+    allowed: set = set()
+
+    def only_allowed(p, roots):
+        assert roots in allowed, f"read the root set {sorted(roots)}"
+        return real(p, roots)
+
+    monkeypatch.setattr(forests, "_root_set_sums", only_allowed)
+    _layer_sums.cache_clear()
+    assert run() == expected
+    for (p, roots), want in zip(cases, absorbed):
+        allowed.clear()
+        allowed.add(frozenset(roots))
+        _layer_sums.cache_clear()
+        assert absorb(p, roots) == want
+    assert len(chains) >= 4
+
+
+def test_absorption_refills_a_cleared_memo(monkeypatch):
+    # R's table stays cached while the memo is cleared under it; the Green
+    # pass fills the subsets it reads itself
+    rng = random.Random(41)
+    p = random_irreducible_chain(rng, 6)
+    roots = frozenset({1, 4})
+    monkeypatch.setattr(forests, "_LAYER_MEMO_SIZE", 6 * 8)
+    _layer_sums.cache_clear()
+    root_set_sums(p, roots)
+    # a tree sum over all six states overfills the memo; the next root set
+    # clears it before its own fill
+    root_set_sums(p, {0})
+    root_set_sums(p, {2, 3, 5})
+    sums = _layer_sums(p)
+    assert roots in sums.tables
+    assert (1 << 6) - 1 not in sums.memo
+    ab = formulas.absorption(p, roots)
+    assert ab.green == oracle.green_matrix_solve(p, roots)
+    assert ab.hit == oracle.hitting_solve(p, roots)
+
+
+def test_modified_chain_keeps_the_callers_tree_sums(fixture_a):
+    # mfpt_via_modified_chain sums the trees of a sub-chain; with room for
+    # two chains, the caller's memo survives it
+    p = random_irreducible_chain(random.Random(43), 5)
+    _layer_sums.cache_clear()
+    formulas.analyze(p)
+    formulas.mfpt_via_modified_chain(p, 0, 1)
+    built = _layer_sums.cache_info().misses
+    formulas.analyze(p)
+    formulas.mfpt(p, 2, 3)
+    assert _layer_sums.cache_info().misses == built
 
 
 def test_w_target_sum_rejects_states_out_of_range(u4):

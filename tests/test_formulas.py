@@ -411,6 +411,10 @@ OUT_OF_RANGE = [
     (mfpt_via_modified_chain, (0, -1), -1),
     (mfpt_via_modified_chain, (0, 5), 5),
     (mfpt_via_modified_chain, (-1, 0), -1),
+    (mean_hitting_time, ({0}, 99), 99),
+    (mean_hitting_time, ({0}, -1), -1),
+    (hitting_distribution, ({0}, 99), 99),
+    (hitting_distribution, ({0}, -1), -1),
 ]
 
 
@@ -424,6 +428,35 @@ def test_out_of_range_states_are_refused_before_any_sum(monkeypatch, call,
 
     monkeypatch.setattr(formulas, "root_set_sums", no_sums)
     with pytest.raises(ValueError, match=rf"^state {state} out of range$"):
+        call(uniform_chain(3), *args)
+
+
+def test_state_range_comes_before_the_root_set_weight():
+    # on a reducible chain w({0}) vanishes; the bad state is named first
+    p = chain([[1, 0], [0, 1]])
+    for call in (mean_hitting_time, hitting_distribution):
+        with pytest.raises(ValueError, match=r"^state 99 out of range$"):
+            call(p, [0], 99)
+    with pytest.raises(InfeasibleRootSetError):
+        mean_hitting_time(p, [0], 1)
+
+
+OUT_OF_RANGE_ROOTS = [
+    (hitting_distribution, ([0, 99], 0), 99),
+    (hitting_distribution, ([0, -1], 0), -1),
+    (ecrsf_stopped_distribution, ([0, 99], 0), 99),
+    (ecrsf_stopped_distribution, ([-1], 2), -1),
+    (mean_hitting_time, ([5], 0), 5),
+]
+
+
+@pytest.mark.parametrize("call, args, root", OUT_OF_RANGE_ROOTS,
+                         ids=[f"{call.__name__}{args}"
+                              for call, args, _ in OUT_OF_RANGE_ROOTS])
+def test_out_of_range_roots_are_refused(call, args, root):
+    # the shortcut for a start state inside R checks R first
+    with pytest.raises(ValueError,
+                       match=rf"^root {root} out of range for n=3$"):
         call(uniform_chain(3), *args)
 
 

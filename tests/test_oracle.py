@@ -108,7 +108,10 @@ def test_solve_satisfies_the_system_exactly():
         systems.append((a, b))
     for a, b in systems:
         n, width = len(a), len(b[0])
-        x = _solve(a, b)
+        # d X in integers over the last pivot d
+        dx, d = _solve(a, b)
+        assert all(type(v) is int for row in dx for v in row)
+        x = [[F(v, d) for v in row] for row in dx]
         assert [[sum((a[i][k] * x[k][j] for k in range(n)), F(0))
                  for j in range(width)] for i in range(n)] == b
 
