@@ -105,7 +105,10 @@ class TransitionMatrix:
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
+        rows = tuple(
+            row if type(row) is tuple and all(type(x) is Fraction for x in row)
+            else tuple(Fraction(x) for x in row)
+            for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0:
@@ -114,7 +117,12 @@ class TransitionMatrix:
             if len(row) != n:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
-            _check_row(i, enumerate(row))
+            # sign and sum in integers over the lcm of the row's
+            # denominators; _check_row words the error
+            d = lcm(*[x.denominator for x in row])
+            nums = [x.numerator * (d // x.denominator) for x in row]
+            if min(nums) < 0 or sum(nums) != d:
+                _check_row(i, enumerate(row))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:

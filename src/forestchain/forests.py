@@ -493,11 +493,11 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 
 # Cache bounds. The tree sums keep two chains, so that a sub-chain read in
 # the middle of a caller's work (mfpt_via_modified_chain) does not evict the
-# caller's: per chain its memo, its two-tree sums and up to
+# caller's: per chain its memo, its two-tree sums, and up to
 # _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8, where sigma_r over
-# every r reads them all). The memo holds n integers per state set; it is
-# cleared before a root set or a pass when it holds more than
-# _LAYER_MEMO_SIZE. One root set with f free states adds at most an entry
+# every r reads them all) and as many root sets' Green numerators. The memo
+# holds n integers per state set; it is cleared before a root set or a pass
+# when it holds more than _LAYER_MEMO_SIZE. One root set with f free states adds at most an entry
 # per nonempty subset of them, or of all n states when it has one root:
 # n (2^(f+1) - 1) integers.
 _LAYER_CACHE_SIZE = 2
@@ -579,13 +579,23 @@ class _TreeSums:
         self.nums, self.dens = _scaled_rows(p)
         self.denom = prod(self.dens)
         self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
-        self.tables: dict[frozenset[int], tuple] = {}
+        self.tables: dict[frozenset[int], RootSetSums] = {}
+        self.greens: dict[frozenset[int], GreenSums] = {}
         self.two_trees: TwoTreeSums | None = None
 
     def _make_room(self) -> None:
         """Clear the memo once it holds more than _LAYER_MEMO_SIZE integers."""
         if len(self.memo) * self.n > _LAYER_MEMO_SIZE:
             self.memo.clear()
+
+    @staticmethod
+    def _keep(store: dict, roots: frozenset[int], got):
+        """Keep ``got`` for ``roots``, dropping the oldest entry of a full
+        store, and return it."""
+        if len(store) >= _ROOT_SET_CACHE_SIZE:
+            del store[next(iter(store))]
+        store[roots] = got
+        return got
 
     def _fill(self, subsets: list[int]) -> None:
         """Memo entries for ``subsets``, every nonempty subset of one mask in
@@ -738,10 +748,8 @@ class _TreeSums:
             table = dict.fromkeys([(i, b) for i in range(n)], w) if w else {}
         else:
             table, w = self._split(roots, free, scale)
-        if len(self.tables) >= _ROOT_SET_CACHE_SIZE:
-            del self.tables[next(iter(self.tables))]
-        got = self.tables[roots] = RootSetSums(w, table, self.denom)
-        return got
+        return self._keep(self.tables, roots,
+                          RootSetSums(w, table, self.denom))
 
     def two_tree(self) -> TwoTreeSums:
         """The one- and two-tree sums, read in one pass over the memo
@@ -802,8 +810,11 @@ class _TreeSums:
         w_ij(R ∪ {j}) sums T({j}, X - {j}) T(R, free - X) over the X that
         hold i and j, with the states of R merged into one root. Times
         dens_j and the roots' dens, each product is over the chain's
-        denominator.
+        denominator. Kept next to R's table.
         """
+        got = self.greens.get(roots)
+        if got is not None:
+            return got
         self._make_room()
         n, memo, dens = self.n, self.memo, self.dens
         free = ((1 << n) - 1) ^ sum(1 << v for v in roots)
@@ -825,10 +836,10 @@ class _TreeSums:
                     for i in members:
                         row[i] += g
         interior = tuple(v for v in range(n) if v not in roots)
-        return GreenSums(interior,
-                         tuple(tuple(by_target[j][i] for j in interior)
-                               for i in interior),
-                         self.denom)
+        return self._keep(self.greens, roots, GreenSums(
+            interior,
+            tuple(tuple(by_target[j][i] for j in interior) for i in interior),
+            self.denom))
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
@@ -867,7 +878,10 @@ def two_tree_sums(p: TransitionMatrix,
 def green_sums(p: TransitionMatrix, roots: Iterable[int],
                guard: int = DEFAULT_GUARD) -> GreenSums:
     """Integer Green numerators w_ij(R ∪ {j}) of the root set R, for every
-    pair of states outside R, over the chain's denominator."""
+    pair of states outside R, over the chain's denominator.
+
+    The result is cached and shared: read it, do not change it.
+    """
     rs = check_roots(p.n, roots)
     _check_guard(p.n, rs, guard)
     return _layer_sums(p).green(rs)

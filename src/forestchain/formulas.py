@@ -112,7 +112,12 @@ def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
         raise ValueError("green_occupation needs i and j outside the root set")
     w = _weight(p, rs, guard).weight
     _check_state(p, i)
-    return Fraction(root_set_sums(p, rs | {j}, guard).table.get((i, j), 0), w)
+    # j is a root of R ∪ {j}, the root set of the numerator, and is
+    # refused as one
+    check_roots(p.n, rs | {j})
+    numerators = green_sums(p, rs, guard)
+    at = numerators.interior.index
+    return Fraction(numerators.table[at(i)][at(j)], w)
 
 
 def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,

@@ -9,11 +9,17 @@ series for the tree-sum total) and the undirected counting identities
 structure (reachability, recurrent classes, periodicity) also lives here so
 that every consumer shares one certified decomposition.
 
-The stationary, Green, hitting and first-passage solves take I - P with
-each row i scaled by its denominator dens_i (``chains.scaled_rows``), so
-their systems are integer from the start: dens_i delta_ij - num_ij on the
-left (transposed for pi), and dens_i e_i, num_ib or dens_i on the right.
-Each solution entry is then one Fraction of two integers.
+The stationary, Green, hitting and fundamental solves take I - P with each
+row i scaled by its denominator dens_i (``chains.scaled_rows``), so their
+systems are integer from the start: dens_i delta_ij - num_ij on the left
+(transposed for pi), and dens_i e_i or num_ib on the right. Each solution
+entry is then one Fraction of two integers.
+
+Each system is eliminated once and kept in a small memo: pi and the
+fundamental matrix Z once per chain, L(R) once per root set. Kemeny's trace,
+Z itself and every mean first passage time read the one Z solve, the last
+by m_ij = (z_jj - z_ij) / pi_j. The Green and hitting matrices are the two
+halves of one solve of L(R) X = [I | P_R].
 """
 
 from __future__ import annotations
@@ -117,7 +123,7 @@ def _solve(a: Sequence[Sequence[Fraction | int]],
     return [row[n:] for row in rows], d
 
 
-def _ratios(x: list[list[int]], d: int) -> Matrix:
+def _ratios(x: Sequence[Sequence[int]], d: int) -> Matrix:
     """The matrix X of a solve's (d X, d)."""
     return tuple(tuple(Fraction(v, d) for v in row) for row in x)
 
@@ -283,51 +289,58 @@ def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(row[0] * dens_i, d) for row, dens_i in zip(y, dens))
 
 
+# Bounds, in chains or root sets, on the two memos below. Each joins calls
+# that come one after the other: kemeny_trace and mfpt_solve on one chain,
+# green_matrix_solve and hitting_solve on one root set.
+_FUNDAMENTAL_CACHE_SIZE = 8
+_ROOT_SET_SOLVE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_ROOT_SET_SOLVE_CACHE_SIZE)
+def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]
+                    ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d [G | H], d) for L(R) [G | H] = [dens I | nums_R]: the Green matrix
+    G = L(R)^{-1} and the hitting matrix H = G P_R in one elimination,
+    rows sorted(S \\ R), G's columns the same states, H's sorted(R).
+
+    Each right-hand side comes with row i times dens_i, as L(R)'s rows do.
+    Raises SingularMatrixError when L(R) is singular.
+    """
+    keep = [v for v in range(p.n) if v not in roots]
+    rs = sorted(roots)
+    nums, dens = scaled_rows(p)
+    b = [[*[dens[i] if i == j else 0 for j in keep], *[nums[i][j] for j in rs]]
+         for i in keep]
+    x, d = _solve(_scaled_laplacian(p, keep), b)
+    return tuple(map(tuple, x)), d
+
+
 def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """L(R)^{-1}, rows and columns indexed by sorted(S \\ R)."""
     rs = set(roots)
-    keep = [v for v in range(p.n) if v not in rs]
-    dens = scaled_rows(p)[1]
-    b = [[dens[i] if i == j else 0 for j in keep] for i in keep]
+    # roots that are not states leave L(R) as it is
     try:
-        inv = _solve(_scaled_laplacian(p, keep), b)
+        x, d = _root_set_solve(p, frozenset(v for v in rs if 0 <= v < p.n))
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {sorted(rs)} infeasible: L(R) is singular") from e
-    return _ratios(*inv)
+    return _ratios([row[:len(x)] for row in x], d)
 
 
 def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """Hitting matrix rows sorted(S \\ R) by columns sorted(R), exact."""
     rs = sorted(set(roots))
-    keep = [v for v in range(p.n) if v not in set(rs)]
-    nums = scaled_rows(p)[0]
-    b = [[nums[i][j] for j in rs] for i in keep]
     try:
-        x = _solve(_scaled_laplacian(p, keep), b)
+        x, d = _root_set_solve(p, frozenset(rs))
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {rs} infeasible: L(R) is singular") from e
-    return _ratios(*x)
+    return _ratios([row[len(x):] for row in x], d)
 
 
-def mfpt_solve(p: TransitionMatrix) -> Matrix:
-    """All mean first passage times by first-step systems; diagonal = 1/pi_j."""
-    require_irreducible(p)
-    n = p.n
-    pi = stationary_solve(p)
-    dens = scaled_rows(p)[1]
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        keep = [v for v in range(n) if v != j]
-        x, d = _solve(_scaled_laplacian(p, keep), [[dens[i]] for i in keep])
-        for row, i in zip(x, keep):
-            out[i][j] = Fraction(row[0], d)
-        out[j][j] = 1 / pi[j]
-    return tuple(tuple(row) for row in out)
-
-
-def _fundamental_solve(p: TransitionMatrix) -> tuple[list[list[int]], int]:
+@lru_cache(maxsize=_FUNDAMENTAL_CACHE_SIZE)
+def _fundamental_solve(p: TransitionMatrix
+                       ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(d Z, d) for Z = (I - P + Pi)^{-1}, Pi the stationary projector."""
     require_irreducible(p)
     pi = stationary_solve(p)
@@ -339,7 +352,23 @@ def _fundamental_solve(p: TransitionMatrix) -> tuple[list[list[int]], int]:
     a = [[c * q + pi_j * d for c, pi_j in zip(row, pis)]
          for row, d in zip(_scaled_laplacian(p, range(n)), dens)]
     b = [[d * q if i == j else 0 for j in range(n)] for i, d in enumerate(dens)]
-    return _solve(a, b)
+    z, d = _solve(a, b)
+    return tuple(map(tuple, z)), d
+
+
+def mfpt_solve(p: TransitionMatrix) -> Matrix:
+    """All mean first passage times from the fundamental matrix Z:
+    m_ij = (z_jj - z_ij) / pi_j for i != j and m_jj = 1 / pi_j (Kemeny and
+    Snell, Finite Markov Chains, 1960)."""
+    z, d = _fundamental_solve(p)
+    pi = stationary_solve(p)
+    # with d Z in integers, m_ij = (d z_jj - d z_ij) den_j / (d num_j)
+    # for pi_j = num_j / den_j
+    return tuple(
+        tuple(Fraction(x.denominator, x.numerator) if i == j else
+              Fraction((z[j][j] - zij) * x.denominator, d * x.numerator)
+              for j, (zij, x) in enumerate(zip(row, pi)))
+        for i, row in enumerate(z))
 
 
 def fundamental_matrix(p: TransitionMatrix) -> Matrix:

@@ -401,8 +401,8 @@ def test_module_entry_point(tmp_path):
 
 
 def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
-    # pi, the MFPT systems and the fundamental matrix share one stationary
-    # solve: n first-step systems, one inverse and one solve for pi in all
+    # pi, the MFPT matrix and Kemeny's trace share one stationary solve and
+    # one fundamental solve: m_ij = (z_jj - z_ij) / pi_j reads Z
     from forestchain import oracle
     doc = {"n": 4, "rows": [["1/8", "3/8", "1/4", "1/4"],
                             ["1/5", "0", "2/5", "2/5"],
@@ -419,9 +419,10 @@ def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(oracle, "_solve", counting)
     oracle.stationary_solve.cache_clear()
+    oracle._fundamental_solve.cache_clear()
     code, out, _ = run_cli(capsys, ["analyze", "--input", str(path)])
     assert code == 0 and json.loads(out)["methods_agree"] is True
-    assert sorted(calls) == [3, 3, 3, 3, 4, 4]
+    assert sorted(calls) == [4, 4]
     assert oracle.stationary_solve.cache_info().maxsize is not None
 
 

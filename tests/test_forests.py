@@ -276,7 +276,8 @@ def test_layer_route_never_walks(monkeypatch, fixture_a):
 
 
 def test_layer_sums_stay_within_their_bounds(monkeypatch):
-    # one chain's memo and root-set tables do not grow without bound
+    # one chain's memo, root-set tables and Green passes do not grow
+    # without bound
     monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 4)
     monkeypatch.setattr(forests, "_LAYER_MEMO_SIZE", 20)
     _layer_sums.cache_clear()
@@ -284,8 +285,9 @@ def test_layer_sums_stay_within_their_bounds(monkeypatch):
     for k in range(1, 6):
         for roots in itertools.combinations(range(6), k):
             assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
+            green_sums(p, roots)
             sums = _layer_sums(p)
-            assert len(sums.tables) <= 4
+            assert len(sums.tables) <= 4 and len(sums.greens) <= 4
             # cleared before a root set once past the bound; one root set
             # with f free states adds at most one entry of n integers per
             # nonempty subset of its free states, or of all n states when
@@ -631,6 +633,28 @@ def test_formulas_read_no_root_set_tables_beyond_r(monkeypatch, fixture_a, u4):
         _layer_sums.cache_clear()
         assert absorb(p, roots) == want
     assert len(chains) >= 4
+
+
+def test_green_occupation_reads_only_the_singleton_tables(monkeypatch):
+    # the Green side of the chung triples, R = {k}, reads k's table and k's
+    # kept Green pass, and no table of {k, j}
+    p = random_irreducible_chain(random.Random(2035), 6)
+    triples = [(i, j, k) for i, j, k in itertools.product(range(6), repeat=3)
+               if k not in (i, j)]
+    expected = [formulas.green_occupation(p, {k}, i, j) for i, j, k in triples]
+    real = forests._root_set_sums
+
+    def singletons_only(q, roots):
+        assert len(roots) == 1, f"read the root set {sorted(roots)}"
+        return real(q, roots)
+
+    monkeypatch.setattr(forests, "_root_set_sums", singletons_only)
+    _layer_sums.cache_clear()
+    assert [formulas.green_occupation(p, {k}, i, j)
+            for i, j, k in triples] == expected
+    assert set(_layer_sums(p).greens) == {frozenset({k}) for k in range(6)}
+    assert expected == [formulas.chung_occupation(p, i, j, k)
+                        for i, j, k in triples]
 
 
 def test_absorption_refills_a_cleared_memo(monkeypatch):

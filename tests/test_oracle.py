@@ -32,6 +32,7 @@ from forestchain import (
     uniform_chain,
 )
 from forestchain.oracle import _solve, require_irreducible
+from forestchain.verify import random_irreducible_chain
 
 from conftest import chain
 
@@ -159,8 +160,12 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     # the oracle does not import the Fraction Laplacian at all
     assert not hasattr(oracle, "laplacian")
     monkeypatch.setattr(chains_module, "laplacian", no_fraction_laplacian)
+    oracle._root_set_solve.cache_clear()
+    oracle._fundamental_solve.cache_clear()
     assert run() == expected
-    assert sorted(sizes) == [1, 1, 2, 2, 2, 2, 2]
+    # L({0}) once for its Green and hitting matrices, L({1, 2}) and
+    # L({0, 2}) once each, and Z once for every passage time
+    assert sorted(sizes) == [1, 1, 2, 3]
     # the stationary system is integer too: one solve in y_i = pi_i / dens_i
     sizes.clear()
     stationary_solve.cache_clear()
@@ -171,6 +176,75 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     for i, j in itertools.permutations(range(3), 2):
         assert m[i][j] == 1 + sum(p.rows[i][k] * m[k][j]
                                   for k in range(3) if k != j)
+
+
+def _first_step_chains():
+    """A seeded dense and sparse irreducible chain at each n = 1..7."""
+    rng = random.Random(2029)
+    out = []
+    for n in range(1, 8):
+        weights = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        out.append(chain([[F(w, sum(ws)) for w in ws] for ws in weights]))
+        out.append(random_irreducible_chain(rng, n))
+    return out
+
+
+def test_mfpt_solve_satisfies_the_first_step_equations():
+    # the definition, not the method: m_ij = 1 + sum_{k != j} p_ik m_kj off
+    # the diagonal and m_jj = 1 / pi_j, exactly
+    for p in _first_step_chains():
+        n = p.n
+        m = mfpt_solve(p)
+        pi = stationary_solve(p)
+        assert sum(pi) == 1 and all(x > 0 for x in pi)
+        for i, j in itertools.product(range(n), repeat=2):
+            if i == j:
+                assert m[j][j] == 1 / pi[j]
+            else:
+                assert m[i][j] == 1 + sum(p.rows[i][k] * m[k][j]
+                                          for k in range(n) if k != j)
+
+
+def test_green_and_hitting_share_one_elimination(monkeypatch):
+    from forestchain import oracle
+    p = random_irreducible_chain(random.Random(2031), 6)
+    real = oracle._solve
+    calls = []
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "_solve", counting)
+    oracle._root_set_solve.cache_clear()
+    for roots in ({0}, {1, 4}):
+        g = green_matrix_solve(p, roots)
+        h = hitting_solve(p, roots)
+        # H = G P_R: the two halves of one solve agree with each other
+        keep = [v for v in range(6) if v not in roots]
+        assert h == tuple(
+            tuple(sum(g[a][c] * p.rows[k][b] for c, k in enumerate(keep))
+                  for b in sorted(roots)) for a in range(len(keep)))
+    assert calls == [5, 4]
+    # Kemeny's trace, Z and every passage time read one fundamental solve
+    stationary_solve(p)
+    oracle._fundamental_solve.cache_clear()
+    calls.clear()
+    k, z, m = kemeny_trace(p), fundamental_matrix(p), mfpt_solve(p)
+    assert calls == [6]
+    assert k == sum(z[i][i] for i in range(6))
+    assert m[1][0] == (z[0][0] - z[1][0]) / stationary_solve(p)[0]
+
+
+def test_kept_solves_are_bounded_and_read_only():
+    from forestchain import oracle
+    # the calls each memo joins come one after the other, so a few entries do
+    for cached in (oracle._fundamental_solve, oracle._root_set_solve):
+        assert 1 <= cached.cache_info().maxsize <= 16
+    p = random_irreducible_chain(random.Random(2033), 4)
+    z, _ = oracle._fundamental_solve(p)
+    x, _ = oracle._root_set_solve(p, frozenset({0}))
+    assert all(type(t) is tuple for t in (z, x, *z, *x))
 
 
 def test_stationary_solve(fixture_a, d2):
