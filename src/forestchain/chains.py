@@ -78,15 +78,21 @@ def format_rational(q: Fraction) -> str:
 
 def _check_row(i: int, cells: Iterable[tuple[int, Fraction]]) -> None:
     """Row ``i``, given as (column, entry) pairs by ascending column (zero
-    entries may be left out), must be nonnegative and sum to exactly 1."""
-    total = Fraction(0)
+    entries may be left out), must be nonnegative and sum to exactly 1.
+
+    Sign and sum are taken in integers over the lcm d of the row's
+    denominators."""
+    cells = list(cells)
+    d = lcm(*[x.denominator for _j, x in cells])
+    total = 0
     for j, x in cells:
-        if x < 0:
+        if x.numerator < 0:
             raise ChainParseError(
                 f"negative entry {format_rational(x)} at ({i},{j})")
-        total += x
-    if total != 1:
-        raise ChainParseError(f"row {i} sums to {format_rational(total)}")
+        total += x.numerator * (d // x.denominator)
+    if total != d:
+        raise ChainParseError(
+            f"row {i} sums to {format_rational(Fraction(total, d))}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +123,7 @@ class TransitionMatrix:
             if len(row) != n:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
-            # sign and sum in integers over the lcm of the row's
-            # denominators; _check_row words the error
-            d = lcm(*[x.denominator for x in row])
-            nums = [x.numerator * (d // x.denominator) for x in row]
-            if min(nums) < 0 or sum(nums) != d:
-                _check_row(i, enumerate(row))
+            _check_row(i, enumerate(row))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:

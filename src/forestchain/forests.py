@@ -497,9 +497,9 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 # _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8, where sigma_r over
 # every r reads them all) and as many root sets' Green numerators. The memo
 # holds n integers per state set; it is cleared before a root set or a pass
-# when it holds more than _LAYER_MEMO_SIZE. One root set with f free states adds at most an entry
-# per nonempty subset of them, or of all n states when it has one root:
-# n (2^(f+1) - 1) integers.
+# when it holds more than _LAYER_MEMO_SIZE. One root set with f free states
+# adds at most an entry per nonempty subset of them, or of all n states when
+# it has one root: n (2^(f+1) - 1) integers.
 _LAYER_CACHE_SIZE = 2
 _ROOT_SET_CACHE_SIZE = 256
 _LAYER_MEMO_SIZE = 1 << 17

@@ -290,10 +290,11 @@ def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
 
 
 # Bounds, in chains or root sets, on the two memos below. Each joins calls
-# that come one after the other: kemeny_trace and mfpt_solve on one chain,
-# green_matrix_solve and hitting_solve on one root set.
-_FUNDAMENTAL_CACHE_SIZE = 8
-_ROOT_SET_SOLVE_CACHE_SIZE = 16
+# that come one after the other on one key: kemeny_trace and mfpt_solve on
+# one chain, green_matrix_solve and hitting_solve on one root set. So one
+# entry serves every caller.
+_FUNDAMENTAL_CACHE_SIZE = 1
+_ROOT_SET_SOLVE_CACHE_SIZE = 1
 
 
 @lru_cache(maxsize=_ROOT_SET_SOLVE_CACHE_SIZE)
