@@ -364,6 +364,18 @@ def scaled_rows(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...],
     return nums, dens
 
 
+def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> frozenset[int]:
+    """The root set as a frozenset of ints, each checked to be a state of
+    an n-state chain; empty only when ``allow_empty``."""
+    rs = frozenset(int(r) for r in roots)
+    if not rs and not allow_empty:
+        raise ValueError("root set must be nonempty")
+    for r in rs:
+        if not 0 <= r < n:
+            raise ValueError(f"root {r} out of range for n={n}")
+    return rs
+
+
 def laplacian(p: TransitionMatrix) -> Matrix:
     """L = I - P."""
     n = p.n

@@ -20,10 +20,8 @@ with T(B, ∅) = 1. A per-chain memo keeps, for each state set S, the tree
 sums T({c}, S - {c}) at every c in S and the pulls A({c}, S) at every c
 outside it. A root set with f free states reads the entries of the subsets
 of its free states, filled with about f 3^(f-1) / 2 multiply-adds, so all
-the tree sums of an n-state chain cost about n 3^(n-1) / 2. Splitting a
-forest at the free states X of b's tree gives
-w_ib(R) = sum over X containing i of T({b}, X) T(R - {b}, free - X),
-with the other roots merged into one.
+the tree sums of an n-state chain cost about n 3^(n-1) / 2. A tree sum
+w({b}) is the memo entry of all n states at b.
 
 The sums that split the states into two blocks are read straight from the
 memo, one pass over its subsets X and no root-set table. With
@@ -36,6 +34,14 @@ Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
 the free sets X that hold i and j (``green_sums``), about 2^f f^2 / 4 for
 f free states. A chain's two-tree sums take one such pass and are kept; a
 root set's Green numerators take one pass in place of f root-set tables.
+
+A root set of two or more roots reads its table off its own Green
+numerators. Cutting i's path at its last arc j -> b, a forest rooted at R
+in which i drains to b is a forest rooted at R ∪ {j} in which i drains to
+j, plus that arc, so w_ib(R) = sum over free j of w_ij(R ∪ {j}) p_jb: the
+forest form of the absorbing-chain identity H = G P_R (Kemeny and Snell,
+1960). Every free state drains to one root, so w(R) = sum_b w_ib(R) at any
+free i. The Green pass is kept, and ``absorption`` reads it again.
 
 One backtracking walker, ``_walk``, serves what the tree sums do not:
 listing forests and cycle-rooted configurations, their exact laws, the
@@ -61,9 +67,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .chains import (
     InfeasibleRootSetError,
     TransitionMatrix,
+    check_roots,
     format_rational,
-    # bound under this name too, since the sampler imports it from here
-    scaled_rows as _scaled_rows,
+    scaled_rows,
 )
 
 __all__ = [
@@ -83,18 +89,6 @@ DEFAULT_GUARD = 8
 
 class EnumerationGuardError(ValueError):
     """Candidate space too large for exhaustive enumeration."""
-
-
-def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> frozenset[int]:
-    """The root set as a frozenset of ints, each checked to be a state of
-    an n-state chain; empty only when ``allow_empty``."""
-    rs = frozenset(int(r) for r in roots)
-    if not rs and not allow_empty:
-        raise ValueError("root set must be nonempty")
-    for r in rs:
-        if not 0 <= r < n:
-            raise ValueError(f"root {r} out of range for n={n}")
-    return rs
 
 
 def _check_guard(n: int, roots: frozenset[int], guard: int) -> None:
@@ -416,7 +410,7 @@ def _weighted(p: TransitionMatrix, roots: frozenset[int],
     the scaled rows' integer factors, times alpha of each cycle.
     """
     cyclic = alpha is not None
-    nums = _scaled_rows(p)[0]
+    nums = scaled_rows(p)[0]
     for succ, root_of, w in _walk(p.n, roots, _arcs(p.n, roots, nums, cyclic),
                                   cyclic):
         if cyclic and -1 in root_of:
@@ -566,7 +560,7 @@ class GreenSums(NamedTuple):
 class _TreeSums:
     """Rooted-tree sums of one chain over bitmasks of states.
 
-    Weights are integers, rows scaled as in ``_scaled_rows``. ``memo[S]``
+    Weights are integers, rows scaled as in ``scaled_rows``. ``memo[S]``
     is (vals, members) for a nonempty state set S: at c in S, vals[c] is
     the weight of the spanning trees on S rooted at c, T({c}, S - {c}); at
     c outside S it is the pull A({c}, S) = sum_{d in S} p_dc T({d}, S - {d}),
@@ -576,7 +570,7 @@ class _TreeSums:
 
     def __init__(self, p: TransitionMatrix):
         self.n = p.n
-        self.nums, self.dens = _scaled_rows(p)
+        self.nums, self.dens = scaled_rows(p)
         self.denom = prod(self.dens)
         self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
         self.tables: dict[frozenset[int], RootSetSums] = {}
@@ -681,73 +675,48 @@ class _TreeSums:
             col[x] = t
         return col
 
-    def _split(self, roots: frozenset[int], free: int, scale: int):
-        """({(i, b): w_ib(R)}, w(R)) for a root set of two or more, both
-        integers over D_R, the product of the free rows' denominators, and
-        then times ``scale``.
-
-        The last root's shares come by difference: every free state's tree
-        has one root, so the w_ib(R) over b in R add up to w(R).
-        """
-        n, memo = self.n, self.memo
-        subsets = _subsets(free)
-        self._fill(subsets)
-        *firsts, last = sorted(roots)
-        table: dict[tuple[int, int], int] = {}
-        left: list[int] = []
-        for b in firsts:
-            others = self._column(subsets, roots - {b})
-            share = [0] * n
-            for x, t in self._column(subsets, (b,)).items():
-                u = others[free ^ x]
-                if not (t and u):
-                    continue
-                t *= u
-                share[b] += t
-                if x:
-                    for i in memo[x][1]:
-                        share[i] += t
-            if not left:
-                left = [share[b]] * n  # a root's share at itself is w(R)
-            for i, t in enumerate(share):
-                if t:
-                    table[(i, b)] = t * scale
-                    left[i] -= t
-        for i, t in enumerate(left):
-            if t:
-                table[(i, last)] = t * scale
-        return table, left[last] * scale
-
     def root_set(self, roots: frozenset[int]) -> RootSetSums:
         """w(R) and {(i, b): w_ib(R)} as integers over the chain's
         denominator, nonzero entries only, i over all states.
 
-        A forest rooted at R splits at the free states X of b's tree:
-        w_ib(R) sums T({b}, X) T(R - {b}, free - X) over the X that contain
-        i, and over every X when i = b, which gives w(R). The other roots
-        act as one merged root, pulling each state with the sum of its
-        arcs into them. A forest with one root b is a spanning tree, whose
-        weight the memo entry of all n states holds at b. Both come over
-        D_R, the product of the free rows' denominators, and are multiplied
-        by the roots' ones once, here.
+        A forest with one root b is a spanning tree, whose weight the memo
+        entry of all n states holds at b. For two or more roots, cut i's
+        path at its last arc j -> b: a forest rooted at R in which i drains
+        to b is a forest rooted at R ∪ {j} in which i drains to j, plus
+        that arc. So w_ib(R) = sum over free j of w_ij(R ∪ {j}) p_jb, read
+        off R's Green numerators, whose entry at j carries dens_j in place
+        of p_jb's denominator. Every free state's tree has one root, so
+        w(R) sums w_ib(R) over b at any free i, and is 1 when R is every
+        state.
         """
         got = self.tables.get(roots)
         if got is not None:
             return got
         self._make_room()
-        n = self.n
-        full = (1 << n) - 1
-        free = full ^ sum(1 << v for v in roots)
-        memo = self.memo
-        scale = prod(self.dens[b] for b in roots)
+        n, nums, dens = self.n, self.nums, self.dens
         if len(roots) == 1:
             (b,) = roots
-            if full not in memo:
+            full = (1 << n) - 1
+            if full not in self.memo:
                 self._fill(_subsets(full))
-            w = memo[full][0][b] * scale
+            w = self.memo[full][0][b] * dens[b]
             table = dict.fromkeys([(i, b) for i in range(n)], w) if w else {}
         else:
-            table, w = self._split(roots, free, scale)
+            interior, rows, _ = self.green(roots)
+            table = {}
+            w = self.denom  # the empty forest, when R is every state
+            for i, row in zip(interior, rows):
+                share = dict.fromkeys(roots, 0)
+                for j, g in zip(interior, row):
+                    if g:
+                        g //= dens[j]
+                        arcs = nums[j]
+                        for b in share:
+                            share[b] += g * arcs[b]
+                w = sum(share.values())
+                table.update(((i, b), t) for b, t in share.items() if t)
+            if w:
+                table.update(((b, b), w) for b in roots)
         return self._keep(self.tables, roots,
                           RootSetSums(w, table, self.denom))
 
@@ -974,7 +943,7 @@ def _tree_deletion_row(p: TransitionMatrix, j: int):
     integer weights per vector of those heads and spreads each group once.
     """
     n = p.n
-    nums, dens = _scaled_rows(p)
+    nums, dens = scaled_rows(p)
     free = [v for v in range(n) if v != j]
     # arcs into j are followed even at probability zero, their factors settled
     # per group: the head k gets row k's denominator back, the others pay
@@ -1038,7 +1007,7 @@ def w_ec_sums(p: TransitionMatrix, alpha: CycleWeights,
         for i, r in enumerate(root_of):
             if r >= 0:
                 table[(i, r)] = table.get((i, r), 0) + w
-    dens = _scaled_rows(p)[1]
+    dens = scaled_rows(p)[1]
     denom = prod(dens[v] for v in range(p.n) if v not in rs)
     return (Fraction(sum(groups.values()), denom),
             {k: Fraction(w, denom) for k, w in table.items()})

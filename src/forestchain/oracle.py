@@ -37,6 +37,7 @@ from .chains import (
     ReducibleChainError,
     TransitionMatrix,
     WeightedDigraph,
+    check_roots,
     scaled_rows,
     weighted_laplacian,
 )
@@ -318,10 +319,9 @@ def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]
 
 def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """L(R)^{-1}, rows and columns indexed by sorted(S \\ R)."""
-    rs = set(roots)
-    # roots that are not states leave L(R) as it is
+    rs = check_roots(p.n, roots, allow_empty=True)
     try:
-        x, d = _root_set_solve(p, frozenset(v for v in rs if 0 <= v < p.n))
+        x, d = _root_set_solve(p, rs)
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {sorted(rs)} infeasible: L(R) is singular") from e
@@ -330,12 +330,12 @@ def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
 
 def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """Hitting matrix rows sorted(S \\ R) by columns sorted(R), exact."""
-    rs = sorted(set(roots))
+    rs = check_roots(p.n, roots, allow_empty=True)
     try:
-        x, d = _root_set_solve(p, frozenset(rs))
+        x, d = _root_set_solve(p, rs)
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
-            f"root set {rs} infeasible: L(R) is singular") from e
+            f"root set {sorted(rs)} infeasible: L(R) is singular") from e
     return _ratios([row[len(x):] for row in x], d)
 
 

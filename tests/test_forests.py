@@ -34,11 +34,10 @@ from forestchain import (
     w_target_sum,
 )
 
-from forestchain import forests, formulas, oracle
+from forestchain import chains, forests, formulas, oracle
 from forestchain.forests import (
     DEFAULT_GUARD,
     _layer_sums,
-    _scaled_rows,
     _tree_deletion_row,
     green_sums,
     root_set_sums,
@@ -678,6 +677,17 @@ def test_absorption_refills_a_cleared_memo(monkeypatch):
     assert ab.hit == oracle.hitting_solve(p, roots)
 
 
+def test_multi_root_tables_read_the_root_sets_green_pass():
+    # w_ib(R) comes from R's own Green numerators by the last-arc cut, so a
+    # table of two or more roots leaves that pass kept and no other
+    p = random_irreducible_chain(random.Random(47), 6)
+    roots = frozenset({1, 4})
+    _layer_sums.cache_clear()
+    root_set_sums(p, roots)
+    assert set(_layer_sums(p).greens) == {roots}
+    assert green_sums(p, roots) is _layer_sums(p).greens[roots]
+
+
 def test_modified_chain_keeps_the_callers_tree_sums(fixture_a):
     # mfpt_via_modified_chain sums the trees of a sub-chain; with room for
     # two chains, the caller's memo survives it
@@ -759,7 +769,7 @@ def test_w_ec_sums_empty_roots(d2):
 
 
 def test_forest_caches_are_bounded():
-    caches = (_layer_sums, _scaled_rows, _tree_deletion_row,
+    caches = (_layer_sums, chains.scaled_rows, _tree_deletion_row,
               irreducibility_certificate)
     assert all(c.cache_info().maxsize is not None for c in caches)
     # one row per target state, and the guard admits trees on this many

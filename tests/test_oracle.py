@@ -307,6 +307,28 @@ def test_hitting_solve(fixture_a, r3):
     assert rows == ((F(1),), (F(1),))
 
 
+@pytest.mark.parametrize("solve, want", [
+    (green_matrix_solve, ((F(3, 2),),)),
+    (hitting_solve, ((F(1, 2), F(1, 2)),)),
+])
+def test_root_set_solves_refuse_roots_that_are_not_states(monkeypatch, solve,
+                                                          want):
+    from forestchain import oracle
+    p = uniform_chain(3)
+    # -1 would wrap to state 2, and n would be dropped or overrun a row;
+    # both are refused before the kept solve is asked
+    monkeypatch.setattr(oracle, "_root_set_solve", None)
+    for root in (-1, 3):
+        with pytest.raises(ValueError,
+                           match=f"root {root} out of range for n=3") as err:
+            solve(p, {0, root})
+        assert not isinstance(err.value, InfeasibleRootSetError)
+    monkeypatch.undo()
+    assert solve(p, [2, 0]) == want
+    with pytest.raises(InfeasibleRootSetError):
+        solve(p, set())
+
+
 def test_cesaro_average(fixture_a, d2, r3):
     avg = cesaro_average(d2, 2)
     assert all(abs(x - 0.5) <= 1e-8 + 1e-5 * 0.5 for row in avg for x in row)
