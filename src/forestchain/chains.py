@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 #: Row-major square matrix of exact rationals.
@@ -95,8 +95,53 @@ def _check_row(i: int, cells: Iterable[tuple[int, Fraction]]) -> None:
             f"row {i} sums to {format_rational(Fraction(total, d))}")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class FrozenValue:
+    """Base of the checked value types: immutable fields kept in slots.
+
+    A subclass lists every attribute it stores in ``__slots__`` and its
+    public fields, in constructor order, in ``_fields``. Its ``__init__``
+    checks the arguments and stores them past the frozen ``__setattr__``
+    (``object.__setattr__``, or a slot's own ``__set__``). Objects compare
+    equal, and hash alike, when they are of the same class and their fields
+    are equal; the repr shows the fields, and pickling rebuilds through
+    ``__init__``, so a loaded object is checked again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # a single name makes attrgetter return the bare value
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class TransitionMatrix(FrozenValue):
     """A row-stochastic matrix of exact rationals.
 
     States are dense indices 0..n-1. ``labels``, when present, records the
@@ -104,18 +149,14 @@ class TransitionMatrix:
     must be >= 0. Self-loops are allowed.
     """
 
-    rows: Matrix
-    labels: tuple[str, ...] | None = None
-    _hash: int = field(init=False, compare=False, repr=False)
-    _support: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False)
+    __slots__ = ("rows", "labels", "_hash", "_support")
+    _fields = ("rows", "labels")
 
-    def __post_init__(self):
+    def __init__(self, rows: Matrix, labels: tuple[str, ...] | None = None):
         rows = tuple(
             row if type(row) is tuple and all(type(x) is Fraction for x in row)
             else tuple(Fraction(x) for x in row)
-            for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+            for row in rows)
         n = len(rows)
         if n == 0:
             raise ChainParseError("empty transition matrix")
@@ -124,14 +165,17 @@ class TransitionMatrix:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
             _check_row(i, enumerate(row))
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
             if len(labels) != n:
                 raise ChainParseError(
                     f"{len(labels)} labels for {n} states")
-            object.__setattr__(self, "labels", labels)
-        # chains key the forest caches, so hash the n² entries only once
-        object.__setattr__(self, "_hash", hash((self.rows, self.labels)))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
+        # chains key the forest caches, so hash the n² entries only once;
+        # unpickling runs __init__, so the memo is never carried across
+        # processes, where label hashes differ
+        object.__setattr__(self, "_hash", hash((rows, labels)))
         # the graph checks ask for the support many times per chain; the
         # entries are checked nonnegative above, so nonzero means positive
         object.__setattr__(self, "_support", tuple(
@@ -139,11 +183,6 @@ class TransitionMatrix:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # rebuild on unpickling: the memoized hash is only valid in the
-        # process that computed it, and the support is recomputed with it
-        return (TransitionMatrix, (self.rows, self.labels))
 
     @property
     def n(self) -> int:
@@ -157,8 +196,7 @@ class TransitionMatrix:
         return self._support
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
+class WeightedDigraph(FrozenValue):
     """Digraph with rational conductances on its arcs.
 
     No self-loops and no parallel (tail, head) duplicates. A vertex may have
@@ -166,18 +204,15 @@ class WeightedDigraph:
     rejects that case at conversion time.
     """
 
-    n: int
-    arcs: tuple[tuple[int, int, Fraction], ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = _fields = ("n", "arcs", "labels")
 
-    def __post_init__(self):
-        arcs = tuple(
-            (int(t), int(h), Fraction(c)) for (t, h, c) in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
+    def __init__(self, n: int, arcs: tuple[tuple[int, int, Fraction], ...],
+                 labels: tuple[str, ...] | None = None):
+        arcs = tuple((int(t), int(h), Fraction(c)) for (t, h, c) in arcs)
         seen: set[tuple[int, int]] = set()
         for (t, h, c) in arcs:
-            if not (0 <= t < self.n and 0 <= h < self.n):
-                raise ChainParseError(f"arc ({t},{h}) out of range for n={self.n}")
+            if not (0 <= t < n and 0 <= h < n):
+                raise ChainParseError(f"arc ({t},{h}) out of range for n={n}")
             if t == h:
                 raise ChainParseError(f"self-loop arc at vertex {t}")
             if (t, h) in seen:
@@ -186,8 +221,11 @@ class WeightedDigraph:
             if c < 0:
                 raise ChainParseError(
                     f"negative conductance {format_rational(c)} on arc ({t},{h})")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "labels", labels)
 
     def conductance(self, i: int, j: int) -> Fraction:
         for (t, h, c) in self.arcs:

@@ -58,13 +58,13 @@ length-n vector per level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .chains import (
+    FrozenValue,
     InfeasibleRootSetError,
     TransitionMatrix,
     check_roots,
@@ -143,8 +143,7 @@ def _classify(n: int, roots: frozenset[int], succ: Sequence[int]):
 # ---------------------------------------------------------------------------
 # configuration types
 
-@dataclass(frozen=True)
-class RootedForest:
+class RootedForest(FrozenValue):
     """Spanning forest directed toward a nonempty root set.
 
     ``parent`` has one entry per state: the parent of each non-root, -1 at
@@ -152,30 +151,27 @@ class RootedForest:
     is validated at construction).
     """
 
-    n: int
-    roots: frozenset[int]
-    parent: tuple[int, ...]
+    __slots__ = ("n", "roots", "parent", "_root_of")
+    _fields = ("n", "roots", "parent")
 
-    def __post_init__(self):
-        roots = check_roots(self.n, self.roots)
-        parent = tuple(int(u) for u in self.parent)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "parent", parent)
-        if len(parent) != self.n:
-            raise ValueError(f"parent vector has length {len(parent)}, expected {self.n}")
-        for v in range(self.n):
+    def __init__(self, n: int, roots: frozenset[int], parent: tuple[int, ...]):
+        roots = check_roots(n, roots)
+        parent = tuple(int(u) for u in parent)
+        if len(parent) != n:
+            raise ValueError(f"parent vector has length {len(parent)}, expected {n}")
+        for v in range(n):
             if v in roots:
                 if parent[v] != -1:
                     raise ValueError(f"root {v} must have parent -1")
             else:
-                if not 0 <= parent[v] < self.n:
+                if not 0 <= parent[v] < n:
                     raise ValueError(f"parent of {v} out of range")
                 if parent[v] == v:
                     raise ValueError(f"vertex {v} is its own parent")
-        root_of, cycles = _classify(self.n, roots, parent)
+        root_of, cycles = _classify(n, roots, parent)
         if cycles:
             raise ValueError(f"parent map contains cycle {cycles[0]}")
-        object.__setattr__(self, "_root_of", root_of)
+        _set_forest(self, n, roots, parent, root_of)
 
     @classmethod
     def _trusted(cls, n: int, roots: frozenset[int], parent: tuple[int, ...],
@@ -184,10 +180,19 @@ class RootedForest:
         construction: skip the checks and take its root-of vector instead of
         classifying the parents again."""
         f = object.__new__(cls)
-        for name, value in (("n", n), ("roots", roots), ("parent", parent),
-                            ("_root_of", root_of)):
-            object.__setattr__(f, name, value)
+        _set_forest(f, n, roots, parent, root_of)
         return f
+
+    # the samplers' tallies hash and compare a forest per draw: an inline
+    # field tuple is read faster than through the base's attrgetter
+    def __hash__(self) -> int:
+        return hash((self.n, self.roots, self.parent))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.roots, self.parent) \
+            == (other.n, other.roots, other.parent)
 
     def parent_map(self) -> dict[int, int]:
         return {v: u for v, u in enumerate(self.parent) if u != -1}
@@ -228,37 +233,33 @@ def forest_from_json(doc: dict) -> RootedForest:
     return RootedForest(*_from_json(doc))
 
 
-@dataclass(frozen=True)
-class Ecrsf:
+class Ecrsf(FrozenValue):
     """Cycle-rooted spanning forest with optional tree roots.
 
     Every component of the successor map is either a tree whose paths lead
     into ``tree_roots`` or hangs off exactly one directed cycle disjoint from
     the roots. A self-loop is a cycle of length 1. Any successor map on the
-    non-root states is valid; the classification is computed, not checked.
+    non-root states is valid; the classification is computed, not checked,
+    and ``cycles`` takes no part in equality, hashing or the repr.
     """
 
-    n: int
-    tree_roots: frozenset[int]
-    successor: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "tree_roots", "successor", "cycles", "_root_of")
+    _fields = ("n", "tree_roots", "successor")
 
-    def __post_init__(self):
-        roots = check_roots(self.n, self.tree_roots, allow_empty=True)
-        succ = tuple(int(u) for u in self.successor)
-        object.__setattr__(self, "tree_roots", roots)
-        object.__setattr__(self, "successor", succ)
-        if len(succ) != self.n:
-            raise ValueError(f"successor vector has length {len(succ)}, expected {self.n}")
-        for v in range(self.n):
+    def __init__(self, n: int, tree_roots: frozenset[int],
+                 successor: tuple[int, ...]):
+        roots = check_roots(n, tree_roots, allow_empty=True)
+        succ = tuple(int(u) for u in successor)
+        if len(succ) != n:
+            raise ValueError(f"successor vector has length {len(succ)}, expected {n}")
+        for v in range(n):
             if v in roots:
                 if succ[v] != -1:
                     raise ValueError(f"tree root {v} must have successor -1")
-            elif not 0 <= succ[v] < self.n:
+            elif not 0 <= succ[v] < n:
                 raise ValueError(f"successor of {v} out of range")
-        root_of, cycles = _classify(self.n, roots, succ)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "_root_of", root_of)
+        root_of, cycles = _classify(n, roots, succ)
+        _set_ecrsf(self, n, roots, succ, cycles, root_of)
 
     @classmethod
     def _trusted(cls, n: int, roots: frozenset[int], successor: tuple[int, ...],
@@ -282,9 +283,18 @@ class Ecrsf:
                     cycles.append(canonical_cycle(path[path.index(v):]))
             cycles.sort()
         e = object.__new__(cls)
-        e.__dict__.update(n=n, tree_roots=roots, successor=successor,
-                          cycles=tuple(cycles), _root_of=root_of)
+        _set_ecrsf(e, n, roots, successor, tuple(cycles), root_of)
         return e
+
+    # hashed and compared per draw, as RootedForest is
+    def __hash__(self) -> int:
+        return hash((self.n, self.tree_roots, self.successor))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.tree_roots, self.successor) \
+            == (other.n, other.tree_roots, other.successor)
 
     def successor_map(self) -> dict[int, int]:
         return {v: u for v, u in enumerate(self.successor) if u != -1}
@@ -305,19 +315,45 @@ class Ecrsf:
         }
 
 
+# Each slot's own setter, bound once: it stores past the frozen __setattr__
+# in about half the time object.__setattr__ takes, and the samplers build
+# one configuration per draw.
+_put_n, _put_roots, _put_parent, _put_root_of = (
+    RootedForest.__dict__[name].__set__ for name in RootedForest.__slots__)
+_put_ec_n, _put_tree_roots, _put_successor, _put_cycles, _put_ec_root_of = (
+    Ecrsf.__dict__[name].__set__ for name in Ecrsf.__slots__)
+
+
+def _set_forest(f: RootedForest, n, roots, parent, root_of) -> None:
+    _put_n(f, n)
+    _put_roots(f, roots)
+    _put_parent(f, parent)
+    _put_root_of(f, root_of)
+
+
+def _set_ecrsf(e: Ecrsf, n, roots, successor, cycles, root_of) -> None:
+    _put_ec_n(e, n)
+    _put_tree_roots(e, roots)
+    _put_successor(e, successor)
+    _put_cycles(e, cycles)
+    _put_ec_root_of(e, root_of)
+
+
 def ecrsf_from_json(doc: dict) -> Ecrsf:
     return Ecrsf(*_from_json(doc))
 
 
-@dataclass(frozen=True)
-class CycleWeights:
+class CycleWeights(FrozenValue):
     """Rotation-invariant rule assigning each directed cycle a weight in [0,1].
 
     The rule always receives the cycle rotated so its minimal state is first,
     which makes rotation invariance structural.
     """
 
-    rule: Callable[[tuple[int, ...]], Fraction | int]
+    __slots__ = _fields = ("rule",)
+
+    def __init__(self, rule: Callable[[tuple[int, ...]], Fraction | int]):
+        object.__setattr__(self, "rule", rule)
 
     def weight(self, cycle: Sequence[int]) -> Fraction:
         value = Fraction(self.rule(canonical_cycle(cycle)))
@@ -876,8 +912,7 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     return Fraction(got.table.get((i, j), 0), got.denom)
 
 
-@dataclass(frozen=True)
-class ForestSums:
+class ForestSums(NamedTuple):
     """Tree sums of one chain: sigma(j) = w({j}) and sigma1 = sum_j sigma(j)."""
 
     sigma_vector: tuple[Fraction, ...]

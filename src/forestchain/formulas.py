@@ -18,9 +18,8 @@ rescaling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import oracle
 from .chains import (
@@ -235,8 +234,7 @@ def ecrsf_stopped_distribution(
 # ---------------------------------------------------------------------------
 # feasibility report
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Independent evaluations of the root-set feasibility equivalences."""
 
     roots: tuple[int, ...]
@@ -287,8 +285,7 @@ def feasibility(p: TransitionMatrix, roots: Iterable[int],
 # ---------------------------------------------------------------------------
 # aggregate analyses
 
-@dataclass(frozen=True)
-class ChainAnalysis:
+class ChainAnalysis(NamedTuple):
     """Stationary law, full MFPT matrix (diagonal = return times), Kemeny."""
 
     pi: tuple[Fraction, ...]
@@ -321,8 +318,7 @@ def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
     return ChainAnalysis(pi, mfpt, Fraction(total + sums.pairs, total))
 
 
-@dataclass(frozen=True)
-class AbsorptionAnalysis:
+class AbsorptionAnalysis(NamedTuple):
     """Green matrix, hitting distribution and mean hitting times for one R."""
 
     targets: tuple[int, ...]

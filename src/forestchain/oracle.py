@@ -25,11 +25,10 @@ halves of one solve of L(R) X = [I | P_R].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .chains import (
     InfeasibleRootSetError,
@@ -205,8 +204,7 @@ def states_not_reaching_all(p: TransitionMatrix) -> tuple[int, ...]:
         j for j in range(p.n) if states_not_reaching(p, {j}))
 
 
-@dataclass(frozen=True)
-class RecurrentClasses:
+class RecurrentClasses(NamedTuple):
     """Closed communicating classes and the transient remainder."""
 
     classes: tuple[tuple[int, ...], ...]

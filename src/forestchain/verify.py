@@ -18,9 +18,8 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import chains, forests, formulas, oracle, wilson
 from .chains import TransitionMatrix, format_rational, uniform_chain
@@ -28,8 +27,7 @@ from .chains import TransitionMatrix, format_rational, uniform_chain
 DEFAULT_SEED = 1069
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     seed: int
     trials: int

@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import oracle
-from .chains import InfeasibleRootSetError, TransitionMatrix
+from .chains import FrozenValue, InfeasibleRootSetError, TransitionMatrix
 # bound under a private name, which the benchmark's tracer patches
 from .chains import scaled_rows as _scaled_rows
 from .forests import (
@@ -56,16 +55,15 @@ _trusted_forest = RootedForest._trusted
 _trusted_ecrsf = Ecrsf._trusted
 
 
-@dataclass(frozen=True)
-class PathTrace:
+class PathTrace(FrozenValue):
     """A finite walk path; consecutive states should be admissible steps
     of whatever chain produced it (not checked here, the chain is not known).
     """
 
-    states: tuple[int, ...]
+    __slots__ = _fields = ("states",)
 
-    def __post_init__(self):
-        states = tuple(int(s) for s in self.states)
+    def __init__(self, states: tuple[int, ...]):
+        states = tuple(int(s) for s in states)
         if not states:
             raise ValueError("empty path")
         object.__setattr__(self, "states", states)
@@ -78,18 +76,18 @@ class PathTrace:
         return len(set(self.states)) == len(self.states)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int
-    sample_count: int = 1
-    alpha: CycleWeights | None = None
+class SamplerConfig(FrozenValue):
+    __slots__ = _fields = ("seed", "sample_count", "alpha")
 
-    def __post_init__(self):
-        if not 0 <= int(self.seed) < (1 << 64):
+    def __init__(self, seed: int, sample_count: int = 1,
+                 alpha: CycleWeights | None = None):
+        if not 0 <= int(seed) < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.sample_count < 1:
+        if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "sample_count", sample_count)
+        object.__setattr__(self, "alpha", alpha)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -444,8 +442,7 @@ def lerw_path_prob(p: TransitionMatrix, roots: Iterable[int],
 # ---------------------------------------------------------------------------
 # goodness of fit
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(NamedTuple):
     statistic: float
     dof: int
     p_value: float

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -140,6 +141,25 @@ def test_count_cayley(capsys):
     assert doc["closed_form"] == 8
     assert doc["enumerated"] == 8
     assert doc["agree"] is True
+
+
+def test_count_refuses_a_listing_past_the_cap(capsys, tmp_path, monkeypatch):
+    # a dense 9-state chain passes the guard (one root leaves 8 free states)
+    # but has 10^8 forests to list: refused before any sum or listing
+    path = tmp_path / "u9.json"
+    path.write_text(json.dumps({"n": 9, "rows": [["1/9"] * 9] * 9}))
+    work = []
+    monkeypatch.setattr(cli, "sigma_sums", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "enumerate_forests", lambda *a: work.append(a))
+    for argv, size in ((["count", "--input", str(path)], 10**8),
+                       (["count", "--cayley", "10", "2"], 2 * 10**7)):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "guard", "detail": (
+            f"listing {size} forests exceeds the limit of 10000000 for count")}
+    assert work == []
+    # the 9^7 forests of an 8-state chain, or of --cayley 9 1, are listed
+    cli._check_listing(9**7)
 
 
 def test_count_prism(capsys):
@@ -344,6 +364,20 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
          "import forestchain.cli, sys; "
          "print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
         capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses brings in inspect, ast, dis and tokenize: most of what the
+    # package once cost to import. -S keeps site's own imports out of it.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, forestchain.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -4,7 +4,6 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -214,7 +213,7 @@ def test_kkw_refuses_exactly_when_cycle_rooted_weight_vanishes():
         roots = rng.sample(range(n), rng.randint(0, 2))
         total = w_ec_sums(p, parity, roots)[0]
         try:
-            sample_ecrsf(p, roots, replace(cfg, seed=t, alpha=parity))
+            sample_ecrsf(p, roots, SamplerConfig(seed=t, alpha=parity))
             refused = False
         except InfeasibleRootSetError:
             refused = True
@@ -287,7 +286,7 @@ def test_batch_draw_equals_single_draw():
     forests = sample_forests(LAZY4, {1, 3}, cfg, site_order=(2, 0, 3, 1))
     ecrsfs = sample_ecrsf(G4, set(), cfg)
     for k in (0, 1, 17, 39):
-        one = replace(cfg, seed=derive_seed(cfg.seed, k), sample_count=1)
+        one = SamplerConfig(seed=derive_seed(cfg.seed, k), alpha=HALF)
         assert forests[k] == wilson_forest(LAZY4, {1, 3}, one,
                                            site_order=(2, 0, 3, 1))
         assert ecrsfs[k] == kkw_sample(G4, None, set(), one)
@@ -323,12 +322,15 @@ def test_batch_refusals_come_before_any_draw(monkeypatch, r3, fixture_a):
     assert str(info.value) == \
         "states [2] cannot reach roots [1]: forest weight is zero"
     with pytest.raises(InfeasibleRootSetError) as info:
-        sample_ecrsf(r3, {1}, replace(cfg, alpha=CycleWeights.constant(0)))
+        sample_ecrsf(r3, {1}, SamplerConfig(seed=1, sample_count=200,
+                                          alpha=CycleWeights.constant(0)))
     assert str(info.value) == (
         "states [2] reach neither the roots [1] nor a positive-weight cycle: "
         "total cycle-rooted weight is zero")
     with pytest.raises(EnumerationGuardError) as info:
-        sample_ecrsf(fixture_a, set(), replace(cfg, alpha=HALF), guard=2)
+        sample_ecrsf(fixture_a, set(),
+                     SamplerConfig(seed=1, sample_count=200, alpha=HALF),
+                     guard=2)
     assert str(info.value) == ("3 states need a cycle search, above the guard "
                                "of 2; pass a larger guard to override")
     with pytest.raises(ValueError) as info:
@@ -493,7 +495,7 @@ def test_cycle_weights_called_once_per_cycle_per_batch():
         assert all(c == canonical_cycle(c) for c in seen)
         assert sum(len(e.cycles) for e in batch) > len(seen)
         for k, draw in enumerate(batch):
-            one = replace(cfg, seed=derive_seed(cfg.seed, k), sample_count=1)
+            one = SamplerConfig(seed=derive_seed(cfg.seed, k), alpha=alpha)
             single = kkw_sample(p, None, roots, one)
             assert (draw, draw.cycles) == (single, single.cycles)
 
