@@ -950,19 +950,16 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
     is the deleted one still contributes.
 
     two-forest: sum over k != j of the weight of {j,k}-rooted forests whose
-    i-tree has root k. The two methods agree by the cut-the-last-edge
-    bijection.
+    i-tree has root k, read from ``two_tree_sums``. The two methods agree by
+    the cut-the-last-edge bijection.
     """
     if i == j:
         raise ValueError("sigma_pair needs i != j")
     if not (0 <= i < p.n and 0 <= j < p.n):
         raise ValueError(f"states ({i},{j}) out of range")
     if method == "two-forest":
-        # every root set {j, k} leaves the same n - 2 states free
-        _check_guard(p.n, frozenset([i, j]), guard)
-        total = sum(_root_set_sums(p, frozenset([j, k])).table.get((i, k), 0)
-                    for k in range(p.n) if k != j)
-        return Fraction(total, _layer_sums(p).denom)
+        got = two_tree_sums(p, guard)
+        return Fraction(got.sigma[i][j], got.denom)
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
     _check_guard(p.n, frozenset([j]), guard)

@@ -27,7 +27,7 @@ from .chains import (
     Matrix,
     ReducibleChainError,
     TransitionMatrix,
-    scaled_rows,
+    laplacian,
 )
 from .forests import (
     DEFAULT_GUARD,
@@ -266,12 +266,9 @@ def feasibility(p: TransitionMatrix, roots: Iterable[int],
             break
     unreachable = oracle.states_not_reaching(p, rs)
     keep = [v for v in range(p.n) if v not in rs]
-    # L(R) with row a scaled by dens_a: the same determinant up to the
-    # product of those dens_a > 0
-    nums, dens = scaled_rows(p)
-    lap = [[(dens[a] if a == b else 0) - nums[a][b] for b in keep]
-           for a in keep]
-    det_nonzero = oracle.exact_det(lap) != 0
+    lap = laplacian(p)
+    det_nonzero = oracle.exact_det([[lap[a][b] for b in keep]
+                                    for a in keep]) != 0
     return FeasibilityReport(
         roots=tuple(sorted(rs)),
         weight_positive=weight_positive,

@@ -9,17 +9,19 @@ series for the tree-sum total) and the undirected counting identities
 structure (reachability, recurrent classes, periodicity) also lives here so
 that every consumer shares one certified decomposition.
 
-The stationary, Green, hitting and fundamental solves take I - P with each
-row i scaled by its denominator dens_i (``chains.scaled_rows``), so their
-systems are integer from the start: dens_i delta_ij - num_ij on the left
-(transposed for pi), and dens_i e_i or num_ib on the right. Each solution
-entry is then one Fraction of two integers.
+The chain and root-set solves take I - P with each row i scaled by its
+denominator dens_i (``chains.scaled_rows``), so their systems are integer
+from the start: dens_i delta_ij - num_ij on the left, and dens_i e_i or
+num_ib on the right. Each solution entry is then one Fraction of two
+integers.
 
-Each system is eliminated once and kept in a small memo: pi and the
-fundamental matrix Z once per chain, L(R) once per root set. Kemeny's trace,
-Z itself and every mean first passage time read the one Z solve, the last
-by m_ij = (z_jj - z_ij) / pi_j. The Green and hitting matrices are the two
-halves of one solve of L(R) X = [I | P_R].
+Each system is eliminated once and kept in a small memo: G = (I - P +
+1 e^T)^{-1}, e the last state's unit vector, once per chain, and L(R) once
+per root set. pi is G's last row, and G differs from the fundamental matrix
+Z only by a constant down each column whose sum is zero (Hunter, 1982), so
+Kemeny's trace is tr G, every mean first passage time is m_ij = (g_jj -
+g_ij) / pi_j, and Z is read off G too. The Green and hitting matrices are
+the two halves of one solve of L(R) X = [I | P_R].
 """
 
 from __future__ import annotations
@@ -263,37 +265,38 @@ def period(p: TransitionMatrix) -> int:
 # ---------------------------------------------------------------------------
 # chain solves
 
-# Bound, in chains, on the memo below: mfpt_solve and fundamental_matrix each
-# need pi, and a caller checking a chain asks for pi as well.
-_STATIONARY_CACHE_SIZE = 64
+# Bounds, in chains or root sets, on the two memos below. Each joins calls
+# that come one after the other on one key: the stationary, passage-time,
+# Kemeny and fundamental reads of one chain, green_matrix_solve and
+# hitting_solve on one root set. So one entry serves every caller.
+_CHAIN_SOLVE_CACHE_SIZE = 1
+_ROOT_SET_SOLVE_CACHE_SIZE = 1
 
 
-@lru_cache(maxsize=_STATIONARY_CACHE_SIZE)
-def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
-    """Exact solution of pi P = pi, sum(pi) = 1.
+@lru_cache(maxsize=_CHAIN_SOLVE_CACHE_SIZE)
+def _chain_solve(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d G, d) for G = (I - P + 1 e^T)^{-1}, e the last state's unit vector.
 
-    With row i of I - P scaled by dens_i, pi (I - P) = 0 holds for
-    y_i = pi_i / dens_i, and sum(pi) = 1 becomes sum_i dens_i y_i = 1.
+    pi^T (I - P + 1 e^T) = e^T, so pi is G's last row, and G = Z + 1 w^T
+    with sum(w) = 0 for the fundamental matrix Z (Hunter, 1982). Row i is
+    taken times dens_i: dens_i delta_ij - num_ij + dens_i [j = n - 1] on the
+    left, dens_i e_i on the right.
     """
     require_irreducible(p)
     n = p.n
     dens = scaled_rows(p)[1]
-    a = [list(col) for col in zip(*_scaled_laplacian(p, range(n)))]
-    a[n - 1] = list(dens)  # replace one redundant equation
-    b = [[0] for _ in range(n - 1)] + [[1]]
-    try:
-        y, d = _solve(a, b)
-    except SingularMatrixError as e:
-        raise ReducibleChainError(f"stationary system singular: {e}") from e
-    return tuple(Fraction(row[0] * dens_i, d) for row, dens_i in zip(y, dens))
+    a = _scaled_laplacian(p, range(n))
+    for row, d in zip(a, dens):
+        row[n - 1] += d
+    b = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(dens)]
+    g, d = _solve(a, b)
+    return tuple(map(tuple, g)), d
 
 
-# Bounds, in chains or root sets, on the two memos below. Each joins calls
-# that come one after the other on one key: kemeny_trace and mfpt_solve on
-# one chain, green_matrix_solve and hitting_solve on one root set. So one
-# entry serves every caller.
-_FUNDAMENTAL_CACHE_SIZE = 1
-_ROOT_SET_SOLVE_CACHE_SIZE = 1
+def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
+    """Exact solution of pi P = pi, sum(pi) = 1: the last row of G."""
+    g, d = _chain_solve(p)
+    return tuple(Fraction(x, d) for x in g[-1])
 
 
 @lru_cache(maxsize=_ROOT_SET_SOLVE_CACHE_SIZE)
@@ -304,81 +307,63 @@ def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]
     rows sorted(S \\ R), G's columns the same states, H's sorted(R).
 
     Each right-hand side comes with row i times dens_i, as L(R)'s rows do.
-    Raises SingularMatrixError when L(R) is singular.
+    Raises InfeasibleRootSetError when L(R) is singular.
     """
     keep = [v for v in range(p.n) if v not in roots]
     rs = sorted(roots)
     nums, dens = scaled_rows(p)
     b = [[*[dens[i] if i == j else 0 for j in keep], *[nums[i][j] for j in rs]]
          for i in keep]
-    x, d = _solve(_scaled_laplacian(p, keep), b)
+    try:
+        x, d = _solve(_scaled_laplacian(p, keep), b)
+    except SingularMatrixError as e:
+        raise InfeasibleRootSetError(
+            f"root set {rs} infeasible: L(R) is singular") from e
     return tuple(map(tuple, x)), d
 
 
 def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """L(R)^{-1}, rows and columns indexed by sorted(S \\ R)."""
-    rs = check_roots(p.n, roots, allow_empty=True)
-    try:
-        x, d = _root_set_solve(p, rs)
-    except SingularMatrixError as e:
-        raise InfeasibleRootSetError(
-            f"root set {sorted(rs)} infeasible: L(R) is singular") from e
+    x, d = _root_set_solve(p, check_roots(p.n, roots, allow_empty=True))
     return _ratios([row[:len(x)] for row in x], d)
 
 
 def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """Hitting matrix rows sorted(S \\ R) by columns sorted(R), exact."""
-    rs = check_roots(p.n, roots, allow_empty=True)
-    try:
-        x, d = _root_set_solve(p, rs)
-    except SingularMatrixError as e:
-        raise InfeasibleRootSetError(
-            f"root set {sorted(rs)} infeasible: L(R) is singular") from e
+    x, d = _root_set_solve(p, check_roots(p.n, roots, allow_empty=True))
     return _ratios([row[len(x):] for row in x], d)
 
 
-@lru_cache(maxsize=_FUNDAMENTAL_CACHE_SIZE)
-def _fundamental_solve(p: TransitionMatrix
-                       ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(d Z, d) for Z = (I - P + Pi)^{-1}, Pi the stationary projector."""
-    require_irreducible(p)
-    pi = stationary_solve(p)
-    n = p.n
-    # row i times dens_i q, with q the common denominator of pi
-    dens = scaled_rows(p)[1]
-    q = lcm(*[x.denominator for x in pi])
-    pis = [x.numerator * (q // x.denominator) for x in pi]
-    a = [[c * q + pi_j * d for c, pi_j in zip(row, pis)]
-         for row, d in zip(_scaled_laplacian(p, range(n)), dens)]
-    b = [[d * q if i == j else 0 for j in range(n)] for i, d in enumerate(dens)]
-    z, d = _solve(a, b)
-    return tuple(map(tuple, z)), d
-
-
 def mfpt_solve(p: TransitionMatrix) -> Matrix:
-    """All mean first passage times from the fundamental matrix Z:
-    m_ij = (z_jj - z_ij) / pi_j for i != j and m_jj = 1 / pi_j (Kemeny and
-    Snell, Finite Markov Chains, 1960)."""
-    z, d = _fundamental_solve(p)
-    pi = stationary_solve(p)
-    # with d Z in integers, m_ij = (d z_jj - d z_ij) den_j / (d num_j)
-    # for pi_j = num_j / den_j
+    """All mean first passage times from G: m_ij = (g_jj - g_ij) / pi_j for
+    i != j and m_jj = 1 / pi_j, as from Z (Kemeny and Snell, Finite Markov
+    Chains, 1960), since G - Z is constant down each column."""
+    g, d = _chain_solve(p)
+    # with d G in integers, pi_j = x_j / d for x = d G's last row
+    last = g[-1]
     return tuple(
-        tuple(Fraction(x.denominator, x.numerator) if i == j else
-              Fraction((z[j][j] - zij) * x.denominator, d * x.numerator)
-              for j, (zij, x) in enumerate(zip(row, pi)))
-        for i, row in enumerate(z))
+        tuple(Fraction(d, x) if i == j else Fraction(g[j][j] - gij, x)
+              for j, (gij, x) in enumerate(zip(row, last)))
+        for i, row in enumerate(g))
 
 
 def fundamental_matrix(p: TransitionMatrix) -> Matrix:
-    """Z = (I - P + Pi)^{-1} with Pi the stationary projector."""
-    return _ratios(*_fundamental_solve(p))
+    """Z = (I - P + Pi)^{-1} with Pi the stationary projector, as
+    G - 1 w^T with w^T = pi^T G - pi^T."""
+    g, d = _chain_solve(p)
+    last = g[-1]
+    # d^2 w_j = sum_k (d pi_k) (d g_kj) - d (d pi_j)
+    w = [sum(a * b for a, b in zip(last, col)) - d * t
+         for col, t in zip(zip(*g), last)]
+    return tuple(tuple(Fraction(d * x - wj, d * d) for x, wj in zip(row, w))
+                 for row in g)
 
 
 def kemeny_trace(p: TransitionMatrix) -> Fraction:
-    """Trace of the fundamental matrix: the integer diagonal of d Z over d."""
-    z, d = _fundamental_solve(p)
-    return Fraction(sum(row[i] for i, row in enumerate(z)), d)
+    """Trace of the fundamental matrix, which equals tr G: the integer
+    diagonal of d G over d."""
+    g, d = _chain_solve(p)
+    return Fraction(sum(row[i] for i, row in enumerate(g)), d)
 
 
 # ---------------------------------------------------------------------------

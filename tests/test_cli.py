@@ -435,8 +435,8 @@ def test_module_entry_point(tmp_path):
 
 
 def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
-    # pi, the MFPT matrix and Kemeny's trace share one stationary solve and
-    # one fundamental solve: m_ij = (z_jj - z_ij) / pi_j reads Z
+    # pi, the MFPT matrix and Kemeny's trace share one solve of I - P + 1 e^T:
+    # pi is G's last row and m_ij = (g_jj - g_ij) / pi_j
     from forestchain import oracle
     doc = {"n": 4, "rows": [["1/8", "3/8", "1/4", "1/4"],
                             ["1/5", "0", "2/5", "2/5"],
@@ -452,12 +452,11 @@ def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
         return real(a, b)
 
     monkeypatch.setattr(oracle, "_solve", counting)
-    oracle.stationary_solve.cache_clear()
-    oracle._fundamental_solve.cache_clear()
+    oracle._chain_solve.cache_clear()
     code, out, _ = run_cli(capsys, ["analyze", "--input", str(path)])
     assert code == 0 and json.loads(out)["methods_agree"] is True
-    assert sorted(calls) == [4, 4]
-    assert oracle.stationary_solve.cache_info().maxsize is not None
+    assert calls == [4]
+    assert oracle._chain_solve.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,6 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     p = chain([[F(1, 2), F(1, 2) - F(1, 1000003), F(1, 1000003)],
                [F(1, 1000003), F(0), F(1000002, 1000003)],
                [F(2, 3), F(1, 7), F(4, 21)]])
-    # mfpt_solve reads pi from this cache
     pi = stationary_solve(p)
 
     def run():
@@ -161,15 +160,16 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     assert not hasattr(oracle, "laplacian")
     monkeypatch.setattr(chains_module, "laplacian", no_fraction_laplacian)
     oracle._root_set_solve.cache_clear()
-    oracle._fundamental_solve.cache_clear()
+    oracle._chain_solve.cache_clear()
     assert run() == expected
     # L({1, 2}) and L({0, 2}) once each, L({0}) twice (the memo keeps one
-    # root set, and L({1, 2}) comes between L({0})'s two reads), and Z once
-    # for every passage time
+    # root set, and L({1, 2}) comes between L({0})'s two reads), and the
+    # chain system once for every passage time
     assert sorted(sizes) == [1, 1, 2, 2, 3]
-    # the stationary system is integer too: one solve in y_i = pi_i / dens_i
+    # pi is read from that same kept solve
     sizes.clear()
-    stationary_solve.cache_clear()
+    assert stationary_solve(p) == pi and sizes == []
+    oracle._chain_solve.cache_clear()
     assert stationary_solve(p) == pi and sizes == [3]
     assert sum(pi) == 1
     assert expected[1] == ((F(2),),)  # 1 / (1 - p_00)
@@ -206,6 +206,27 @@ def test_mfpt_solve_satisfies_the_first_step_equations():
                                           for k in range(n) if k != j)
 
 
+def test_stationary_law_and_fundamental_matrix_meet_their_definitions():
+    # the facts the one chain solve rests on, exactly: pi P = pi with
+    # sum(pi) = 1, Z (I - P + 1 pi^T) = I, and sum_j m_ij / m_jj = tr Z
+    # from every start state
+    for p in _first_step_chains():
+        n = p.n
+        pi = stationary_solve(p)
+        z = fundamental_matrix(p)
+        m = mfpt_solve(p)
+        k = kemeny_trace(p)
+        assert sum(pi) == 1
+        assert all(sum(pi[i] * p.rows[i][j] for i in range(n)) == pi[j]
+                   for j in range(n))
+        a = [[(1 if i == j else 0) - p.rows[i][j] + pi[j] for j in range(n)]
+             for i in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            assert sum(z[i][c] * a[c][j] for c in range(n)) == (i == j)
+        for i in range(n):
+            assert sum(m[i][j] / m[j][j] for j in range(n)) == k
+
+
 def test_green_and_hitting_share_one_elimination(monkeypatch):
     from forestchain import oracle
     p = random_irreducible_chain(random.Random(2031), 6)
@@ -227,25 +248,25 @@ def test_green_and_hitting_share_one_elimination(monkeypatch):
             tuple(sum(g[a][c] * p.rows[k][b] for c, k in enumerate(keep))
                   for b in sorted(roots)) for a in range(len(keep)))
     assert calls == [5, 4]
-    # Kemeny's trace, Z and every passage time read one fundamental solve
-    stationary_solve(p)
-    oracle._fundamental_solve.cache_clear()
+    # pi, Kemeny's trace, Z and every passage time read one chain solve
+    oracle._chain_solve.cache_clear()
     calls.clear()
-    k, z, m = kemeny_trace(p), fundamental_matrix(p), mfpt_solve(p)
+    pi, k = stationary_solve(p), kemeny_trace(p)
+    z, m = fundamental_matrix(p), mfpt_solve(p)
     assert calls == [6]
     assert k == sum(z[i][i] for i in range(6))
-    assert m[1][0] == (z[0][0] - z[1][0]) / stationary_solve(p)[0]
+    assert m[1][0] == (z[0][0] - z[1][0]) / pi[0]
 
 
 def test_kept_solves_are_bounded_and_read_only():
     from forestchain import oracle
     # the calls each memo joins come one after the other, so one entry does
-    for cached in (oracle._fundamental_solve, oracle._root_set_solve):
+    for cached in (oracle._chain_solve, oracle._root_set_solve):
         assert cached.cache_info().maxsize == 1
     p = random_irreducible_chain(random.Random(2033), 4)
-    z, _ = oracle._fundamental_solve(p)
+    g, _ = oracle._chain_solve(p)
     x, _ = oracle._root_set_solve(p, frozenset({0}))
-    assert all(type(t) is tuple for t in (z, x, *z, *x))
+    assert all(type(t) is tuple for t in (g, x, *g, *x))
 
 
 def test_stationary_solve(fixture_a, d2):
