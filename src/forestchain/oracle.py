@@ -33,6 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .chains import (
+    MAX_STATES,
     InfeasibleRootSetError,
     Matrix,
     ReducibleChainError,
@@ -509,21 +510,17 @@ def complete_prism(n: int, m: int) -> WeightedDigraph:
 def prism_tree_count(n: int, m: int) -> int:
     """Spanning trees of K_n x C_m by the Chebyshev closed form.
 
-    Evaluates m * n^(n-2) * U_{m-1}(sqrt((n+4)/4))^(2n-2) in floating point
-    and rounds, refusing when the relative residual exceeds 1e-6.
+    Evaluates m * n^(n-2) * U_{m-1}(x)^(2n-2), x = sqrt((n+4)/4), exactly,
+    with U_k = a + b x over the rationals: one of a, b is zero, so U_k^2 =
+    a^2 + b^2 x^2. A prism of more than ``MAX_STATES`` vertices is refused.
     """
     if n < 2 or m < 3:
         raise ValueError("complete prism needs n >= 2 and m >= 3")
-    x = math.sqrt((n + 4) / 4)
-    u_prev, u = 1.0, 2.0 * x  # U_0, U_1
-    if m - 1 == 0:
-        u = u_prev
-    else:
-        for _ in range(m - 2):
-            u_prev, u = u, 2.0 * x * u - u_prev
-    value = m * n ** (n - 2) * u ** (2 * n - 2)
-    nearest = round(value)
-    if abs(value - nearest) / max(1.0, abs(value)) >= 1e-6:
-        raise ValueError(
-            f"Chebyshev evaluation residual too large for (n,m)=({n},{m})")
-    return int(nearest)
+    if n * m > MAX_STATES:
+        raise ValueError(f"complete prism of {n * m} vertices exceeds the "
+                         f"limit of {MAX_STATES} states")
+    x2 = Fraction(n + 4, 4)
+    (a0, b0), (a, b) = (1, 0), (0, 2)  # U_0 = 1, U_1 = 2x
+    for _ in range(m - 2):  # U_{k+1} = 2x U_k - U_{k-1}
+        (a0, b0), (a, b) = (a, b), (2 * b * x2 - a0, 2 * a - b0)
+    return int(m * n ** (n - 2) * (a * a + b * b * x2) ** (n - 1))

@@ -126,12 +126,26 @@ def _result(name: str, seed: int, trials: int, checks: int, start: float,
 def suite_kirchhoff(trials: int = 200, max_n: int = 6,
                     seed: int = DEFAULT_SEED,
                     guard: int = forests.DEFAULT_GUARD) -> SuiteResult:
-    """det L(R) == w(R) for every nonempty root set of every corpus chain."""
+    """det L(R) == w(R) for every nonempty root set of every corpus chain, and
+    det(xI + L) == sum_r Sigma^(r) x^r at x = 0..n (Chebotarev and Agaev)."""
     start = time.perf_counter()
     failures: list[str] = []
     checks = 0
     for p in corpus_chains(trials, max_n, seed):
         lap = chains.laplacian(p)
+        by_r = [forests.sigma_r(p, r, guard) for r in range(1, p.n + 1)]
+        for x in range(p.n + 1):
+            shifted = [[v + (x if a == b else 0) for b, v in enumerate(row)]
+                       for a, row in enumerate(lap)]
+            det = oracle.exact_det(shifted)
+            series = sum(s * x ** r for r, s in enumerate(by_r, 1))
+            checks += 1
+            if det != series:
+                _fail(failures, p, f"x={x}: det(xI + L) = "
+                      f"{format_rational(det)} but sum_r Sigma^(r) x^r = "
+                      f"{format_rational(series)}")
+                return _result("kirchhoff", seed, trials, checks, start,
+                               failures)
         for r in range(1, p.n + 1):
             for roots in itertools.combinations(range(p.n), r):
                 keep = [v for v in range(p.n) if v not in roots]

@@ -143,23 +143,50 @@ def test_count_cayley(capsys):
     assert doc["agree"] is True
 
 
-def test_count_refuses_a_listing_past_the_cap(capsys, tmp_path, monkeypatch):
-    # a dense 9-state chain passes the guard (one root leaves 8 free states)
-    # but has 10^8 forests to list: refused before any sum or listing
-    path = tmp_path / "u9.json"
-    path.write_text(json.dumps({"n": 9, "rows": [["1/9"] * 9] * 9}))
+def test_count_reads_every_forest_count_off_the_tree_sums(
+        capsys, tmp_path, monkeypatch):
+    # a dense 9-state chain has 10^8 forests and --cayley 10 2 has 2 * 10^7;
+    # neither is listed, so both finish at once
+    from forestchain import forests
+
+    def no_listing(*a, **k):
+        raise AssertionError("count listed a forest")
+
+    monkeypatch.setattr(forests, "_walk", no_listing)
+    path = tmp_path / "d9.json"
+    path.write_text(json.dumps({"n": 9, "rows": [
+        [f"{i + j + 1}/{9 * i + 45}" for j in range(9)] for i in range(9)]}))
+    code, out, _ = run_cli(capsys, ["count", "--input", str(path)])
+    doc = json.loads(out)
+    assert code == 0
+    counts = doc["forest_counts"]
+    assert [c["trees"] for c in counts] == list(range(1, 10))
+    assert all(c["enumerated"] == c["closed_form"] for c in counts)
+    assert sum(c["enumerated"] for c in counts) == 10**8
+    code, out, _ = run_cli(capsys, ["count", "--cayley", "10", "2"])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["enumerated"] == doc["closed_form"] == 2 * 10**7
+    assert doc["agree"] is True
+
+
+def test_count_refuses_past_the_guard_before_any_sum(
+        capsys, tmp_path, monkeypatch):
+    # one root of a 10-state chain leaves 9 free states, past the default
+    # guard of 8: refused before any tree sum is taken
+    from forestchain import forests
     work = []
-    monkeypatch.setattr(cli, "sigma_sums", lambda *a: work.append(a))
-    monkeypatch.setattr(cli, "enumerate_forests", lambda *a: work.append(a))
-    for argv, size in ((["count", "--input", str(path)], 10**8),
-                       (["count", "--cayley", "10", "2"], 2 * 10**7)):
+    monkeypatch.setattr(forests, "_layer_sums", lambda *a: work.append(a))
+    path = tmp_path / "u10.json"
+    path.write_text(json.dumps({"n": 10, "rows": [["1/10"] * 10] * 10}))
+    for argv, free in ((["count", "--input", str(path)], 9),
+                       (["count", "--cayley", "4000", "1"], 3999)):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "guard", "detail": (
-            f"listing {size} forests exceeds the limit of 10000000 for count")}
+            f"{free} free vertices exceeds enumeration guard 8; "
+            f"pass a larger guard to override")}
     assert work == []
-    # the 9^7 forests of an 8-state chain, or of --cayley 9 1, are listed
-    cli._check_listing(9**7)
 
 
 def test_count_prism(capsys):

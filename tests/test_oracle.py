@@ -497,10 +497,21 @@ def test_minor_product_check():
 
 def test_prism_tree_count():
     assert prism_tree_count(2, 3) == 75
-    for n, m in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3)):
-        g = complete_prism(n, m)
-        assert prism_tree_count(n, m) == undirected_tree_count(g)
+    # every prism of at most 30 vertices, by one cofactor
+    for n in range(2, 11):
+        for m in range(3, 30 // n + 1):
+            g = complete_prism(n, m)
+            assert prism_tree_count(n, m) == undirected_tree_count(g)
+    # exact above 2^53 and past float range, against the integer forms
+    # of the closed form at m = 3 and m = 4
+    for n in (*range(2, 12), 50, 200):
+        assert prism_tree_count(n, 3) \
+            == 3 * n ** (n - 2) * (n + 3) ** (2 * n - 2)
+        assert prism_tree_count(n, 4) \
+            == 4 * n ** (n - 2) * ((n + 4) * (n + 2) ** 2) ** (n - 1)
     with pytest.raises(ValueError):
         complete_prism(1, 3)
     with pytest.raises(ValueError):
         complete_prism(2, 2)
+    with pytest.raises(ValueError, match="exceeds the limit of 2048 states"):
+        prism_tree_count(2, 100000)

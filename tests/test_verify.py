@@ -107,6 +107,22 @@ def test_fault_injection_is_caught(monkeypatch):
     assert replay.n >= 2
 
 
+def test_kirchhoff_checks_every_sigma_r_against_the_forest_polynomial(
+        monkeypatch):
+    # Sigma^(3) alone is wrong: det(xI + L) at x = 0..n must notice, though
+    # every w(R) is right
+    real = verify.forests.sigma_r
+
+    def crooked(p, r, guard=None):
+        s = real(p, r) if guard is None else real(p, r, guard)
+        return s + Fraction(1, 7) if r == 3 else s
+
+    monkeypatch.setattr(verify.forests, "sigma_r", crooked)
+    result = run_suite("kirchhoff", trials=5, max_n=4, seed=123)
+    assert not result.passed
+    assert "det(xI + L)" in result.failures[0]
+
+
 def test_wilson_suite_checks_the_law_it_is_given(monkeypatch):
     # the sampler suite reads its laws through verify.forests.exact_law, so
     # a law with one configuration's mass moved to another must fail it
