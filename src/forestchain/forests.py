@@ -198,7 +198,7 @@ class RootedForest(FrozenValue):
         return {v: u for v, u in enumerate(self.parent) if u != -1}
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((v, u) for v, u in enumerate(self.parent) if u != -1)
+        return tuple([(v, u) for v, u in enumerate(self.parent) if u != -1])
 
     def root_of(self, v: int) -> int:
         return self._root_of[v]
@@ -300,7 +300,7 @@ class Ecrsf(FrozenValue):
         return {v: u for v, u in enumerate(self.successor) if u != -1}
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((v, u) for v, u in enumerate(self.successor) if u != -1)
+        return tuple([(v, u) for v, u in enumerate(self.successor) if u != -1])
 
     def root_of(self, v: int) -> int | None:
         """Tree root of v's component, or None when the component is cycle-rooted."""
@@ -356,8 +356,10 @@ class CycleWeights(FrozenValue):
         object.__setattr__(self, "rule", rule)
 
     def weight(self, cycle: Sequence[int]) -> Fraction:
-        value = Fraction(self.rule(canonical_cycle(cycle)))
-        if not 0 <= value <= 1:
+        value = self.rule(canonical_cycle(cycle))
+        if value.__class__ is not Fraction:
+            value = Fraction(value)
+        if not 0 <= value.numerator <= value.denominator:
             raise ValueError(
                 f"cycle weight {format_rational(value)} outside [0,1]")
         return value
@@ -443,15 +445,20 @@ def _weighted(p: TransitionMatrix, roots: frozenset[int],
     """Yield (succ, root_of, w) for the configurations of positive weight:
     forests when ``alpha`` is None, else cycle-rooted ones, in ``_walk``
     order. ``w`` is the weight times the free rows' common denominators:
-    the scaled rows' integer factors, times alpha of each cycle.
+    the scaled rows' integer factors, times alpha of each cycle, asked of
+    ``alpha`` once per distinct cycle.
     """
     cyclic = alpha is not None
     nums = scaled_rows(p)[0]
+    biases: dict[tuple[int, ...], Fraction] = {}
     for succ, root_of, w in _walk(p.n, roots, _arcs(p.n, roots, nums, cyclic),
                                   cyclic):
         if cyclic and -1 in root_of:
             for cyc in _classify(p.n, roots, succ)[1]:
-                w *= alpha.weight(cyc)
+                bias = biases.get(cyc)
+                if bias is None:
+                    bias = biases[cyc] = alpha.weight(cyc)
+                w *= bias
                 if not w:
                     break
         if w:
@@ -493,32 +500,39 @@ def cayley_count(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # weights and sums
 
+def _edge_product(edges, p: TransitionMatrix) -> tuple[int, int]:
+    """(numerator, denominator) of the product of p(v, u) over ``edges``,
+    multiplied as integers; (0, 1) once a factor is 0."""
+    rows = p.rows
+    num = den = 1
+    for v, u in edges:
+        x = rows[v][u]
+        if not x:
+            return 0, 1
+        num *= x.numerator
+        den *= x.denominator
+    return num, den
+
+
 def forest_weight(f: RootedForest, p: TransitionMatrix) -> Fraction:
     """P-weight: product of p(v, parent(v)) over non-roots; empty product is 1."""
     if f.n != p.n:
         raise ValueError("forest and chain sizes differ")
-    w = Fraction(1)
-    for v, u in f.edges():
-        w *= p.rows[v][u]
-        if w == 0:
-            break
-    return w
+    return Fraction(*_edge_product(f.edges(), p))
 
 
 def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction:
     """(P, alpha)-weight: edge probabilities times one alpha factor per cycle."""
     if f.n != p.n:
         raise ValueError("configuration and chain sizes differ")
-    w = Fraction(1)
-    for v, u in f.edges():
-        w *= p.rows[v][u]
-        if w == 0:
-            return w
+    num, den = _edge_product(f.edges(), p)
     for cyc in f.cycles:
-        w *= alpha.weight(cyc)
-        if w == 0:
+        if not num:
             break
-    return w
+        bias = alpha.weight(cyc)
+        num *= bias.numerator
+        den *= bias.denominator
+    return Fraction(num, den)
 
 
 # Cache bounds. The tree sums keep two chains, so that a sub-chain read in

@@ -13,16 +13,20 @@ report make the samplers testable against the enumeration tables in
 computed in closed form from the standard library (Abramowitz & Stegun
 26.4.4 for odd and 26.4.5 for even degrees of freedom).
 
-Randomness contract: every draw owns a fresh ``random.Random``, seeded
-with cfg.seed by the single-draw samplers; batch samplers derive one child
-seed per sample index with a splitmix64 mix, so draw k of a batch is the
-single draw at that child seed. Identical config, identical stream, on any
-platform (the Mersenne Twister sequence for an integer seed is pinned by
-CPython). Each walk step and each cycle coin takes a uniform integer below
-a denominator d by calling ``getrandbits(d.bit_length())`` until the value
-is below d, which consumes the generator exactly as ``randrange(d)`` does.
-Batches check the chain and build the walk tables once, and a cycle-rooted
-batch asks the cycle weights for each distinct cycle once.
+Randomness contract: every draw starts from a generator seeded with its
+own seed, which is cfg.seed for the single-draw samplers; batch samplers
+derive one child seed per sample index with a splitmix64 mix, so draw k of
+a batch is the single draw at that child seed. A batch keeps one
+``random.Random`` and seeds it again before each draw, which puts it in the
+state a new ``random.Random(seed)`` starts in. Identical config, identical
+stream, on any platform (the Mersenne Twister sequence for an integer seed
+is pinned by CPython). Each walk step and each cycle coin takes a uniform
+integer below a denominator d by calling ``getrandbits(d.bit_length())``
+until the value is below d, which consumes the generator exactly as
+``randrange(d)`` does; a walk step reads its target off a cell table and
+bisects the row's thresholds only in cells that straddle one. Batches
+check the chain and build the walk tables once, and a cycle-rooted batch
+asks the cycle weights for each distinct cycle once.
 """
 
 from __future__ import annotations
@@ -117,19 +121,28 @@ def loop_erase(path: PathTrace | Sequence[int]) -> PathTrace:
 
 
 class _Stepper:
-    """Exact categorical walk steps via integer thresholds per row.
+    """Exact categorical walk steps, looked up in a cell table per row.
 
     Row i's positive entries, scaled to integers over the row denominator
     dens[i], become cumulative thresholds ``cuts[i]`` leading to the states
-    ``targets[i]``. A uniform r in [0, dens[i]) steps to the target of the
-    first threshold above r. The draws take r inline, as ``randrange`` does:
+    ``targets[i]``. A uniform x in [0, dens[i]) steps to the target of the
+    first threshold above x. The draws take x inline, as ``randrange`` does:
     ``getrandbits(bits[i])`` with bits[i] = dens[i].bit_length(), drawn again
     while it is at least dens[i].
+
+    The top bits of x pick a cell of ``cells[i]`` (the guide table of Chen
+    and Asau, 1974): cell c covers [c << shifts[i], (c + 1) << shifts[i]).
+    It holds the target when every x in it steps there, -1 when every x in
+    it is drawn again, and -2 when it straddles a threshold or dens[i]; then
+    x itself decides, drawn again at or above dens[i] and otherwise bisected
+    into ``cuts[i]``. So every attempt takes one ``getrandbits(bits[i])``,
+    as without the table. A row of k positive entries has 2^width cells,
+    width = min(bits[i], bit_length(k - 1) + 4): at most 32 per entry.
     """
 
     def __init__(self, p: TransitionMatrix):
         nums, dens = _scaled_rows(p)
-        cuts, targets = [], []
+        cuts, targets, shifts, cells = [], [], [], []
         for i, (row, den) in enumerate(zip(nums, dens)):
             acc = 0
             row_cuts, row_targets = [], []
@@ -138,16 +151,35 @@ class _Stepper:
                     acc += weight
                     row_cuts.append(acc)
                     row_targets.append(j)
-            # every r in [0, den) must land on some threshold
+            # every x in [0, den) must land on some threshold
             if acc != den:
                 raise ValueError(
                     f"row {i} mass {acc} does not cover its denominator {den}")
+            bits = den.bit_length()
+            width = min(bits, (len(row_cuts) - 1).bit_length() + 4)
+            shift = bits - width
+            # one sweep over the intervals [lo, cut), [den, 2^bits) last:
+            # the cells below lo are filled, and the first cell below cut
+            # straddles lo unless lo starts it
+            row_cells: list[int] = []
+            lo = 0
+            for cut, target in zip([*row_cuts, 1 << bits], [*row_targets, -1]):
+                count = (cut >> shift) - len(row_cells)
+                if count > 0 and lo & ((1 << shift) - 1):
+                    row_cells.append(-2)
+                    count -= 1
+                row_cells += [target] * count
+                lo = cut
             cuts.append(tuple(row_cuts))
             targets.append(tuple(row_targets))
+            shifts.append(shift)
+            cells.append(tuple(row_cells))
         self.dens = dens
         self.bits = tuple(den.bit_length() for den in dens)
         self.cuts = tuple(cuts)
         self.targets = tuple(targets)
+        self.shifts = tuple(shifts)
+        self.cells = tuple(cells)
 
 
 def _site_order(n: int, site_order: Sequence[int] | None) -> tuple[int, ...]:
@@ -172,35 +204,46 @@ def _forest_setup(p: TransitionMatrix, roots: Iterable[int],
 
 
 def _draw_forest(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
-                 seed: int) -> RootedForest:
-    """One forest from a fresh generator seeded with ``seed``.
+                 seeds: Iterable[int]) -> list[RootedForest]:
+    """One forest per seed, each drawn after seeding one shared generator.
 
     Each walk keeps only the last exit from every state it visits; the
     branch from ``start`` along those pointers is the walk's loop erasure.
     ``root_of`` is -1 until a state is settled.
     """
-    getrandbits = random.Random(seed).getrandbits
-    bits, dens = stepper.bits, stepper.dens
-    cuts, targets = stepper.cuts, stepper.targets
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
+    bits, shifts, cells = stepper.bits, stepper.shifts, stepper.cells
+    dens, cuts, targets = stepper.dens, stepper.cuts, stepper.targets
     n = len(order)
-    parent = [-1] * n
-    root_of = [-1] * n
+    unsettled = [-1] * n
     for r in rs:
-        root_of[r] = r
-    for start in order:
-        v = start
-        while root_of[v] < 0:
-            x = getrandbits(bits[v])
-            while x >= dens[v]:
+        unsettled[r] = r
+    draws = []
+    for seed in seeds:
+        reseed(seed)
+        parent = [-1] * n
+        root_of = unsettled.copy()
+        for start in order:
+            v = start
+            while root_of[v] < 0:
                 x = getrandbits(bits[v])
-            # assigned left to right: the old v's parent, then v
-            parent[v] = v = targets[v][bisect_right(cuts[v], x)]
-        r = root_of[v]
-        v = start
-        while root_of[v] < 0:
-            root_of[v] = r
-            v = parent[v]
-    return _trusted_forest(n, rs, tuple(parent), tuple(root_of))
+                u = cells[v][x >> shifts[v]]
+                while u < 0:
+                    if u == -2 and x < dens[v]:
+                        u = targets[v][bisect_right(cuts[v], x)]
+                        break
+                    x = getrandbits(bits[v])
+                    u = cells[v][x >> shifts[v]]
+                # assigned left to right: the old v's parent, then v
+                parent[v] = v = u
+            r = root_of[v]
+            v = start
+            while root_of[v] < 0:
+                root_of[v] = r
+                v = parent[v]
+        draws.append(_trusted_forest(n, rs, tuple(parent), tuple(root_of)))
+    return draws
 
 
 def wilson_tree(p: TransitionMatrix, root: int, cfg: SamplerConfig,
@@ -218,7 +261,7 @@ def wilson_forest(p: TransitionMatrix, roots: Iterable[int],
     resulting law does not depend on it. Refuses infeasible root sets up
     front (zero forest weight means the walk would never terminate).
     """
-    return _draw_forest(*_forest_setup(p, roots, site_order), cfg.seed)
+    return _draw_forest(*_forest_setup(p, roots, site_order), [cfg.seed])[0]
 
 
 def sample_trees(p: TransitionMatrix, root: int, cfg: SamplerConfig,
@@ -234,9 +277,8 @@ def sample_forests(p: TransitionMatrix, roots: Iterable[int],
     Draw k equals ``wilson_forest`` with seed derive_seed(cfg.seed, k); the
     checks and the stepper are set up once for the whole batch.
     """
-    rs, order, stepper = _forest_setup(p, roots, site_order)
-    return [_draw_forest(rs, order, stepper, derive_seed(cfg.seed, k))
-            for k in range(cfg.sample_count)]
+    return _draw_forest(*_forest_setup(p, roots, site_order),
+                        [derive_seed(cfg.seed, k) for k in range(cfg.sample_count)])
 
 
 # ---------------------------------------------------------------------------
@@ -324,55 +366,67 @@ class _CycleCoins(dict):
 
 
 def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
-                coins: _CycleCoins, seed: int) -> Ecrsf:
-    """One cycle-rooted forest from a fresh generator seeded with ``seed``.
+                coins: _CycleCoins, seeds: Iterable[int]) -> list[Ecrsf]:
+    """One cycle-rooted forest per seed, each drawn after seeding one shared
+    generator.
 
     ``root_of`` is -2 until a state is settled and -1 once it drains into
     a kept cycle.
     """
-    getrandbits = random.Random(seed).getrandbits
-    bits, dens = stepper.bits, stepper.dens
-    cuts, targets = stepper.cuts, stepper.targets
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
+    bits, shifts, cells = stepper.bits, stepper.shifts, stepper.cells
+    dens, cuts, targets = stepper.dens, stepper.cuts, stepper.targets
     n = len(order)
-    succ = [-1] * n
-    root_of = [-2] * n
+    unsettled = [-2] * n
     for r in rs:
-        root_of[r] = r
-    for start in order:
-        if root_of[start] > -2:
-            continue
-        path = [start]
-        pos = {start: 0}
-        v = start
-        while True:
-            x = getrandbits(bits[v])
-            while x >= dens[v]:
-                x = getrandbits(bits[v])
-            v = targets[v][bisect_right(cuts[v], x)]
-            r = root_of[v]
-            if r > -2:
-                break
-            if v in pos:
-                num, den, k = coins[tuple(path[pos[v]:])]
-                x = getrandbits(k)
-                while x >= den:
-                    x = getrandbits(k)
-                if x < num:
-                    r = -1
-                    break
-                for dropped in path[pos[v] + 1:]:
-                    del pos[dropped]
-                del path[pos[v] + 1:]
+        unsettled[r] = r
+    draws = []
+    for seed in seeds:
+        reseed(seed)
+        succ = [-1] * n
+        root_of = unsettled.copy()
+        for start in order:
+            if root_of[start] > -2:
                 continue
-            pos[v] = len(path)
-            path.append(v)
-        # settle the branch: it ends in v, a settled state or its own cycle
-        for a, b in zip(path, path[1:]):
-            succ[a] = b
-        succ[path[-1]] = v
-        for a in path:
-            root_of[a] = r
-    return _trusted_ecrsf(n, rs, tuple(succ), tuple(root_of))
+            path = [start]
+            pos = {start: 0}
+            v = start
+            while True:
+                x = getrandbits(bits[v])
+                u = cells[v][x >> shifts[v]]
+                while u < 0:
+                    if u == -2 and x < dens[v]:
+                        u = targets[v][bisect_right(cuts[v], x)]
+                        break
+                    x = getrandbits(bits[v])
+                    u = cells[v][x >> shifts[v]]
+                v = u
+                r = root_of[v]
+                if r > -2:
+                    break
+                if v in pos:
+                    num, den, k = coins[tuple(path[pos[v]:])]
+                    x = getrandbits(k)
+                    while x >= den:
+                        x = getrandbits(k)
+                    if x < num:
+                        r = -1
+                        break
+                    for dropped in path[pos[v] + 1:]:
+                        del pos[dropped]
+                    del path[pos[v] + 1:]
+                    continue
+                pos[v] = len(path)
+                path.append(v)
+            # settle the branch: it ends in v, a settled state or its own cycle
+            for a, b in zip(path, path[1:]):
+                succ[a] = b
+            succ[path[-1]] = v
+            for a in path:
+                root_of[a] = r
+        draws.append(_trusted_ecrsf(n, rs, tuple(succ), tuple(root_of)))
+    return draws
 
 
 def kkw_sample(p: TransitionMatrix, alpha: CycleWeights | None,
@@ -390,7 +444,7 @@ def kkw_sample(p: TransitionMatrix, alpha: CycleWeights | None,
     if alpha is None:
         alpha = cfg.alpha
     rs, order, stepper = _ecrsf_setup(p, alpha, tree_roots, site_order, guard)
-    return _draw_ecrsf(rs, order, stepper, _CycleCoins(alpha), cfg.seed)
+    return _draw_ecrsf(rs, order, stepper, _CycleCoins(alpha), [cfg.seed])[0]
 
 
 def sample_ecrsf(p: TransitionMatrix, tree_roots: Iterable[int],
@@ -404,9 +458,8 @@ def sample_ecrsf(p: TransitionMatrix, tree_roots: Iterable[int],
     draws share one memo of cycle coins.
     """
     rs, order, stepper = _ecrsf_setup(p, cfg.alpha, tree_roots, site_order, guard)
-    coins = _CycleCoins(cfg.alpha)
-    return [_draw_ecrsf(rs, order, stepper, coins, derive_seed(cfg.seed, k))
-            for k in range(cfg.sample_count)]
+    return _draw_ecrsf(rs, order, stepper, _CycleCoins(cfg.alpha),
+                       [derive_seed(cfg.seed, k) for k in range(cfg.sample_count)])
 
 
 def lerw_path_prob(p: TransitionMatrix, roots: Iterable[int],
@@ -496,22 +549,27 @@ def gof_test(observed: Mapping, expected: Mapping,
     total = sum(observed.values())
     if total <= 0:
         raise ValueError("observed counts are empty")
-    mass = sum(Fraction(str(x)) if isinstance(x, float) else Fraction(x)
-               for x in expected.values())
-    if abs(mass - 1) > Fraction(1, 10**9):
+    # the mass is summed per denominator: a law's probabilities share a few
+    mass: dict[int, int] = {}
+    statistic = 0.0
+    live = 0
+    for key, prob in expected.items():
+        if isinstance(prob, float):
+            prob = Fraction(str(prob))
+        elif not isinstance(prob, Fraction):
+            prob = Fraction(prob)
+        num, den = prob.numerator, prob.denominator
+        mass[den] = mass.get(den, 0) + num
+        if num > 0:
+            live += 1
+            want = num / den * total
+            statistic += (observed.get(key, 0) - want) ** 2 / want
+    if abs(sum(Fraction(num, den) for den, num in mass.items()) - 1) \
+            > Fraction(1, 10**9):
         raise ValueError("expected probabilities must sum to 1")
     impossible = tuple(
         key for key, count in observed.items()
         if count and not expected.get(key))
-    statistic = 0.0
-    live = 0
-    for key, prob in expected.items():
-        if prob <= 0:
-            continue
-        live += 1
-        want = float(prob) * total
-        got = observed.get(key, 0)
-        statistic += (got - want) ** 2 / want
     dof = live - 1
     p_value = 1.0 if dof == 0 else _chi2_sf(statistic, dof)
     passed = not impossible and p_value > threshold

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -726,9 +727,14 @@ def test_cycle_weights_validation():
     assert alpha.weight((2, 0, 1)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         CycleWeights.constant(2)
-    lopsided = CycleWeights(lambda cyc: Fraction(3, 2))
-    with pytest.raises(ValueError):
-        lopsided.weight((0, 1))
+    for value, text in ((Fraction(3, 2), "3/2"), (Fraction(-1, 2), "-1/2")):
+        lopsided = CycleWeights(lambda cyc, value=value: value)
+        with pytest.raises(ValueError,
+                           match=rf"^cycle weight {text} outside \[0,1\]$"):
+            lopsided.weight((0, 1))
+    for value in (0, 1, Fraction(0), Fraction(1), "2/5"):
+        got = CycleWeights(lambda cyc, value=value: value).weight((1, 0))
+        assert got == Fraction(value) and isinstance(got, Fraction)
 
 
 def test_ecrsf_weight_examples(d2):
@@ -737,6 +743,55 @@ def test_ecrsf_weight_examples(d2):
     assert ecrsf_weight(two_cycle, d2, CycleWeights.constant(Fraction(1, 2))) \
         == Fraction(1, 2)
     assert ecrsf_weight(two_cycle, d2, CycleWeights.constant(0)) == 0
+
+
+def _product(p, edges, cycles=(), alpha=None):
+    """A configuration's weight multiplied out one Fraction at a time."""
+    w = Fraction(1)
+    for v, u in edges:
+        w *= p.rows[v][u]
+    for cyc in cycles:
+        w *= alpha.weight(cyc)
+    return w
+
+
+def test_weights_match_a_fraction_product(fixture_a, u4, r3):
+    rules = [CycleWeights.constant(0), CycleWeights.constant(1),
+             CycleWeights.constant(Fraction(2, 7)),
+             CycleWeights(lambda c: 0 if len(c) == 2 else Fraction(1, len(c)))]
+    rng = random.Random(31)
+    # random_chain leaves zero arcs, which many of the configurations use
+    chains = [fixture_a, u4, r3, *(random_chain(rng, n) for n in (3, 4, 4))]
+    zero = 0
+    for p in chains:
+        for roots in ({0}, {0, p.n - 1}):
+            for f in enumerate_forests(p.n, roots):
+                want = _product(p, f.edges())
+                assert forest_weight(f, p) == want
+                zero += not want
+        for roots in (set(), {1}):
+            for e in enumerate_ecrsf(p.n, roots):
+                for alpha in rules:
+                    want = _product(p, e.edges(), e.cycles, alpha)
+                    assert ecrsf_weight(e, p, alpha) == want
+                    zero += not want
+    assert zero > 100
+
+
+def test_cycle_rooted_sums_weigh_each_cycle_once(u4):
+    seen = collections.Counter()
+
+    def rule(cycle):
+        seen[cycle] += 1
+        return Fraction(1, len(cycle) + 1)
+
+    alpha = CycleWeights(rule)
+    for roots in (set(), {0}):
+        cycles = {c for e in enumerate_ecrsf(4, roots) for c in e.cycles}
+        for read in (w_ec_sums, lambda p, a, rs: exact_law(p, rs, a)):
+            seen.clear()
+            read(u4, alpha, roots)
+            assert seen == dict.fromkeys(cycles, 1)
 
 
 def test_w_ec_sums_unit_alpha(fixture_a):

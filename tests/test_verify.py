@@ -1,8 +1,9 @@
+import collections
 from fractions import Fraction
 
 import pytest
 
-from forestchain import verify
+from forestchain import forests, verify
 from forestchain.verify import (
     SUITE_NAMES,
     corpus_chains,
@@ -121,6 +122,25 @@ def test_kirchhoff_checks_every_sigma_r_against_the_forest_polynomial(
     result = run_suite("kirchhoff", trials=5, max_n=4, seed=123)
     assert not result.passed
     assert "det(xI + L)" in result.failures[0]
+
+
+def test_kirchhoff_builds_each_root_set_table_once(monkeypatch):
+    # fewer tables kept than a chain has root sets, as at n = 9 with the
+    # default bound, but as many as its largest set of one size
+    monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 10)
+    builds = collections.Counter()
+    real = forests._TreeSums.root_set
+
+    def counting(self, roots):
+        if roots not in self.tables:
+            builds[self, roots] += 1
+        return real(self, roots)
+
+    monkeypatch.setattr(forests._TreeSums, "root_set", counting)
+    forests._layer_sums.cache_clear()
+    assert run_suite("kirchhoff", trials=6, max_n=5, seed=123).passed
+    assert set(builds.values()) == {1}
+    assert len(builds) == sum(2 ** p.n - 1 for p in corpus_chains(6, 5, 123))
 
 
 def test_wilson_suite_checks_the_law_it_is_given(monkeypatch):

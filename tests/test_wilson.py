@@ -250,6 +250,16 @@ G4 = chain([
 LAZY4 = chain([[F(1, 2) * (i == j) + F(1, 2) * G4.rows[i][j] for j in range(4)]
                for i in range(4)])
 HALF = CycleWeights.constant(F(1, 2))
+# every row denominator above 2^64: 3 (2^64 + 13), 2 * 3^41, 11 (10^25 + 7)
+# and 2^70; a zero entry in each row and a self-loop at 0 and at 2
+BIG = 2 ** 64 + 13
+BIG4 = chain([
+    [F(1, 3), F(BIG // 3, BIG), 0, F(2, 3) - F(BIG // 3, BIG)],
+    [F(3 ** 41 - 5, 2 * 3 ** 41), 0, F(3 ** 41 + 5, 2 * 3 ** 41), 0],
+    [F(1, 10 ** 25 + 7), F((10 ** 25 + 7) // 4, 10 ** 25 + 7), F(3, 11),
+     F(8, 11) - F(1, 10 ** 25 + 7) - F((10 ** 25 + 7) // 4, 10 ** 25 + 7)],
+    [F(5, 2 ** 70), 1 - F(5, 2 ** 70), 0, 0],
+])
 
 
 def _stream_digest(draws):
@@ -271,6 +281,10 @@ GOLDEN_STREAMS = [
      "2cef441e6d909ea5376eb64d4fbd58664468b6688bf9907fc28d24fea160e6a8"),
     (lambda cfg: sample_ecrsf(G4, set(), cfg),
      "297737fa6333cd9c9a1b254dc50a78bff96c1f533301724eeecd4ae6b3dc71ef"),
+    # recorded with the sampler that bisected the thresholds at every step
+    # and built a new generator per draw
+    (lambda cfg: sample_forests(BIG4, {0}, cfg),
+     "9136ab7ecaa6ab751de3feb8e4c7226ff9e5a1fc87ce48008ce259820046cfd1"),
 ]
 
 
@@ -379,6 +393,14 @@ ODD6 = chain([
 ])
 ODD6_LAZY = chain([[F(1, 2) * (i == j) + F(1, 2) * ODD6.rows[i][j]
                     for j in range(6)] for i in range(6)])
+# row denominators 33 = 2^5 + 1 and 65 = 2^6 + 1 over two entries: the
+# last cell below 2^bits holds the largest value below the denominator and
+# the denominator itself, so a draw of exactly the denominator lands in a
+# straddling cell and is drawn again
+EDGE5 = chain([
+    [F(1, d) if j == (i + 1) % 5 else F(d - 1, d) if j == (i + 2) % 5 else 0
+     for j in range(5)]
+    for i, d in enumerate((33, 65, 33, 65, 33))])
 
 
 def test_inline_bounded_draw_is_randrange():
@@ -392,6 +414,39 @@ def test_inline_bounded_draw_is_randrange():
             for _ in range(5):
                 assert _bounded(got.getrandbits, den) == want.randrange(den)
         assert got.getstate() == want.getstate()
+
+
+def _bisected(stepper, i, x):
+    """Where value x of a draw in row i goes: None when it is drawn again."""
+    if x >= stepper.dens[i]:
+        return None
+    return stepper.targets[i][bisect_right(stepper.cuts[i], x)]
+
+
+def test_cell_table_matches_bisection():
+    # row denominators from 1 (a single-entry row) to above 10^30, those of
+    # BIG4 all above 2^64, with zero entries and self-loops
+    assert min(_Stepper(BIG4).dens) > 2 ** 64
+    for p in (G4, LAZY4, ODD6, ODD6_LAZY, BIG4, EDGE5):
+        stepper = _Stepper(p)
+        for i in range(p.n):
+            shift, cells = stepper.shifts[i], stepper.cells[i]
+            assert len(cells) == 1 << (stepper.bits[i] - shift)
+            assert len(cells) <= 32 * len(stepper.targets[i])
+            for c, cell in enumerate(cells):
+                lo, hi = c << shift, ((c + 1) << shift) - 1
+                # x -> _bisected is monotone, so the ends settle a cell
+                ends = {_bisected(stepper, i, lo), _bisected(stepper, i, hi)}
+                if len(ends) > 1:
+                    assert cell == -2
+                else:
+                    assert cell == (-1 if ends == {None} else ends.pop())
+            if stepper.bits[i] <= 12:
+                for x in range(1 << stepper.bits[i]):
+                    cell = cells[x >> shift]
+                    if cell != -2:
+                        want = _bisected(stepper, i, x)
+                        assert cell == (-1 if want is None else want)
 
 
 def _walk_step(p, rng, v):
@@ -451,7 +506,7 @@ def _reference_ecrsf(p, alpha, rs, seed):
 def test_draws_match_randrange_reference():
     alpha = CycleWeights(lambda c: F(1, len(c) + 2) if len(c) > 1 else 1)
     cfg = SamplerConfig(seed=4242, sample_count=150, alpha=alpha)
-    for p in (ODD6, ODD6_LAZY):
+    for p in (ODD6, ODD6_LAZY, EDGE5):
         for roots in ({0}, {2, 4}):
             draws = sample_forests(p, roots, cfg)
             assert [list(f.parent) for f in draws] == [
@@ -624,6 +679,11 @@ def test_gof_threshold_is_tunable():
 def test_gof_input_validation():
     with pytest.raises(ValueError):  # mass does not sum to one
         gof_test({"a": 1}, {"a": 0.7})
+    # exact laws over several denominators: mass 5/6, then exactly 1
+    with pytest.raises(ValueError, match="expected probabilities must sum to 1"):
+        gof_test({"a": 1}, {"a": F(1, 3), "b": F(1, 2), "c": 0})
+    assert gof_test({"a": 2, "b": 3, "c": 1},
+                    {"a": F(1, 3), "b": F(1, 2), "c": F(1, 6), "d": 0}).passed
     with pytest.raises(ValueError):  # no observations at all
         gof_test({}, {"a": 1.0})
     with pytest.raises(ValueError):
