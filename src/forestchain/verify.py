@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import chains, forests, formulas, oracle, wilson
 from .chains import TransitionMatrix, format_rational, uniform_chain
 
-DEFAULT_SEED = 1069
+DEFAULT_SEED = wilson.DEFAULT_SEED
 
 
 class SuiteResult(NamedTuple):

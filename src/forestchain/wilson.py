@@ -53,6 +53,10 @@ from .forests import (
 )
 
 _MASK64 = (1 << 64) - 1
+
+# The seed of a draw or a verify suite when the caller gives none.
+DEFAULT_SEED = 1069
+
 # bound now: the draws build through these even where bench/tracing.py swaps
 # the module's ``RootedForest`` and ``Ecrsf`` names for plain functions
 _trusted_forest = RootedForest._trusted

@@ -409,6 +409,25 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_the_verify_suites():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, forestchain.cli; "
+         "print('forestchain.verify' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_suite_choices_are_verify_suites():
+    from forestchain import verify
+    assert cli.SUITE_NAMES == verify.SUITE_NAMES
+    args = cli.build_parser().parse_args(["verify", "--suite", "treealg"])
+    assert args.suite == "treealg"
+
+
 def test_package_imports_only_the_standard_library():
     import ast
     from pathlib import Path

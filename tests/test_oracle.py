@@ -31,8 +31,8 @@ from forestchain import (
     undirected_tree_count,
     uniform_chain,
 )
-from forestchain.oracle import _solve, require_irreducible
-from forestchain.verify import random_irreducible_chain
+from forestchain.oracle import _integer_rows, _solve, require_irreducible
+from forestchain.verify import random_chain, random_irreducible_chain
 
 from conftest import chain
 
@@ -79,6 +79,38 @@ def _seeded_matrix(rng, n):
              for _ in range(n)] for _ in range(n)]
 
 
+def test_exact_det_takes_fraction_int_and_mixed_entries_alike():
+    rng = random.Random(17)
+    singular = 0
+    for t in range(120):
+        n = 1 + t % 5
+        ints = [[0 if rng.random() < 0.3 else rng.randint(-6, 6)
+                 for _ in range(n)] for _ in range(n)]
+        if t % 4 == 0 and n > 1:
+            ints[-1] = [2 * x for x in ints[0]]
+        fractions = [[F(x) for x in row] for row in ints]
+        mixed = [[F(x) if (i + j) % 2 else x for j, x in enumerate(row)]
+                 for i, row in enumerate(ints)]
+        expected = _leibniz_det(fractions)
+        got = [exact_det(m) for m in (ints, fractions, mixed)]
+        assert got == [expected] * 3
+        assert all(type(d) is F for d in got)
+        singular += expected == 0
+    assert singular >= 20
+    # other exact types are still converted, and the input is left alone
+    rows = [[F(1, 2), 3], [True, 0.25]]
+    assert exact_det(rows) == F(1, 8) - 3
+    assert rows == [[F(1, 2), 3], [True, 0.25]]
+
+
+def _scaled_solve(a, b):
+    """_solve after each row of [A | B] is scaled to integers, which leaves
+    X unchanged."""
+    n = len(a)
+    rows, _ = _integer_rows([[*a[i], *b[i]] for i in range(n)])
+    return _solve([row[:n] for row in rows], [row[n:] for row in rows])
+
+
 def test_exact_det_matches_leibniz_expansion():
     rng = random.Random(11)
     singular = 0
@@ -110,7 +142,7 @@ def test_solve_satisfies_the_system_exactly():
     for a, b in systems:
         n, width = len(a), len(b[0])
         # d X in integers over the last pivot d
-        dx, d = _solve(a, b)
+        dx, d = _scaled_solve(a, b)
         assert all(type(v) is int for row in dx for v in row)
         x = [[F(v, d) for v in row] for row in dx]
         assert [[sum((a[i][k] * x[k][j] for k in range(n)), F(0))
@@ -125,9 +157,9 @@ def test_solve_refuses_singular_systems():
         a[t % n] = [3 * x for x in a[(t + 1) % n]]
         eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
         with pytest.raises(SingularMatrixError):
-            _solve(a, eye)
+            _scaled_solve(a, eye)
     with pytest.raises(SingularMatrixError):
-        _solve([[F(0), F(1)], [F(0), F(2)]], [[F(1)], [F(1)]])
+        _solve([[0, 1], [0, 2]], [[1], [1]])
 
 
 def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
@@ -159,13 +191,13 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     # the oracle does not import the Fraction Laplacian at all
     assert not hasattr(oracle, "laplacian")
     monkeypatch.setattr(chains_module, "laplacian", no_fraction_laplacian)
-    oracle._root_set_solve.cache_clear()
+    oracle._root_set_store.cache_clear()
     oracle._chain_solve.cache_clear()
     assert run() == expected
-    # L({1, 2}) and L({0, 2}) once each, L({0}) twice (the memo keeps one
-    # root set, and L({1, 2}) comes between L({0})'s two reads), and the
-    # chain system once for every passage time
-    assert sorted(sizes) == [1, 1, 2, 2, 3]
+    # L({0}) and L({1, 2}) once each; L({0, 2}) is a pivot off the kept
+    # L({0}) and eliminates nothing; the chain system once for every
+    # passage time
+    assert sorted(sizes) == [1, 2, 3]
     # pi is read from that same kept solve
     sizes.clear()
     assert stationary_solve(p) == pi and sizes == []
@@ -238,7 +270,8 @@ def test_green_and_hitting_share_one_elimination(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(oracle, "_solve", counting)
-    oracle._root_set_solve.cache_clear()
+    oracle._root_set_store.cache_clear()
+    # {1, 4} has no kept parent, so each root set is eliminated once
     for roots in ({0}, {1, 4}):
         g = green_matrix_solve(p, roots)
         h = hitting_solve(p, roots)
@@ -258,15 +291,140 @@ def test_green_and_hitting_share_one_elimination(monkeypatch):
     assert m[1][0] == (z[0][0] - z[1][0]) / pi[0]
 
 
-def test_kept_solves_are_bounded_and_read_only():
+def test_kept_solves_are_bounded_and_read_only(monkeypatch):
     from forestchain import oracle
-    # the calls each memo joins come one after the other, so one entry does
-    for cached in (oracle._chain_solve, oracle._root_set_solve):
-        assert cached.cache_info().maxsize == 1
+    # the chain-solve calls come one after the other, so one entry does;
+    # root-set solves are kept for two chains, a bounded store each
+    assert oracle._chain_solve.cache_info().maxsize == 1
+    assert oracle._root_set_store.cache_info().maxsize == 2
     p = random_irreducible_chain(random.Random(2033), 4)
     g, _ = oracle._chain_solve(p)
-    x, _ = oracle._root_set_solve(p, frozenset({0}))
-    assert all(type(t) is tuple for t in (g, x, *g, *x))
+    assert all(type(t) is tuple for t in (g, *g))
+    monkeypatch.setattr(oracle, "_ROOT_SET_SOLVE_CACHE_SIZE", 3)
+    oracle._root_set_store.cache_clear()
+    sweep = [frozenset(c) for r in (1, 2, 3)
+             for c in itertools.combinations(range(4), r)]
+    for roots in sweep:
+        oracle._root_set_solve(p, roots)
+        store = oracle._root_set_store(p)
+        assert len(store) <= 3
+        assert all(type(t) is tuple for x, _ in store.values()
+                   for t in (x, *x))
+    # first in, first out: the last three root sets are the ones kept
+    assert list(oracle._root_set_store(p)) == sweep[-3:]
+
+
+def _count_solves(monkeypatch):
+    from forestchain import oracle
+    real = oracle._solve
+    calls = []
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "_solve", counting)
+    oracle._root_set_store.cache_clear()
+    return calls
+
+
+def test_a_root_set_with_a_kept_parent_is_pivoted(monkeypatch):
+    from forestchain import oracle
+    p = random_irreducible_chain(random.Random(2035), 6)
+    calls = _count_solves(monkeypatch)
+    g1 = green_matrix_solve(p, {2})
+    assert calls == [5]
+    # {2, 4} and {0, 2, 4} each read off the kept root set one rank below
+    g2, h2 = green_matrix_solve(p, {2, 4}), hitting_solve(p, {4, 2})
+    g3 = green_matrix_solve(p, {0, 2, 4})
+    assert calls == [5]
+    assert set(oracle._root_set_store(p)) == {
+        frozenset({2}), frozenset({2, 4}), frozenset({0, 2, 4})}
+    # the same as eliminating each afresh
+    oracle._root_set_store.cache_clear()
+    assert (green_matrix_solve(p, {2, 4}), hitting_solve(p, {2, 4})) \
+        == (g2, h2)
+    oracle._root_set_store.cache_clear()
+    assert green_matrix_solve(p, {0, 2, 4}) == g3
+    assert green_matrix_solve(p, {2}) == g1
+    assert calls == [5, 4, 3, 5]
+
+
+def test_an_infeasible_root_set_is_never_kept(monkeypatch, r3):
+    from forestchain import oracle
+    calls = _count_solves(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InfeasibleRootSetError) as err:
+            hitting_solve(r3, {1})
+        messages.append(str(err.value))
+    assert messages == ["root set [1] infeasible: L(R) is singular"] * 2
+    assert calls == [2, 2] and not oracle._root_set_store(r3)
+    # neither parent of {1, 2} is kept, so it is eliminated, not pivoted
+    with pytest.raises(InfeasibleRootSetError):
+        green_matrix_solve(r3, {2})
+    assert hitting_solve(r3, {1, 2}) == ((F(1, 2), F(1, 2)),)
+    assert calls == [2, 2, 2, 1]
+    assert list(oracle._root_set_store(r3)) == [frozenset({1, 2})]
+
+
+def _proper_root_sets(n):
+    return [frozenset(c) for r in range(1, n)
+            for c in itertools.combinations(range(n), r)]
+
+
+def test_pivots_equal_fresh_eliminations(monkeypatch):
+    # (d X, d) read off a kept parent by one pivot is, integer for integer,
+    # what eliminating L(R) afresh gives, over every proper root set in rank
+    # order, in reverse rank order, and from each of its parents in turn
+    from forestchain import oracle
+    rng = random.Random(2037)
+    chains = []
+    for t in range(120):
+        n = 2 + t % 6
+        if t % 3 == 0:  # dense
+            weights = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+            chains.append(chain([[F(w, sum(ws)) for w in ws]
+                                 for ws in weights]))
+            continue
+        rows = [list(row) for row in random_chain(rng, n).rows]  # sparse
+        if t % 3 == 2:  # reducible: state 0 absorbing, and state 1 too
+            for v in range(1 + t % 2):
+                rows[v] = [F(int(u == v)) for u in range(n)]
+        chains.append(chain(rows))
+    assert sum(irreducibility_certificate(p) is not None for p in chains) >= 40
+    calls = _count_solves(monkeypatch)
+
+    def solve(p, roots):
+        try:
+            return oracle._root_set_solve(p, roots)
+        except InfeasibleRootSetError:
+            return None
+
+    pivots = 0
+    for p in chains:
+        sets = _proper_root_sets(p.n)
+        fresh = {}
+        for roots in sets:
+            oracle._root_set_store.cache_clear()
+            fresh[roots] = solve(p, roots)
+        for order in (sets, sets[::-1]):
+            oracle._root_set_store.cache_clear()
+            before = len(calls)
+            assert [solve(p, roots) for roots in order] \
+                == [fresh[roots] for roots in order]
+            pivots += len(order) - (len(calls) - before)
+        for roots in sets:
+            if fresh[roots] is None:
+                continue
+            for v in set(range(p.n)) - roots - {max(set(range(p.n)) - roots)}:
+                oracle._root_set_store.cache_clear()
+                solve(p, roots)
+                before = len(calls)
+                assert solve(p, roots | {v}) == fresh[roots | {v}]
+                assert len(calls) == before
+                pivots += 1
+    assert pivots >= 5000
 
 
 def test_stationary_solve(fixture_a, d2):
