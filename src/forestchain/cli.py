@@ -33,9 +33,9 @@ from .forests import (
     EnumerationGuardError,
     cayley_count,
     exact_law,
-    root_set_sums,
     sigma_r,
     sigma_sums,
+    w_sum,
 )
 
 
@@ -193,8 +193,7 @@ def _rooted_forest_count(n: int, k: int, guard: int) -> int:
     free = n - k
     rows = [[Fraction(int(j != i), n - 1) for j in range(free)]
             + [Fraction(k, n - 1)] for i in range(free)] + [[0] * free + [1]]
-    got = root_set_sums(TransitionMatrix(rows), (free,), guard)
-    return got.weight * (n - 1) ** free // got.denom
+    return int(w_sum(TransitionMatrix(rows), (free,), guard) * (n - 1) ** free)
 
 
 def cmd_count(args) -> int:

@@ -4,10 +4,10 @@ This module is the counting side: w(R), w_ij(R), Sigma_j, Sigma^(r),
 Sigma_ij and w^ec are exact sums over forests, with no determinant and no
 solve. Rows are scaled to integers once per chain (``chains.scaled_rows``),
 so a forest's weight is an integer over the product of the free states' row
-denominators. Each root set keeps its sums times the row denominators of
-its roots as well (``root_set_sums``), so every sum of a chain is an
-integer over one denominator, the product of all its row denominators, and
-a ratio of sums is a single Fraction of two integers.
+denominators. Each root set's sums are taken times the row denominators of
+its roots as well, so every sum of a chain is an integer over one
+denominator, the product of all its row denominators, and a ratio of sums
+is a single Fraction of two integers.
 
 The forest sums w(R) and w_ij(R) are built from rooted-tree sums.
 T(B, X) is the weight of the forests on X ∪ B rooted at B, with the states
@@ -20,28 +20,28 @@ with T(B, ∅) = 1. A per-chain memo keeps, for each state set S, the tree
 sums T({c}, S - {c}) at every c in S and the pulls A({c}, S) at every c
 outside it. A root set with f free states reads the entries of the subsets
 of its free states, filled with about f 3^(f-1) / 2 multiply-adds, so all
-the tree sums of an n-state chain cost about n 3^(n-1) / 2. A tree sum
-w({b}) is the memo entry of all n states at b.
+the tree sums of an n-state chain cost about n 3^(n-1) / 2.
 
-The sums that split the states into two blocks are read straight from the
-memo, one pass over its subsets X and no root-set table. With
+With the roots of R merged into one, w(R) = T(R, free) is the merged-root
+column at every free state, about 3^f multiply-adds after the fill
+(``w_sum``, ``sigma_r`` and ``sigma_sums`` take it alone, one integer kept
+per root set). The sums that split the states into two blocks are read
+straight from the memo, one pass over its subsets X. With
 tau(X) = sum_{k in X} T({k}, X - {k}) the weight of all spanning trees of
 X, the two-tree Sigma_ij = sum_{k != j} w_ik({j, k}) sums
 tau(X) T({j}, V - X - {j}) over the X that hold i and not j, and
 Sigma^(2) sums tau(X) tau(V - X) over the splits {X, V - X}
 (``two_tree_sums``), about 2^n n^2 / 4 multiply-adds after the fill. The
 Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
-the free sets X that hold i and j (``green_sums``), about 2^f f^2 / 4 for
-f free states. A chain's two-tree sums take one such pass and are kept; a
-root set's Green numerators take one pass in place of f root-set tables.
+the free sets X that hold i and j, about 2^f f^2 / 4 for f free states.
 
-A root set of two or more roots reads its table off its own Green
-numerators. Cutting i's path at its last arc j -> b, a forest rooted at R
-in which i drains to b is a forest rooted at R ∪ {j} in which i drains to
-j, plus that arc, so w_ib(R) = sum over free j of w_ij(R ∪ {j}) p_jb: the
-forest form of the absorbing-chain identity H = G P_R (Kemeny and Snell,
-1960). Every free state drains to one root, so w(R) = sum_b w_ib(R) at any
-free i. The Green pass is kept, and ``absorption`` reads it again.
+Each root set keeps one record, as the oracle keeps one solve of
+L(R) X = [I | P_R]: its Green numerators, its hitting numerators and w(R),
+from one Green pass (``root_set_sums``). Cutting i's path at its last arc
+j -> b, a forest rooted at R in which i drains to b is a forest rooted at
+R ∪ {j} in which i drains to j, plus that arc, so w_ib(R) = sum over free
+j of w_ij(R ∪ {j}) p_jb: the forest form of the absorbing-chain identity
+H = G P_R (Kemeny and Snell, 1960), another f^2 |R| multiply-adds.
 
 One backtracking walker, ``_walk``, serves what the tree sums do not:
 listing forests and cycle-rooted configurations, their exact laws, the
@@ -77,8 +77,7 @@ __all__ = [
     "RootedForest", "Ecrsf", "CycleWeights", "ForestSums", "check_roots",
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
     "forest_weight", "ecrsf_weight", "RootSetSums", "root_set_sums",
-    "TwoTreeSums", "two_tree_sums", "GreenSums", "green_sums",
-    "w_sum", "w_target_sum", "sigma_sums",
+    "TwoTreeSums", "two_tree_sums", "w_sum", "w_target_sum", "sigma_sums",
     "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums",
     "exact_law", "forest_from_json", "ecrsf_from_json",
 ]
@@ -537,13 +536,14 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 
 # Cache bounds. The tree sums keep two chains, so that a sub-chain read in
 # the middle of a caller's work (mfpt_via_modified_chain) does not evict the
-# caller's: per chain its memo, its two-tree sums, and up to
-# _ROOT_SET_CACHE_SIZE root-set tables (255 at n = 8, where sigma_r over
-# every r reads them all) and as many root sets' Green numerators. The memo
-# holds n integers per state set; it is cleared before a root set or a pass
-# when it holds more than _LAYER_MEMO_SIZE. One root set with f free states
-# adds at most an entry per nonempty subset of them, or of all n states when
-# it has one root: n (2^(f+1) - 1) integers.
+# caller's: per chain its memo, its two-tree sums, up to
+# _ROOT_SET_CACHE_SIZE root-set records, and as many weights w(R) read
+# alone (126 at n = 9 for the largest r, which sigma_r reads and the
+# kirchhoff suite reads again). The memo holds n integers per state set; it
+# is cleared before a root set or a pass when it holds more than
+# _LAYER_MEMO_SIZE. One root set with f free states adds at most an entry
+# per nonempty subset of them, n (2^f - 1) integers; the two-tree pass adds
+# one per nonempty state set.
 _LAYER_CACHE_SIZE = 2
 _ROOT_SET_CACHE_SIZE = 256
 _LAYER_MEMO_SIZE = 1 << 17
@@ -565,15 +565,19 @@ def _subsets(mask: int) -> list[int]:
 class RootSetSums(NamedTuple):
     """The forest sums of one root set R as integers over one denominator.
 
-    ``weight`` is w(R) D and ``table[(i, b)]`` is w_ib(R) D, the weight of
-    the forests in which i's tree has root b, nonzero entries only, i over
-    all states. D = ``denom`` is the product of dens_v over every state v,
-    with dens_v the lcm of row v's denominators: the same for every root
-    set of a chain.
+    ``interior`` lists the states outside R in ascending order. For
+    i = interior[a] and j = interior[k], ``green[a][k]`` is the Green
+    numerator w_ij(R ∪ {j}) D, and ``hit[a][c]`` is w_ib(R) D for
+    b = sorted(R)[c], the weight of the forests in which i's tree has root
+    b. ``weight`` is w(R) D. D = ``denom`` is the product of dens_v over
+    every state v, with dens_v the lcm of row v's denominators: the same
+    for every root set of a chain.
     """
 
+    interior: tuple[int, ...]
+    green: tuple[tuple[int, ...], ...]
+    hit: tuple[tuple[int, ...], ...]
     weight: int
-    table: dict[tuple[int, int], int]
     denom: int
 
 
@@ -594,19 +598,6 @@ class TwoTreeSums(NamedTuple):
     denom: int
 
 
-class GreenSums(NamedTuple):
-    """The Green numerators of a root set R as integers over ``denom``,
-    the denominator of its ``RootSetSums``.
-
-    ``interior`` lists the states outside R in ascending order, and
-    ``table[a][b]`` is w_ij(R ∪ {j}) D for i = interior[a], j = interior[b].
-    """
-
-    interior: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-    denom: int
-
-
 class _TreeSums:
     """Rooted-tree sums of one chain over bitmasks of states.
 
@@ -623,8 +614,8 @@ class _TreeSums:
         self.nums, self.dens = scaled_rows(p)
         self.denom = prod(self.dens)
         self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
-        self.tables: dict[frozenset[int], RootSetSums] = {}
-        self.greens: dict[frozenset[int], GreenSums] = {}
+        self.records: dict[frozenset[int], RootSetSums] = {}
+        self.weights: dict[frozenset[int], int] = {}
         self.two_trees: TwoTreeSums | None = None
 
     def _make_room(self) -> None:
@@ -712,7 +703,15 @@ class _TreeSums:
                     col[x] = known[0][root]
                     continue
             if pull is None:
-                pull = {y: sum(memo[y][0][b] for b in block) for y in subsets}
+                # a plain loop: about three times faster than a sum over a
+                # generator per subset
+                pull = {}
+                for y in subsets:
+                    vals = memo[y][0]
+                    t = 0
+                    for b in block:
+                        t += vals[b]
+                    pull[y] = t
             m = x & -x
             rest = x ^ m
             t = 0
@@ -724,51 +723,6 @@ class _TreeSums:
                 sub = (sub - 1) & rest
             col[x] = t
         return col
-
-    def root_set(self, roots: frozenset[int]) -> RootSetSums:
-        """w(R) and {(i, b): w_ib(R)} as integers over the chain's
-        denominator, nonzero entries only, i over all states.
-
-        A forest with one root b is a spanning tree, whose weight the memo
-        entry of all n states holds at b. For two or more roots, cut i's
-        path at its last arc j -> b: a forest rooted at R in which i drains
-        to b is a forest rooted at R ∪ {j} in which i drains to j, plus
-        that arc. So w_ib(R) = sum over free j of w_ij(R ∪ {j}) p_jb, read
-        off R's Green numerators, whose entry at j carries dens_j in place
-        of p_jb's denominator. Every free state's tree has one root, so
-        w(R) sums w_ib(R) over b at any free i, and is 1 when R is every
-        state.
-        """
-        got = self.tables.get(roots)
-        if got is not None:
-            return got
-        self._make_room()
-        n, nums, dens = self.n, self.nums, self.dens
-        if len(roots) == 1:
-            (b,) = roots
-            full = (1 << n) - 1
-            if full not in self.memo:
-                self._fill(_subsets(full))
-            w = self.memo[full][0][b] * dens[b]
-            table = dict.fromkeys([(i, b) for i in range(n)], w) if w else {}
-        else:
-            interior, rows, _ = self.green(roots)
-            table = {}
-            w = self.denom  # the empty forest, when R is every state
-            for i, row in zip(interior, rows):
-                share = dict.fromkeys(roots, 0)
-                for j, g in zip(interior, row):
-                    if g:
-                        g //= dens[j]
-                        arcs = nums[j]
-                        for b in share:
-                            share[b] += g * arcs[b]
-                w = sum(share.values())
-                table.update(((i, b), t) for b, t in share.items() if t)
-            if w:
-                table.update(((b, b), w) for b in roots)
-        return self._keep(self.tables, roots,
-                          RootSetSums(w, table, self.denom))
 
     def two_tree(self) -> TwoTreeSums:
         """The one- and two-tree sums, read in one pass over the memo
@@ -821,25 +775,55 @@ class _TreeSums:
             tuple(zip(*by_target)), self.denom)
         return got
 
-    def green(self, roots: frozenset[int]) -> GreenSums:
-        """The Green numerators of a root set, read in one pass over the
-        subsets of its free states.
+    def _merged(self, roots: frozenset[int]):
+        """(free, subsets, col): the mask of the states outside R, its
+        nonempty subsets with their memo entries filled, and the column
+        {X: T(R, X)} with the states of R merged into one root."""
+        self._make_room()
+        free = ((1 << self.n) - 1) ^ sum(1 << v for v in roots)
+        subsets = _subsets(free)
+        self._fill(subsets)
+        return free, subsets, self._column(subsets, roots)
+
+    def weight(self, roots: frozenset[int]) -> int:
+        """w(R) D, from R's kept record or else from the merged-root column
+        alone, with no Green pass.
+
+        Merging the roots turns each forest rooted at R into a tree on the
+        free states rooted at the merged state, so w(R) is the column at
+        every free state, times the roots' dens to put it over D. When R is
+        every state that is the empty forest's D.
+        """
+        got = self.records.get(roots)
+        if got is not None:
+            return got.weight
+        got = self.weights.get(roots)
+        if got is not None:
+            return got
+        free, _, merged = self._merged(roots)
+        return self._keep(self.weights, roots,
+                          merged[free] * prod(self.dens[b] for b in roots))
+
+    def record(self, roots: frozenset[int]) -> RootSetSums:
+        """R's Green numerators, hitting numerators and weight, read in one
+        pass over the subsets of its free states, and kept.
 
         A forest rooted at R ∪ {j} splits at the free states X of j's tree:
         w_ij(R ∪ {j}) sums T({j}, X - {j}) T(R, free - X) over the X that
         hold i and j, with the states of R merged into one root. Times
         dens_j and the roots' dens, each product is over the chain's
-        denominator. Kept next to R's table.
+        denominator. Cutting i's path at its last arc j -> b, a forest
+        rooted at R in which i drains to b is a forest rooted at R ∪ {j} in
+        which i drains to j, plus that arc, so w_ib(R) = sum over free j of
+        w_ij(R ∪ {j}) p_jb: the forest form of the absorbing-chain identity
+        H = G P_R (Kemeny and Snell, 1960). The Green numerator at j carries
+        dens_j in place of p_jb's denominator.
         """
-        got = self.greens.get(roots)
+        got = self.records.get(roots)
         if got is not None:
             return got
-        self._make_room()
-        n, memo, dens = self.n, self.memo, self.dens
-        free = ((1 << n) - 1) ^ sum(1 << v for v in roots)
-        subsets = _subsets(free)
-        self._fill(subsets)
-        merged = self._column(subsets, roots)
+        n, memo, nums, dens = self.n, self.memo, self.nums, self.dens
+        free, subsets, merged = self._merged(roots)
         scale = prod(dens[b] for b in roots)
         by_target = [[0] * n for _ in range(n)]  # by_target[j][i]
         for x in subsets:
@@ -855,10 +839,21 @@ class _TreeSums:
                     for i in members:
                         row[i] += g
         interior = tuple(v for v in range(n) if v not in roots)
-        return self._keep(self.greens, roots, GreenSums(
-            interior,
-            tuple(tuple(by_target[j][i] for j in interior) for i in interior),
-            self.denom))
+        order = sorted(roots)
+        green = tuple(tuple(by_target[j][i] for j in interior)
+                      for i in interior)
+        hit = []
+        for row in green:
+            share = [0] * len(order)
+            for j, g in zip(interior, row):
+                if g:
+                    g //= dens[j]
+                    arcs = nums[j]
+                    for c, b in enumerate(order):
+                        share[c] += g * arcs[b]
+            hit.append(tuple(share))
+        return self._keep(self.records, roots, RootSetSums(
+            interior, green, tuple(hit), merged[free] * scale, self.denom))
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
@@ -867,13 +862,14 @@ def _layer_sums(p: TransitionMatrix) -> _TreeSums:
 
 
 def _root_set_sums(p: TransitionMatrix, roots: frozenset[int]) -> RootSetSums:
-    return _layer_sums(p).root_set(roots)
+    return _layer_sums(p).record(roots)
 
 
 def root_set_sums(p: TransitionMatrix, roots: Iterable[int],
                   guard: int = DEFAULT_GUARD) -> RootSetSums:
-    """Integer forest sums of the root set R: w(R) and every w_ib(R), over
-    a denominator shared by every root set of the chain.
+    """Integer forest sums of the root set R: every Green numerator
+    w_ij(R ∪ {j}), every w_ib(R) and w(R), over a denominator shared by
+    every root set of the chain.
 
     The result is cached and shared: read it, do not change it.
     """
@@ -894,23 +890,21 @@ def two_tree_sums(p: TransitionMatrix,
     return _layer_sums(p).two_tree()
 
 
-def green_sums(p: TransitionMatrix, roots: Iterable[int],
-               guard: int = DEFAULT_GUARD) -> GreenSums:
-    """Integer Green numerators w_ij(R ∪ {j}) of the root set R, for every
-    pair of states outside R, over the chain's denominator.
-
-    The result is cached and shared: read it, do not change it.
-    """
-    rs = check_roots(p.n, roots)
-    _check_guard(p.n, rs, guard)
-    return _layer_sums(p).green(rs)
+def _weights(p: TransitionMatrix, root_sets: Iterable[Iterable[int]],
+             guard: int) -> tuple[list[int], int]:
+    """([w(R) D for each root set R], D), read with no Green pass."""
+    sets = [check_roots(p.n, roots) for roots in root_sets]
+    for rs in sets:
+        _check_guard(p.n, rs, guard)
+    sums = _layer_sums(p)
+    return [sums.weight(rs) for rs in sets], sums.denom
 
 
 def w_sum(p: TransitionMatrix, roots: Iterable[int],
           guard: int = DEFAULT_GUARD) -> Fraction:
     """w(R): total P-weight of forests rooted exactly at R."""
-    got = root_set_sums(p, roots, guard)
-    return Fraction(got.weight, got.denom)
+    (w,), denom = _weights(p, [roots], guard)
+    return Fraction(w, denom)
 
 
 def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -920,10 +914,17 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     When j is already a root this is the harmonic numerator w_ij(R); when it
     is not, the root set is enlarged to R ∪ {j} as in the Green numerator.
     """
-    got = root_set_sums(p, check_roots(p.n, roots) | {int(j)}, guard)
+    rs = check_roots(p.n, roots) | {int(j)}
+    got = root_set_sums(p, rs, guard)
     if not 0 <= i < p.n:
         raise ValueError(f"state {i} out of range")
-    return Fraction(got.table.get((i, j), 0), got.denom)
+    if i == j:
+        x = got.weight
+    elif i in rs:
+        x = 0
+    else:
+        x = got.hit[got.interior.index(i)][sorted(rs).index(j)]
+    return Fraction(x, got.denom)
 
 
 class ForestSums(NamedTuple):
@@ -938,19 +939,18 @@ class ForestSums(NamedTuple):
 
 def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     """Tree sums Sigma_j = w({j}) and their total Sigma^(1)."""
-    sums = [root_set_sums(p, (j,), guard) for j in range(p.n)]
-    denom = sums[0].denom
-    return ForestSums(tuple(Fraction(got.weight, denom) for got in sums),
-                      Fraction(sum(got.weight for got in sums), denom))
+    weights, denom = _weights(p, [(j,) for j in range(p.n)], guard)
+    return ForestSums(tuple(Fraction(w, denom) for w in weights),
+                      Fraction(sum(weights), denom))
 
 
 def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """Sigma^(r): total weight of forests with exactly r trees, any root sets."""
     if not 1 <= r <= p.n:
         raise ValueError(f"tree count {r} out of range 1..{p.n}")
-    sums = [root_set_sums(p, roots, guard)
-            for roots in itertools.combinations(range(p.n), r)]
-    return Fraction(sum(got.weight for got in sums), sums[0].denom)
+    weights, denom = _weights(
+        p, itertools.combinations(range(p.n), r), guard)
+    return Fraction(sum(weights), denom)
 
 
 def sigma_pair(p: TransitionMatrix, i: int, j: int,

@@ -7,12 +7,12 @@ operation here has an independent linear-algebra counterpart in
 ``oracle``; the two routes are kept separate on purpose and compared in the
 test and verify suites.
 
-The forest sums arrive as integers over one denominator per chain: the
-root-set tables (``forests.root_set_sums``), the one- and two-tree sums
-(``forests.two_tree_sums``) and the Green numerators
-(``forests.green_sums``). Every quantity here is a ratio of such sums, so
-each output value is a single Fraction of two of those integers, with no
-rescaling.
+The forest sums arrive as integers over one denominator per chain: one
+record per root set R, holding its Green numerators, its hitting
+numerators and w(R) (``forests.root_set_sums``), and the one- and two-tree
+sums (``forests.two_tree_sums``). Every quantity here is a ratio of such
+sums, so each output value is a single Fraction of two of those integers,
+with no rescaling.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .forests import (
     check_roots,
     enumerate_forests,
     forest_weight,
-    green_sums,
     root_set_sums,
     two_tree_sums,
     w_ec_sums,
@@ -109,14 +108,13 @@ def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     rs = frozenset(roots)
     if i in rs or j in rs:
         raise ValueError("green_occupation needs i and j outside the root set")
-    w = _weight(p, rs, guard).weight
     _check_state(p, i)
     # j is a root of R ∪ {j}, the root set of the numerator, and is
     # refused as one
     check_roots(p.n, rs | {j})
-    numerators = green_sums(p, rs, guard)
-    at = numerators.interior.index
-    return Fraction(numerators.table[at(i)][at(j)], w)
+    got = _weight(p, rs, guard)
+    at = got.interior.index
+    return Fraction(got.green[at(i)][at(j)], got.weight)
 
 
 def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
@@ -127,9 +125,8 @@ def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
         raise ValueError("mean_hitting_time needs i outside the root set")
     check_roots(p.n, rs)
     _check_state(p, i)
-    w = _weight(p, rs, guard).weight
-    numerators = green_sums(p, rs, guard)
-    return Fraction(sum(numerators.table[numerators.interior.index(i)]), w)
+    got = _weight(p, rs, guard)
+    return Fraction(sum(got.green[got.interior.index(i)]), got.weight)
 
 
 def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
@@ -141,23 +138,23 @@ def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
         return tuple(Fraction(1 if j == i else 0) for j in rs)
     _check_state(p, i)
     got = _weight(p, rs, guard)
-    return tuple(Fraction(got.table.get((i, j), 0), got.weight) for j in rs)
+    return tuple(Fraction(x, got.weight)
+                 for x in got.hit[got.interior.index(i)])
 
 
 # ---------------------------------------------------------------------------
 # Cesaro forest limit
 
 def _class_root_choices(p: TransitionMatrix, guard: int):
-    """(classes, [(R, w_ib(R) table)], total of the w(R)): one root per
+    """([(sorted R, R's record)], total of the w(R)): one root per
     recurrent class."""
-    rc = oracle.recurrent_classes(p)
     choices = []
     total = 0
-    for ch in itertools.product(*rc.classes):
+    for ch in itertools.product(*oracle.recurrent_classes(p).classes):
         got = root_set_sums(p, ch, guard)
-        choices.append((frozenset(ch), got.table))
+        choices.append((sorted(ch), got))
         total += got.weight
-    return rc, choices, total
+    return choices, total
 
 
 def cesaro_forest(p: TransitionMatrix, i: int, j: int,
@@ -170,22 +167,20 @@ def cesaro_forest(p: TransitionMatrix, i: int, j: int,
     """
     _check_state(p, i)
     _check_state(p, j)
-    rc, choices, total = _class_root_choices(p, guard)
-    if rc.class_of(j) is None:
-        return Fraction(0)
-    num = sum(table.get((i, j), 0) for roots, table in choices if j in roots)
-    return Fraction(num, total)
+    return cesaro_forest_matrix(p, guard)[i][j]
 
 
 def cesaro_forest_matrix(p: TransitionMatrix,
                          guard: int = DEFAULT_GUARD) -> Matrix:
     """All Cesaro limits at once; rows are probability vectors."""
-    _rc, choices, total = _class_root_choices(p, guard)
+    choices, total = _class_root_choices(p, guard)
     out = [[0] * p.n for _ in range(p.n)]
-    for roots, table in choices:
-        for j in roots:
-            for i in range(p.n):
-                out[i][j] += table.get((i, j), 0)
+    for roots, got in choices:
+        for b in roots:
+            out[b][b] += got.weight
+        for i, row in zip(got.interior, got.hit):
+            for b, x in zip(roots, row):
+                out[i][b] += x
     return tuple(tuple(Fraction(x, total) for x in row) for row in out)
 
 
@@ -329,16 +324,13 @@ def absorption(p: TransitionMatrix, roots: Iterable[int],
                guard: int = DEFAULT_GUARD) -> AbsorptionAnalysis:
     """Tree-formula absorption picture for a feasible root set."""
     rs = sorted(set(roots))
-    base = _weight(p, rs, guard)
-    w, table = base.weight, base.table
-    # G_ij = w_ij(R ∪ {j}) / w(R)
-    numerators = green_sums(p, rs, guard)
-    interior, rows = numerators.interior, numerators.table
-    green = tuple([tuple([Fraction(x, w) for x in row]) for row in rows])
-    hit = tuple([tuple([Fraction(table.get((i, b), 0), w) for b in rs])
-                 for i in interior])
-    mean_hit = tuple([Fraction(sum(row), w) for row in rows])
-    return AbsorptionAnalysis(tuple(rs), interior, green, hit, mean_hit)
+    got = _weight(p, rs, guard)
+    w = got.weight
+    # G_ij = w_ij(R ∪ {j}) / w(R) and h_ib = w_ib(R) / w(R)
+    green = tuple([tuple([Fraction(x, w) for x in row]) for row in got.green])
+    hit = tuple([tuple([Fraction(x, w) for x in row]) for row in got.hit])
+    mean_hit = tuple([Fraction(sum(row), w) for row in got.green])
+    return AbsorptionAnalysis(tuple(rs), got.interior, green, hit, mean_hit)
 
 
 def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,
@@ -366,8 +358,8 @@ def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,
     pos = {v: a for a, v in enumerate(cls)}
     sub = TransitionMatrix(tuple(
         tuple(modified.rows[v][u] for u in cls) for v in cls))
-    # the singleton tables, not the two-tree pass that mfpt reads, so that
-    # the two sides of this identity come from different sums
-    trees = [root_set_sums(sub, (a,), guard).weight for a in range(sub.n)]
+    # the tree sums of the sub-chain, not p's two-tree Sigma_ij that mfpt
+    # reads, so that the two sides of this identity come from different sums
+    trees = two_tree_sums(sub, guard).trees
     tj = trees[pos[j]]
     return Fraction(sum(trees) - tj, tj)

@@ -134,8 +134,8 @@ def suite_kirchhoff(trials: int = 200, max_n: int = 6,
     for p in corpus_chains(trials, max_n, seed):
         lap = chains.laplacian(p)
         by_r = []
-        # each r's w(R) right after Sigma^(r) has built their tables: at
-        # n = 9 the tables of all 511 root sets outnumber the ones kept
+        # each r's w(R) right after Sigma^(r) has taken them: at n = 9 the
+        # weights of all 511 root sets outnumber the ones kept
         for r in range(1, p.n + 1):
             by_r.append(forests.sigma_r(p, r, guard))
             for roots in itertools.combinations(range(p.n), r):

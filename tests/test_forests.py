@@ -40,7 +40,6 @@ from forestchain.forests import (
     DEFAULT_GUARD,
     _layer_sums,
     _tree_deletion_row,
-    green_sums,
     root_set_sums,
     two_tree_sums,
 )
@@ -276,8 +275,8 @@ def test_layer_route_never_walks(monkeypatch, fixture_a):
 
 
 def test_layer_sums_stay_within_their_bounds(monkeypatch):
-    # one chain's memo, root-set tables and Green passes do not grow
-    # without bound
+    # one chain's memo, root-set records and weights do not grow without
+    # bound
     monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 4)
     monkeypatch.setattr(forests, "_LAYER_MEMO_SIZE", 20)
     _layer_sums.cache_clear()
@@ -285,17 +284,16 @@ def test_layer_sums_stay_within_their_bounds(monkeypatch):
     for k in range(1, 6):
         for roots in itertools.combinations(range(6), k):
             assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
-            green_sums(p, roots)
+            root_set_sums(p, roots)
             sums = _layer_sums(p)
-            assert len(sums.tables) <= 4 and len(sums.greens) <= 4
+            assert len(sums.records) <= 4 and len(sums.weights) <= 4
             # cleared before a root set once past the bound; one root set
             # with f free states adds at most one entry of n integers per
-            # nonempty subset of its free states, or of all n states when
-            # it has one root
+            # nonempty subset of its free states
             f = 6 - k
             held = sum(len(vals) for vals, _members in sums.memo.values())
             assert held == 6 * len(sums.memo)
-            assert held <= 20 + 6 * (2 ** (f + 1) - 1)
+            assert held <= 20 + 6 * (2 ** f - 1)
 
 
 def test_absorption_with_many_roots_is_cheap():
@@ -561,32 +559,36 @@ def test_two_tree_sums_keep_the_tree_guard(u4):
     assert two_tree_sums(u4, guard=3).total > 0
 
 
-def test_green_sums_match_the_solve():
+def test_root_set_records_match_both_oracle_halves():
     # every proper root set of dense, sparse and reducible chains, n = 1..6:
-    # w_ij(R ∪ {j}) / w(R) is the Green matrix wherever w(R) > 0
+    # green / weight is the Green matrix and hit / weight the hitting law,
+    # both solved, and weight is w(R) D
     infeasible = 0
     for p in _layer_test_chains():
         for k in range(1, p.n):
             for roots in itertools.combinations(range(p.n), k):
-                got = green_sums(p, roots)
-                base = root_set_sums(p, roots)
-                assert got.denom == base.denom
+                got = root_set_sums(p, roots)
+                d = got.denom
+                assert got.weight == w_sum(p, roots) * d
                 assert got.interior == tuple(
                     v for v in range(p.n) if v not in roots)
                 for a, i in enumerate(got.interior):
                     for b, j in enumerate(got.interior):
-                        assert got.table[a][b] == root_set_sums(
-                            p, set(roots) | {j}).table.get((i, j), 0)
-                if not base.weight:
+                        assert got.green[a][b] == w_target_sum(
+                            p, set(roots) | {j}, i, j) * d
+                if not got.weight:
                     infeasible += 1
                     with pytest.raises(InfeasibleRootSetError):
                         oracle.green_matrix_solve(p, roots)
                     with pytest.raises(InfeasibleRootSetError):
                         formulas.absorption(p, roots)
                     continue
-                assert tuple(tuple(Fraction(x, base.weight) for x in row)
-                             for row in got.table) == \
+                assert tuple(tuple(Fraction(x, got.weight) for x in row)
+                             for row in got.green) == \
                     oracle.green_matrix_solve(p, roots)
+                assert tuple(tuple(Fraction(x, got.weight) for x in row)
+                             for row in got.hit) == \
+                    oracle.hitting_solve(p, roots)
     assert infeasible > 0
 
 
@@ -636,8 +638,8 @@ def test_formulas_read_no_root_set_tables_beyond_r(monkeypatch, fixture_a, u4):
 
 
 def test_green_occupation_reads_only_the_singleton_tables(monkeypatch):
-    # the Green side of the chung triples, R = {k}, reads k's table and k's
-    # kept Green pass, and no table of {k, j}
+    # the Green side of the chung triples, R = {k}, reads k's kept record,
+    # and no record of {k, j}
     p = random_irreducible_chain(random.Random(2035), 6)
     triples = [(i, j, k) for i, j, k in itertools.product(range(6), repeat=3)
                if k not in (i, j)]
@@ -652,26 +654,26 @@ def test_green_occupation_reads_only_the_singleton_tables(monkeypatch):
     _layer_sums.cache_clear()
     assert [formulas.green_occupation(p, {k}, i, j)
             for i, j, k in triples] == expected
-    assert set(_layer_sums(p).greens) == {frozenset({k}) for k in range(6)}
+    assert set(_layer_sums(p).records) == {frozenset({k}) for k in range(6)}
     assert expected == [formulas.chung_occupation(p, i, j, k)
                         for i, j, k in triples]
 
 
 def test_absorption_refills_a_cleared_memo(monkeypatch):
-    # R's table stays cached while the memo is cleared under it; the Green
-    # pass fills the subsets it reads itself
+    # R's record stays kept while the memo is cleared under it; a later
+    # Green pass fills the subsets it reads itself
     rng = random.Random(41)
     p = random_irreducible_chain(rng, 6)
     roots = frozenset({1, 4})
     monkeypatch.setattr(forests, "_LAYER_MEMO_SIZE", 6 * 8)
     _layer_sums.cache_clear()
     root_set_sums(p, roots)
-    # a tree sum over all six states overfills the memo; the next root set
-    # clears it before its own fill
-    root_set_sums(p, {0})
+    # the tree sums over all six states overfill the memo; the next root
+    # set clears it before its own fill
+    two_tree_sums(p)
     root_set_sums(p, {2, 3, 5})
     sums = _layer_sums(p)
-    assert roots in sums.tables
+    assert roots in sums.records
     assert (1 << 6) - 1 not in sums.memo
     ab = formulas.absorption(p, roots)
     assert ab.green == oracle.green_matrix_solve(p, roots)
@@ -680,13 +682,17 @@ def test_absorption_refills_a_cleared_memo(monkeypatch):
 
 def test_multi_root_tables_read_the_root_sets_green_pass():
     # w_ib(R) comes from R's own Green numerators by the last-arc cut, so a
-    # table of two or more roots leaves that pass kept and no other
+    # root set's record takes that one pass and keeps no other root set
     p = random_irreducible_chain(random.Random(47), 6)
     roots = frozenset({1, 4})
     _layer_sums.cache_clear()
-    root_set_sums(p, roots)
-    assert set(_layer_sums(p).greens) == {roots}
-    assert green_sums(p, roots) is _layer_sums(p).greens[roots]
+    got = root_set_sums(p, roots)
+    sums = _layer_sums(p)
+    assert set(sums.records) == {roots} and not sums.weights
+    assert sums.records[roots] is got
+    # a weight read after it takes the record's, and keeps nothing
+    assert w_sum(p, roots) == Fraction(got.weight, got.denom)
+    assert not sums.weights
 
 
 def test_modified_chain_keeps_the_callers_tree_sums(fixture_a):

@@ -415,6 +415,8 @@ OUT_OF_RANGE = [
     (mean_hitting_time, ({0}, -1), -1),
     (hitting_distribution, ({0}, 99), 99),
     (hitting_distribution, ({0}, -1), -1),
+    (green_occupation, ({0}, 99, 1), 99),
+    (green_occupation, ({0}, -1, 1), -1),
 ]
 
 
@@ -434,9 +436,11 @@ def test_out_of_range_states_are_refused_before_any_sum(monkeypatch, call,
 def test_state_range_comes_before_the_root_set_weight():
     # on a reducible chain w({0}) vanishes; the bad state is named first
     p = chain([[1, 0], [0, 1]])
-    for call in (mean_hitting_time, hitting_distribution):
+    for call, args in ((mean_hitting_time, (99,)),
+                       (hitting_distribution, (99,)),
+                       (green_occupation, (99, 1))):
         with pytest.raises(ValueError, match=r"^state 99 out of range$"):
-            call(p, [0], 99)
+            call(p, [0], *args)
     with pytest.raises(InfeasibleRootSetError):
         mean_hitting_time(p, [0], 1)
 

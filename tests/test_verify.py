@@ -1,9 +1,13 @@
 import collections
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from forestchain import forests, verify
+from forestchain import cli, forests, verify
+from forestchain.chains import format_rational
 from forestchain.verify import (
     SUITE_NAMES,
     corpus_chains,
@@ -125,22 +129,47 @@ def test_kirchhoff_checks_every_sigma_r_against_the_forest_polynomial(
 
 
 def test_kirchhoff_builds_each_root_set_table_once(monkeypatch):
-    # fewer tables kept than a chain has root sets, as at n = 9 with the
+    # fewer weights kept than a chain has root sets, as at n = 9 with the
     # default bound, but as many as its largest set of one size
     monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 10)
     builds = collections.Counter()
-    real = forests._TreeSums.root_set
+    real = forests._TreeSums.weight
 
     def counting(self, roots):
-        if roots not in self.tables:
+        if roots not in self.weights:
             builds[self, roots] += 1
         return real(self, roots)
 
-    monkeypatch.setattr(forests._TreeSums, "root_set", counting)
+    monkeypatch.setattr(forests._TreeSums, "weight", counting)
     forests._layer_sums.cache_clear()
     assert run_suite("kirchhoff", trials=6, max_n=5, seed=123).passed
     assert set(builds.values()) == {1}
     assert len(builds) == sum(2 ** p.n - 1 for p in corpus_chains(6, 5, 123))
+
+
+def test_weight_only_readers_make_no_green_pass(monkeypatch, tmp_path, capsys):
+    # w(R) is the merged-root column at every free state: the kirchhoff
+    # suite, sigma_r, sigma_sums, w_sum and count never build a record
+    def no_green_pass(self, roots):
+        raise AssertionError(f"built the Green pass of {sorted(roots)}")
+
+    monkeypatch.setattr(forests._TreeSums, "record", no_green_pass)
+    forests._layer_sums.cache_clear()
+    assert run_suite("kirchhoff", trials=8, max_n=6, seed=123).passed
+    p = random_chain(random.Random(5), 6)
+    for r in range(1, p.n + 1):
+        assert forests.sigma_r(p, r) == sum(
+            (forests.w_sum(p, roots)
+             for roots in itertools.combinations(range(p.n), r)), Fraction(0))
+    assert forests.sigma_sums(p).sigma_vector == tuple(
+        forests.w_sum(p, {j}) for j in range(p.n))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": p.n, "rows": [
+        [format_rational(x) for x in row] for row in p.rows]}))
+    assert cli.main(["count", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(c["enumerated"] == c["closed_form"]
+               for c in doc["forest_counts"])
 
 
 def test_wilson_suite_checks_the_law_it_is_given(monkeypatch):
