@@ -24,8 +24,13 @@ the tree sums of an n-state chain cost about n 3^(n-1) / 2.
 
 With the roots of R merged into one, w(R) = T(R, free) is the merged-root
 column at every free state, about 3^f multiply-adds after the fill
-(``w_sum``, ``sigma_r`` and ``sigma_sums`` take it alone, one integer kept
-per root set). The sums that split the states into two blocks are read
+(``w_sum`` and ``sigma_r`` take it alone). A root set read this way keeps
+w(R) and its column, 2^f integers, up to _ROOT_SET_CACHE_SIZE root sets
+each, oldest dropped first; R's record takes the column, so the sweep that
+reads w(R) and then R's Green numerators convolves it once. A singleton's
+w({b}) is T({b}, V - {b}), which the memo entry of all n states holds at
+b: ``sigma_sums`` reads every Sigma_j there, with one fill of all n states
+and no column. The sums that split the states into two blocks are read
 straight from the memo, one pass over its subsets X. With
 tau(X) = sum_{k in X} T({k}, X - {k}) the weight of all spanning trees of
 X, the two-tree Sigma_ij = sum_{k != j} w_ik({j, k}) sums
@@ -537,13 +542,14 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 # Cache bounds. The tree sums keep two chains, so that a sub-chain read in
 # the middle of a caller's work (mfpt_via_modified_chain) does not evict the
 # caller's: per chain its memo, its two-tree sums, up to
-# _ROOT_SET_CACHE_SIZE root-set records, and as many weights w(R) read
-# alone (126 at n = 9 for the largest r, which sigma_r reads and the
-# kirchhoff suite reads again). The memo holds n integers per state set; it
-# is cleared before a root set or a pass when it holds more than
-# _LAYER_MEMO_SIZE. One root set with f free states adds at most an entry
-# per nonempty subset of them, n (2^f - 1) integers; the two-tree pass adds
-# one per nonempty state set.
+# _ROOT_SET_CACHE_SIZE root-set records, as many weights w(R) read alone
+# (126 at n = 9 for the largest r, which sigma_r reads and the kirchhoff
+# suite reads again) and as many of their merged-root columns, 2^f integers
+# each for f free states, until R's record takes its column. The memo holds
+# n integers per state set; it is cleared before a root set or a pass when
+# it holds more than _LAYER_MEMO_SIZE. One root set with f free states adds
+# at most an entry per nonempty subset of them, n (2^f - 1) integers; the
+# two-tree pass adds one per nonempty state set.
 _LAYER_CACHE_SIZE = 2
 _ROOT_SET_CACHE_SIZE = 256
 _LAYER_MEMO_SIZE = 1 << 17
@@ -616,6 +622,7 @@ class _TreeSums:
         self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
         self.records: dict[frozenset[int], RootSetSums] = {}
         self.weights: dict[frozenset[int], int] = {}
+        self.columns: dict[frozenset[int], dict[int, int]] = {}
         self.two_trees: TwoTreeSums | None = None
 
     def _make_room(self) -> None:
@@ -724,6 +731,23 @@ class _TreeSums:
             col[x] = t
         return col
 
+    def _full(self) -> list[int]:
+        """The memo values of all n states, filled first if not there: at
+        each state b, T({b}, V - {b}), the weight of the spanning trees
+        rooted at b."""
+        self._make_room()
+        full = (1 << self.n) - 1
+        got = self.memo.get(full)
+        if got is None:
+            self._fill(_subsets(full))
+            got = self.memo[full]
+        return got[0]
+
+    def trees(self) -> list[int]:
+        """[w({b}) D for every state b], read off the memo entry of all n
+        states with no column: each tree sum times its root's dens."""
+        return [t * d for t, d in zip(self._full(), self.dens)]
+
     def two_tree(self) -> TwoTreeSums:
         """The one- and two-tree sums, read in one pass over the memo
         entries of every state set, and kept.
@@ -738,11 +762,9 @@ class _TreeSums:
         got = self.two_trees
         if got is not None:
             return got
-        self._make_room()
+        self._full()
         n, memo, dens = self.n, self.memo, self.dens
         full = (1 << n) - 1
-        if full not in memo:
-            self._fill(_subsets(full))
         # scaled[X][k] = T({k}, X - {k}) dens_k at each k in X
         scaled: list[list[int]] = [[]]
         tau = [0]
@@ -778,21 +800,32 @@ class _TreeSums:
     def _merged(self, roots: frozenset[int]):
         """(free, subsets, col): the mask of the states outside R, its
         nonempty subsets with their memo entries filled, and the column
-        {X: T(R, X)} with the states of R merged into one root."""
+        {X: T(R, X)} with the states of R merged into one root, taken out
+        of the column store when ``weight`` kept it.
+
+        The memo holds whole down-sets: ``_fill`` enters the subsets of a
+        mask in increasing order and ``_make_room`` clears every entry, so
+        the free set's own entry means all its subsets are there.
+        """
         self._make_room()
         free = ((1 << self.n) - 1) ^ sum(1 << v for v in roots)
         subsets = _subsets(free)
-        self._fill(subsets)
-        return free, subsets, self._column(subsets, roots)
+        if free not in self.memo:
+            self._fill(subsets)
+        col = self.columns.pop(roots, None)
+        if col is None:
+            col = self._column(subsets, roots)
+        return free, subsets, col
 
     def weight(self, roots: frozenset[int]) -> int:
         """w(R) D, from R's kept record or else from the merged-root column
-        alone, with no Green pass.
+        alone, with no Green pass; the column is kept for R's record.
 
         Merging the roots turns each forest rooted at R into a tree on the
         free states rooted at the merged state, so w(R) is the column at
         every free state, times the roots' dens to put it over D. When R is
-        every state that is the empty forest's D.
+        every state that is the empty forest's D. A singleton {b} reads
+        T({b}, V - {b}) off the memo entry of all n states when it is there.
         """
         got = self.records.get(roots)
         if got is not None:
@@ -800,9 +833,16 @@ class _TreeSums:
         got = self.weights.get(roots)
         if got is not None:
             return got
+        dens = self.dens
+        if len(roots) == 1:
+            full = self.memo.get((1 << self.n) - 1)
+            if full is not None:
+                (b,) = roots
+                return self._keep(self.weights, roots, full[0][b] * dens[b])
         free, _, merged = self._merged(roots)
+        self._keep(self.columns, roots, merged)
         return self._keep(self.weights, roots,
-                          merged[free] * prod(self.dens[b] for b in roots))
+                          merged[free] * prod(dens[b] for b in roots))
 
     def record(self, roots: frozenset[int]) -> RootSetSums:
         """R's Green numerators, hitting numerators and weight, read in one
@@ -890,21 +930,14 @@ def two_tree_sums(p: TransitionMatrix,
     return _layer_sums(p).two_tree()
 
 
-def _weights(p: TransitionMatrix, root_sets: Iterable[Iterable[int]],
-             guard: int) -> tuple[list[int], int]:
-    """([w(R) D for each root set R], D), read with no Green pass."""
-    sets = [check_roots(p.n, roots) for roots in root_sets]
-    for rs in sets:
-        _check_guard(p.n, rs, guard)
-    sums = _layer_sums(p)
-    return [sums.weight(rs) for rs in sets], sums.denom
-
-
 def w_sum(p: TransitionMatrix, roots: Iterable[int],
           guard: int = DEFAULT_GUARD) -> Fraction:
-    """w(R): total P-weight of forests rooted exactly at R."""
-    (w,), denom = _weights(p, [roots], guard)
-    return Fraction(w, denom)
+    """w(R): total P-weight of forests rooted exactly at R, read with no
+    Green pass."""
+    rs = check_roots(p.n, roots)
+    _check_guard(p.n, rs, guard)
+    sums = _layer_sums(p)
+    return Fraction(sums.weight(rs), sums.denom)
 
 
 def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -938,9 +971,14 @@ class ForestSums(NamedTuple):
 
 
 def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
-    """Tree sums Sigma_j = w({j}) and their total Sigma^(1)."""
-    weights, denom = _weights(p, [(j,) for j in range(p.n)], guard)
-    return ForestSums(tuple(Fraction(w, denom) for w in weights),
+    """Tree sums Sigma_j = w({j}) and their total Sigma^(1), read off the
+    tree sums of all n states."""
+    # each tree leaves n - 1 states free, as at any singleton root set
+    _check_guard(p.n, frozenset([0]), guard)
+    sums = _layer_sums(p)
+    weights = sums.trees()
+    denom = sums.denom
+    return ForestSums(tuple([Fraction(w, denom) for w in weights]),
                       Fraction(sum(weights), denom))
 
 
@@ -948,9 +986,12 @@ def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction
     """Sigma^(r): total weight of forests with exactly r trees, any root sets."""
     if not 1 <= r <= p.n:
         raise ValueError(f"tree count {r} out of range 1..{p.n}")
-    weights, denom = _weights(
-        p, itertools.combinations(range(p.n), r), guard)
-    return Fraction(sum(weights), denom)
+    # every root set of r states leaves n - r free
+    _check_guard(p.n, frozenset(range(r)), guard)
+    sums = _layer_sums(p)
+    return Fraction(sum([sums.weight(frozenset(rs))
+                         for rs in itertools.combinations(range(p.n), r)]),
+                    sums.denom)
 
 
 def sigma_pair(p: TransitionMatrix, i: int, j: int,

@@ -138,11 +138,6 @@ def _solve(a: Sequence[Sequence[int]],
     return [row[n:] for row in rows], d
 
 
-def _ratios(x: Sequence[Sequence[int]], d: int) -> Matrix:
-    """The matrix X of a solve's (d X, d)."""
-    return tuple(tuple(Fraction(v, d) for v in row) for row in x)
-
-
 def _scaled_laplacian(p: TransitionMatrix, keep: Sequence[int]) -> list[list[int]]:
     """I - P on the states ``keep`` with row i times dens_i, so each entry is
     the integer dens_i delta_ij - num_ij."""
@@ -405,13 +400,15 @@ def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]
 def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """L(R)^{-1}, rows and columns indexed by sorted(S \\ R)."""
     x, d = _root_set_solve(p, check_roots(p.n, roots, allow_empty=True))
-    return _ratios([row[:len(x)] for row in x], d)
+    f = len(x)
+    return tuple([tuple([Fraction(v, d) for v in row[:f]]) for row in x])
 
 
 def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """Hitting matrix rows sorted(S \\ R) by columns sorted(R), exact."""
     x, d = _root_set_solve(p, check_roots(p.n, roots, allow_empty=True))
-    return _ratios([row[len(x):] for row in x], d)
+    f = len(x)
+    return tuple([tuple([Fraction(v, d) for v in row[f:]]) for row in x])
 
 
 def mfpt_solve(p: TransitionMatrix) -> Matrix:

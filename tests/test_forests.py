@@ -275,18 +275,26 @@ def test_layer_route_never_walks(monkeypatch, fixture_a):
 
 
 def test_layer_sums_stay_within_their_bounds(monkeypatch):
-    # one chain's memo, root-set records and weights do not grow without
-    # bound
+    # one chain's memo, root-set records, weights and kept columns do not
+    # grow without bound
     monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 4)
     monkeypatch.setattr(forests, "_LAYER_MEMO_SIZE", 20)
     _layer_sums.cache_clear()
     p = uniform_chain(6)
+    # weights read alone keep their columns, as many as weights
+    for k in range(1, 6):
+        for roots in itertools.combinations(range(6), k):
+            assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
+            sums = _layer_sums(p)
+            assert len(sums.weights) <= 4 and len(sums.columns) <= 4
+    _layer_sums.cache_clear()
     for k in range(1, 6):
         for roots in itertools.combinations(range(6), k):
             assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
             root_set_sums(p, roots)
             sums = _layer_sums(p)
             assert len(sums.records) <= 4 and len(sums.weights) <= 4
+            assert len(sums.columns) <= 4
             # cleared before a root set once past the bound; one root set
             # with f free states adds at most one entry of n integers per
             # nonempty subset of its free states
@@ -692,7 +700,64 @@ def test_multi_root_tables_read_the_root_sets_green_pass():
     assert sums.records[roots] is got
     # a weight read after it takes the record's, and keeps nothing
     assert w_sum(p, roots) == Fraction(got.weight, got.denom)
-    assert not sums.weights
+    assert not sums.weights and not sums.columns
+    # a weight read first keeps R's column until R's record takes it
+    other = frozenset({0, 2, 5})
+    w = w_sum(p, other)
+    assert set(sums.columns) == {other}
+    assert Fraction(root_set_sums(p, other).weight, got.denom) == w
+    assert other in sums.records and not sums.columns
+
+
+def _count_columns(monkeypatch) -> collections.Counter:
+    """Count the merged-root columns built, per root set."""
+    built = collections.Counter()
+    real = forests._TreeSums._column
+
+    def counting(self, subsets, block):
+        built[frozenset(block)] += 1
+        return real(self, subsets, block)
+
+    monkeypatch.setattr(forests._TreeSums, "_column", counting)
+    return built
+
+
+def test_weight_then_record_builds_one_column_per_root_set(monkeypatch):
+    # w(R) and then R's Green pass, as the green suite reads every proper
+    # root set: the record takes the column the weight built
+    p = random_irreducible_chain(random.Random(53), 6)
+    built = _count_columns(monkeypatch)
+    _layer_sums.cache_clear()
+    lap = laplacian(p)
+    proper = [frozenset(rs) for k in range(1, 6)
+              for rs in itertools.combinations(range(6), k)]
+    for roots in proper:
+        w = w_sum(p, roots)
+        ab = formulas.absorption(p, roots)
+        keep = [v for v in range(6) if v not in roots]
+        assert w == exact_det([[lap[a][b] for b in keep] for a in keep])
+        assert ab.green == oracle.green_matrix_solve(p, roots)
+        assert ab.hit == oracle.hitting_solve(p, roots)
+    assert built == {roots: 1 for roots in proper}
+    assert not _layer_sums(p).columns
+
+
+def test_sigma_sums_read_the_full_tree_sums(monkeypatch):
+    # every Sigma_j off the memo entry of all n states: one fill, no column
+    p = random_chain(random.Random(59), 7)
+    built = _count_columns(monkeypatch)
+    _layer_sums.cache_clear()
+    sums = sigma_sums(p)
+    assert not built
+    for j in range(p.n):
+        assert sums.sigma(j) == w_sum(p, {j})
+    assert sums.sigma1 == sum(sums.sigma_vector)
+    # with that entry filled, a singleton's weight takes it too
+    assert not built
+    # cold, each singleton fills only its free states and builds its column
+    _layer_sums.cache_clear()
+    assert [w_sum(p, {j}) for j in range(p.n)] == list(sums.sigma_vector)
+    assert sum(built.values()) == p.n
 
 
 def test_modified_chain_keeps_the_callers_tree_sums(fixture_a):
