@@ -24,14 +24,14 @@ the tree sums of an n-state chain cost about n 3^(n-1) / 2.
 
 With the roots of R merged into one, w(R) = T(R, free) is the merged-root
 column at every free state, about 3^f multiply-adds after the fill
-(``w_sum`` and ``sigma_r`` take it alone). A root set read this way keeps
-w(R) and its column, 2^f integers, up to _ROOT_SET_CACHE_SIZE root sets
-each, oldest dropped first; R's record takes the column, so the sweep that
-reads w(R) and then R's Green numerators convolves it once. A singleton's
-w({b}) is T({b}, V - {b}), which the memo entry of all n states holds at
-b: ``sigma_sums`` reads every Sigma_j there, with one fill of all n states
-and no column. The sums that split the states into two blocks are read
-straight from the memo, one pass over its subsets X. With
+(``w_sum`` and ``sigma_r`` take it alone). Each root set keeps one entry,
+up to _ROOT_SET_CACHE_SIZE root sets, oldest dropped first: w(R) and its
+column, 2^f integers, until R's record replaces them, so the sweep that
+reads w(R) and then R's Green numerators convolves it once. The memo
+entry of all n states holds every T({b}, V - {b}) = w({b}):
+``sigma_sums`` and ``sigma_r`` at r = 1 read them there, with one fill of
+all n states and no column. The sums that split the states into two
+blocks are read straight from the memo, one pass over its subsets X. With
 tau(X) = sum_{k in X} T({k}, X - {k}) the weight of all spanning trees of
 X, the two-tree Sigma_ij = sum_{k != j} w_ik({j, k}) sums
 tau(X) T({j}, V - X - {j}) over the X that hold i and not j, and
@@ -95,8 +95,7 @@ class EnumerationGuardError(ValueError):
     """Candidate space too large for exhaustive enumeration."""
 
 
-def _check_guard(n: int, roots: frozenset[int], guard: int) -> None:
-    free = n - len(roots)
+def _check_guard(free: int, guard: int) -> None:
     if free > guard:
         raise EnumerationGuardError(
             f"{free} free vertices exceeds enumeration guard {guard}; "
@@ -478,7 +477,7 @@ def enumerate_forests(n: int, roots: Iterable[int],
     parent maps dropped.
     """
     rs = check_roots(n, roots)
-    _check_guard(n, rs, guard)
+    _check_guard(n - len(rs), guard)
     for succ, root_of, _w in _walk(n, rs, _arcs(n, rs)):
         yield RootedForest._trusted(n, rs, tuple(succ), root_of)
 
@@ -487,7 +486,7 @@ def enumerate_ecrsf(n: int, tree_roots: Iterable[int],
                     guard: int = DEFAULT_GUARD) -> Iterator[Ecrsf]:
     """Yield every ECRSF with these tree roots: every successor map, in order."""
     rs = check_roots(n, tree_roots, allow_empty=True)
-    _check_guard(n, rs, guard)
+    _check_guard(n - len(rs), guard)
     for succ, root_of, _w in _walk(n, rs, _arcs(n, rs, cyclic=True), cyclic=True):
         yield Ecrsf._trusted(n, rs, tuple(succ), root_of)
 
@@ -541,15 +540,15 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 
 # Cache bounds. The tree sums keep two chains, so that a sub-chain read in
 # the middle of a caller's work (mfpt_via_modified_chain) does not evict the
-# caller's: per chain its memo, its two-tree sums, up to
-# _ROOT_SET_CACHE_SIZE root-set records, as many weights w(R) read alone
-# (126 at n = 9 for the largest r, which sigma_r reads and the kirchhoff
-# suite reads again) and as many of their merged-root columns, 2^f integers
-# each for f free states, until R's record takes its column. The memo holds
-# n integers per state set; it is cleared before a root set or a pass when
-# it holds more than _LAYER_MEMO_SIZE. One root set with f free states adds
-# at most an entry per nonempty subset of them, n (2^f - 1) integers; the
-# two-tree pass adds one per nonempty state set.
+# caller's: per chain its memo, its two-tree sums and one entry for each of
+# up to _ROOT_SET_CACHE_SIZE root sets (126 at n = 9 for the largest r,
+# which sigma_r reads and the kirchhoff suite reads again): R's record, or
+# w(R) with its merged-root column, 2^f integers for f free states, until
+# R's record replaces them. The memo holds n integers per state set; it is
+# cleared before a root set or a pass when it holds more than
+# _LAYER_MEMO_SIZE. One root set with f free states adds at most an entry
+# per nonempty subset of them, n (2^f - 1) integers; the two-tree pass adds
+# one per nonempty state set.
 _LAYER_CACHE_SIZE = 2
 _ROOT_SET_CACHE_SIZE = 256
 _LAYER_MEMO_SIZE = 1 << 17
@@ -620,9 +619,9 @@ class _TreeSums:
         self.nums, self.dens = scaled_rows(p)
         self.denom = prod(self.dens)
         self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
-        self.records: dict[frozenset[int], RootSetSums] = {}
-        self.weights: dict[frozenset[int], int] = {}
-        self.columns: dict[frozenset[int], dict[int, int]] = {}
+        # R's record, or (w(R) D, R's merged-root column) until it is built
+        self.root_sets: dict[frozenset[int],
+                             RootSetSums | tuple[int, dict[int, int]]] = {}
         self.two_trees: TwoTreeSums | None = None
 
     def _make_room(self) -> None:
@@ -630,11 +629,11 @@ class _TreeSums:
         if len(self.memo) * self.n > _LAYER_MEMO_SIZE:
             self.memo.clear()
 
-    @staticmethod
-    def _keep(store: dict, roots: frozenset[int], got):
-        """Keep ``got`` for ``roots``, dropping the oldest entry of a full
-        store, and return it."""
-        if len(store) >= _ROOT_SET_CACHE_SIZE:
+    def _keep(self, roots: frozenset[int], got):
+        """Keep ``got`` for ``roots`` and return it. A new root set drops
+        the oldest entry of a full store; a kept one is replaced in place."""
+        store = self.root_sets
+        if roots not in store and len(store) >= _ROOT_SET_CACHE_SIZE:
             del store[next(iter(store))]
         store[roots] = got
         return got
@@ -797,11 +796,12 @@ class _TreeSums:
             tuple(zip(*by_target)), self.denom)
         return got
 
-    def _merged(self, roots: frozenset[int]):
+    def _merged(self, roots: frozenset[int],
+                col: dict[int, int] | None = None):
         """(free, subsets, col): the mask of the states outside R, its
         nonempty subsets with their memo entries filled, and the column
-        {X: T(R, X)} with the states of R merged into one root, taken out
-        of the column store when ``weight`` kept it.
+        {X: T(R, X)} with the states of R merged into one root, built
+        unless ``col`` is R's kept one.
 
         The memo holds whole down-sets: ``_fill`` enters the subsets of a
         mask in increasing order and ``_make_room`` clears every entry, so
@@ -812,37 +812,25 @@ class _TreeSums:
         subsets = _subsets(free)
         if free not in self.memo:
             self._fill(subsets)
-        col = self.columns.pop(roots, None)
         if col is None:
             col = self._column(subsets, roots)
         return free, subsets, col
 
     def weight(self, roots: frozenset[int]) -> int:
-        """w(R) D, from R's kept record or else from the merged-root column
+        """w(R) D, from R's kept entry or else from the merged-root column
         alone, with no Green pass; the column is kept for R's record.
 
         Merging the roots turns each forest rooted at R into a tree on the
         free states rooted at the merged state, so w(R) is the column at
         every free state, times the roots' dens to put it over D. When R is
-        every state that is the empty forest's D. A singleton {b} reads
-        T({b}, V - {b}) off the memo entry of all n states when it is there.
+        every state that is the empty forest's D.
         """
-        got = self.records.get(roots)
-        if got is not None:
-            return got.weight
-        got = self.weights.get(roots)
-        if got is not None:
-            return got
-        dens = self.dens
-        if len(roots) == 1:
-            full = self.memo.get((1 << self.n) - 1)
-            if full is not None:
-                (b,) = roots
-                return self._keep(self.weights, roots, full[0][b] * dens[b])
-        free, _, merged = self._merged(roots)
-        self._keep(self.columns, roots, merged)
-        return self._keep(self.weights, roots,
-                          merged[free] * prod(dens[b] for b in roots))
+        got = self.root_sets.get(roots)
+        if got is None:
+            free, _, col = self._merged(roots)
+            got = self._keep(roots, (
+                col[free] * prod(self.dens[b] for b in roots), col))
+        return got.weight if got.__class__ is RootSetSums else got[0]
 
     def record(self, roots: frozenset[int]) -> RootSetSums:
         """R's Green numerators, hitting numerators and weight, read in one
@@ -859,11 +847,12 @@ class _TreeSums:
         H = G P_R (Kemeny and Snell, 1960). The Green numerator at j carries
         dens_j in place of p_jb's denominator.
         """
-        got = self.records.get(roots)
-        if got is not None:
+        got = self.root_sets.get(roots)
+        if got.__class__ is RootSetSums:
             return got
         n, memo, nums, dens = self.n, self.memo, self.nums, self.dens
-        free, subsets, merged = self._merged(roots)
+        free, subsets, merged = self._merged(
+            roots, None if got is None else got[1])
         scale = prod(dens[b] for b in roots)
         by_target = [[0] * n for _ in range(n)]  # by_target[j][i]
         for x in subsets:
@@ -892,7 +881,7 @@ class _TreeSums:
                     for c, b in enumerate(order):
                         share[c] += g * arcs[b]
             hit.append(tuple(share))
-        return self._keep(self.records, roots, RootSetSums(
+        return self._keep(roots, RootSetSums(
             interior, green, tuple(hit), merged[free] * scale, self.denom))
 
 
@@ -914,7 +903,7 @@ def root_set_sums(p: TransitionMatrix, roots: Iterable[int],
     The result is cached and shared: read it, do not change it.
     """
     rs = check_roots(p.n, roots)
-    _check_guard(p.n, rs, guard)
+    _check_guard(p.n - len(rs), guard)
     return _root_set_sums(p, rs)
 
 
@@ -926,7 +915,7 @@ def two_tree_sums(p: TransitionMatrix,
     The result is cached and shared: read it, do not change it.
     """
     # the trees span all n states, n - 1 of them free, as at w({j})
-    _check_guard(p.n, frozenset([0]), guard)
+    _check_guard(p.n - 1, guard)
     return _layer_sums(p).two_tree()
 
 
@@ -935,7 +924,7 @@ def w_sum(p: TransitionMatrix, roots: Iterable[int],
     """w(R): total P-weight of forests rooted exactly at R, read with no
     Green pass."""
     rs = check_roots(p.n, roots)
-    _check_guard(p.n, rs, guard)
+    _check_guard(p.n - len(rs), guard)
     sums = _layer_sums(p)
     return Fraction(sums.weight(rs), sums.denom)
 
@@ -947,10 +936,10 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     When j is already a root this is the harmonic numerator w_ij(R); when it
     is not, the root set is enlarged to R ∪ {j} as in the Green numerator.
     """
-    rs = check_roots(p.n, roots) | {int(j)}
-    got = root_set_sums(p, rs, guard)
     if not 0 <= i < p.n:
         raise ValueError(f"state {i} out of range")
+    rs = check_roots(p.n, roots) | {int(j)}
+    got = root_set_sums(p, rs, guard)
     if i == j:
         x = got.weight
     elif i in rs:
@@ -974,7 +963,7 @@ def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     """Tree sums Sigma_j = w({j}) and their total Sigma^(1), read off the
     tree sums of all n states."""
     # each tree leaves n - 1 states free, as at any singleton root set
-    _check_guard(p.n, frozenset([0]), guard)
+    _check_guard(p.n - 1, guard)
     sums = _layer_sums(p)
     weights = sums.trees()
     denom = sums.denom
@@ -987,8 +976,10 @@ def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction
     if not 1 <= r <= p.n:
         raise ValueError(f"tree count {r} out of range 1..{p.n}")
     # every root set of r states leaves n - r free
-    _check_guard(p.n, frozenset(range(r)), guard)
+    _check_guard(p.n - r, guard)
     sums = _layer_sums(p)
+    if r == 1:
+        return Fraction(sum(sums.trees()), sums.denom)
     return Fraction(sum([sums.weight(frozenset(rs))
                          for rs in itertools.combinations(range(p.n), r)]),
                     sums.denom)
@@ -1017,7 +1008,7 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
         return Fraction(got.sigma[i][j], got.denom)
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
-    _check_guard(p.n, frozenset([j]), guard)
+    _check_guard(p.n - 1, guard)
     return _tree_deletion_row(p, j)[i]
 
 
@@ -1085,7 +1076,7 @@ def w_ec_sums(p: TransitionMatrix, alpha: CycleWeights,
     out and this reduces to the plain forest sums.
     """
     rs = check_roots(p.n, tree_roots, allow_empty=True)
-    _check_guard(p.n, rs, guard)
+    _check_guard(p.n - len(rs), guard)
     groups: dict = {}
     for _succ, root_of, w in _weighted(p, rs, alpha):
         groups[root_of] = groups.get(root_of, 0) + w
@@ -1112,7 +1103,7 @@ def exact_law(p: TransitionMatrix, roots: Iterable[int],
     ``InfeasibleRootSetError``.
     """
     rs = check_roots(p.n, roots, allow_empty=alpha is not None)
-    _check_guard(p.n, rs, guard)
+    _check_guard(p.n - len(rs), guard)
     make = RootedForest._trusted if alpha is None else Ecrsf._trusted
     weighted = [(make(p.n, rs, tuple(succ), root_of), w)
                 for succ, root_of, w in _weighted(p, rs, alpha)]

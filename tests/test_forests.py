@@ -38,6 +38,7 @@ from forestchain import (
 from forestchain import chains, forests, formulas, oracle
 from forestchain.forests import (
     DEFAULT_GUARD,
+    RootSetSums,
     _layer_sums,
     _tree_deletion_row,
     root_set_sums,
@@ -275,26 +276,25 @@ def test_layer_route_never_walks(monkeypatch, fixture_a):
 
 
 def test_layer_sums_stay_within_their_bounds(monkeypatch):
-    # one chain's memo, root-set records, weights and kept columns do not
-    # grow without bound
+    # one chain's memo and its entries per root set, records or weights
+    # with their columns, do not grow without bound
     monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 4)
     monkeypatch.setattr(forests, "_LAYER_MEMO_SIZE", 20)
     _layer_sums.cache_clear()
     p = uniform_chain(6)
-    # weights read alone keep their columns, as many as weights
+    # weights read alone keep their columns in the same bounded store
     for k in range(1, 6):
         for roots in itertools.combinations(range(6), k):
             assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
-            sums = _layer_sums(p)
-            assert len(sums.weights) <= 4 and len(sums.columns) <= 4
+            assert len(_layer_sums(p).root_sets) <= 4
     _layer_sums.cache_clear()
     for k in range(1, 6):
         for roots in itertools.combinations(range(6), k):
             assert w_sum(p, roots) == cayley_count(6, k) / Fraction(6) ** (6 - k)
             root_set_sums(p, roots)
             sums = _layer_sums(p)
-            assert len(sums.records) <= 4 and len(sums.weights) <= 4
-            assert len(sums.columns) <= 4
+            assert len(sums.root_sets) <= 4
+            assert isinstance(sums.root_sets[frozenset(roots)], RootSetSums)
             # cleared before a root set once past the bound; one root set
             # with f free states adds at most one entry of n integers per
             # nonempty subset of its free states
@@ -662,7 +662,9 @@ def test_green_occupation_reads_only_the_singleton_tables(monkeypatch):
     _layer_sums.cache_clear()
     assert [formulas.green_occupation(p, {k}, i, j)
             for i, j, k in triples] == expected
-    assert set(_layer_sums(p).records) == {frozenset({k}) for k in range(6)}
+    kept = _layer_sums(p).root_sets
+    assert set(kept) == {frozenset({k}) for k in range(6)}
+    assert all(isinstance(got, RootSetSums) for got in kept.values())
     assert expected == [formulas.chung_occupation(p, i, j, k)
                         for i, j, k in triples]
 
@@ -681,7 +683,7 @@ def test_absorption_refills_a_cleared_memo(monkeypatch):
     two_tree_sums(p)
     root_set_sums(p, {2, 3, 5})
     sums = _layer_sums(p)
-    assert roots in sums.records
+    assert isinstance(sums.root_sets.get(roots), RootSetSums)
     assert (1 << 6) - 1 not in sums.memo
     ab = formulas.absorption(p, roots)
     assert ab.green == oracle.green_matrix_solve(p, roots)
@@ -696,17 +698,22 @@ def test_multi_root_tables_read_the_root_sets_green_pass():
     _layer_sums.cache_clear()
     got = root_set_sums(p, roots)
     sums = _layer_sums(p)
-    assert set(sums.records) == {roots} and not sums.weights
-    assert sums.records[roots] is got
-    # a weight read after it takes the record's, and keeps nothing
+    assert set(sums.root_sets) == {roots}
+    assert sums.root_sets[roots] is got
+    # a weight read after it takes the record's, and keeps nothing more
     assert w_sum(p, roots) == Fraction(got.weight, got.denom)
-    assert not sums.weights and not sums.columns
-    # a weight read first keeps R's column until R's record takes it
+    assert set(sums.root_sets) == {roots} and sums.root_sets[roots] is got
+    # a weight read first keeps w(R) D and R's column until R's record
+    # replaces them in place
     other = frozenset({0, 2, 5})
     w = w_sum(p, other)
-    assert set(sums.columns) == {other}
-    assert Fraction(root_set_sums(p, other).weight, got.denom) == w
-    assert other in sums.records and not sums.columns
+    kept = sums.root_sets[other]
+    assert not isinstance(kept, RootSetSums)
+    assert Fraction(kept[0], got.denom) == w
+    record = root_set_sums(p, other)
+    assert Fraction(record.weight, got.denom) == w
+    assert list(sums.root_sets) == [roots, other]
+    assert sums.root_sets[other] is record
 
 
 def _count_columns(monkeypatch) -> collections.Counter:
@@ -739,7 +746,37 @@ def test_weight_then_record_builds_one_column_per_root_set(monkeypatch):
         assert ab.green == oracle.green_matrix_solve(p, roots)
         assert ab.hit == oracle.hitting_solve(p, roots)
     assert built == {roots: 1 for roots in proper}
-    assert not _layer_sums(p).columns
+    kept = _layer_sums(p).root_sets
+    assert set(kept) == set(proper)
+    assert all(isinstance(got, RootSetSums) for got in kept.values())
+
+
+def test_an_evicted_column_is_built_again_for_its_record(monkeypatch):
+    # with room for two root sets, R's kept column is dropped between
+    # w(R) and R's record, which builds it again; a record that replaces
+    # its own root set's column drops nothing
+    monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 2)
+    p = random_irreducible_chain(random.Random(61), 6)
+    built = _count_columns(monkeypatch)
+    _layer_sums.cache_clear()
+    sums = _layer_sums(p)
+    roots, a, b = frozenset({1, 3}), frozenset({0}), frozenset({2, 4, 5})
+    w = w_sum(p, roots)
+    w_sum(p, a)
+    w_sum(p, b)
+    assert list(sums.root_sets) == [a, b]
+    got = root_set_sums(p, roots)
+    assert built[roots] == 2
+    assert Fraction(got.weight, got.denom) == w
+    assert tuple(tuple(Fraction(x, got.weight) for x in row)
+                 for row in got.green) == oracle.green_matrix_solve(p, roots)
+    assert tuple(tuple(Fraction(x, got.weight) for x in row)
+                 for row in got.hit) == oracle.hitting_solve(p, roots)
+    assert list(sums.root_sets) == [b, roots]
+    root_set_sums(p, b)
+    assert built[b] == 1
+    assert list(sums.root_sets) == [b, roots]
+    assert isinstance(sums.root_sets[b], RootSetSums)
 
 
 def test_sigma_sums_read_the_full_tree_sums(monkeypatch):
@@ -752,12 +789,22 @@ def test_sigma_sums_read_the_full_tree_sums(monkeypatch):
     for j in range(p.n):
         assert sums.sigma(j) == w_sum(p, {j})
     assert sums.sigma1 == sum(sums.sigma_vector)
-    # with that entry filled, a singleton's weight takes it too
-    assert not built
     # cold, each singleton fills only its free states and builds its column
+    built.clear()
     _layer_sums.cache_clear()
     assert [w_sum(p, {j}) for j in range(p.n)] == list(sums.sigma_vector)
     assert sum(built.values()) == p.n
+
+
+def test_sigma_r_reads_the_single_trees_off_the_full_tree_sums(monkeypatch):
+    # Sigma^(1) is the total of the memo entry of all n states, as
+    # sigma_sums reads it: no singleton column on a cold chain
+    p = random_chain(random.Random(67), 7)
+    built = _count_columns(monkeypatch)
+    _layer_sums.cache_clear()
+    total = sigma_r(p, 1)
+    assert not built
+    assert total == sigma_sums(p).sigma1
 
 
 def test_modified_chain_keeps_the_callers_tree_sums(fixture_a):
@@ -773,11 +820,19 @@ def test_modified_chain_keeps_the_callers_tree_sums(fixture_a):
     assert _layer_sums.cache_info().misses == built
 
 
-def test_w_target_sum_rejects_states_out_of_range(u4):
+def test_w_target_sum_rejects_states_out_of_range(monkeypatch, u4):
     # the target joins the root set, so it is checked like a root
     for i, j in ((1, 4), (1, -1), (7, 1)):
         with pytest.raises(ValueError, match="out of range"):
             w_target_sum(u4, {0}, i, j)
+
+    # the start state is checked before any record is read
+    def no_record(p, roots):
+        raise AssertionError(f"read the root set {sorted(roots)}")
+
+    monkeypatch.setattr(forests, "_root_set_sums", no_record)
+    with pytest.raises(ValueError, match="state 7 out of range"):
+        w_target_sum(u4, {0}, 7, 1)
 
 
 def test_last_exit_state():

@@ -129,14 +129,14 @@ def test_kirchhoff_checks_every_sigma_r_against_the_forest_polynomial(
 
 
 def test_kirchhoff_builds_each_root_set_table_once(monkeypatch):
-    # fewer weights kept than a chain has root sets, as at n = 9 with the
+    # fewer root sets kept than a chain has, as at n = 9 with the
     # default bound, but as many as its largest set of one size
     monkeypatch.setattr(forests, "_ROOT_SET_CACHE_SIZE", 10)
     builds = collections.Counter()
     real = forests._TreeSums.weight
 
     def counting(self, roots):
-        if roots not in self.weights:
+        if roots not in self.root_sets:
             builds[self, roots] += 1
         return real(self, roots)
 
