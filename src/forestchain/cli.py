@@ -5,6 +5,9 @@ JSON matrix document or a whitespace edge list (--format edges), read from
 --input FILE or stdin. All quantities are printed as exact rationals;
 --float adds decimal approximations. Exit codes: 0 success, 1 verification
 failure, 2 parse/usage error, 3 reducible chain, 4 infeasible root set.
+A process whose stdout is closed early by its reader (``| head``) exits 1
+with nothing on stderr; that is handled in the process entry
+(``__main__.run``), so ``main`` lets the ``BrokenPipeError`` through.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -470,14 +471,79 @@ def test_cli_and_verify_use_no_private_sibling_names():
                 assert False, f"{name} uses {node.value.id}.{node.attr}"
 
 
-def test_module_entry_point(tmp_path):
-    path = tmp_path / "a.json"
-    path.write_text(A_DOC)
+def _module_env():
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+@pytest.mark.parametrize("argv, doc, code, error", [
+    (["analyze"], A_DOC, 0, None),
+    (["analyze"], '{"n": 2, "rows": [["1/2", "1/2"]', 2, "parse"),
+    (["analyze"], R3_DOC, 3, "reducible"),
+    (["green", "--targets", "0"], R3_DOC, 4, "infeasible-roots"),
+], ids=["analyze-0", "malformed-2", "reducible-3", "infeasible-4"])
+def test_module_entry_point(argv, doc, code, error):
     proc = subprocess.run(
-        [sys.executable, "-m", "forestchain", "analyze", "--input", str(path)],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["kemeny"] == "16/7"
+        [sys.executable, "-m", "forestchain", *argv], input=doc,
+        capture_output=True, text=True, timeout=120, env=_module_env())
+    assert proc.returncode == code
+    if error is None:
+        out = json.loads(proc.stdout)
+        assert out["kemeny"] == "16/7" and out["methods_agree"] is True
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == error
+
+
+def test_module_entry_point_pipes_more_than_a_pipe_buffer():
+    proc = subprocess.run(
+        [sys.executable, "-m", "forestchain", "sample", "--root", "0",
+         "--count", "5000"], input=A_DOC,
+        capture_output=True, text=True, timeout=120, env=_module_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout) > 65536  # a Linux pipe holds 64 KiB
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(lines) == 5001
+    assert all(d["roots"] == [0] for d in lines[:-1])
+    assert lines[-1]["summary"]["count"] == 5000
+
+
+def test_module_entry_point_closed_stdout_exits_1_quietly():
+    # about 0.9 MB of draws, so the process is still writing when the
+    # reader closes the pipe after one line (`sample ... | head -n 1`)
+    with subprocess.Popen(
+            [sys.executable, "-m", "forestchain", "sample", "--root", "0",
+             "--count", "20000"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=_module_env()) as proc:
+        proc.stdin.write(A_DOC.encode())
+        proc.stdin.close()
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert first["roots"] == [0]
+    assert code == 1 and err == ""
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys, a_file):
+    before = gc.get_freeze_count()
+    code, out, _ = run_cli(capsys, ["analyze", "--input", a_file])
+    assert code == 0 and json.loads(out)["methods_agree"] is True
+    assert gc.get_freeze_count() == before
+
+    script = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['forestchain', 'count', '--cayley', '4', '2']\n"
+        "try:\n"
+        "    runpy.run_module('forestchain', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    print(e.code, gc.get_freeze_count(), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=_module_env())
+    assert json.loads(proc.stdout)["agree"] is True
+    exit_code, frozen = map(int, proc.stderr.split())
+    assert exit_code == 0 and frozen > 0
 
 
 def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
