@@ -14,17 +14,13 @@ from .chains import (
     Matrix,
     ReducibleChainError,
     TransitionMatrix,
-    WeightedDigraph,
     chain_from_edge_list,
     chain_to_json,
     format_rational,
-    from_conductances,
     laplacian,
     parse_chain,
-    parse_conductances,
     parse_rational,
     uniform_chain,
-    weighted_laplacian,
 )
 from .forests import (
     DEFAULT_GUARD,
@@ -34,12 +30,10 @@ from .forests import (
     ForestSums,
     RootedForest,
     cayley_count,
-    ecrsf_from_json,
     ecrsf_weight,
     enumerate_ecrsf,
     enumerate_forests,
     exact_law,
-    forest_from_json,
     forest_weight,
     last_exit_state,
     sigma_pair,

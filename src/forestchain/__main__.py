@@ -22,8 +22,12 @@ def run() -> NoReturn:
     A reader that closes stdout early (``forestchain sample ... | head``)
     ends the process with exit 1 and nothing on stderr. stdout then points
     at the null device, so the flush at shutdown cannot fail again (the
-    "Note on SIGPIPE" in the ``signal`` module documentation).
+    "Note on SIGPIPE" in the ``signal`` module documentation). A process
+    started with no stdout at all (fd 1 closed, so ``sys.stdout`` is None)
+    exits the same way before it runs the command.
     """
+    if sys.stdout is None:
+        raise SystemExit(1)
     try:
         code = main()
         sys.stdout.flush()

@@ -1,10 +1,10 @@
 """Exact data model for finite Markov chains.
 
-Transition matrices and weighted digraphs over exact rationals
-(``fractions.Fraction``), ingestion from matrix/edge-list documents, and the
-Laplacians L = I - P and L^{G,c} that the forest identities are stated in,
-and each chain's rows scaled to integers, which both routes compute from.
-Everything here is immutable and arithmetic is never rounded.
+Transition matrices over exact rationals (``fractions.Fraction``), ingestion
+from matrix/edge-list documents, the Laplacian L = I - P that the forest
+identities are stated in, and each chain's rows scaled to integers, which
+both routes compute from. Everything here is immutable and arithmetic is
+never rounded.
 """
 
 from __future__ import annotations
@@ -196,47 +196,6 @@ class TransitionMatrix(FrozenValue):
         return self._support
 
 
-class WeightedDigraph(FrozenValue):
-    """Digraph with rational conductances on its arcs.
-
-    No self-loops and no parallel (tail, head) duplicates. A vertex may have
-    zero outgoing conductance here; Eq.-style normalization into a chain
-    rejects that case at conversion time.
-    """
-
-    __slots__ = _fields = ("n", "arcs", "labels")
-
-    def __init__(self, n: int, arcs: tuple[tuple[int, int, Fraction], ...],
-                 labels: tuple[str, ...] | None = None):
-        arcs = tuple((int(t), int(h), Fraction(c)) for (t, h, c) in arcs)
-        seen: set[tuple[int, int]] = set()
-        for (t, h, c) in arcs:
-            if not (0 <= t < n and 0 <= h < n):
-                raise ChainParseError(f"arc ({t},{h}) out of range for n={n}")
-            if t == h:
-                raise ChainParseError(f"self-loop arc at vertex {t}")
-            if (t, h) in seen:
-                raise ChainParseError(f"duplicate matrix cell ({t},{h})")
-            seen.add((t, h))
-            if c < 0:
-                raise ChainParseError(
-                    f"negative conductance {format_rational(c)} on arc ({t},{h})")
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "labels", labels)
-
-    def conductance(self, i: int, j: int) -> Fraction:
-        for (t, h, c) in self.arcs:
-            if t == i and h == j:
-                return c
-        return Fraction(0)
-
-    def out_conductance(self, i: int) -> Fraction:
-        return sum((c for (t, _h, c) in self.arcs if t == i), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 
@@ -256,81 +215,56 @@ def _parse_matrix_json(doc: dict) -> TransitionMatrix:
         parsed.append(tuple(parse_rational(x) for x in row))
     labels = doc.get("labels")
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        if not (isinstance(labels, list)
+                and all(isinstance(s, str) for s in labels)):
+            raise ChainParseError("'labels' must be a list of strings")
+        labels = tuple(labels)
     return TransitionMatrix(tuple(parsed), labels)
 
 
-def _edge_lines(text: str) -> Iterable[tuple[str, str, Fraction]]:
+def chain_from_edge_list(text: str) -> TransitionMatrix:
+    """Parse "tail head prob" lines; absent cells are 0; rows must sum to 1.
+
+    All-integer tokens are taken literally as state indices; otherwise
+    tokens are labels, indexed in order of first appearance. More than
+    ``MAX_STATES`` states are refused before any matrix is built.
+    """
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ChainParseError(
                 f"line {lineno}: expected 'tail head prob', got {raw!r}")
-        yield parts[0], parts[1], parse_rational(parts[2])
-
-
-def _index_edges(
-    entries: list[tuple[str, str, Fraction]],
-) -> tuple[int, dict[tuple[int, int], Fraction], tuple[str, ...] | None]:
-    """Map edge-list vertex tokens to dense indices.
-
-    All-integer tokens are taken literally as indices; otherwise tokens are
-    labels, indexed in order of first appearance. More than ``MAX_STATES``
-    states are refused here, before any matrix is built.
-    """
-    tokens = [t for (a, b, _c) in entries for t in (a, b)]
+        entries.append((parts[0], parts[1], parse_rational(parts[2])))
+    if not entries:
+        raise ChainParseError("empty edge list")
+    tokens = [t for (a, b, _x) in entries for t in (a, b)]
     if all(t.isdigit() for t in tokens):
         ids = {t: int(t) for t in tokens}
-        n = max(ids.values()) + 1 if ids else 0
-        labels = None
+        n, labels = max(ids.values()) + 1, None
     else:
-        ids = {}
-        for t in tokens:
-            if t not in ids:
-                ids[t] = len(ids)
-        n = len(ids)
-        labels = tuple(sorted(ids, key=ids.get))
+        ids = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+        n, labels = len(ids), tuple(ids)
     if n > MAX_STATES:
         raise ChainParseError(
             f"state index {n - 1} exceeds the limit of {MAX_STATES} states")
+    # validate from the listed cells first, so that a bad document fails
+    # before an n x n matrix is built (`0 2000 1` declares 2001 states)
     cells: dict[tuple[int, int], Fraction] = {}
-    for (a, b, c) in entries:
+    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+    for (a, b, x) in entries:
         key = (ids[a], ids[b])
         if key in cells:
             raise ChainParseError(f"duplicate matrix cell {key}")
-        cells[key] = c
-    return n, cells, labels
-
-
-def chain_from_edge_list(text: str) -> TransitionMatrix:
-    """Parse "tail head prob" lines; absent cells are 0; rows must sum to 1."""
-    entries = list(_edge_lines(text))
-    if not entries:
-        raise ChainParseError("empty edge list")
-    n, cells, labels = _index_edges(entries)
-    # validate from the listed cells first, so that a bad document fails
-    # before an n x n matrix is built (`0 2000 1` declares 2001 states)
-    by_row: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, j), x in cells.items():
-        by_row.setdefault(i, []).append((j, x))
+        cells[key] = x
+        by_row.setdefault(key[0], []).append((key[1], x))
     for i in range(n):
         _check_row(i, sorted(by_row.get(i, ())))
     rows = tuple(
         tuple(cells.get((i, j), Fraction(0)) for j in range(n)) for i in range(n))
     return TransitionMatrix(rows, labels)
-
-
-def parse_conductances(text: str) -> WeightedDigraph:
-    """Parse a conductance graph from the same edge-list shape."""
-    entries = list(_edge_lines(text))
-    if not entries:
-        raise ChainParseError("empty edge list")
-    n, cells, labels = _index_edges(entries)
-    arcs = tuple((t, h, c) for (t, h), c in sorted(cells.items()))
-    return WeightedDigraph(n, arcs, labels)
 
 
 def parse_chain(source: str, fmt: str = "matrix") -> TransitionMatrix:
@@ -344,6 +278,8 @@ def parse_chain(source: str, fmt: str = "matrix") -> TransitionMatrix:
             doc = json.loads(source)
         except json.JSONDecodeError as e:
             raise ChainParseError(f"invalid JSON: {e}") from e
+        except RecursionError as e:
+            raise ChainParseError("invalid JSON: nested too deeply") from e
         return _parse_matrix_json(doc)
     if fmt == "edges":
         return chain_from_edge_list(source)
@@ -370,20 +306,7 @@ def uniform_chain(n: int) -> TransitionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Laplacians and conductance normalization
-
-def from_conductances(g: WeightedDigraph) -> TransitionMatrix:
-    """Normalize conductances into a chain: p_ij = c(i,j)/sum_k c(i,k), p_ii = 0."""
-    totals = [g.out_conductance(i) for i in range(g.n)]
-    for i, tot in enumerate(totals):
-        if tot == 0:
-            raise ChainParseError(
-                f"vertex {i} has zero total outgoing conductance")
-    rows = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for (t, h, c) in g.arcs:
-        rows[t][h] = c / totals[t]
-    return TransitionMatrix(tuple(tuple(r) for r in rows), g.labels)
-
+# scaled rows and the Laplacian
 
 # Bound, in chains, on the memo below: the forest sums, the sampler and the
 # oracle solves each ask for the scaled rows of the chain in use.
@@ -421,11 +344,3 @@ def laplacian(p: TransitionMatrix) -> Matrix:
         tuple((1 if i == j else 0) - p.rows[i][j] for j in range(n))
         for i in range(n))
 
-
-def weighted_laplacian(g: WeightedDigraph) -> Matrix:
-    """L^{G,c}: diagonal = total out-conductance, off-diagonal = -c(i,j)."""
-    rows = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for (t, h, c) in g.arcs:
-        rows[t][h] = -c
-        rows[t][t] += c
-    return tuple(tuple(r) for r in rows)

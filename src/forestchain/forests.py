@@ -83,8 +83,7 @@ __all__ = [
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
     "forest_weight", "ecrsf_weight", "RootSetSums", "root_set_sums",
     "TwoTreeSums", "two_tree_sums", "w_sum", "w_target_sum", "sigma_sums",
-    "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums",
-    "exact_law", "forest_from_json", "ecrsf_from_json",
+    "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums", "exact_law",
 ]
 
 #: Maximum number of free (non-root) vertices enumerated without an override.
@@ -220,22 +219,6 @@ class RootedForest(FrozenValue):
         }
 
 
-def _from_json(doc: dict) -> tuple[int, frozenset[int], tuple[int, ...]]:
-    """(n, roots, parent vector) of a configuration document."""
-    parent = {int(v): int(u) for v, u in doc["parent"].items()}
-    roots = frozenset(int(r) for r in doc["roots"])
-    n = max([*roots, *parent.keys(), *parent.values()], default=-1) + 1
-    n = max(n, doc.get("n", 0))
-    missing = [v for v in range(n) if v not in roots and v not in parent]
-    if missing:
-        raise ValueError(f"state {missing[0]} is not a root and has no parent")
-    return n, roots, tuple(-1 if v in roots else parent[v] for v in range(n))
-
-
-def forest_from_json(doc: dict) -> RootedForest:
-    return RootedForest(*_from_json(doc))
-
-
 class Ecrsf(FrozenValue):
     """Cycle-rooted spanning forest with optional tree roots.
 
@@ -340,10 +323,6 @@ def _set_ecrsf(e: Ecrsf, n, roots, successor, cycles, root_of) -> None:
     _put_successor(e, successor)
     _put_cycles(e, cycles)
     _put_ec_root_of(e, root_of)
-
-
-def ecrsf_from_json(doc: dict) -> Ecrsf:
-    return Ecrsf(*_from_json(doc))
 
 
 class CycleWeights(FrozenValue):

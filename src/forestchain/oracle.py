@@ -47,10 +47,8 @@ from .chains import (
     Matrix,
     ReducibleChainError,
     TransitionMatrix,
-    WeightedDigraph,
     check_roots,
     scaled_rows,
-    weighted_laplacian,
 )
 
 
@@ -526,17 +524,11 @@ def laplacian_cofactor(m: Sequence[Sequence[Fraction]], i: int, j: int) -> Fract
     return sign * exact_det(_drop(m, i, j))
 
 
-def undirected_tree_count(g: WeightedDigraph, i: int = 0, j: int = 0) -> Fraction:
-    """Weighted spanning tree count of a symmetric graph via one cofactor.
-
-    The value is the same for every minor choice (i, j); the defaults take
-    the principal (0,0) minor.
-    """
-    for (t, h, c) in g.arcs:
-        if g.conductance(h, t) != c:
-            raise ValueError(f"asymmetric conductances on edge ({t},{h})")
-    lap = weighted_laplacian(g)
-    return laplacian_cofactor(lap, i, j)
+def undirected_tree_count(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Weighted spanning tree count of an undirected graph, given by its
+    symmetric Laplacian: the principal (0,0) cofactor, which every
+    cofactor equals (Kirchhoff)."""
+    return laplacian_cofactor(_check_symmetric_laplacian(m), 0, 0)
 
 
 def temperley_check(m: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Fraction]:
@@ -563,24 +555,20 @@ def minor_product_check(m: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Frac
     return lhs, minor_sum / n
 
 
-def complete_prism(n: int, m: int) -> WeightedDigraph:
-    """K_n x C_m with unit conductances, vertices (a, b) -> a*m + b."""
+def complete_prism(n: int, m: int) -> Matrix:
+    """Laplacian of K_n x C_m with unit weights, vertex (a, b) at a*m + b:
+    (a, b) is joined to every (a', b) and to (a, b +- 1 mod m)."""
     if n < 2 or m < 3:
         raise ValueError("complete prism needs n >= 2 and m >= 3")
-    arcs = []
 
-    def undirected(u: int, v: int) -> None:
-        arcs.append((u, v, Fraction(1)))
-        arcs.append((v, u, Fraction(1)))
+    def entry(u: int, v: int) -> int:
+        (a, b), (a2, b2) = divmod(u, m), divmod(v, m)
+        if u == v:
+            return n + 1
+        return -(b == b2 or a == a2 and (b - b2) % m in (1, m - 1))
 
-    for b in range(m):
-        for a1 in range(n):
-            for a2 in range(a1 + 1, n):
-                undirected(a1 * m + b, a2 * m + b)
-    for a in range(n):
-        for b in range(m):
-            undirected(a * m + b, a * m + (b + 1) % m)
-    return WeightedDigraph(n * m, tuple(arcs))
+    return tuple(tuple(Fraction(entry(u, v)) for v in range(n * m))
+                 for u in range(n * m))
 
 
 def prism_tree_count(n: int, m: int) -> int:

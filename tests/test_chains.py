@@ -9,17 +9,13 @@ from hypothesis import given, strategies as st
 from forestchain import (
     ChainParseError,
     TransitionMatrix,
-    WeightedDigraph,
     chain_from_edge_list,
     chain_to_json,
     format_rational,
-    from_conductances,
     laplacian,
     parse_chain,
-    parse_conductances,
     parse_rational,
     uniform_chain,
-    weighted_laplacian,
 )
 from forestchain import chains
 from forestchain.chains import MAX_STATES
@@ -74,6 +70,23 @@ def test_matrix_document_shape_errors():
         parse_chain("{not json")
 
 
+@pytest.mark.parametrize("labels", [5, "ab", {"a": 1}, [1, 2], ["a", None]])
+def test_matrix_document_labels_must_be_a_list_of_strings(labels):
+    doc = {"rows": [["1/2", "1/2"], ["1", "0"]], "labels": labels}
+    with pytest.raises(ChainParseError, match="'labels' must be a list of strings"):
+        parse_chain(json.dumps(doc))
+
+
+def test_matrix_document_labels_absent_or_null():
+    rows = [["1/2", "1/2"], ["1", "0"]]
+    assert parse_chain(json.dumps({"rows": rows})).labels is None
+    assert parse_chain(json.dumps({"rows": rows, "labels": None})).labels is None
+    assert parse_chain(json.dumps({"rows": rows, "labels": ["a", "b"]})).labels \
+        == ("a", "b")
+    with pytest.raises(ChainParseError, match="^1 labels for 2 states$"):
+        parse_chain(json.dumps({"rows": rows, "labels": ["a"]}))
+
+
 def test_edge_list_builds_d2(d2):
     text = "# two-state swap\n0 1 1/1\n1 0 1/1\n"
     assert parse_chain(text, fmt="edges") == d2
@@ -111,28 +124,27 @@ def test_edge_list_state_cap_comes_before_the_matrix():
     # a valid document, one state over the cap: refused while parsing, with
     # a peak far below the 2049 x 2049 matrix it would have built
     text = "".join(f"{v} {v} 1\n" for v in range(MAX_STATES + 1))
-    for parse in (chain_from_edge_list, parse_conductances):
-        tracemalloc.start()
-        try:
-            with pytest.raises(
-                    ChainParseError,
-                    match=f"^state index {MAX_STATES} exceeds the limit of "
-                          f"{MAX_STATES} states$"):
-                parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+                ChainParseError,
+                match=f"^state index {MAX_STATES} exceeds the limit of "
+                      f"{MAX_STATES} states$"):
+            chain_from_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_edge_list_state_cap_boundary(monkeypatch):
     monkeypatch.setattr(chains, "MAX_STATES", 3)
     assert chain_from_edge_list("0 0 1\n1 1 1\n2 2 1\n").n == 3
-    assert parse_conductances("a b 1\nb c 1\nc a 1\n").n == 3
+    assert chain_from_edge_list("a b 1\nb c 1\nc a 1\n").n == 3
     with pytest.raises(ChainParseError, match="^state index 3 exceeds"):
         chain_from_edge_list("0 0 1\n3 3 1\n")
     with pytest.raises(ChainParseError, match="^state index 3 exceeds"):
-        parse_conductances("a b 1\nb c 1\nc d 1\n")
+        chain_from_edge_list("a b 1\nb c 1\nc d 1\nd a 1\n")
 
 
 def test_edge_list_negative_entry_matches_dense_error():
@@ -185,34 +197,6 @@ def test_laplacian_values(fixture_a, d2):
     assert laplacian(d2) == ((Fraction(1), Fraction(-1)),
                              (Fraction(-1), Fraction(1)))
     assert laplacian(fixture_a)[2] == (Fraction(-1), Fraction(0), Fraction(1))
-
-
-def test_conductances_normalization():
-    g = parse_conductances("0 1 2\n0 2 1\n1 0 1\n2 0 3\n")
-    p = from_conductances(g)
-    assert p.p(0, 1) == Fraction(2, 3)
-    assert p.p(0, 2) == Fraction(1, 3)
-    assert p.p(1, 0) == 1
-    assert all(p.p(i, i) == 0 for i in range(3))
-
-
-def test_conductances_zero_out_degree():
-    g = WeightedDigraph(2, ((0, 1, Fraction(1)),))
-    with pytest.raises(ChainParseError, match="vertex 1"):
-        from_conductances(g)
-
-
-def test_weighted_laplacian():
-    g = WeightedDigraph(2, ((0, 1, Fraction(2)), (1, 0, Fraction(3))))
-    assert weighted_laplacian(g) == ((Fraction(2), Fraction(-2)),
-                                     (Fraction(-3), Fraction(3)))
-
-
-def test_digraph_rejects_self_loop_and_negative():
-    with pytest.raises(ChainParseError, match="self-loop"):
-        WeightedDigraph(2, ((0, 0, Fraction(1)),))
-    with pytest.raises(ChainParseError):
-        WeightedDigraph(2, ((0, 1, Fraction(-1)),))
 
 
 @st.composite

@@ -355,6 +355,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert json.loads(err)["error"] == "parse"
 
 
+@pytest.mark.parametrize("text, detail", [
+    ('{"rows": [["1"]], "labels": 5}', "'labels' must be a list of strings"),
+    ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
+], ids=["labels-int", "deep-nesting"])
+def test_malformed_document_exits_2(capsys, monkeypatch, text, detail):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, ["analyze"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "parse", "detail": detail}
+
+
 def test_edge_list_format(capsys, tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("a b 1\nb a 1\n")
@@ -526,6 +537,15 @@ def test_module_entry_point_closed_stdout_exits_1_quietly():
     assert code == 1 and err == ""
 
 
+def test_module_entry_point_without_stdout_exits_1_quietly():
+    # fd 1 closed at start, so sys.stdout is None; the command never runs
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m forestchain count --cayley 4 2 >&-',
+         sys.executable], capture_output=True, text=True, timeout=120,
+        env=_module_env())
+    assert proc.returncode == 1 and proc.stderr == ""
+
+
 def test_only_the_process_entry_freezes_the_collector(capsys, a_file):
     before = gc.get_freeze_count()
     code, out, _ = run_cli(capsys, ["analyze", "--input", a_file])
@@ -646,3 +666,67 @@ def test_cli_fuzz_exits_cleanly_and_routes_agree(case):
         # a refusal prints nothing on stdout and one error line on stderr
         assert out.getvalue() == ""
         assert "error" in json.loads(err.getvalue())
+
+
+# cells, labels and declared sizes a document may hold in place of valid ones
+_BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+    st.sampled_from(["", "1/0", "x", "1" * 5000, "-1/2", "3/2"]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=2))
+
+
+@st.composite
+def _document_cases(draw):
+    """(argv, stdin text): analyze, hit, green or count on a matrix document
+    of at most six states whose cells, labels and n may each be malformed,
+    or on a JSON value that is not a matrix document at all."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=n,
+                                     max_size=n), min_size=n, max_size=n))
+    rows = [[format_rational(Fraction(w, sum(ws) or 1)) for w in ws]
+            for ws in weights]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, n - 1))
+        rows[i][draw(st.integers(0, n - 1))] = draw(_BAD_VALUES)
+    doc = {"rows": rows}
+    if draw(st.booleans()):
+        doc["n"] = n if draw(st.integers(0, 3)) < 3 else draw(_BAD_VALUES)
+    if draw(st.booleans()):
+        doc["labels"] = draw(st.one_of(
+            st.lists(st.text("ab", max_size=2), min_size=n, max_size=n),
+            st.lists(st.text("ab", max_size=2), max_size=7), _BAD_VALUES))
+    if draw(st.integers(0, 9)) == 9:
+        doc = draw(_BAD_VALUES)
+    command = draw(st.sampled_from(["analyze", "hit", "green", "count"]))
+    argv = [command]
+    state = st.integers(-1, n)
+    if command in ("hit", "green"):
+        targets = draw(st.lists(state, min_size=1, max_size=n))
+        argv.append("--targets=" + ",".join(map(str, targets)))
+    if command == "hit":
+        argv.append(f"--from={draw(state)}")
+    if command == "count" and draw(st.integers(0, 3)) == 0:
+        argv += [draw(st.sampled_from(["--cayley", "--prism"])),
+                 *map(str, draw(st.tuples(st.integers(0, 6),
+                                          st.integers(0, 6))))]
+    if draw(st.booleans()):
+        argv.append("--float")
+    return argv, json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_document_cases())
+def test_cli_any_document_ends_in_a_documented_exit(case):
+    argv, text = case
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as e:  # argparse refuses the argument vector
+        code = e.code
+        assert code == 2, (argv, text)
+    finally:
+        sys.stdin = stdin
+    assert code in range(5), (argv, text)

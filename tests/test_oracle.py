@@ -9,7 +9,6 @@ from forestchain import (
     PeriodicChainError,
     ReducibleChainError,
     SingularMatrixError,
-    WeightedDigraph,
     cesaro_average,
     complete_prism,
     exact_det,
@@ -603,21 +602,40 @@ def test_recurrent_classes(fixture_a, r3):
 # ---------------------------------------------------------------------------
 # undirected counting identities
 
+def _complete_laplacian(n):
+    return tuple(tuple(F(n - 1) if i == j else F(-1) for j in range(n))
+                 for i in range(n))
+
+
 def test_undirected_tree_count_examples():
-    triangle = WeightedDigraph(3, tuple(
-        (i, j, F(1)) for i in range(3) for j in range(3) if i != j))
-    assert undirected_tree_count(triangle) == 3
-    k4 = WeightedDigraph(4, tuple(
-        (i, j, F(1)) for i in range(4) for j in range(4) if i != j))
-    assert undirected_tree_count(k4) == 16
-    path2 = WeightedDigraph(2, ((0, 1, F(1)), (1, 0, F(1))))
-    assert undirected_tree_count(path2) == 1
+    # Cayley: K_n has n^(n-2) spanning trees
+    assert undirected_tree_count(_complete_laplacian(2)) == 1
+    assert undirected_tree_count(_complete_laplacian(3)) == 3
+    assert undirected_tree_count(_complete_laplacian(4)) == 16
+    # weighted: the path 0 - 1 - 2 with weights 2 and 3
+    path = ((F(2), F(-2), F(0)), (F(-2), F(5), F(-3)), (F(0), F(-3), F(3)))
+    assert undirected_tree_count(path) == 6
 
 
 def test_undirected_tree_count_rejects_asymmetric():
-    g = WeightedDigraph(2, ((0, 1, F(2)), (1, 0, F(1))))
-    with pytest.raises(ValueError):
-        undirected_tree_count(g)
+    # rows sum to zero, but 0 -> 1 weighs 2 and 1 -> 0 weighs 1
+    with pytest.raises(ValueError, match="asymmetric entries at \\(0,1\\)"):
+        undirected_tree_count(((F(2), F(-2)), (F(-1), F(1))))
+    with pytest.raises(ValueError, match="not a Laplacian"):
+        undirected_tree_count(((F(1), F(0)), (F(0), F(1))))
+
+
+def test_complete_prism_is_the_prism_laplacian():
+    n, m = 3, 4
+    lap = complete_prism(n, m)
+    assert len(lap) == n * m
+    for u in range(n * m):
+        a, b = divmod(u, m)
+        neighbours = {a2 * m + b for a2 in range(n) if a2 != a} \
+            | {a * m + (b + 1) % m, a * m + (b - 1) % m}
+        assert lap[u] == tuple(
+            F(n + 1) if v == u else F(-1) if v in neighbours else F(0)
+            for v in range(n * m))
 
 
 def test_cofactor_choice_independence():

@@ -17,7 +17,6 @@ from forestchain import (
     Ecrsf,
     RootedForest,
     TransitionMatrix,
-    WeightedDigraph,
     analyze,
     sigma_sums,
 )
@@ -34,7 +33,6 @@ CASES = {
     "Ecrsf": lambda: Ecrsf(3, set(), (1, 0, 0)),
     "TransitionMatrix": lambda: TransitionMatrix(
         ((F(1, 2), F(1, 2)), (1, 0)), ("a", "b")),
-    "WeightedDigraph": lambda: WeightedDigraph(2, ((0, 1, F(1, 3)),)),
     "PathTrace": lambda: PathTrace((2, 1, 0)),
     "SamplerConfig": lambda: SamplerConfig(7, 3),
     "CycleWeights": lambda: CycleWeights(_rule),
@@ -43,7 +41,6 @@ CHANGED = {
     "RootedForest": RootedForest(3, {0}, (-1, 0, 0)),
     "Ecrsf": Ecrsf(3, {0}, (-1, 0, 0)),
     "TransitionMatrix": TransitionMatrix(((F(1, 2), F(1, 2)), (1, 0))),
-    "WeightedDigraph": WeightedDigraph(2, ((0, 1, F(2, 3)),)),
     "PathTrace": PathTrace((2, 0)),
     "SamplerConfig": SamplerConfig(7, 4),
     "CycleWeights": CycleWeights(lambda _cycle: 1),
@@ -52,7 +49,6 @@ FIELDS = {
     "RootedForest": ("n", "roots", "parent"),
     "Ecrsf": ("n", "tree_roots", "successor"),
     "TransitionMatrix": ("rows", "labels"),
-    "WeightedDigraph": ("n", "arcs", "labels"),
     "PathTrace": ("states",),
     "SamplerConfig": ("seed", "sample_count", "alpha"),
     "CycleWeights": ("rule",),
@@ -63,8 +59,6 @@ REPRS = {
     "TransitionMatrix": (
         "TransitionMatrix(rows=((Fraction(1, 2), Fraction(1, 2)), "
         "(Fraction(1, 1), Fraction(0, 1))), labels=('a', 'b'))"),
-    "WeightedDigraph": (
-        "WeightedDigraph(n=2, arcs=((0, 1, Fraction(1, 3)),), labels=None)"),
     "PathTrace": "PathTrace(states=(2, 1, 0))",
     "SamplerConfig": "SamplerConfig(seed=7, sample_count=3, alpha=None)",
     "CycleWeights": f"CycleWeights(rule={_rule!r})",
@@ -117,7 +111,8 @@ def test_ecrsf_equality_ignores_cycles():
     ("Ecrsf", "successor", (1, 0, 3), ValueError),
     ("PathTrace", "states", (), ValueError),
     ("SamplerConfig", "sample_count", 0, ValueError),
-    ("WeightedDigraph", "arcs", ((1, 1, F(1)),), ChainParseError),
+    ("TransitionMatrix", "rows", ((F(1, 2), F(1, 2)), (F(1), F(1))),
+     ChainParseError),
 ])
 def test_pickle_round_trip_runs_the_checks(name, field, bad, error):
     value = CASES[name]()
