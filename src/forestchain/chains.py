@@ -206,6 +206,9 @@ def _parse_matrix_json(doc: dict) -> TransitionMatrix:
     if not isinstance(rows, list) or not rows:
         raise ChainParseError("'rows' must be a nonempty list")
     n = doc.get("n", len(rows))
+    # JSON true and 1.0 compare equal to 1: only a JSON integer declares n
+    if n.__class__ is not int:
+        raise ChainParseError(f"'n' must be an integer, got {json.dumps(n)}")
     if n != len(rows):
         raise ChainParseError(f"declared n={n} but {len(rows)} rows given")
     parsed = []
@@ -218,6 +221,11 @@ def _parse_matrix_json(doc: dict) -> TransitionMatrix:
         if not (isinstance(labels, list)
                 and all(isinstance(s, str) for s in labels)):
             raise ChainParseError("'labels' must be a list of strings")
+        seen = set()
+        for label in labels:
+            if label in seen:
+                raise ChainParseError(f"duplicate label {json.dumps(label)}")
+            seen.add(label)
         labels = tuple(labels)
     return TransitionMatrix(tuple(parsed), labels)
 

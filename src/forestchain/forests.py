@@ -16,11 +16,16 @@ sum_{b in B} p_cb. Cutting such a forest at the subtree of B's children
 that holds the least state m of X gives
 T(B, X) = sum over m in Y ⊆ X of A(B, Y) T(B, X - Y),
 A(B, Y) = sum over c in Y of p(c, B) T({c}, Y - {c}),
-with T(B, ∅) = 1. A per-chain memo keeps, for each state set S, the tree
-sums T({c}, S - {c}) at every c in S and the pulls A({c}, S) at every c
-outside it. A root set with f free states reads the entries of the subsets
-of its free states, filled with about f 3^(f-1) / 2 multiply-adds, so all
-the tree sums of an n-state chain cost about n 3^(n-1) / 2.
+with T(B, ∅) = 1. A per-chain memo keeps, for each state set S, one bare
+list of n integers: the tree sums T({c}, S - {c}) at every c in S and the
+pulls A({c}, S) at every c outside it. What depends on S and n alone, the
+states in S and those outside it, sits in a module-level table keyed by
+chain size (``_state_sets``), made as sets are first met and shared by
+every chain of that size, so a chain's fill and passes look those lists
+up instead of building them per set. A root set with f free states reads
+the entries of the subsets of its free states, filled with about
+f 3^(f-1) / 2 multiply-adds, so all the tree sums of an n-state chain cost
+about n 3^(n-1) / 2.
 
 With the roots of R merged into one, w(R) = T(R, free) is the merged-root
 column at every free state, about 3^f multiply-adds after the fill
@@ -536,6 +541,40 @@ _LAYER_MEMO_SIZE = 1 << 17
 _TREE_DELETION_CACHE_SIZE = 64
 
 
+# Each state set's members and the states outside it, in ascending order,
+# by chain size, so that every chain of a size reads the same tuples: a
+# fill or a pass looks a set up where it would otherwise list it. An entry
+# is made when a fill or a pass first needs its set, never for all 2^n
+# sets up front. Like the memo, the tables are cleared before a fill or a
+# pass adds entries once they hold more than _STATE_SET_TABLE_SIZE states
+# in all; an entry of an n-state table holds n, and a fill or a pass adds
+# at most one per set it reads.
+_STATE_SETS: dict[int, tuple[dict[int, tuple[int, ...]],
+                             dict[int, tuple[int, ...]]]] = {}
+_STATE_SET_TABLE_SIZE = 1 << 17
+
+
+def _state_sets(n: int, masks: list[int] | range):
+    """(inside, outside): the shared tables of n-state sets, with an entry
+    for every state set in ``masks``. inside[S] lists S's states and
+    outside[S] the others."""
+    got = _STATE_SETS.get(n)
+    if got is not None and len(got[0]) == (1 << n) - 1:
+        return got  # every state set has its entry
+    new = [s for s in masks if got is None or s not in got[0]]
+    if new and sum([m * len(t[0]) for m, t in _STATE_SETS.items()]) \
+            > _STATE_SET_TABLE_SIZE:
+        _STATE_SETS.clear()
+        got, new = None, list(masks)
+    if got is None:
+        got = _STATE_SETS[n] = ({}, {})
+    inside, outside = got
+    for s in new:
+        inside[s] = tuple([c for c in range(n) if s >> c & 1])
+        outside[s] = tuple([c for c in range(n) if not s >> c & 1])
+    return got
+
+
 def _subsets(mask: int) -> list[int]:
     """The nonempty subsets of a bitmask, in increasing order."""
     out = []
@@ -586,18 +625,21 @@ class _TreeSums:
     """Rooted-tree sums of one chain over bitmasks of states.
 
     Weights are integers, rows scaled as in ``scaled_rows``. ``memo[S]``
-    is (vals, members) for a nonempty state set S: at c in S, vals[c] is
-    the weight of the spanning trees on S rooted at c, T({c}, S - {c}); at
-    c outside S it is the pull A({c}, S) = sum_{d in S} p_dc T({d}, S - {d}),
-    the weight of those trees hung from c by one more arc. ``members``
-    lists S's states in ascending order.
+    is a bare list of n integers for a nonempty state set S: at c in S it
+    is the weight of the spanning trees on S rooted at c, T({c}, S - {c});
+    at c outside S it is the pull A({c}, S) = sum_{d in S} p_dc T({d}, S - {d}),
+    the weight of those trees hung from c by one more arc. S's states and
+    the states outside it are read from the state-set table that every
+    chain of n states shares (``_state_sets``); ``cols[c]`` is column c of
+    the scaled rows, which the pulls read.
     """
 
     def __init__(self, p: TransitionMatrix):
         self.n = p.n
         self.nums, self.dens = scaled_rows(p)
+        self.cols = tuple(zip(*self.nums))
         self.denom = prod(self.dens)
-        self.memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
+        self.memo: dict[int, list[int]] = {}
         # R's record, or (w(R) D, R's merged-root column) until it is built
         self.root_sets: dict[frozenset[int],
                              RootSetSums | tuple[int, dict[int, int]]] = {}
@@ -627,27 +669,30 @@ class _TreeSums:
         A({c}, Y) T({c}, S - Y - {c}) over the Y ⊆ S - {c} that contain m.
         Subsets come in increasing order, so every block is already there.
         """
-        memo, nums, n = self.memo, self.nums, self.n
+        memo, nums, cols, n = self.memo, self.nums, self.cols, self.n
+        inside, outside = _state_sets(n, subsets)
         for s in subsets:
             if s in memo:
                 continue
             m0 = s & -s
-            i0 = m0.bit_length() - 1
             rest = s ^ m0
             if not rest:
+                i0 = m0.bit_length() - 1
                 vals = list(nums[i0])
                 vals[i0] = 1
-                memo[s] = (vals, (i0,))
+                memo[s] = vals
                 continue
+            members = inside[s]
+            i0 = members[0]
             vals = [0] * n
-            members = (i0,) + memo[rest][1]
             # roots c other than m0: the block holds m0 and leaves c outside
             sub = rest
             while sub:
                 sub = (sub - 1) & rest
-                pull = memo[m0 | sub][0]
-                tree, heads = memo[rest ^ sub]
-                for c in heads:
+                pull = memo[m0 | sub]
+                heads = rest ^ sub
+                tree = memo[heads]
+                for c in inside[heads]:
                     vals[c] += pull[c] * tree[c]
             # root m0: the block holds the next state m1
             m1 = rest & -rest
@@ -655,17 +700,19 @@ class _TreeSums:
             sub = rest2
             t = 0
             while True:
-                t += memo[m1 | sub][0][i0] * memo[keep ^ sub][0][i0]
+                t += memo[m1 | sub][i0] * memo[keep ^ sub][i0]
                 if not sub:
                     break
                 sub = (sub - 1) & rest2
             vals[i0] = t
-            outside = [c for c in range(n) if not s >> c & 1]
-            for d in members:
-                t, row = vals[d], nums[d]
-                for c in outside:
-                    vals[c] += row[c] * t
-            memo[s] = (vals, members)
+            # the pull at c outside S sums p_dc T({d}, S - {d}) over d in S
+            for c in outside[s]:
+                col = cols[c]
+                t = 0
+                for d in members:
+                    t += col[d] * vals[d]
+                vals[c] = t
+            memo[s] = vals
 
     def _column(self, subsets: list[int], block) -> dict[int, int]:
         """{X: T(B, X)} over X in ``subsets`` and X = 0, for the states of
@@ -685,14 +732,14 @@ class _TreeSums:
             if root >= 0:
                 known = memo.get(x | 1 << root)
                 if known is not None:
-                    col[x] = known[0][root]
+                    col[x] = known[root]
                     continue
             if pull is None:
                 # a plain loop: about three times faster than a sum over a
                 # generator per subset
                 pull = {}
                 for y in subsets:
-                    vals = memo[y][0]
+                    vals = memo[y]
                     t = 0
                     for b in block:
                         t += vals[b]
@@ -719,7 +766,7 @@ class _TreeSums:
         if got is None:
             self._fill(_subsets(full))
             got = self.memo[full]
-        return got[0]
+        return got
 
     def trees(self) -> list[int]:
         """[w({b}) D for every state b], read off the memo entry of all n
@@ -734,26 +781,27 @@ class _TreeSums:
         tree on V - X. So Sigma_ij sums tau(X) T({j}, V - X - {j}) over the
         X that hold i and not j, and Sigma^(2) sums tau(X) tau(V - X) over
         the X that hold state 0, where tau(X) = sum_{k in X} T({k}, X - {k}).
-        Each memo tree is taken times its root's dens, so a pair of trees
-        spanning all states is over the chain's denominator.
+        Each tree in tau is taken times its root's dens, so a pair of trees
+        spanning all states is over the chain's denominator; Sigma_ij is
+        summed with j's tree unscaled and each column j taken times dens_j
+        once, at the end.
         """
         got = self.two_trees
         if got is not None:
             return got
-        self._full()
+        trees = self._full()
         n, memo, dens = self.n, self.memo, self.dens
         full = (1 << n) - 1
-        # scaled[X][k] = T({k}, X - {k}) dens_k at each k in X
-        scaled: list[list[int]] = [[]]
-        tau = [0]
+        inside = _state_sets(n, range(1, full + 1))[0]
+        tau = [0] * (full + 1)
         for x in range(1, full + 1):
-            vals, members = memo[x]
-            row = [0] * n
-            for k in members:
-                row[k] = vals[k] * dens[k]
-            scaled.append(row)
-            tau.append(sum(row))
-        by_target = [[0] * n for _ in range(n)]  # by_target[j][i] = Sigma_ij
+            vals = memo[x]
+            t = 0
+            for k in inside[x]:
+                t += vals[k] * dens[k]
+            tau[x] = t
+        # by_target[j][i] = Sigma_ij, over dens_j until the pass ends
+        by_target = [[0] * n for _ in range(n)]
         pairs = 0
         for x in range(1, full):
             t = tau[x]
@@ -762,17 +810,18 @@ class _TreeSums:
             y = full ^ x
             if x & 1:
                 pairs += t * tau[y]
-            members = memo[x][1]
-            tails = scaled[y]
-            for j in memo[y][1]:
+            members = inside[x]
+            tails = memo[y]
+            for j in inside[y]:
                 g = t * tails[j]
                 if g:
                     row = by_target[j]
                     for i in members:
                         row[i] += g
+        sigma = [[g * d for g in row] for row, d in zip(by_target, dens)]
         got = self.two_trees = TwoTreeSums(
-            tuple(scaled[full]), tau[full], pairs,
-            tuple(zip(*by_target)), self.denom)
+            tuple([t * d for t, d in zip(trees, dens)]), tau[full], pairs,
+            tuple(zip(*sigma)), self.denom)
         return got
 
     def _merged(self, roots: frozenset[int],
@@ -817,14 +866,16 @@ class _TreeSums:
 
         A forest rooted at R ∪ {j} splits at the free states X of j's tree:
         w_ij(R ∪ {j}) sums T({j}, X - {j}) T(R, free - X) over the X that
-        hold i and j, with the states of R merged into one root. Times
-        dens_j and the roots' dens, each product is over the chain's
-        denominator. Cutting i's path at its last arc j -> b, a forest
+        hold i and j, with the states of R merged into one root. The pass
+        sums the products as they are and takes each column j times dens_j
+        and the roots' dens once, at the end, which puts it over the
+        chain's denominator. Cutting i's path at its last arc j -> b, a forest
         rooted at R in which i drains to b is a forest rooted at R ∪ {j} in
         which i drains to j, plus that arc, so w_ib(R) = sum over free j of
         w_ij(R ∪ {j}) p_jb: the forest form of the absorbing-chain identity
-        H = G P_R (Kemeny and Snell, 1960). The Green numerator at j carries
-        dens_j in place of p_jb's denominator.
+        H = G P_R (Kemeny and Snell, 1960). There the unscaled sum at j
+        takes p_jb's scaled numerator, whose denominator dens_j is the one
+        the Green numerator carries, and then the roots' dens.
         """
         got = self.root_sets.get(roots)
         if got.__class__ is RootSetSums:
@@ -832,34 +883,37 @@ class _TreeSums:
         n, memo, nums, dens = self.n, self.memo, self.nums, self.dens
         free, subsets, merged = self._merged(
             roots, None if got is None else got[1])
-        scale = prod(dens[b] for b in roots)
-        by_target = [[0] * n for _ in range(n)]  # by_target[j][i]
+        inside = _state_sets(n, subsets)[0]
+        # by_target[j][i], over dens_j and the roots' dens until the pass ends
+        by_target = [[0] * n for _ in range(n)]
         for x in subsets:
             u = merged[free ^ x]
             if not u:
                 continue
-            u *= scale
-            vals, members = memo[x]
+            vals = memo[x]
+            members = inside[x]
             for j in members:
-                g = vals[j] * dens[j] * u
+                g = vals[j] * u
                 if g:
                     row = by_target[j]
                     for i in members:
                         row[i] += g
+        scale = prod(dens[b] for b in roots)
         interior = tuple(v for v in range(n) if v not in roots)
         order = sorted(roots)
-        green = tuple(tuple(by_target[j][i] for j in interior)
+        columns = [(by_target[j], dens[j] * scale) for j in interior]
+        green = tuple(tuple([row[i] * f for row, f in columns])
                       for i in interior)
         hit = []
-        for row in green:
+        for i in interior:
             share = [0] * len(order)
-            for j, g in zip(interior, row):
+            for j in interior:
+                g = by_target[j][i]
                 if g:
-                    g //= dens[j]
                     arcs = nums[j]
                     for c, b in enumerate(order):
                         share[c] += g * arcs[b]
-            hit.append(tuple(share))
+            hit.append(tuple([x * scale for x in share]))
         return self._keep(roots, RootSetSums(
             interior, green, tuple(hit), merged[free] * scale, self.denom))
 

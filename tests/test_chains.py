@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -85,6 +86,26 @@ def test_matrix_document_labels_absent_or_null():
         == ("a", "b")
     with pytest.raises(ChainParseError, match="^1 labels for 2 states$"):
         parse_chain(json.dumps({"rows": rows, "labels": ["a"]}))
+
+
+@pytest.mark.parametrize("n, given", [
+    (True, "true"), (1.0, "1.0"), ("1", '"1"'), (None, "null"), ([1], "[1]")])
+def test_matrix_document_n_must_be_an_integer(n, given):
+    # true and 1.0 compare equal to 1, and "1" printed as 1 beside 1 row
+    with pytest.raises(ChainParseError,
+                       match=rf"^'n' must be an integer, got {re.escape(given)}$"):
+        parse_chain(json.dumps({"n": n, "rows": [["1"]]}))
+    assert parse_chain(json.dumps({"n": 1, "rows": [["1"]]})).n == 1
+
+
+def test_matrix_document_labels_must_be_distinct():
+    rows = [["1/2", "1/2", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    with pytest.raises(ChainParseError, match='^duplicate label "a"$'):
+        parse_chain(json.dumps({"rows": rows, "labels": ["a", "b", "a"]}))
+    with pytest.raises(ChainParseError, match='^duplicate label ""$'):
+        parse_chain(json.dumps({"rows": rows, "labels": ["", "b", ""]}))
+    assert parse_chain(json.dumps({"rows": rows, "labels": ["a", "A", "b"]})) \
+        .labels == ("a", "A", "b")
 
 
 def test_edge_list_builds_d2(d2):

@@ -358,7 +358,13 @@ def test_parse_error_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("text, detail", [
     ('{"rows": [["1"]], "labels": 5}', "'labels' must be a list of strings"),
     ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
-], ids=["labels-int", "deep-nesting"])
+    ('{"n": true, "rows": [["1"]]}', "'n' must be an integer, got true"),
+    ('{"n": 1.0, "rows": [["1"]]}', "'n' must be an integer, got 1.0"),
+    ('{"n": "1", "rows": [["1"]]}', "'n' must be an integer, got \"1\""),
+    ('{"n": 2, "rows": [["1/2", "1/2"], ["1", "0"]], "labels": ["a", "a"]}',
+     'duplicate label "a"'),
+], ids=["labels-int", "deep-nesting", "n-true", "n-float", "n-string",
+        "labels-repeated"])
 def test_malformed_document_exits_2(capsys, monkeypatch, text, detail):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, ["analyze"])

@@ -296,7 +296,7 @@ def test_layer_sums_stay_within_their_bounds(monkeypatch):
             # with f free states adds at most one entry of n integers per
             # nonempty subset of its free states
             f = 6 - k
-            held = sum(len(vals) for vals, _members in sums.memo.values())
+            held = sum(len(vals) for vals in sums.memo.values())
             assert held == 6 * len(sums.memo)
             assert held <= 20 + 6 * (2 ** f - 1)
 
@@ -555,6 +555,101 @@ def test_two_tree_sums_match_both_references(fixture_a, u4):
             list(sigma_sums(p).sigma_vector)
         assert Fraction(sums.total, d) == sigma_r(p, 1)
         assert two_tree_sums(p) is sums
+
+
+def test_two_tree_sums_match_forest_enumeration(monkeypatch):
+    # trees, total, pairs and sigma against the forests listed one by one,
+    # read with the state-set table that chains of the same size share and
+    # with a table of their own
+    for p in _layer_test_chains():
+        trees = [sum((forest_weight(f, p) for f in enumerate_forests(p.n, {j})),
+                     Fraction(0)) for j in range(p.n)]
+        sigma, pairs = _two_trees_by_forests(p)
+        for shared in (True, False):
+            if not shared:
+                monkeypatch.setattr(forests, "_STATE_SETS", {})
+            _layer_sums.cache_clear()
+            sums = two_tree_sums(p)
+            d = sums.denom
+            assert [Fraction(t, d) for t in sums.trees] == trees
+            assert Fraction(sums.total, d) == sum(trees)
+            assert Fraction(sums.pairs, d) == pairs
+            assert [[Fraction(x, d) for x in row] for row in sums.sigma] == sigma
+            monkeypatch.undo()
+
+
+def test_state_set_table_is_shared_and_bounded(monkeypatch):
+    # a chain of a size already met adds no entry; the tables are cleared
+    # before a fill or a pass adds entries once past their bound, and a root
+    # set with a few free states among many adds entries for its subsets only
+    tables: dict = {}
+    monkeypatch.setattr(forests, "_STATE_SETS", tables)
+
+    def held():
+        # every entry of an n-state table holds n states, in and out
+        return sum(n * len(inside) for n, (inside, _outside) in tables.items())
+
+    rng = random.Random(71)
+    p, q = (random_irreducible_chain(rng, 6) for _ in range(2))
+    _layer_sums.cache_clear()
+    two_tree_sums(p)
+    inside, outside = tables[6]
+    entries = dict(inside)
+    assert len(entries) == 63
+    for s, members in entries.items():
+        assert members == tuple(c for c in range(6) if s >> c & 1)
+        assert outside[s] == tuple(c for c in range(6) if not s >> c & 1)
+    two_tree_sums(q)
+    root_set_sums(q, {0, 3})
+    assert tables[6][0] == entries
+    assert all(tables[6][0][s] is got for s, got in entries.items())
+
+    bound = 200
+    monkeypatch.setattr(forests, "_STATE_SET_TABLE_SIZE", bound)
+    cleared = 0
+    for n in (4, 5, 6, 5, 4, 6):
+        for k in range(1, n):
+            for roots in itertools.combinations(range(n), k):
+                before = held()
+                _layer_sums.cache_clear()
+                root_set_sums(random_chain(rng, n), roots)
+                cleared += held() < before
+                # one root set adds at most an entry per nonempty subset of
+                # its free states
+                assert held() <= bound + n * (2 ** (n - k) - 1)
+    assert cleared > 0
+
+    n = 40
+    far = chain([[Fraction(1 + (3 * i + 7 * j) % 5, sum(1 + (3 * i + 7 * c) % 5
+                                                        for c in range(n)))
+                  for j in range(n)] for i in range(n)])
+    tables.clear()
+    _layer_sums.cache_clear()
+    root_set_sums(far, set(range(n)) - {4, 19, 33})
+    assert set(tables) == {40}
+    assert sorted(tables[40][0]) == sorted(
+        sum(1 << v for v in free) for k in range(1, 4)
+        for free in itertools.combinations((4, 19, 33), k))
+    assert held() == 7 * n
+
+
+def test_root_sets_with_no_free_states_on_a_cold_table(monkeypatch):
+    # every state a root: no state set to fill, yet each size gets its
+    # table, so reads through it work before any other root set of that size
+    for n in range(1, 5):
+        p = uniform_chain(n)
+        everything = set(range(n))
+        monkeypatch.setattr(forests, "_STATE_SETS", {})
+        _layer_sums.cache_clear()
+        assert w_sum(p, everything) == 1
+        monkeypatch.setattr(forests, "_STATE_SETS", {})
+        _layer_sums.cache_clear()
+        got = root_set_sums(p, everything)
+        assert (got.interior, got.green, got.hit) == ((), (), ())
+        assert got.weight == got.denom
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    _layer_sums.cache_clear()
+    assert two_tree_sums(uniform_chain(1)).trees == (1,)
 
 
 def test_two_tree_sums_keep_the_tree_guard(u4):
