@@ -789,7 +789,7 @@ class _TreeSums:
         got = self.two_trees
         if got is not None:
             return got
-        trees = self._full()
+        trees = self.trees()
         n, memo, dens = self.n, self.memo, self.dens
         full = (1 << n) - 1
         inside = _state_sets(n, range(1, full + 1))[0]
@@ -820,7 +820,7 @@ class _TreeSums:
                         row[i] += g
         sigma = [[g * d for g in row] for row, d in zip(by_target, dens)]
         got = self.two_trees = TwoTreeSums(
-            tuple([t * d for t, d in zip(trees, dens)]), tau[full], pairs,
+            tuple(trees), tau[full], pairs,
             tuple(zip(*sigma)), self.denom)
         return got
 
