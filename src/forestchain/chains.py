@@ -52,6 +52,15 @@ MAX_STATES = 2048
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
 
 
+def _read_int(text: str) -> int:
+    """int(text), with the interpreter's refusal as a parse error: a digit
+    that int() does not read ("²"), or more digits than its limit."""
+    try:
+        return int(text)
+    except ValueError as e:
+        raise ChainParseError(f"unreadable integer: {e}") from e
+
+
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" or an integer literal into an exact Fraction."""
     if isinstance(text, int) and not isinstance(text, bool):
@@ -59,10 +68,10 @@ def parse_rational(text: str | int) -> Fraction:
     m = _RATIONAL_RE.match(str(text))
     if not m:
         raise ChainParseError(f"malformed rational literal {text!r}")
-    num = int(m.group(1))
+    num = _read_int(m.group(1))
     if m.group(2) is None:
         return Fraction(num)
-    den = int(m.group(2))
+    den = _read_int(m.group(2))
     if den == 0:
         raise ChainParseError(f"zero denominator in rational literal {text!r}")
     return Fraction(num, den)
@@ -250,7 +259,7 @@ def chain_from_edge_list(text: str) -> TransitionMatrix:
         raise ChainParseError("empty edge list")
     tokens = [t for (a, b, _x) in entries for t in (a, b)]
     if all(t.isdigit() for t in tokens):
-        ids = {t: int(t) for t in tokens}
+        ids = {t: _read_int(t) for t in tokens}
         n, labels = max(ids.values()) + 1, None
     else:
         ids = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
@@ -284,7 +293,8 @@ def parse_chain(source: str, fmt: str = "matrix") -> TransitionMatrix:
     if fmt == "matrix":
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as e:
+        # a JSONDecodeError, or an integer past the interpreter's digit limit
+        except ValueError as e:
             raise ChainParseError(f"invalid JSON: {e}") from e
         except RecursionError as e:
             raise ChainParseError("invalid JSON: nested too deeply") from e

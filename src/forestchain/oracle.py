@@ -160,7 +160,8 @@ def _reachable(support: Sequence[Sequence[int]], start: int) -> set[int]:
 
 
 # Bound, in chains, on the memo below: the formulas check their chain on every
-# call, and chung_occupation alone makes up to five such calls per triple.
+# call, so the chung suite asks once per index triple, n (n - 1)^2 times per
+# chain.
 _CERTIFICATE_CACHE_SIZE = 64
 
 

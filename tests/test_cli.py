@@ -403,6 +403,42 @@ def test_edge_list_over_the_state_cap_exits_2(capsys, monkeypatch):
         "detail": f"state index {MAX_STATES} exceeds the limit of {MAX_STATES} states"}
 
 
+# Python before 3.10.7 reads integer strings of any length
+_past_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="no limit on the digits of an integer string")
+_BIG = "9" * 5000
+
+
+@pytest.mark.parametrize("fmt, text", [
+    pytest.param("matrix", '{"rows": [["1"]], "x": ' + _BIG + "}",
+                 marks=_past_digit_limit, id="json-number"),
+    pytest.param("matrix", json.dumps({"rows": [[f"{_BIG}/{_BIG}"]]}),
+                 marks=_past_digit_limit, id="rational-literal"),
+    pytest.param("edges", f"0 {_BIG} 1\n", marks=_past_digit_limit,
+                 id="edge-state-index"),
+    pytest.param("edges", f"0 0 {_BIG}/{_BIG}\n", marks=_past_digit_limit,
+                 id="edge-probability"),
+    # a digit to str.isdigit() that int() does not read
+    pytest.param("edges", "0 \u00b2 1\n", id="edge-superscript-digit"),
+])
+def test_unreadable_integer_is_a_parse_error(capsys, monkeypatch, fmt, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, ["analyze", "--format", fmt])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+@pytest.mark.parametrize("suite", cli.SUITE_NAMES)
+def test_verify_below_two_states_exits_2(capsys, suite):
+    # checked before any suite runs: wilson once divided by max_n - 1
+    code, out, err = run_cli(
+        capsys, ["verify", "--suite", suite, "--max-n", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid",
+                               "detail": "max_n below min_n"}
+
+
 def test_cli_import_loads_neither_scipy_nor_numpy():
     proc = subprocess.run(
         [sys.executable, "-c",

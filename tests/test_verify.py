@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import random
@@ -71,6 +72,35 @@ def test_identity_suites_pass_small(name):
     assert result.name == name
     doc = result.to_json()
     assert doc["passed"] is True and doc["seed"] == 17
+
+
+# sha256 of each suite's JSON report, elapsed_seconds left out, on a small
+# corpus at seed 17: the identity suites at trials=12, max_n=4, wilson at
+# trials=2000, max_n=3. The checks, their order, their count and the random
+# draws behind them must stay as they are.
+SUITE_DIGESTS = {
+    "kirchhoff":
+        "297594ceb91d25d9a6de914d7350a9ae7743183b98279108b6aff9ddf63ca24b",
+    "green":
+        "88629a5df4e4fce7468833aae98b67d93588dacdd8c343663c32742e9c383d54",
+    "kemeny":
+        "e87c7c709f949c411f65e750fb1033e0f7fc891c971170bbd60383a01ea02c30",
+    "chung":
+        "e323a3f0b9f807ca738b0724afbbb5d7d8a217ecc24b75619918a0a08b4014bf",
+    "treealg":
+        "971ec12866c11e19dddeb2a9e21e1bab64f9eb495ccb88fe3473eb0f0843f02a",
+    "wilson":
+        "620a84eb763036f3a50142f6083470f92cd5e33ddee6b907d3b1264ab2ab9a30",
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_report_is_pinned(name):
+    trials, max_n = (2000, 3) if name == "wilson" else (12, 4)
+    doc = run_suite(name, trials=trials, max_n=max_n, seed=17).to_json()
+    del doc["elapsed_seconds"]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[name]
 
 
 def test_wilson_suite_passes_small():
@@ -188,6 +218,7 @@ def test_wilson_suite_checks_the_law_it_is_given(monkeypatch):
     monkeypatch.setattr(verify.forests, "exact_law", crooked)
     result = run_suite("wilson", trials=2000, max_n=3, seed=17)
     assert not result.passed
+    assert len(result.failures) == 1
     assert "uniform 4-state tree sampler" in result.failures[0]
 
 
