@@ -169,11 +169,14 @@ class TransitionMatrix(FrozenValue):
         n = len(rows)
         if n == 0:
             raise ChainParseError("empty transition matrix")
+        support = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
-            _check_row(i, enumerate(row))
+            cols = tuple([j for j, x in enumerate(row) if x])
+            _check_row(i, [(j, row[j]) for j in cols])
+            support.append(cols)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
@@ -187,8 +190,7 @@ class TransitionMatrix(FrozenValue):
         object.__setattr__(self, "_hash", hash((rows, labels)))
         # the graph checks ask for the support many times per chain; the
         # entries are checked nonnegative above, so nonzero means positive
-        object.__setattr__(self, "_support", tuple(
-            tuple(j for j, x in enumerate(row) if x) for row in rows))
+        object.__setattr__(self, "_support", tuple(support))
 
     def __hash__(self) -> int:
         return self._hash
@@ -279,9 +281,15 @@ def chain_from_edge_list(text: str) -> TransitionMatrix:
         by_row.setdefault(key[0], []).append((key[1], x))
     for i in range(n):
         _check_row(i, sorted(by_row.get(i, ())))
-    rows = tuple(
-        tuple(cells.get((i, j), Fraction(0)) for j in range(n)) for i in range(n))
-    return TransitionMatrix(rows, labels)
+    # every absent cell is one shared zero
+    zero = Fraction(0)
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        for j, x in by_row.get(i, ()):
+            row[j] = x
+        rows.append(tuple(row))
+    return TransitionMatrix(tuple(rows), labels)
 
 
 def parse_chain(source: str, fmt: str = "matrix") -> TransitionMatrix:

@@ -254,27 +254,13 @@ class Ecrsf(FrozenValue):
 
     @classmethod
     def _trusted(cls, n: int, roots: frozenset[int], successor: tuple[int, ...],
-                 root_of: tuple[int, ...]) -> "Ecrsf":
+                 root_of: tuple[int, ...],
+                 cycles: tuple[tuple[int, ...], ...]) -> "Ecrsf":
         """A configuration the enumeration walker or the sampler built: take
-        its root-of vector and look for cycles only in the components it
-        marks -1."""
-        cycles = []
-        if -1 in root_of:
-            seen = [r != -1 for r in root_of]
-            for v0 in range(n):
-                if seen[v0]:
-                    continue
-                path = []
-                v = v0
-                while not seen[v]:
-                    seen[v] = True
-                    path.append(v)
-                    v = successor[v]
-                if v in path:
-                    cycles.append(canonical_cycle(path[path.index(v):]))
-            cycles.sort()
+        its root-of vector and the cycles its builder found, canonical and
+        sorted, instead of classifying the successors again."""
         e = object.__new__(cls)
-        _set_ecrsf(e, n, roots, successor, tuple(cycles), root_of)
+        _set_ecrsf(e, n, roots, successor, cycles, root_of)
         return e
 
     # hashed and compared per draw, as RootedForest is
@@ -429,19 +415,21 @@ def _walk(n: int, roots: frozenset[int], arcs, cyclic: bool = False):
 
 def _weighted(p: TransitionMatrix, roots: frozenset[int],
               alpha: CycleWeights | None):
-    """Yield (succ, root_of, w) for the configurations of positive weight:
-    forests when ``alpha`` is None, else cycle-rooted ones, in ``_walk``
-    order. ``w`` is the weight times the free rows' common denominators:
-    the scaled rows' integer factors, times alpha of each cycle, asked of
-    ``alpha`` once per distinct cycle.
+    """Yield (succ, root_of, cycles, w) for the configurations of positive
+    weight: forests when ``alpha`` is None, else cycle-rooted ones with
+    their canonical, sorted cycles, in ``_walk`` order. ``w`` is the weight
+    times the free rows' common denominators: the scaled rows' integer
+    factors, times alpha of each cycle, asked once per distinct cycle.
     """
     cyclic = alpha is not None
     nums = scaled_rows(p)[0]
     biases: dict[tuple[int, ...], Fraction] = {}
     for succ, root_of, w in _walk(p.n, roots, _arcs(p.n, roots, nums, cyclic),
                                   cyclic):
+        cycles = ()
         if cyclic and -1 in root_of:
-            for cyc in _classify(p.n, roots, succ)[1]:
+            cycles = _classify(p.n, roots, succ)[1]
+            for cyc in cycles:
                 bias = biases.get(cyc)
                 if bias is None:
                     bias = biases[cyc] = alpha.weight(cyc)
@@ -449,7 +437,7 @@ def _weighted(p: TransitionMatrix, roots: frozenset[int],
                 if not w:
                     break
         if w:
-            yield succ, root_of, w
+            yield succ, root_of, cycles, w
 
 
 def enumerate_forests(n: int, roots: Iterable[int],
@@ -472,7 +460,8 @@ def enumerate_ecrsf(n: int, tree_roots: Iterable[int],
     rs = check_roots(n, tree_roots, allow_empty=True)
     _check_guard(n - len(rs), guard)
     for succ, root_of, _w in _walk(n, rs, _arcs(n, rs, cyclic=True), cyclic=True):
-        yield Ecrsf._trusted(n, rs, tuple(succ), root_of)
+        cycles = _classify(n, rs, succ)[1] if -1 in root_of else ()
+        yield Ecrsf._trusted(n, rs, tuple(succ), root_of, cycles)
 
 
 def cayley_count(n: int, k: int) -> int:
@@ -1111,7 +1100,7 @@ def w_ec_sums(p: TransitionMatrix, alpha: CycleWeights,
     rs = check_roots(p.n, tree_roots, allow_empty=True)
     _check_guard(p.n - len(rs), guard)
     groups: dict = {}
-    for _succ, root_of, w in _weighted(p, rs, alpha):
+    for _succ, root_of, _cycles, w in _weighted(p, rs, alpha):
         groups[root_of] = groups.get(root_of, 0) + w
     table: dict = {}
     for root_of, w in groups.items():
@@ -1137,9 +1126,13 @@ def exact_law(p: TransitionMatrix, roots: Iterable[int],
     """
     rs = check_roots(p.n, roots, allow_empty=alpha is not None)
     _check_guard(p.n - len(rs), guard)
-    make = RootedForest._trusted if alpha is None else Ecrsf._trusted
-    weighted = [(make(p.n, rs, tuple(succ), root_of), w)
-                for succ, root_of, w in _weighted(p, rs, alpha)]
+    weighted = []
+    for succ, root_of, cycles, w in _weighted(p, rs, alpha):
+        if alpha is None:
+            f = RootedForest._trusted(p.n, rs, tuple(succ), root_of)
+        else:
+            f = Ecrsf._trusted(p.n, rs, tuple(succ), root_of, cycles)
+        weighted.append((f, w))
     total = sum(w for _f, w in weighted)
     if not total:
         raise InfeasibleRootSetError(

@@ -291,6 +291,14 @@ _WILSON_CHAINS = 10
 _GOF_THRESHOLD = 1e-3
 
 
+def _gof_failure(what: str, report: wilson.GofReport) -> str | None:
+    """None when a sampler's chi-square report passes, else what failed."""
+    return None if report.passed else (
+        f"{what}: chi2 p-value {report.p_value:.2e} "
+        f"(stat {report.statistic:.1f}, dof {report.dof}, "
+        f"{len(report.impossible)} impossible cells)")
+
+
 def _self_avoiding_paths(p: TransitionMatrix, roots: frozenset[int],
                          i: int) -> list[tuple[int, ...]]:
     support = p.support()
@@ -319,11 +327,7 @@ def _wilson(samples: int, max_n: int, seed: int, guard: int) -> _Checks:
                                    sample_count=samples)
         law = forests.exact_law(p, roots, guard=guard)
         got = Counter(wilson.sample_forests(p, roots, cfg, site_order))
-        report = wilson.gof_test(got, law, _GOF_THRESHOLD)
-        return None if report.passed else (
-            f"{what}: chi2 p-value {report.p_value:.2e} "
-            f"(stat {report.statistic:.1f}, dof {report.dof}, "
-            f"{len(report.impossible)} impossible cells)")
+        return _gof_failure(what, wilson.gof_test(got, law, _GOF_THRESHOLD))
 
     # reproducibility is exact, not statistical
     p0 = uniform_chain(3)
@@ -353,10 +357,8 @@ def _wilson(samples: int, max_n: int, seed: int, guard: int) -> _Checks:
     # building each draw as a RootedForest checks that it has no cycle
     as_forests = Counter(forests.RootedForest(e.n, e.tree_roots, e.successor)
                          for e in draws)
-    report = wilson.gof_test(as_forests, law, _GOF_THRESHOLD)
-    yield p_kkw, None if report.passed else (
-        f"alpha=0 sampler deviates from forest law "
-        f"(p-value {report.p_value:.2e})")
+    yield p_kkw, _gof_failure("alpha=0 sampler deviates from forest law",
+                              wilson.gof_test(as_forests, law, _GOF_THRESHOLD))
 
     # exact unit mass of the loop-erased path law
     for t in range(5):

@@ -7,11 +7,12 @@ Wilson's RandomTreeWithRoot (Wilson 1996): a walk keeps only the last exit
 from each state it visits, and the branch traced from its start along those
 pointers is its chronological loop erasure, so no path is stored or erased.
 The cycle-rooted sampler pops loops as they close, because each closed
-cycle needs its coin at that moment. Exact per-path laws and a chi-square
-report make the samplers testable against the enumeration tables in
-``forests``. The chi-square upper tail behind the report's p-value is
-computed in closed form from the standard library (Abramowitz & Stegun
-26.4.4 for odd and 26.4.5 for even degrees of freedom).
+cycle needs its coin at that moment, and records each cycle a coin keeps.
+Exact per-path laws and a chi-square report make the samplers testable
+against the enumeration tables in ``forests``. The chi-square upper tail
+behind the report's p-value is computed in closed form from the standard
+library (Abramowitz & Stegun 26.4.4 for odd and 26.4.5 for even degrees of
+freedom).
 
 Randomness contract: every draw starts from a generator seeded with its
 own seed, which is cfg.seed for the single-draw samplers; batch samplers
@@ -347,8 +348,8 @@ def _ecrsf_setup(p: TransitionMatrix, alpha: CycleWeights | None,
 
 
 class _CycleCoins(dict):
-    """Memo of cycle coins for one batch: cycle -> (numerator, denominator,
-    denominator bits) of its weight under ``alpha``.
+    """Memo of cycle coins for one batch: cycle -> (canonical rotation,
+    numerator, denominator, denominator bits) of its weight under ``alpha``.
 
     A cycle is stored as walked and canonically rotated, so each distinct
     cycle is weighed once however often and from wherever it closes.
@@ -358,13 +359,14 @@ class _CycleCoins(dict):
         super().__init__()
         self.alpha = alpha
 
-    def __missing__(self, cycle: tuple[int, ...]) -> tuple[int, int, int]:
+    def __missing__(self, cycle: tuple[int, ...]
+                    ) -> tuple[tuple[int, ...], int, int, int]:
         key = canonical_cycle(cycle)
         coin = self.get(key)
         if coin is None:
             bias = self.alpha.weight(key)
             den = bias.denominator
-            coin = self[key] = (bias.numerator, den, den.bit_length())
+            coin = self[key] = (key, bias.numerator, den, den.bit_length())
         self[cycle] = coin
         return coin
 
@@ -375,7 +377,7 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
     generator.
 
     ``root_of`` is -2 until a state is settled and -1 once it drains into
-    a kept cycle.
+    a kept cycle; ``kept`` collects each kept cycle's canonical rotation.
     """
     rng = random.Random()
     reseed, getrandbits = rng.seed, rng.getrandbits
@@ -390,6 +392,7 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
         reseed(seed)
         succ = [-1] * n
         root_of = unsettled.copy()
+        kept = []
         for start in order:
             if root_of[start] > -2:
                 continue
@@ -410,11 +413,12 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
                 if r > -2:
                     break
                 if v in pos:
-                    num, den, k = coins[tuple(path[pos[v]:])]
+                    cycle, num, den, k = coins[tuple(path[pos[v]:])]
                     x = getrandbits(k)
                     while x >= den:
                         x = getrandbits(k)
                     if x < num:
+                        kept.append(cycle)
                         r = -1
                         break
                     for dropped in path[pos[v] + 1:]:
@@ -429,7 +433,8 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
             succ[path[-1]] = v
             for a in path:
                 root_of[a] = r
-        draws.append(_trusted_ecrsf(n, rs, tuple(succ), tuple(root_of)))
+        draws.append(_trusted_ecrsf(n, rs, tuple(succ), tuple(root_of),
+                                    tuple(sorted(kept))))
     return draws
 
 

@@ -179,6 +179,27 @@ def test_edge_list_negative_entry_matches_dense_error():
     assert str(sparse_err.value) == "negative entry -1/2 at (1,1)"
 
 
+def test_edge_list_cost_follows_its_listed_cells(monkeypatch):
+    # a ring: two arcs per state, every other cell absent
+    n = 64
+    text = "".join(f"{i} {(i + d) % n} 1/2\n" for i in range(n) for d in (1, -1))
+    seen = []
+    real = chains._check_row
+
+    def spy(i, cells):
+        cells = list(cells)
+        seen.extend(x for _j, x in cells)
+        return real(i, cells)
+
+    monkeypatch.setattr(chains, "_check_row", spy)
+    p = chain_from_edge_list(text)
+    # the edge list's own check, then the matrix's: two arcs per row each
+    assert len(seen) == 2 * 2 * n and all(seen)
+    absent = {id(x) for row in p.rows for x in row if not x}
+    assert len(absent) == 1
+    assert p.support()[0] == (1, n - 1)
+
+
 def test_hash_is_memoized_and_survives_pickling():
     p = chain_from_edge_list("a b 1/2\na a 1/2\nb a 1\n")
     assert hash(p) == hash((p.rows, p.labels))

@@ -103,7 +103,8 @@ def test_ecrsf_equality_ignores_cycles():
     a, b = Ecrsf(3, set(), (1, 0, 0)), Ecrsf(3, set(), (1, 0, 0))
     object.__setattr__(b, "cycles", ())
     assert a.cycles == ((0, 1),) and a == b and hash(a) == hash(b)
-    assert Ecrsf._trusted(3, frozenset(), (1, 0, 0), (-1, -1, -1)) == a
+    assert Ecrsf._trusted(3, frozenset(), (1, 0, 0), (-1, -1, -1),
+                          ((0, 1),)) == a
 
 
 @pytest.mark.parametrize("name, field, bad, error", [

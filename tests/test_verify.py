@@ -222,6 +222,22 @@ def test_wilson_suite_checks_the_law_it_is_given(monkeypatch):
     assert "uniform 4-state tree sampler" in result.failures[0]
 
 
+def test_wilson_suite_reports_impossible_alpha_zero_draws(monkeypatch):
+    # draws rooted at {1} all fall where the {0}-rooted forest law puts no
+    # mass; the p-value alone (1.0 at one live cell) would not show it
+    real = verify.wilson.sample_ecrsf
+
+    def misrooted(p, roots, cfg, *args, **kw):
+        return real(p, {1}, cfg, *args, **kw)
+
+    monkeypatch.setattr(verify.wilson, "sample_ecrsf", misrooted)
+    result = run_suite("wilson", trials=2000, max_n=3, seed=17)
+    assert result.checks == 14 and len(result.failures) == 1
+    detail = json.loads(result.failures[0])["detail"]
+    assert detail.startswith("alpha=0 sampler deviates from forest law")
+    assert "impossible cells" in detail
+
+
 def test_suite_failure_stops_early(monkeypatch):
     calls = []
     real = verify.forests.w_sum

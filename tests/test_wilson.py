@@ -18,6 +18,8 @@ from forestchain import (
     RootedForest,
     SamplerConfig,
     derive_seed,
+    enumerate_ecrsf,
+    exact_law,
     gof_test,
     kkw_sample,
     lerw_path_prob,
@@ -34,7 +36,7 @@ from forestchain import (
 
 from forestchain import oracle, wilson
 from forestchain.forests import canonical_cycle
-from forestchain.verify import random_chain
+from forestchain.verify import random_chain, random_irreducible_chain
 from forestchain.wilson import _Stepper, _chi2_sf
 
 from conftest import chain
@@ -553,6 +555,46 @@ def test_cycle_weights_called_once_per_cycle_per_batch():
             one = SamplerConfig(seed=derive_seed(cfg.seed, k), alpha=alpha)
             single = kkw_sample(p, None, roots, one)
             assert (draw, draw.cycles) == (single, single.cycles)
+
+
+# alpha 0, 1/2, 1 and 1/(|c| + 1); alpha 0 with no tree roots has no weight
+CYCLE_ALPHAS = (CycleWeights.constant(0), HALF, CycleWeights.constant(1),
+                CycleWeights(lambda cycle: F(1, len(cycle) + 1)))
+
+
+def _searched_cycles(e):
+    return Ecrsf(e.n, e.tree_roots, e.successor).cycles
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_builders_keep_the_cycles_a_search_finds(n):
+    p = random_irreducible_chain(random.Random(2900 + n), n)
+    kept = 0
+    for roots in (frozenset(), frozenset({0})):
+        for k, alpha in enumerate(CYCLE_ALPHAS):
+            if not (roots or k):
+                continue
+            cfg = SamplerConfig(seed=1069 + k, sample_count=200, alpha=alpha)
+            for e in sample_ecrsf(p, roots, cfg):
+                assert e.cycles == _searched_cycles(e)
+                kept += len(e.cycles)
+            for e in exact_law(p, roots, alpha):
+                assert e.cycles == _searched_cycles(e)
+        for e in enumerate_ecrsf(n, roots):
+            assert e.cycles == _searched_cycles(e)
+    assert kept
+
+
+def test_cycle_rooted_draws_and_forest_laws_search_no_cycles(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("successor map searched for cycles")
+
+    monkeypatch.setattr("forestchain.forests._classify", refuse)
+    cfg = SamplerConfig(seed=1069, sample_count=200, alpha=HALF)
+    batch = sample_ecrsf(G4, set(), cfg)
+    assert len(batch) == 200 and all(e.cycles for e in batch)
+    # forest leaves are weighed without a cycle search
+    assert len(exact_law(G4, {0})) == 16
 
 
 def test_cycle_weight_out_of_range_still_raises():
