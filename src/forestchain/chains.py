@@ -154,8 +154,8 @@ class TransitionMatrix(FrozenValue):
     """A row-stochastic matrix of exact rationals.
 
     States are dense indices 0..n-1. ``labels``, when present, records the
-    original state names in index order. Rows must sum to exactly 1; entries
-    must be >= 0. Self-loops are allowed.
+    original state names in index order, no name twice. Rows must sum to
+    exactly 1; entries must be >= 0. Self-loops are allowed.
     """
 
     __slots__ = ("rows", "labels", "_hash", "_support")
@@ -170,27 +170,39 @@ class TransitionMatrix(FrozenValue):
         if n == 0:
             raise ChainParseError("empty transition matrix")
         support = []
+        parts = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
             cols = tuple([j for j, x in enumerate(row) if x])
-            _check_row(i, [(j, row[j]) for j in cols])
+            cells = [(j, row[j]) for j in cols]
+            _check_row(i, cells)
             support.append(cols)
+            parts.extend([(x.numerator, x.denominator) for _j, x in cells])
         if labels is not None:
             labels = tuple(str(s) for s in labels)
+            seen = set()
+            for label in labels:
+                if label in seen:
+                    raise ChainParseError(
+                        f"duplicate label {json.dumps(label)}")
+                seen.add(label)
             if len(labels) != n:
                 raise ChainParseError(
                     f"{len(labels)} labels for {n} states")
+        support = tuple(support)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
-        # chains key the forest caches, so hash the n² entries only once;
-        # unpickling runs __init__, so the memo is never carried across
-        # processes, where label hashes differ
-        object.__setattr__(self, "_hash", hash((rows, labels)))
+        # chains key the forest caches, so hash once, and not through
+        # Fraction.__hash__, Python code with a pow per call: the nonzero
+        # cells' numerators and denominators, which equal Fractions share,
+        # with the support that places them. Unpickling runs __init__, so the
+        # memo is never carried across processes, where label hashes differ
+        object.__setattr__(self, "_hash", hash((support, tuple(parts), labels)))
         # the graph checks ask for the support many times per chain; the
         # entries are checked nonnegative above, so nonzero means positive
-        object.__setattr__(self, "_support", tuple(support))
+        object.__setattr__(self, "_support", support)
 
     def __hash__(self) -> int:
         return self._hash
@@ -232,11 +244,6 @@ def _parse_matrix_json(doc: dict) -> TransitionMatrix:
         if not (isinstance(labels, list)
                 and all(isinstance(s, str) for s in labels)):
             raise ChainParseError("'labels' must be a list of strings")
-        seen = set()
-        for label in labels:
-            if label in seen:
-                raise ChainParseError(f"duplicate label {json.dumps(label)}")
-            seen.add(label)
         labels = tuple(labels)
     return TransitionMatrix(tuple(parsed), labels)
 

@@ -150,12 +150,90 @@ def _classify(n: int, roots: frozenset[int], succ: Sequence[int]):
 # ---------------------------------------------------------------------------
 # configuration types
 
-class RootedForest(FrozenValue):
+class _SuccessorMap(FrozenValue):
+    """Storage and reads shared by ``RootedForest`` and ``Ecrsf``: n, a root
+    set, and one successor per state, -1 at the roots.
+
+    Each subclass keeps its public fields as its own slots, listed in
+    ``__slots__`` as n, roots, successors and ``_root_of``, then ``cycles``
+    if it keeps them. Its roots and successor fields are read here through
+    their slot descriptors, bound again under the shared names ``_roots``
+    and ``_succ``; a forest, which has no ``cycles`` slot, leaves a cycles
+    argument unread.
+    """
+
+    __slots__ = ()
+    # FrozenValue reads each class's fields; the base's are the shared names
+    _fields = ("n", "_roots", "_succ")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        n, roots, succ, root_of, *cycles = [cls.__dict__[name]
+                                            for name in cls.__slots__]
+        cls._roots, cls._succ = roots, succ
+        # each slot's own setter, bound once: it stores past the frozen
+        # __setattr__ in about half the time object.__setattr__ takes, and
+        # the samplers build one configuration per draw
+        cls._put_n, cls._put_roots, cls._put_succ, cls._put_root_of = (
+            n.__set__, roots.__set__, succ.__set__, root_of.__set__)
+        cls._put_cycles = tuple(slot.__set__ for slot in cycles)
+
+    def _store(self, n, roots, successor, root_of, cycles=()) -> None:
+        self._put_n(self, n)
+        self._put_roots(self, roots)
+        self._put_succ(self, successor)
+        self._put_root_of(self, root_of)
+        for put in self._put_cycles:
+            put(self, cycles)
+
+    @classmethod
+    def _trusted(cls, n: int, roots: frozenset[int], successor: tuple[int, ...],
+                 root_of: tuple[int, ...],
+                 cycles: tuple[tuple[int, ...], ...] = ()):
+        """A configuration the enumeration walker or the sampler built: skip
+        the checks and take its root-of vector and the cycles its builder
+        found, canonical and sorted, instead of classifying the successors
+        again."""
+        c = object.__new__(cls)
+        c._store(n, roots, successor, root_of, cycles)
+        return c
+
+    # the samplers' tallies hash and compare a configuration per draw: an
+    # inline field tuple is read faster than through the base's attrgetter
+    def __hash__(self) -> int:
+        return hash((self.n, self._roots, self._succ))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self._roots, self._succ) \
+            == (other.n, other._roots, other._succ)
+
+    def _successor_map(self) -> dict[int, int]:
+        return {v: u for v, u in enumerate(self._succ) if u != -1}
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple([(v, u) for v, u in enumerate(self._succ) if u != -1])
+
+    def root_of(self, v: int) -> int | None:
+        """Tree root of v's component, or None when the component is cycle-rooted."""
+        r = self._root_of[v]
+        return None if r < 0 else r
+
+    def to_json(self) -> dict:
+        return {
+            "roots": sorted(self._roots),
+            "parent": {str(v): u for v, u in self._successor_map().items()},
+        }
+
+
+class RootedForest(_SuccessorMap):
     """Spanning forest directed toward a nonempty root set.
 
     ``parent`` has one entry per state: the parent of each non-root, -1 at
     the roots. Following parents from any state reaches a root (acyclicity
-    is validated at construction).
+    is validated at construction). Storage, equality and the reads it
+    shares with ``Ecrsf`` come from their successor-map base.
     """
 
     __slots__ = ("n", "roots", "parent", "_root_of")
@@ -178,37 +256,9 @@ class RootedForest(FrozenValue):
         root_of, cycles = _classify(n, roots, parent)
         if cycles:
             raise ValueError(f"parent map contains cycle {cycles[0]}")
-        _set_forest(self, n, roots, parent, root_of)
+        self._store(n, roots, parent, root_of)
 
-    @classmethod
-    def _trusted(cls, n: int, roots: frozenset[int], parent: tuple[int, ...],
-                 root_of: tuple[int, ...]) -> "RootedForest":
-        """A forest the enumeration walker or the sampler built, acyclic by
-        construction: skip the checks and take its root-of vector instead of
-        classifying the parents again."""
-        f = object.__new__(cls)
-        _set_forest(f, n, roots, parent, root_of)
-        return f
-
-    # the samplers' tallies hash and compare a forest per draw: an inline
-    # field tuple is read faster than through the base's attrgetter
-    def __hash__(self) -> int:
-        return hash((self.n, self.roots, self.parent))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.roots, self.parent) \
-            == (other.n, other.roots, other.parent)
-
-    def parent_map(self) -> dict[int, int]:
-        return {v: u for v, u in enumerate(self.parent) if u != -1}
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple([(v, u) for v, u in enumerate(self.parent) if u != -1])
-
-    def root_of(self, v: int) -> int:
-        return self._root_of[v]
+    parent_map = _SuccessorMap._successor_map
 
     def path_to_root(self, v: int) -> tuple[int, ...]:
         """States visited following parents from v up to and including the root."""
@@ -217,24 +267,20 @@ class RootedForest(FrozenValue):
             path.append(self.parent[path[-1]])
         return tuple(path)
 
-    def to_json(self) -> dict:
-        return {
-            "roots": sorted(self.roots),
-            "parent": {str(v): u for v, u in sorted(self.parent_map().items())},
-        }
 
-
-class Ecrsf(FrozenValue):
+class Ecrsf(_SuccessorMap):
     """Cycle-rooted spanning forest with optional tree roots.
 
     Every component of the successor map is either a tree whose paths lead
     into ``tree_roots`` or hangs off exactly one directed cycle disjoint from
     the roots. A self-loop is a cycle of length 1. Any successor map on the
     non-root states is valid; the classification is computed, not checked,
-    and ``cycles`` takes no part in equality, hashing or the repr.
+    and ``cycles`` takes no part in equality, hashing or the repr. The
+    rest comes from the successor-map base it shares with ``RootedForest``,
+    which it never equals.
     """
 
-    __slots__ = ("n", "tree_roots", "successor", "cycles", "_root_of")
+    __slots__ = ("n", "tree_roots", "successor", "_root_of", "cycles")
     _fields = ("n", "tree_roots", "successor")
 
     def __init__(self, n: int, tree_roots: frozenset[int],
@@ -250,70 +296,14 @@ class Ecrsf(FrozenValue):
             elif not 0 <= succ[v] < n:
                 raise ValueError(f"successor of {v} out of range")
         root_of, cycles = _classify(n, roots, succ)
-        _set_ecrsf(self, n, roots, succ, cycles, root_of)
+        self._store(n, roots, succ, root_of, cycles)
 
-    @classmethod
-    def _trusted(cls, n: int, roots: frozenset[int], successor: tuple[int, ...],
-                 root_of: tuple[int, ...],
-                 cycles: tuple[tuple[int, ...], ...]) -> "Ecrsf":
-        """A configuration the enumeration walker or the sampler built: take
-        its root-of vector and the cycles its builder found, canonical and
-        sorted, instead of classifying the successors again."""
-        e = object.__new__(cls)
-        _set_ecrsf(e, n, roots, successor, cycles, root_of)
-        return e
-
-    # hashed and compared per draw, as RootedForest is
-    def __hash__(self) -> int:
-        return hash((self.n, self.tree_roots, self.successor))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.tree_roots, self.successor) \
-            == (other.n, other.tree_roots, other.successor)
-
-    def successor_map(self) -> dict[int, int]:
-        return {v: u for v, u in enumerate(self.successor) if u != -1}
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple([(v, u) for v, u in enumerate(self.successor) if u != -1])
-
-    def root_of(self, v: int) -> int | None:
-        """Tree root of v's component, or None when the component is cycle-rooted."""
-        r = self._root_of[v]
-        return None if r < 0 else r
+    successor_map = _SuccessorMap._successor_map
 
     def to_json(self) -> dict:
-        return {
-            "roots": sorted(self.tree_roots),
-            "parent": {str(v): u for v, u in sorted(self.successor_map().items())},
-            "cycles": [list(c) for c in self.cycles],
-        }
-
-
-# Each slot's own setter, bound once: it stores past the frozen __setattr__
-# in about half the time object.__setattr__ takes, and the samplers build
-# one configuration per draw.
-_put_n, _put_roots, _put_parent, _put_root_of = (
-    RootedForest.__dict__[name].__set__ for name in RootedForest.__slots__)
-_put_ec_n, _put_tree_roots, _put_successor, _put_cycles, _put_ec_root_of = (
-    Ecrsf.__dict__[name].__set__ for name in Ecrsf.__slots__)
-
-
-def _set_forest(f: RootedForest, n, roots, parent, root_of) -> None:
-    _put_n(f, n)
-    _put_roots(f, roots)
-    _put_parent(f, parent)
-    _put_root_of(f, root_of)
-
-
-def _set_ecrsf(e: Ecrsf, n, roots, successor, cycles, root_of) -> None:
-    _put_ec_n(e, n)
-    _put_tree_roots(e, roots)
-    _put_successor(e, successor)
-    _put_cycles(e, cycles)
-    _put_ec_root_of(e, root_of)
+        doc = super().to_json()
+        doc["cycles"] = [list(c) for c in self.cycles]
+        return doc
 
 
 class CycleWeights(FrozenValue):
@@ -1126,13 +1116,10 @@ def exact_law(p: TransitionMatrix, roots: Iterable[int],
     """
     rs = check_roots(p.n, roots, allow_empty=alpha is not None)
     _check_guard(p.n - len(rs), guard)
+    cls = RootedForest if alpha is None else Ecrsf
     weighted = []
     for succ, root_of, cycles, w in _weighted(p, rs, alpha):
-        if alpha is None:
-            f = RootedForest._trusted(p.n, rs, tuple(succ), root_of)
-        else:
-            f = Ecrsf._trusted(p.n, rs, tuple(succ), root_of, cycles)
-        weighted.append((f, w))
+        weighted.append((cls._trusted(p.n, rs, tuple(succ), root_of, cycles), w))
     total = sum(w for _f, w in weighted)
     if not total:
         raise InfeasibleRootSetError(

@@ -167,14 +167,19 @@ _CERTIFICATE_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
 def irreducibility_certificate(p: TransitionMatrix) -> tuple[int, int] | None:
-    """None when irreducible, else a pair (i, j) with j unreachable from i."""
-    support = p.support()
-    for i in range(p.n):
-        reach = _reachable(support, i)
-        for j in range(p.n):
-            if j not in reach:
-                return (i, j)
-    return None
+    """None when irreducible, else a pair (i, j) with j unreachable from i:
+    the least such i, and the least j for that i.
+
+    Two searches stand in for one per state. When state 0 misses some
+    state, i = 0. Otherwise a state reaches every state exactly when it
+    reaches 0, so the least i that misses anything misses 0, and j = 0.
+    """
+    reach = _reachable(p.support(), 0)
+    for j in range(p.n):
+        if j not in reach:
+            return (0, j)
+    stranded = states_not_reaching(p, {0})
+    return (stranded[0], 0) if stranded else None
 
 
 def require_irreducible(p: TransitionMatrix) -> None:

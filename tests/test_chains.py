@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -16,10 +17,14 @@ from forestchain import (
     laplacian,
     parse_chain,
     parse_rational,
+    sigma_sums,
     uniform_chain,
 )
-from forestchain import chains
+from forestchain import chains, forests
 from forestchain.chains import MAX_STATES
+from forestchain.verify import random_chain
+
+F = Fraction
 
 from conftest import chain
 
@@ -202,11 +207,49 @@ def test_edge_list_cost_follows_its_listed_cells(monkeypatch):
 
 def test_hash_is_memoized_and_survives_pickling():
     p = chain_from_edge_list("a b 1/2\na a 1/2\nb a 1\n")
-    assert hash(p) == hash((p.rows, p.labels))
+    same = TransitionMatrix(p.rows, p.labels)
+    assert same == p and hash(p) == hash(same)
     # label hashes differ between processes, so loading recomputes the memo
     object.__setattr__(p, "_hash", 0)
     q = pickle.loads(pickle.dumps(p))
-    assert q == p and hash(q) == hash((p.rows, p.labels))
+    assert q == p and hash(q) == hash(same)
+
+
+def test_building_a_ring_hashes_no_fraction(monkeypatch):
+    n = 256
+    text = "".join(f"{i} {(i + d) % n} 1/2\n" for i in range(n) for d in (1, -1))
+    calls = []
+    real = Fraction.__hash__
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    p = chain_from_edge_list(text)
+    assert hash(p) == hash(chain_from_edge_list(text)) and calls == []
+
+
+def test_chains_one_cell_apart_keep_separate_sums():
+    p = chain([[F(1, 2), F(1, 2)], [1, 0]])
+    q = chain([[F(1, 3), F(2, 3)], [1, 0]])
+    assert p != q and p.support() == q.support()
+    # the forest sums kept per chain: one tree into each state
+    assert sigma_sums(p).sigma_vector == (F(1), F(1, 2))
+    assert sigma_sums(q).sigma_vector == (F(1), F(2, 3))
+    assert forests._layer_sums(p) is not forests._layer_sums(q)
+
+
+def test_chain_type_refuses_repeated_labels():
+    rows = ((F(1, 2), F(1, 2)), (F(1), F(0)))
+    with pytest.raises(ChainParseError, match='^duplicate label "a"$'):
+        TransitionMatrix(rows, ("a", "a"))
+    rng = random.Random(30)
+    for n in range(1, 8):
+        p = random_chain(rng, n)
+        names = rng.sample(["a", "b", "", "A", "a b", "0", "é", "\"", "x"], n)
+        labelled = TransitionMatrix(p.rows, names)
+        assert parse_chain(json.dumps(chain_to_json(labelled))) == labelled
 
 
 def test_transition_matrix_validation():

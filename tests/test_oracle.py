@@ -30,7 +30,12 @@ from forestchain import (
     undirected_tree_count,
     uniform_chain,
 )
-from forestchain.oracle import _integer_rows, _solve, require_irreducible
+from forestchain.oracle import (
+    _integer_rows,
+    _reachable,
+    _solve,
+    require_irreducible,
+)
 from forestchain.verify import random_chain, random_irreducible_chain
 
 from conftest import chain
@@ -546,6 +551,35 @@ def test_irreducibility_certificate(fixture_a, r3):
     assert cert is not None
     i, j = cert
     assert (i, j) in {(1, 0), (1, 2), (2, 0), (2, 1)}
+
+
+def _certificate_by_one_search_per_state(p):
+    for i in range(p.n):
+        reach = _reachable(p.support(), i)
+        for j in range(p.n):
+            if j not in reach:
+                return (i, j)
+    return None
+
+
+def test_irreducibility_certificate_matches_one_search_per_state():
+    rng = random.Random(30)
+    chains = []
+    for t in range(600):
+        n = 1 + t % 9
+        rows = [list(row) for row in random_chain(rng, n).rows]
+        if t % 3 == 0:  # some states absorbing, state 0 among them or not
+            for v in rng.sample(range(n), 1 + t % n):
+                rows[v] = [F(int(u == v)) for u in range(n)]
+        elif t % 3 == 1:  # a ring, or one with a state absorbing
+            cut = rng.randrange(n + 1)
+            rows = [[F(int(u == (v if v == cut else (v + 1) % n)))
+                     for u in range(n)] for v in range(n)]
+        chains.append(chain(rows))
+    certs = [_certificate_by_one_search_per_state(p) for p in chains]
+    assert sum(c is not None and c[0] > 0 for c in certs) >= 50
+    assert sum(c is not None and c[0] == 0 for c in certs) >= 50
+    assert [irreducibility_certificate(p) for p in chains] == certs
 
 
 def test_require_irreducible_error_is_the_same_when_cached(r3):

@@ -6,7 +6,9 @@ deletion; pickling that runs the constructor's checks again. The result
 records are NamedTuples.
 """
 
+import json
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +20,14 @@ from forestchain import (
     RootedForest,
     TransitionMatrix,
     analyze,
+    enumerate_ecrsf,
+    enumerate_forests,
+    exact_law,
+    sample_ecrsf,
+    sample_forests,
     sigma_sums,
 )
+from forestchain.verify import random_irreducible_chain
 from forestchain.wilson import PathTrace, SamplerConfig
 
 
@@ -69,8 +77,11 @@ REPRS = {
 def test_equal_fields_give_equal_values_and_hashes(name):
     a, b = CASES[name](), CASES[name]()
     assert a is not b and a == b and not a != b
-    # the hash of the field tuple, as the generated dataclass hash was
-    assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in FIELDS[name]))
+    assert hash(a) == hash(b)
+    # the hash of the field tuple, as the generated dataclass hash was; a
+    # chain hashes the integer parts of its nonzero cells instead
+    if name != "TransitionMatrix":
+        assert hash(a) == hash(tuple(getattr(a, f) for f in FIELDS[name]))
     assert a != CHANGED[name] and len({a, b, CHANGED[name]}) == 2
 
 
@@ -105,6 +116,77 @@ def test_ecrsf_equality_ignores_cycles():
     assert a.cycles == ((0, 1),) and a == b and hash(a) == hash(b)
     assert Ecrsf._trusted(3, frozenset(), (1, 0, 0), (-1, -1, -1),
                           ((0, 1),)) == a
+
+
+def _check_configuration(c):
+    """Every read of a forest or cycle-rooted configuration against its
+    fields: equality and hash of (n, roots, successors) within one class,
+    the repr, pickling, the successor map, edges, root_of and to_json."""
+    forest = type(c) is RootedForest
+    names = ("roots", "parent") if forest else ("tree_roots", "successor")
+    roots, succ = getattr(c, names[0]), getattr(c, names[1])
+    twin = type(c)(c.n, set(roots), list(succ))
+    assert twin == c and not twin != c
+    assert hash(twin) == hash(c) == hash((c.n, roots, succ))
+    assert repr(c) == (f"{type(c).__name__}(n={c.n}, {names[0]}={roots!r}, "
+                       f"{names[1]}={succ!r})")
+    loaded = pickle.loads(pickle.dumps(c))
+    assert loaded == c and type(loaded) is type(c)
+    arcs = {v: u for v, u in enumerate(succ) if u != -1}
+    assert (c.parent_map() if forest else c.successor_map()) == arcs
+    assert c.edges() == tuple(arcs.items())
+    for v in range(c.n):
+        seen, u = [], v
+        while u != -1 and u not in seen:
+            seen.append(u)
+            u = succ[u]
+        assert c.root_of(v) == (seen[-1] if u == -1 else None)
+        if forest:
+            assert c.path_to_root(v) == tuple(seen)
+    doc = {"roots": sorted(roots),
+           "parent": {str(v): u for v, u in sorted(arcs.items())}}
+    if not forest:
+        assert c.cycles == twin.cycles
+        doc["cycles"] = [list(cycle) for cycle in c.cycles]
+    # equal as dicts, and in the same key order
+    assert c.to_json() == doc and json.dumps(c.to_json()) == json.dumps(doc)
+    # the same successors as the other type never compare equal
+    if forest:
+        other = Ecrsf(c.n, roots, succ)
+    elif roots and all(r is not None for r in map(c.root_of, range(c.n))):
+        other = RootedForest(c.n, roots, succ)
+    else:
+        return
+    assert other != c and c != other and not other == c
+
+
+def test_configurations_from_every_builder_read_their_fields():
+    rng = random.Random(30)
+    # alpha = 0 keeps no cycle, so it needs a tree root as forests do
+    laws = ((None, {0}), (CycleWeights.constant(0), {0}),
+            (CycleWeights.constant(F(1, 2)), set()),
+            (CycleWeights.constant(1), set()))
+    built = [RootedForest(4, {0, 2}, (-1, 0, -1, 2)),
+             Ecrsf(4, {3}, (1, 0, 0, -1)), Ecrsf(2, set(), (0, 1))]
+    for n in (1, 2, 3):
+        built += enumerate_forests(n, {0})
+        built += enumerate_ecrsf(n, set())
+        built += enumerate_ecrsf(n, {n - 1})
+    for n in (3, 4):
+        p = random_irreducible_chain(rng, n)
+        for alpha, roots in laws:
+            built += exact_law(p, roots, alpha)
+            built += exact_law(p, {n - 1}, alpha)
+            cfg = SamplerConfig(seed=rng.randrange(1 << 30), sample_count=20,
+                                alpha=alpha)
+            if alpha is None:
+                built += sample_forests(p, {0, n - 1}, cfg)
+            else:
+                built += sample_ecrsf(p, roots, cfg)
+    kinds = {(type(c), bool(getattr(c, "cycles", ()))) for c in built}
+    assert kinds == {(RootedForest, False), (Ecrsf, False), (Ecrsf, True)}
+    for c in built:
+        _check_configuration(c)
 
 
 @pytest.mark.parametrize("name, field, bad, error", [
