@@ -170,16 +170,29 @@ class TransitionMatrix(FrozenValue):
         if n == 0:
             raise ChainParseError("empty transition matrix")
         support = []
-        parts = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
             cols = tuple([j for j, x in enumerate(row) if x])
-            cells = [(j, row[j]) for j in cols]
-            _check_row(i, cells)
+            _check_row(i, [(j, row[j]) for j in cols])
             support.append(cols)
-            parts.extend([(x.numerator, x.denominator) for _j, x in cells])
+        self._store(rows, labels, tuple(support))
+
+    @classmethod
+    def _checked(cls, rows: Matrix, labels: tuple[str, ...] | None,
+                 support: tuple[tuple[int, ...], ...]) -> TransitionMatrix:
+        """A chain from Fraction rows already checked as ``__init__`` checks
+        them, with their positive cells' columns: an edge list's listed
+        cells, so its absent ones are never read."""
+        self = cls.__new__(cls)
+        self._store(rows, labels, support)
+        return self
+
+    def _store(self, rows: Matrix, labels: tuple[str, ...] | None,
+               support: tuple[tuple[int, ...], ...]) -> None:
+        """Check the labels, then keep the checked rows and their support."""
+        n = len(rows)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             seen = set()
@@ -191,7 +204,6 @@ class TransitionMatrix(FrozenValue):
             if len(labels) != n:
                 raise ChainParseError(
                     f"{len(labels)} labels for {n} states")
-        support = tuple(support)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
         # chains key the forest caches, so hash once, and not through
@@ -199,9 +211,11 @@ class TransitionMatrix(FrozenValue):
         # cells' numerators and denominators, which equal Fractions share,
         # with the support that places them. Unpickling runs __init__, so the
         # memo is never carried across processes, where label hashes differ
-        object.__setattr__(self, "_hash", hash((support, tuple(parts), labels)))
+        parts = tuple([(row[j].numerator, row[j].denominator)
+                       for row, cols in zip(rows, support) for j in cols])
+        object.__setattr__(self, "_hash", hash((support, parts, labels)))
         # the graph checks ask for the support many times per chain; the
-        # entries are checked nonnegative above, so nonzero means positive
+        # entries are checked nonnegative, so nonzero means positive
         object.__setattr__(self, "_support", support)
 
     def __hash__(self) -> int:
@@ -286,17 +300,21 @@ def chain_from_edge_list(text: str) -> TransitionMatrix:
             raise ChainParseError(f"duplicate matrix cell {key}")
         cells[key] = x
         by_row.setdefault(key[0], []).append((key[1], x))
-    for i in range(n):
-        _check_row(i, sorted(by_row.get(i, ())))
-    # every absent cell is one shared zero
+    listed = [sorted(by_row.get(i, ())) for i in range(n)]
+    for i, row_cells in enumerate(listed):
+        _check_row(i, row_cells)
+    # every absent cell is one shared zero, and the chain type takes the
+    # rows as checked, with the listed positive cells as their support
     zero = Fraction(0)
     rows = []
-    for i in range(n):
+    for row_cells in listed:
         row = [zero] * n
-        for j, x in by_row.get(i, ()):
+        for j, x in row_cells:
             row[j] = x
         rows.append(tuple(row))
-    return TransitionMatrix(tuple(rows), labels)
+    support = tuple(tuple([j for j, x in row_cells if x.numerator])
+                    for row_cells in listed)
+    return TransitionMatrix._checked(tuple(rows), labels, support)
 
 
 def parse_chain(source: str, fmt: str = "matrix") -> TransitionMatrix:
@@ -350,12 +368,16 @@ _SCALED_ROWS_CACHE_SIZE = 64
 def scaled_rows(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...],
                                               tuple[int, ...]]:
     """(nums, dens): row i of P is nums[i] / dens[i] with integer nums[i],
-    dens[i] being the lcm of the row's denominators."""
-    dens = tuple(lcm(*(x.denominator for x in row)) for row in p.rows)
-    nums = tuple(
-        tuple(x.numerator * (d // x.denominator) for x in row)
-        for row, d in zip(p.rows, dens))
-    return nums, dens
+    dens[i] the lcm of the denominators in the row's support, all it reads."""
+    dens = tuple(lcm(*[row[j].denominator for j in cols])
+                 for row, cols in zip(p.rows, p.support()))
+    nums = []
+    for row, cols, d in zip(p.rows, p.support(), dens):
+        scaled = [0] * len(row)
+        for j in cols:
+            scaled[j] = row[j].numerator * (d // row[j].denominator)
+        nums.append(tuple(scaled))
+    return tuple(nums), dens
 
 
 def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> frozenset[int]:

@@ -147,16 +147,25 @@ def _scaled_laplacian(p: TransitionMatrix, keep: Sequence[int]) -> list[list[int
 # ---------------------------------------------------------------------------
 # graph structure
 
-def _reachable(support: Sequence[Sequence[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
+def _reachable(adjacent: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
+    """``starts`` and every state reached from them along ``adjacent``."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
         u = stack.pop()
-        for v in support[u]:
+        for v in adjacent[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
     return seen
+
+
+def _reversed_support(p: TransitionMatrix) -> list[list[int]]:
+    rev: list[list[int]] = [[] for _ in range(p.n)]
+    for i, row in enumerate(p.support()):
+        for j in row:
+            rev[j].append(i)
+    return rev
 
 
 # Bound, in chains, on the memo below: the formulas check their chain on every
@@ -174,7 +183,7 @@ def irreducibility_certificate(p: TransitionMatrix) -> tuple[int, int] | None:
     state, i = 0. Otherwise a state reaches every state exactly when it
     reaches 0, so the least i that misses anything misses 0, and j = 0.
     """
-    reach = _reachable(p.support(), 0)
+    reach = _reachable(p.support(), (0,))
     for j in range(p.n):
         if j not in reach:
             return (0, j)
@@ -195,27 +204,16 @@ def require_irreducible(p: TransitionMatrix) -> None:
 
 def states_not_reaching(p: TransitionMatrix, targets: Iterable[int]) -> tuple[int, ...]:
     """States with no positive-probability path into ``targets``."""
-    target_set = set(targets)
-    # walk the reversed support graph outward from the targets
-    rev: list[list[int]] = [[] for _ in range(p.n)]
-    for i, row in enumerate(p.support()):
-        for j in row:
-            rev[j].append(i)
-    seen = set(target_set)
-    stack = list(target_set)
-    while stack:
-        u = stack.pop()
-        for v in rev[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
+    seen = _reachable(_reversed_support(p), targets)
     return tuple(v for v in range(p.n) if v not in seen)
 
 
 def states_not_reaching_all(p: TransitionMatrix) -> tuple[int, ...]:
-    """States j that some state cannot reach (infeasible singleton root sets)."""
-    return tuple(
-        j for j in range(p.n) if states_not_reaching(p, {j}))
+    """States j that some state cannot reach (infeasible singleton root sets):
+    every state reaches a recurrent class and no path leaves one, so all
+    states when there are two classes or more, else the transient ones."""
+    rc = recurrent_classes(p)
+    return tuple(range(p.n)) if len(rc.classes) > 1 else rc.transient
 
 
 class RecurrentClasses(NamedTuple):
@@ -232,23 +230,24 @@ class RecurrentClasses(NamedTuple):
 
 
 def recurrent_classes(p: TransitionMatrix) -> RecurrentClasses:
-    """Recurrent classes = closed strongly connected components."""
-    support = p.support()
-    reach = [_reachable(support, i) for i in range(p.n)]
-    assigned: set[int] = set()
+    """Recurrent classes = closed strongly connected components. A state is
+    recurrent when all it reaches reaches it back, its class being what it
+    reaches, and a state reaching a transient one is transient: two
+    searches per class and per group of transient states."""
+    support, rev = p.support(), _reversed_support(p)
+    decided: set[int] = set()
     classes = []
-    transient = []
+    transient: set[int] = set()
     for i in range(p.n):
-        if i in assigned:
+        if i in decided:
             continue
-        comp = sorted(j for j in reach[i] if i in reach[j])
-        assigned.update(comp)
-        closed = all(reach[v] <= set(comp) for v in comp)
-        if closed:
-            classes.append(tuple(comp))
+        reach, back = _reachable(support, (i,)), _reachable(rev, (i,))
+        if reach <= back:
+            classes.append(tuple(sorted(reach)))
+            decided |= reach
         else:
-            transient.extend(comp)
-    classes.sort(key=lambda c: c[0])
+            transient |= back
+            decided |= back
     return RecurrentClasses(tuple(classes), tuple(sorted(transient)))
 
 

@@ -26,8 +26,14 @@ integer below a denominator d by calling ``getrandbits(d.bit_length())``
 until the value is below d, which consumes the generator exactly as
 ``randrange(d)`` does; a walk step reads its target off a cell table and
 bisects the row's thresholds only in cells that straddle one. Batches
-check the chain and build the walk tables once, and a cycle-rooted batch
-asks the cycle weights for each distinct cycle once.
+check the chain and build the walk tables once, from the chain's support
+alone, and a cycle-rooted batch asks the cycle weights for each distinct
+cycle once.
+
+Every draw ends: one that takes more than ``DRAW_STEP_BUDGET`` walk steps
+raises ``DrawBudgetError``, a ``ValueError``, and the batch returns no
+draw. The count consumes no randomness, so a batch whose draws stay within
+the budget keeps its stream.
 """
 
 from __future__ import annotations
@@ -57,6 +63,26 @@ _MASK64 = (1 << 64) - 1
 
 # The seed of a draw or a verify suite when the caller gives none.
 DEFAULT_SEED = 1069
+
+# Walk steps one draw may take. A forest draw takes tr G_R steps on average
+# (Marchal 2000), and nothing in the input bounds that: a state left with
+# probability 10^-12 holds its walk for about 10^12 steps. So any budget
+# also refuses some valid chains. This one ends a runaway draw in seconds;
+# a draw of the 2048-state ring (tr G_R about 1.4 million) stays within it,
+# but chains whose tr G_R nears 10^7, such as that ring made to stay put
+# with probability 7/8, are refused in a large share of draws (README).
+DRAW_STEP_BUDGET = 10**7
+
+
+class DrawBudgetError(ValueError):
+    """A draw took more walk steps than ``DRAW_STEP_BUDGET``."""
+
+
+def _over_budget() -> DrawBudgetError:
+    return DrawBudgetError(
+        f"a draw took more than {DRAW_STEP_BUDGET} walk steps, the step "
+        "budget of one draw")
+
 
 # bound now: the draws build through these even where bench/tracing.py swaps
 # the module's ``RootedForest`` and ``Ecrsf`` names for plain functions
@@ -147,15 +173,14 @@ class _Stepper:
 
     def __init__(self, p: TransitionMatrix):
         nums, dens = _scaled_rows(p)
-        cuts, targets, shifts, cells = [], [], [], []
-        for i, (row, den) in enumerate(zip(nums, dens)):
+        cuts, shifts, cells = [], [], []
+        for i, (row, row_targets, den) in enumerate(
+                zip(nums, p.support(), dens)):
             acc = 0
-            row_cuts, row_targets = [], []
-            for j, weight in enumerate(row):
-                if weight:
-                    acc += weight
-                    row_cuts.append(acc)
-                    row_targets.append(j)
+            row_cuts = []
+            for j in row_targets:
+                acc += row[j]
+                row_cuts.append(acc)
             # every x in [0, den) must land on some threshold
             if acc != den:
                 raise ValueError(
@@ -176,13 +201,12 @@ class _Stepper:
                 row_cells += [target] * count
                 lo = cut
             cuts.append(tuple(row_cuts))
-            targets.append(tuple(row_targets))
             shifts.append(shift)
             cells.append(tuple(row_cells))
         self.dens = dens
         self.bits = tuple(den.bit_length() for den in dens)
         self.cuts = tuple(cuts)
-        self.targets = tuple(targets)
+        self.targets = p.support()
         self.shifts = tuple(shifts)
         self.cells = tuple(cells)
 
@@ -227,11 +251,15 @@ def _draw_forest(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
     draws = []
     for seed in seeds:
         reseed(seed)
+        budget = DRAW_STEP_BUDGET
         parent = [-1] * n
         root_of = unsettled.copy()
         for start in order:
             v = start
             while root_of[v] < 0:
+                if not budget:
+                    raise _over_budget()
+                budget -= 1
                 x = getrandbits(bits[v])
                 u = cells[v][x >> shifts[v]]
                 while u < 0:
@@ -316,10 +344,7 @@ def _check_ec_feasible(p: TransitionMatrix, alpha: CycleWeights,
     Positivity is structural: the states that cannot reach the roots form a
     closed set, and each of them must reach a positive-weight support cycle.
     """
-    if roots:
-        stranded = set(oracle.states_not_reaching(p, roots))
-    else:
-        stranded = set(range(p.n))
+    stranded = set(oracle.states_not_reaching(p, roots))
     if not stranded:
         return
     if len(stranded) > guard:
@@ -390,6 +415,7 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
     draws = []
     for seed in seeds:
         reseed(seed)
+        budget = DRAW_STEP_BUDGET
         succ = [-1] * n
         root_of = unsettled.copy()
         kept = []
@@ -400,6 +426,9 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
             pos = {start: 0}
             v = start
             while True:
+                if not budget:
+                    raise _over_budget()
+                budget -= 1
                 x = getrandbits(bits[v])
                 u = cells[v][x >> shifts[v]]
                 while u < 0:

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -198,8 +199,8 @@ def test_edge_list_cost_follows_its_listed_cells(monkeypatch):
 
     monkeypatch.setattr(chains, "_check_row", spy)
     p = chain_from_edge_list(text)
-    # the edge list's own check, then the matrix's: two arcs per row each
-    assert len(seen) == 2 * 2 * n and all(seen)
+    # each row is checked once, from its two listed arcs
+    assert len(seen) == 2 * n and all(seen)
     absent = {id(x) for row in p.rows for x in row if not x}
     assert len(absent) == 1
     assert p.support()[0] == (1, n - 1)
@@ -228,6 +229,24 @@ def test_building_a_ring_hashes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting)
     p = chain_from_edge_list(text)
     assert hash(p) == hash(chain_from_edge_list(text)) and calls == []
+
+
+def test_edge_list_chain_equals_its_dense_copy():
+    # a listed zero cell ("b c 0") stays out of the support
+    p = chain_from_edge_list("a b 1/2\na a 1/2\nb c 0\nb a 1\nc c 1\n")
+    q = TransitionMatrix(p.rows, p.labels)
+    assert p == q and hash(p) == hash(q)
+    assert p.support() == q.support() == ((0, 1), (0,), (2,))
+
+
+def test_scaled_rows_match_the_dense_scan():
+    rng = random.Random(31)
+    for t in range(3000):
+        p = random_chain(rng, 1 + t % 9)
+        dens = tuple(lcm(*[x.denominator for x in row]) for row in p.rows)
+        nums = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                     for row, d in zip(p.rows, dens))
+        assert chains.scaled_rows.__wrapped__(p) == (nums, dens)
 
 
 def test_chains_one_cell_apart_keep_separate_sums():

@@ -30,11 +30,15 @@ from forestchain import (
     undirected_tree_count,
     uniform_chain,
 )
+from forestchain import chain_from_edge_list, oracle
 from forestchain.oracle import (
+    RecurrentClasses,
     _integer_rows,
     _reachable,
     _solve,
     require_irreducible,
+    states_not_reaching,
+    states_not_reaching_all,
 )
 from forestchain.verify import random_chain, random_irreducible_chain
 
@@ -555,7 +559,7 @@ def test_irreducibility_certificate(fixture_a, r3):
 
 def _certificate_by_one_search_per_state(p):
     for i in range(p.n):
-        reach = _reachable(p.support(), i)
+        reach = _reachable(p.support(), (i,))
         for j in range(p.n):
             if j not in reach:
                 return (i, j)
@@ -631,6 +635,96 @@ def test_recurrent_classes(fixture_a, r3):
     whole = recurrent_classes(fixture_a)
     assert whole.classes == ((0, 1, 2),)
     assert whole.transient == ()
+
+
+def _reach_from_every_state(p):
+    return [_reachable(p.support(), (i,)) for i in range(p.n)]
+
+
+def _recurrent_classes_by_reach_sets(p):
+    # the classes from all n reach sets, compared pairwise
+    reach = _reach_from_every_state(p)
+    assigned, classes, transient = set(), [], []
+    for i in range(p.n):
+        if i in assigned:
+            continue
+        comp = sorted(j for j in reach[i] if i in reach[j])
+        assigned.update(comp)
+        if all(reach[v] <= set(comp) for v in comp):
+            classes.append(tuple(comp))
+        else:
+            transient.extend(comp)
+    classes.sort(key=lambda c: c[0])
+    return RecurrentClasses(tuple(classes), tuple(sorted(transient)))
+
+
+def _states_not_reaching_all_by_search_per_state(p):
+    # j is listed when some state misses it: one reverse search per state
+    return tuple(j for j in range(p.n) if states_not_reaching(p, {j}))
+
+
+def _graph_corpus(seed, count):
+    # random_chain's own zeros, and every third chain with absorbing states
+    rng = random.Random(seed)
+    chains = []
+    for t in range(count):
+        p = random_chain(rng, 1 + t % 9)
+        if t % 3 == 0:
+            rows = [list(row) for row in p.rows]
+            for v in rng.sample(range(p.n), 1 + t % p.n):
+                rows[v] = [F(int(u == v)) for u in range(p.n)]
+            p = chain(rows)
+        chains.append(p)
+    return chains
+
+
+def test_recurrent_classes_match_the_reach_set_reference():
+    chains = _graph_corpus(31, 3000)
+    want = [_recurrent_classes_by_reach_sets(p) for p in chains]
+    assert sum(len(rc.classes) > 1 for rc in want) >= 300
+    assert sum(len(rc.classes) == 1 and rc.transient != () for rc in want) >= 300
+    assert sum(rc.transient == () for rc in want) >= 300
+    assert [recurrent_classes(p) for p in chains] == want
+
+
+def test_states_not_reaching_all_matches_one_search_per_state():
+    chains = _graph_corpus(32, 3000)
+    want = [_states_not_reaching_all_by_search_per_state(p) for p in chains]
+    # and the reverse searches agree with the forward reach sets
+    assert want == [tuple(j for j in range(p.n)
+                          if any(j not in r for r in _reach_from_every_state(p)))
+                    for p in chains]
+    assert sum(0 < len(bad) < p.n for p, bad in zip(chains, want)) >= 300
+    assert sum(len(bad) == p.n for p, bad in zip(chains, want)) >= 300
+    assert [states_not_reaching_all(p) for p in chains] == want
+
+
+def _reducible_ring(n):
+    # the ring i -> i +- 1 with probability 1/2 each, state 0 absorbing
+    return chain_from_edge_list("0 0 1\n" + "".join(
+        f"{i} {(i + d) % n} 1/2\n" for i in range(1, n) for d in (1, -1)))
+
+
+def test_infeasible_singletons_of_a_reducible_ring_take_few_searches(monkeypatch):
+    p = _reducible_ring(2048)
+    calls = []
+    real = oracle._reachable
+
+    def counting(adjacent, starts):
+        calls.append(starts)
+        return real(adjacent, starts)
+
+    monkeypatch.setattr(oracle, "_reachable", counting)
+    assert states_not_reaching_all(p) == tuple(range(1, 2048))
+    assert len(calls) <= 4
+    calls.clear()
+    assert recurrent_classes(p) == RecurrentClasses(((0,),), tuple(range(1, 2048)))
+    assert len(calls) <= 4
+
+
+def test_no_targets_are_reached_by_no_state(fixture_a, r3):
+    for p in (fixture_a, r3, uniform_chain(1)):
+        assert states_not_reaching(p, ()) == tuple(range(p.n))
 
 
 # ---------------------------------------------------------------------------

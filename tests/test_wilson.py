@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from forestchain import (
     CycleWeights,
+    chain_from_edge_list,
     Ecrsf,
     EnumerationGuardError,
     InfeasibleRootSetError,
@@ -606,10 +607,69 @@ def test_cycle_weight_out_of_range_still_raises():
 
 def test_stepper_checks_every_row_at_build():
     p = chain([[F(1, 2), F(1, 2)], [0, 1]])
-    # a row that lost mass after validation: 1/2 + 1/4 over denominator 4
+    # a row that lost mass after validation: its one positive cell, state 1,
+    # now holds 1/4; the injected 1/2 lies outside the support, which is read
     object.__setattr__(p, "rows", ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))))
-    with pytest.raises(ValueError, match="row 1 mass 3 does not cover"):
+    with pytest.raises(ValueError,
+                       match="^row 1 mass 1 does not cover its denominator 4$"):
         _Stepper(p)
+
+
+def test_setup_reads_only_the_support_cells(monkeypatch):
+    # a ring of n states, two arcs each: building it, its scaled rows and
+    # its stepper read O(arcs) cells, where a dense scan reads n^2
+    n = 512
+    text = "".join(f"{i} {(i + d) % n} 1/2\n" for i in range(n) for d in (1, -1))
+    calls = []
+    real_bool, real_den = Fraction.__bool__, Fraction.denominator
+
+    def counting_bool(x):
+        calls.append(x)
+        return real_bool(x)
+
+    def counting_den(x):
+        calls.append(x)
+        return real_den.__get__(x)
+
+    monkeypatch.setattr(Fraction, "__bool__", counting_bool)
+    monkeypatch.setattr(Fraction, "denominator", property(counting_den))
+    wilson._scaled_rows.cache_clear()
+    p = chain_from_edge_list(text)
+    stepper = _Stepper(p)
+    arcs = 2 * n
+    assert len(calls) <= 6 * arcs
+    assert stepper.targets[0] == (1, n - 1) and stepper.cuts[0] == (1, 2)
+
+
+# a path 0 -> 1 -> 2 -> 3 into the root 3: every draw takes three steps
+PATH4 = chain([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]])
+
+
+def test_every_draw_stops_at_its_step_budget(monkeypatch):
+    cfg = SamplerConfig(seed=7, sample_count=5, alpha=CycleWeights.constant(0))
+    monkeypatch.setattr(wilson, "DRAW_STEP_BUDGET", 3)
+    # the budget is per draw: five draws of three steps each fit
+    assert len(sample_forests(PATH4, {3}, cfg)) == 5
+    assert len(sample_ecrsf(PATH4, {3}, cfg)) == 5
+    monkeypatch.setattr(wilson, "DRAW_STEP_BUDGET", 2)
+    for draw in (lambda: sample_forests(PATH4, {3}, cfg),
+                 lambda: sample_ecrsf(PATH4, {3}, cfg)):
+        with pytest.raises(wilson.DrawBudgetError,
+                           match="^a draw took more than 2 walk steps"):
+            draw()
+    assert issubclass(wilson.DrawBudgetError, ValueError)
+
+
+def test_a_draw_past_its_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(wilson, "DRAW_STEP_BUDGET", 10**4)
+    # state 0 stays put with probability 1 - 10^-12
+    sticky = chain([[F(999999999999, 10**12), F(1, 10**12)], [0, 1]])
+    with pytest.raises(wilson.DrawBudgetError):
+        wilson_tree(sticky, 1, SamplerConfig(seed=1))
+    # each closed cycle is kept with probability 10^-12
+    cfg = SamplerConfig(seed=1, alpha=CycleWeights.constant(F(1, 10**12)))
+    with pytest.raises(wilson.DrawBudgetError):
+        sample_ecrsf(chain([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]), (), cfg)
 
 
 # -- branch law --------------------------------------------------------------
