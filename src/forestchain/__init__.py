@@ -20,6 +20,7 @@ from .chains import (
     laplacian,
     parse_chain,
     parse_rational,
+    ratio,
     uniform_chain,
 )
 from .forests import (

@@ -3,8 +3,10 @@
 Transition matrices over exact rationals (``fractions.Fraction``), ingestion
 from matrix/edge-list documents, the Laplacian L = I - P that the forest
 identities are stated in, and each chain's rows scaled to integers, which
-both routes compute from. Everything here is immutable and arithmetic is
-never rounded.
+both routes compute from. Both routes carry their sums as integers over one
+denominator and build each value they return with ``ratio``, the one
+constructor of a Fraction from two ints. Everything here is immutable and
+arithmetic is never rounded.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -52,6 +54,31 @@ MAX_STATES = 2048
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
 
 
+_new_object = object.__new__
+
+
+def ratio(num: int, den: int) -> Fraction:
+    """num / den for ints: the Fraction that ``Fraction(num, den)`` builds,
+    reduced by one gcd with the sign on the numerator; a zero denominator
+    raises ZeroDivisionError.
+
+    Every value either route returns is built here. ``Fraction.__new__``
+    runs Python code around that one gcd to dispatch on its arguments'
+    types, so the reduced pair is written straight into ``_numerator`` and
+    ``_denominator``, the two slots Fraction declares on every supported
+    interpreter (3.10 to 3.13).
+    """
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    q = _new_object(Fraction)
+    q._numerator = num // g
+    q._denominator = den // g
+    return q
+
+
 def _read_int(text: str) -> int:
     """int(text), with the interpreter's refusal as a parse error: a digit
     that int() does not read ("²"), or more digits than its limit."""
@@ -74,7 +101,7 @@ def parse_rational(text: str | int) -> Fraction:
     den = _read_int(m.group(2))
     if den == 0:
         raise ChainParseError(f"zero denominator in rational literal {text!r}")
-    return Fraction(num, den)
+    return ratio(num, den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -101,7 +128,7 @@ def _check_row(i: int, cells: Iterable[tuple[int, Fraction]]) -> None:
         total += x.numerator * (d // x.denominator)
     if total != d:
         raise ChainParseError(
-            f"row {i} sums to {format_rational(Fraction(total, d))}")
+            f"row {i} sums to {format_rational(ratio(total, d))}")
 
 
 class FrozenValue:
@@ -352,7 +379,7 @@ def uniform_chain(n: int) -> TransitionMatrix:
     """Every entry 1/n, self-loops included."""
     if n < 1:
         raise ValueError("need at least one state")
-    row = tuple(Fraction(1, n) for _ in range(n))
+    row = tuple(ratio(1, n) for _ in range(n))
     return TransitionMatrix(tuple(row for _ in range(n)))
 
 
@@ -393,9 +420,10 @@ def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> froz
 
 
 def laplacian(p: TransitionMatrix) -> Matrix:
-    """L = I - P."""
-    n = p.n
+    """L = I - P, each cell (dens_i delta_ij - nums_ij) / dens_i from the
+    scaled rows."""
+    nums, dens = scaled_rows(p)
     return tuple(
-        tuple((1 if i == j else 0) - p.rows[i][j] for j in range(n))
-        for i in range(n))
+        tuple([ratio((d if i == j else 0) - x, d) for j, x in enumerate(row)])
+        for i, (row, d) in enumerate(zip(nums, dens)))
 

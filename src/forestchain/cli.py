@@ -29,6 +29,7 @@ from .chains import (
     format_rational,
     parse_chain,
     parse_rational,
+    ratio,
 )
 from .forests import (
     DEFAULT_GUARD,
@@ -194,8 +195,8 @@ def _rooted_forest_count(n: int, k: int, guard: int) -> int:
     merged, that steps from a free state to each other one with probability
     1/(n - 1) and to b with probability k/(n - 1)."""
     free = n - k
-    rows = [[Fraction(int(j != i), n - 1) for j in range(free)]
-            + [Fraction(k, n - 1)] for i in range(free)] + [[0] * free + [1]]
+    rows = [[ratio(int(j != i), n - 1) for j in range(free)]
+            + [ratio(k, n - 1)] for i in range(free)] + [[0] * free + [1]]
     return int(w_sum(TransitionMatrix(rows), (free,), guard) * (n - 1) ** free)
 
 

@@ -70,7 +70,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .chains import (
@@ -79,6 +79,7 @@ from .chains import (
     TransitionMatrix,
     check_roots,
     format_rational,
+    ratio,
     scaled_rows,
 )
 
@@ -430,6 +431,14 @@ def _weighted(p: TransitionMatrix, roots: frozenset[int],
             yield succ, root_of, cycles, w
 
 
+def _over_common_denominator(weights: Sequence[int | Fraction]
+                             ) -> tuple[list[int], int]:
+    """(integers, d): ``_weighted``'s weights, which alpha makes Fractions,
+    times their least common denominator d."""
+    d = lcm(*[w.denominator for w in weights])
+    return [w.numerator * (d // w.denominator) for w in weights], d
+
+
 def enumerate_forests(n: int, roots: Iterable[int],
                       guard: int = DEFAULT_GUARD) -> Iterator[RootedForest]:
     """Yield every spanning forest whose root set is exactly ``roots``.
@@ -484,7 +493,7 @@ def forest_weight(f: RootedForest, p: TransitionMatrix) -> Fraction:
     """P-weight: product of p(v, parent(v)) over non-roots; empty product is 1."""
     if f.n != p.n:
         raise ValueError("forest and chain sizes differ")
-    return Fraction(*_edge_product(f.edges(), p))
+    return ratio(*_edge_product(f.edges(), p))
 
 
 def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction:
@@ -498,7 +507,7 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
         bias = alpha.weight(cyc)
         num *= bias.numerator
         den *= bias.denominator
-    return Fraction(num, den)
+    return ratio(num, den)
 
 
 # Cache bounds. The tree sums keep two chains, so that a sub-chain read in
@@ -938,7 +947,7 @@ def w_sum(p: TransitionMatrix, roots: Iterable[int],
     rs = check_roots(p.n, roots)
     _check_guard(p.n - len(rs), guard)
     sums = _layer_sums(p)
-    return Fraction(sums.weight(rs), sums.denom)
+    return ratio(sums.weight(rs), sums.denom)
 
 
 def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -958,7 +967,7 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
         x = 0
     else:
         x = got.hit[got.interior.index(i)][sorted(rs).index(j)]
-    return Fraction(x, got.denom)
+    return ratio(x, got.denom)
 
 
 class ForestSums(NamedTuple):
@@ -979,8 +988,8 @@ def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     sums = _layer_sums(p)
     weights = sums.trees()
     denom = sums.denom
-    return ForestSums(tuple([Fraction(w, denom) for w in weights]),
-                      Fraction(sum(weights), denom))
+    return ForestSums(tuple([ratio(w, denom) for w in weights]),
+                      ratio(sum(weights), denom))
 
 
 def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction:
@@ -991,10 +1000,10 @@ def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction
     _check_guard(p.n - r, guard)
     sums = _layer_sums(p)
     if r == 1:
-        return Fraction(sum(sums.trees()), sums.denom)
-    return Fraction(sum([sums.weight(frozenset(rs))
-                         for rs in itertools.combinations(range(p.n), r)]),
-                    sums.denom)
+        return ratio(sum(sums.trees()), sums.denom)
+    return ratio(sum([sums.weight(frozenset(rs))
+                      for rs in itertools.combinations(range(p.n), r)]),
+                 sums.denom)
 
 
 def sigma_pair(p: TransitionMatrix, i: int, j: int,
@@ -1017,7 +1026,7 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
         raise ValueError(f"states ({i},{j}) out of range")
     if method == "two-forest":
         got = two_tree_sums(p, guard)
-        return Fraction(got.sigma[i][j], got.denom)
+        return ratio(got.sigma[i][j], got.denom)
     if method != "tree-deletion":
         raise ValueError(f"unknown method {method!r}")
     _check_guard(p.n - 1, guard)
@@ -1063,7 +1072,7 @@ def _tree_deletion_row(p: TransitionMatrix, j: int):
             if k >= 0:
                 row[i] += share[k]
     denom = prod(dens[v] for v in free)
-    return tuple(Fraction(x, denom) for x in row)
+    return tuple(ratio(x, denom) for x in row)
 
 
 def last_exit_state(t: RootedForest, i: int) -> int:
@@ -1092,15 +1101,16 @@ def w_ec_sums(p: TransitionMatrix, alpha: CycleWeights,
     groups: dict = {}
     for _succ, root_of, _cycles, w in _weighted(p, rs, alpha):
         groups[root_of] = groups.get(root_of, 0) + w
+    weights, scale = _over_common_denominator(list(groups.values()))
     table: dict = {}
-    for root_of, w in groups.items():
+    for root_of, w in zip(groups, weights):
         for i, r in enumerate(root_of):
             if r >= 0:
                 table[(i, r)] = table.get((i, r), 0) + w
     dens = scaled_rows(p)[1]
-    denom = prod(dens[v] for v in range(p.n) if v not in rs)
-    return (Fraction(sum(groups.values()), denom),
-            {k: Fraction(w, denom) for k, w in table.items()})
+    denom = scale * prod(dens[v] for v in range(p.n) if v not in rs)
+    return (ratio(sum(weights), denom),
+            {k: ratio(w, denom) for k, w in table.items()})
 
 
 def exact_law(p: TransitionMatrix, roots: Iterable[int],
@@ -1117,11 +1127,13 @@ def exact_law(p: TransitionMatrix, roots: Iterable[int],
     rs = check_roots(p.n, roots, allow_empty=alpha is not None)
     _check_guard(p.n - len(rs), guard)
     cls = RootedForest if alpha is None else Ecrsf
-    weighted = []
+    configs, weights = [], []
     for succ, root_of, cycles, w in _weighted(p, rs, alpha):
-        weighted.append((cls._trusted(p.n, rs, tuple(succ), root_of, cycles), w))
-    total = sum(w for _f, w in weighted)
+        configs.append(cls._trusted(p.n, rs, tuple(succ), root_of, cycles))
+        weights.append(w)
+    weights = _over_common_denominator(weights)[0]
+    total = sum(weights)
     if not total:
         raise InfeasibleRootSetError(
             f"root set {sorted(rs)} has zero total weight")
-    return {f: Fraction(w, total) for f, w in weighted}
+    return {f: ratio(w, total) for f, w in zip(configs, weights)}

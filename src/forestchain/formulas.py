@@ -12,7 +12,8 @@ record per root set R, holding its Green numerators, its hitting
 numerators and w(R) (``forests.root_set_sums``), and the one- and two-tree
 sums (``forests.two_tree_sums``). Every quantity here is a ratio of such
 sums, so each output value is a single Fraction of two of those integers,
-with no rescaling.
+with no rescaling, built by ``chains.ratio``: the one place a result value
+of either route is built, with one gcd.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .chains import (
     ReducibleChainError,
     TransitionMatrix,
     laplacian,
+    ratio,
 )
 from .forests import (
     DEFAULT_GUARD,
@@ -66,7 +68,7 @@ def stationary(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> tuple[Fractio
     """pi_j = Sigma_j / Sigma^(1) for an irreducible chain."""
     oracle.require_irreducible(p)
     sums = two_tree_sums(p, guard)
-    return tuple(Fraction(t, sums.total) for t in sums.trees)
+    return tuple(ratio(t, sums.total) for t in sums.trees)
 
 
 def mean_return_time(p: TransitionMatrix, j: int,
@@ -75,7 +77,7 @@ def mean_return_time(p: TransitionMatrix, j: int,
     oracle.require_irreducible(p)
     _check_state(p, j)
     sums = two_tree_sums(p, guard)
-    return Fraction(sums.total, sums.trees[j])
+    return ratio(sums.total, sums.trees[j])
 
 
 def mfpt(p: TransitionMatrix, i: int, j: int,
@@ -92,14 +94,14 @@ def mfpt(p: TransitionMatrix, i: int, j: int,
     oracle.require_irreducible(p)
     _check_pair(p, i, j)
     sums = two_tree_sums(p, guard)
-    return Fraction(sums.sigma[i][j], sums.trees[j])
+    return ratio(sums.sigma[i][j], sums.trees[j])
 
 
 def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:
     """K = 1 + Sigma^(2) / Sigma^(1), independent of the start state."""
     oracle.require_irreducible(p)
     sums = two_tree_sums(p, guard)
-    return Fraction(sums.total + sums.pairs, sums.total)
+    return ratio(sums.total + sums.pairs, sums.total)
 
 
 def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
@@ -114,7 +116,7 @@ def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
     check_roots(p.n, rs | {j})
     got = _weight(p, rs, guard)
     at = got.interior.index
-    return Fraction(got.green[at(i)][at(j)], got.weight)
+    return ratio(got.green[at(i)][at(j)], got.weight)
 
 
 def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
@@ -126,7 +128,7 @@ def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
     check_roots(p.n, rs)
     _check_state(p, i)
     got = _weight(p, rs, guard)
-    return Fraction(sum(got.green[got.interior.index(i)]), got.weight)
+    return ratio(sum(got.green[got.interior.index(i)]), got.weight)
 
 
 def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
@@ -138,7 +140,7 @@ def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
         return tuple(Fraction(1 if j == i else 0) for j in rs)
     _check_state(p, i)
     got = _weight(p, rs, guard)
-    return tuple(Fraction(x, got.weight)
+    return tuple(ratio(x, got.weight)
                  for x in got.hit[got.interior.index(i)])
 
 
@@ -181,7 +183,7 @@ def cesaro_forest_matrix(p: TransitionMatrix,
         for i, row in zip(got.interior, got.hit):
             for b, x in zip(roots, row):
                 out[i][b] += x
-    return tuple(tuple(Fraction(x, total) for x in row) for row in out)
+    return tuple(tuple(ratio(x, total) for x in row) for row in out)
 
 
 def chung_occupation(p: TransitionMatrix, i: int, j: int, k: int,
@@ -200,7 +202,7 @@ def chung_occupation(p: TransitionMatrix, i: int, j: int, k: int,
     _check_pair(p, k, j)
     s, trees = sums.sigma, sums.trees
     num = s[i][k] * trees[j] + (s[k][j] - s[i][j]) * trees[k]
-    return Fraction(num, sums.total * trees[k])
+    return ratio(num, sums.total * trees[k])
 
 
 def ecrsf_stopped_distribution(
@@ -301,13 +303,13 @@ def analyze(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ChainAnalysis:
     # from a guessed size and shrinks it, and each such call strands one
     # freed tuple on a per-size free list; those fill up (about 1 MB more
     # resident memory after 600 n = 7 chains through analyze and absorption)
-    pi = tuple([Fraction(t, total) for t in trees])
+    pi = tuple([ratio(t, total) for t in trees])
     mfpt = tuple([
-        tuple([Fraction(total, trees[j]) if i == j
-               else Fraction(sigma[i][j], trees[j])
+        tuple([ratio(total, trees[j]) if i == j
+               else ratio(sigma[i][j], trees[j])
                for j in range(n)])
         for i in range(n)])
-    return ChainAnalysis(pi, mfpt, Fraction(total + sums.pairs, total))
+    return ChainAnalysis(pi, mfpt, ratio(total + sums.pairs, total))
 
 
 class AbsorptionAnalysis(NamedTuple):
@@ -327,9 +329,9 @@ def absorption(p: TransitionMatrix, roots: Iterable[int],
     got = _weight(p, rs, guard)
     w = got.weight
     # G_ij = w_ij(R ∪ {j}) / w(R) and h_ib = w_ib(R) / w(R)
-    green = tuple([tuple([Fraction(x, w) for x in row]) for row in got.green])
-    hit = tuple([tuple([Fraction(x, w) for x in row]) for row in got.hit])
-    mean_hit = tuple([Fraction(sum(row), w) for row in got.green])
+    green = tuple([tuple([ratio(x, w) for x in row]) for row in got.green])
+    hit = tuple([tuple([ratio(x, w) for x in row]) for row in got.hit])
+    mean_hit = tuple([ratio(sum(row), w) for row in got.green])
     return AbsorptionAnalysis(tuple(rs), got.interior, green, hit, mean_hit)
 
 
@@ -362,4 +364,4 @@ def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,
     # reads, so that the two sides of this identity come from different sums
     trees = two_tree_sums(sub, guard).trees
     tj = trees[pos[j]]
-    return Fraction(sum(trees) - tj, tj)
+    return ratio(sum(trees) - tj, tj)

@@ -7,13 +7,15 @@ fundamental matrix, two float checks (the Cesaro average and the trace-power
 series for the tree-sum total) and the undirected counting identities
 (Temperley shift, principal-minor sum, complete prism). Graph-side
 structure (reachability, recurrent classes, periodicity) also lives here so
-that every consumer shares one certified decomposition.
+that every consumer shares one certified decomposition; the recurrent
+classes come from one strongly-connected-components pass.
 
 The chain and root-set solves take I - P with each row i scaled by its
 denominator dens_i (``chains.scaled_rows``), so their systems are integer
 from the start: dens_i delta_ij - num_ij on the left, and dens_i e_i or
 num_ib on the right. Each solution entry is then one Fraction of two
-integers.
+integers, built by ``chains.ratio``: the one place a result value of either
+route is built, with one gcd.
 
 The chain system G = (I - P + 1 e^T)^{-1}, e the last state's unit vector,
 is eliminated once per chain and kept. pi is G's last row, and G differs
@@ -48,6 +50,7 @@ from .chains import (
     ReducibleChainError,
     TransitionMatrix,
     check_roots,
+    ratio,
     scaled_rows,
 )
 
@@ -119,7 +122,7 @@ def exact_det(m: Sequence[Sequence[Fraction | int]]) -> Fraction:
         raise ValueError("matrix is not square")
     cleared, scale = _integer_rows(rows)
     try:
-        return Fraction(_eliminate(cleared), scale)
+        return ratio(_eliminate(cleared), scale)
     except SingularMatrixError:
         return Fraction(0)
 
@@ -230,24 +233,56 @@ class RecurrentClasses(NamedTuple):
 
 
 def recurrent_classes(p: TransitionMatrix) -> RecurrentClasses:
-    """Recurrent classes = closed strongly connected components. A state is
-    recurrent when all it reaches reaches it back, its class being what it
-    reaches, and a state reaching a transient one is transient: two
-    searches per class and per group of transient states."""
-    support, rev = p.support(), _reversed_support(p)
-    decided: set[int] = set()
+    """Recurrent classes = closed strongly connected components, found in
+    one pass of Tarjan's search over the support, iterative, so a path of
+    any length costs no recursion. A component is a class when no arc
+    leaves it; every other state is transient."""
+    support = p.support()
+    n = p.n
+    order = [-1] * n      # discovery index, -1 while unvisited
+    low = [0] * n         # least index reachable through the search tree
+    component = [-1] * n  # component number once the state's is complete
+    stack: list[int] = []
     classes = []
-    transient: set[int] = set()
-    for i in range(p.n):
-        if i in decided:
+    transient = []
+    count = components = 0
+    for start in range(n):
+        if order[start] >= 0:
             continue
-        reach, back = _reachable(support, (i,)), _reachable(rev, (i,))
-        if reach <= back:
-            classes.append(tuple(sorted(reach)))
-            decided |= reach
-        else:
-            transient |= back
-            decided |= back
+        order[start] = low[start] = count
+        count += 1
+        stack.append(start)
+        path = [(start, iter(support[start]))]
+        while path:
+            v, arcs = path[-1]
+            for u in arcs:
+                if order[u] < 0:
+                    order[u] = low[u] = count
+                    count += 1
+                    stack.append(u)
+                    path.append((u, iter(support[u])))
+                    break
+                if component[u] < 0 and order[u] < low[v]:
+                    low[v] = order[u]  # u is on the stack
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = []
+                    u = -1
+                    while u != v:
+                        u = stack.pop()
+                        component[u] = components
+                        members.append(u)
+                    # every arc out of the component leads to a complete one
+                    if all(component[u] == components
+                           for w in members for u in support[w]):
+                        classes.append(tuple(sorted(members)))
+                    else:
+                        transient.extend(members)
+                    components += 1
+    classes.sort()
     return RecurrentClasses(tuple(classes), tuple(sorted(transient)))
 
 
@@ -317,7 +352,7 @@ def _chain_solve(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]
 def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
     """Exact solution of pi P = pi, sum(pi) = 1: the last row of G."""
     g, d = _chain_solve(p)
-    return tuple(Fraction(x, d) for x in g[-1])
+    return tuple(ratio(x, d) for x in g[-1])
 
 
 @lru_cache(maxsize=_ROOT_SET_STORE_CHAINS)
@@ -404,14 +439,14 @@ def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """L(R)^{-1}, rows and columns indexed by sorted(S \\ R)."""
     x, d = _root_set_solve(p, check_roots(p.n, roots, allow_empty=True))
     f = len(x)
-    return tuple([tuple([Fraction(v, d) for v in row[:f]]) for row in x])
+    return tuple([tuple([ratio(v, d) for v in row[:f]]) for row in x])
 
 
 def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """Hitting matrix rows sorted(S \\ R) by columns sorted(R), exact."""
     x, d = _root_set_solve(p, check_roots(p.n, roots, allow_empty=True))
     f = len(x)
-    return tuple([tuple([Fraction(v, d) for v in row[f:]]) for row in x])
+    return tuple([tuple([ratio(v, d) for v in row[f:]]) for row in x])
 
 
 def mfpt_solve(p: TransitionMatrix) -> Matrix:
@@ -422,7 +457,7 @@ def mfpt_solve(p: TransitionMatrix) -> Matrix:
     # with d G in integers, pi_j = x_j / d for x = d G's last row
     last = g[-1]
     return tuple(
-        tuple(Fraction(d, x) if i == j else Fraction(g[j][j] - gij, x)
+        tuple(ratio(d, x) if i == j else ratio(g[j][j] - gij, x)
               for j, (gij, x) in enumerate(zip(row, last)))
         for i, row in enumerate(g))
 
@@ -435,7 +470,7 @@ def fundamental_matrix(p: TransitionMatrix) -> Matrix:
     # d^2 w_j = sum_k (d pi_k) (d g_kj) - d (d pi_j)
     w = [sum(a * b for a, b in zip(last, col)) - d * t
          for col, t in zip(zip(*g), last)]
-    return tuple(tuple(Fraction(d * x - wj, d * d) for x, wj in zip(row, w))
+    return tuple(tuple(ratio(d * x - wj, d * d) for x, wj in zip(row, w))
                  for row in g)
 
 
@@ -443,7 +478,7 @@ def kemeny_trace(p: TransitionMatrix) -> Fraction:
     """Trace of the fundamental matrix, which equals tr G: the integer
     diagonal of d G over d."""
     g, d = _chain_solve(p)
-    return Fraction(sum(row[i] for i, row in enumerate(g)), d)
+    return ratio(sum(row[i] for i, row in enumerate(g)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +623,7 @@ def prism_tree_count(n: int, m: int) -> int:
     if n * m > MAX_STATES:
         raise ValueError(f"complete prism of {n * m} vertices exceeds the "
                          f"limit of {MAX_STATES} states")
-    x2 = Fraction(n + 4, 4)
+    x2 = ratio(n + 4, 4)
     (a0, b0), (a, b) = (1, 0), (0, 2)  # U_0 = 1, U_1 = 2x
     for _ in range(m - 2):  # U_{k+1} = 2x U_k - U_{k-1}
         (a0, b0), (a, b) = (a, b), (2 * b * x2 - a0, 2 * a - b0)

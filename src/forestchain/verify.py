@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import chains, forests, formulas, oracle, wilson
-from .chains import TransitionMatrix, format_rational, uniform_chain
+from .chains import TransitionMatrix, format_rational, ratio, uniform_chain
 
 DEFAULT_SEED = wilson.DEFAULT_SEED
 
@@ -73,7 +73,7 @@ def random_chain(rng: random.Random, n: int) -> TransitionMatrix:
         if not any(kept):
             kept[rng.randrange(n)] = rng.randint(1, 9)
         total = sum(kept)
-        rows.append(tuple(Fraction(w, total) for w in kept))
+        rows.append(tuple(ratio(w, total) for w in kept))
     return TransitionMatrix(tuple(rows))
 
 
@@ -182,7 +182,7 @@ def _green(trials: int, max_n: int, seed: int, guard: int) -> _Checks:
     u6 = uniform_chain(6)
     g = formulas.absorption(u6, {0, 1}, guard).green
     want = tuple(
-        tuple(Fraction(3, 2) if a == b else Fraction(1, 2) for b in range(4))
+        tuple(ratio(3, 2) if a == b else ratio(1, 2) for b in range(4))
         for a in range(4))
     agree = g == want and g == oracle.green_matrix_solve(u6, {0, 1})
     yield u6, None if agree else "uniform 6-state Green matrix mismatch"

@@ -1,13 +1,15 @@
+import ast
+import itertools
 import json
 import pickle
 import random
 import re
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from forestchain import (
     ChainParseError,
@@ -18,10 +20,11 @@ from forestchain import (
     laplacian,
     parse_chain,
     parse_rational,
+    ratio,
     sigma_sums,
     uniform_chain,
 )
-from forestchain import chains, forests
+from forestchain import chains, cli, forests, formulas, oracle, verify, wilson
 from forestchain.chains import MAX_STATES
 from forestchain.verify import random_chain
 
@@ -41,6 +44,86 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises((ChainParseError, TypeError)):
         parse_rational(bad)
+
+
+# signed integers of up to about 300 digits, and small ones, which meet
+# zero, units and shared factors more often
+_BIG = st.one_of(st.integers(min_value=-10**300, max_value=10**300),
+                 st.integers(min_value=-10**6, max_value=10**6))
+
+
+@given(_BIG, _BIG.filter(bool))
+@example(0, -7)
+@example(6, -8)
+@example(-6, -8)
+@example(5, 1)
+def test_ratio_builds_the_fraction_the_standard_library_builds(a, b):
+    # both routes build every value they return with ratio, so the
+    # comparison of the routes cannot see a fault in it; this test can
+    got, want = ratio(a, b), Fraction(a, b)
+    assert type(got) is Fraction
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    loaded = pickle.loads(pickle.dumps(got))
+    assert type(loaded) is Fraction
+    assert (loaded.numerator, loaded.denominator) == (want.numerator,
+                                                      want.denominator)
+
+
+@given(st.integers(min_value=-10**300, max_value=10**300))
+def test_ratio_refuses_a_zero_denominator(a):
+    with pytest.raises(ZeroDivisionError):
+        ratio(a, 0)
+
+
+def _lowest_terms(values):
+    for q in values:
+        if isinstance(q, tuple):
+            yield from _lowest_terms(q)
+        else:
+            yield (type(q) is Fraction and q.denominator > 0
+                   and gcd(q.numerator, q.denominator) == 1)
+
+
+def test_every_result_of_both_routes_is_in_lowest_terms():
+    rng = random.Random(1069)
+    checked = 0
+    for t in range(120):
+        n = 2 + t % 5
+        p = random_chain(rng, n)
+        results = []
+        if oracle.irreducibility_certificate(p) is None:
+            results += [formulas.analyze(p), oracle.stationary_solve(p),
+                        oracle.mfpt_solve(p), oracle.fundamental_matrix(p),
+                        (oracle.kemeny_trace(p),)]
+        for r in range(1, n):
+            for rs in itertools.combinations(range(n), r):
+                if not forests.root_set_sums(p, rs).weight:
+                    continue
+                ab = formulas.absorption(p, rs)
+                results += [(forests.w_sum(p, rs),), ab.green, ab.hit,
+                            ab.mean_hit, oracle.green_matrix_solve(p, rs),
+                            oracle.hitting_solve(p, rs)]
+        flags = list(_lowest_terms(tuple(results)))
+        assert all(flags)
+        checked += len(flags)
+    assert checked > 10_000
+
+
+def test_no_fraction_in_the_package_is_built_from_two_arguments():
+    # ratio is the one constructor of a Fraction from two ints
+    for module in (chains, forests, formulas, oracle, cli, verify, wilson):
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        calls = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "Fraction"
+                 and (len(node.args) > 1
+                      or any(isinstance(a, ast.Starred) for a in node.args))]
+        assert calls == [], module.__name__
 
 
 def test_format_rational_omits_unit_denominator():
