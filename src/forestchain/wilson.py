@@ -16,24 +16,29 @@ freedom).
 
 Randomness contract: every draw starts from a generator seeded with its
 own seed, which is cfg.seed for the single-draw samplers; batch samplers
-derive one child seed per sample index with a splitmix64 mix, so draw k of
-a batch is the single draw at that child seed. A batch keeps one
-``random.Random`` and seeds it again before each draw, which puts it in the
-state a new ``random.Random(seed)`` starts in. Identical config, identical
-stream, on any platform (the Mersenne Twister sequence for an integer seed
-is pinned by CPython). Each walk step and each cycle coin takes a uniform
-integer below a denominator d by calling ``getrandbits(d.bit_length())``
-until the value is below d, which consumes the generator exactly as
-``randrange(d)`` does; a walk step reads its target off a cell table and
-bisects the row's thresholds only in cells that straddle one. Batches
-check the chain and build the walk tables once, from the chain's support
-alone, and a cycle-rooted batch asks the cycle weights for each distinct
-cycle once.
+derive one child seed per sample index with a splitmix64 mix, as each draw
+starts, so draw k of a batch is the single draw at that child seed. A batch
+keeps one ``random.Random`` and seeds it again before each draw through the
+seed method of its C base class, which puts it in the state a new
+``random.Random(seed)`` starts in (on an int seed the Python wrapper only
+adds a type check and a reset of the Gaussian cache). Identical config,
+identical stream, on any platform (the Mersenne Twister sequence for an
+integer seed is pinned by CPython). Each walk step and each cycle coin
+takes a uniform integer below a denominator d by calling
+``getrandbits(d.bit_length())`` until the value is below d, which consumes
+the generator exactly as ``randrange(d)`` does; a walk step reads its
+target off a cell table and bisects the row's thresholds only in cells
+that straddle one. Batches check the chain and build the walk tables
+once, from the chain's support alone, and a cycle-rooted batch asks the
+cycle weights for each distinct cycle once. Equal draws of one batch may
+be one object: each distinct configuration is built once per batch, and
+configurations are immutable.
 
 Every draw ends: one that takes more than ``DRAW_STEP_BUDGET`` walk steps
 raises ``DrawBudgetError``, a ``ValueError``, and the batch returns no
-draw. The count consumes no randomness, so a batch whose draws stay within
-the budget keeps its stream.
+draw. Every walk step counts, one that stays put included; the redraws of
+a rejected value and the cycle coins do not. The count consumes no
+randomness, so a batch whose draws stay within the budget keeps its stream.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import oracle
@@ -133,6 +139,11 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _batch_seeds(cfg: SamplerConfig) -> Iterable[int]:
+    """The batch's child seeds, each derived as its draw starts."""
+    return map(derive_seed, repeat(cfg.seed), range(cfg.sample_count))
+
+
 def loop_erase(path: PathTrace | Sequence[int]) -> PathTrace:
     """Chronological loop erasure: each revisit pops back to the first visit."""
     states = path.states if isinstance(path, PathTrace) else tuple(path)
@@ -158,22 +169,24 @@ class _Stepper:
     dens[i], become cumulative thresholds ``cuts[i]`` leading to the states
     ``targets[i]``. A uniform x in [0, dens[i]) steps to the target of the
     first threshold above x. The draws take x inline, as ``randrange`` does:
-    ``getrandbits(bits[i])`` with bits[i] = dens[i].bit_length(), drawn again
+    ``getrandbits(bits)`` with bits = dens[i].bit_length(), drawn again
     while it is at least dens[i].
 
-    The top bits of x pick a cell of ``cells[i]`` (the guide table of Chen
-    and Asau, 1974): cell c covers [c << shifts[i], (c + 1) << shifts[i]).
-    It holds the target when every x in it steps there, -1 when every x in
-    it is drawn again, and -2 when it straddles a threshold or dens[i]; then
-    x itself decides, drawn again at or above dens[i] and otherwise bisected
-    into ``cuts[i]``. So every attempt takes one ``getrandbits(bits[i])``,
-    as without the table. A row of k positive entries has 2^width cells,
-    width = min(bits[i], bit_length(k - 1) + 4): at most 32 per entry.
+    ``rows[i]`` is ``(bits, shift, cells)``, all that a step from i reads
+    outside a straddling cell, in one tuple. The top bits of x pick a cell
+    of ``cells`` (the guide table of Chen and Asau, 1974): cell c covers
+    [c << shift, (c + 1) << shift). It holds the target when every x in it
+    steps there, -1 when every x in it is drawn again, and -2 when it
+    straddles a threshold or dens[i]; then x itself decides, drawn again at
+    or above dens[i] and otherwise bisected into ``cuts[i]``. So every
+    attempt takes one ``getrandbits(bits)``, as without the table. A row of
+    k positive entries has 2^width cells, width = min(bits,
+    bit_length(k - 1) + 4): at most 32 per entry.
     """
 
     def __init__(self, p: TransitionMatrix):
         nums, dens = _scaled_rows(p)
-        cuts, shifts, cells = [], [], []
+        cuts, rows = [], []
         for i, (row, row_targets, den) in enumerate(
                 zip(nums, p.support(), dens)):
             acc = 0
@@ -201,14 +214,11 @@ class _Stepper:
                 row_cells += [target] * count
                 lo = cut
             cuts.append(tuple(row_cuts))
-            shifts.append(shift)
-            cells.append(tuple(row_cells))
+            rows.append((bits, shift, tuple(row_cells)))
         self.dens = dens
-        self.bits = tuple(den.bit_length() for den in dens)
         self.cuts = tuple(cuts)
         self.targets = p.support()
-        self.shifts = tuple(shifts)
-        self.cells = tuple(cells)
+        self.rows = tuple(rows)
 
 
 def _site_order(n: int, site_order: Sequence[int] | None) -> tuple[int, ...]:
@@ -238,44 +248,61 @@ def _draw_forest(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
 
     Each walk keeps only the last exit from every state it visits; the
     branch from ``start`` along those pointers is the walk's loop erasure.
-    ``root_of`` is -1 until a state is settled.
+    A step that stays at v writes nothing, since v's last exit comes later.
+    ``root_of`` is -1 until a state is settled. Equal draws share one forest.
     """
     rng = random.Random()
-    reseed, getrandbits = rng.seed, rng.getrandbits
-    bits, shifts, cells = stepper.bits, stepper.shifts, stepper.cells
-    dens, cuts, targets = stepper.dens, stepper.cuts, stepper.targets
+    # the C seed under random.Random.seed, which on an int seed only adds a
+    # type check and a reset of gauss_next: the same generator state
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    rows, dens = stepper.rows, stepper.dens
+    cuts, targets = stepper.cuts, stepper.targets
     n = len(order)
     unsettled = [-1] * n
     for r in rs:
         unsettled[r] = r
+    built: dict[tuple[int, ...], RootedForest] = {}
     draws = []
     for seed in seeds:
         reseed(seed)
-        budget = DRAW_STEP_BUDGET
+        # one item per walk step: the else clause of a walk's loop is the
+        # budget running out
+        steps = iter(range(DRAW_STEP_BUDGET))
         parent = [-1] * n
         root_of = unsettled.copy()
         for start in order:
+            if root_of[start] >= 0:
+                continue
             v = start
-            while root_of[v] < 0:
-                if not budget:
-                    raise _over_budget()
-                budget -= 1
-                x = getrandbits(bits[v])
-                u = cells[v][x >> shifts[v]]
+            bits, shift, cells = rows[v]
+            for _ in steps:
+                x = getrandbits(bits)
+                u = cells[x >> shift]
                 while u < 0:
                     if u == -2 and x < dens[v]:
                         u = targets[v][bisect_right(cuts[v], x)]
                         break
-                    x = getrandbits(bits[v])
-                    u = cells[v][x >> shifts[v]]
+                    x = getrandbits(bits)
+                    u = cells[x >> shift]
+                if u == v:
+                    continue
                 # assigned left to right: the old v's parent, then v
                 parent[v] = v = u
+                if root_of[v] >= 0:
+                    break
+                bits, shift, cells = rows[v]
+            else:
+                raise _over_budget()
             r = root_of[v]
             v = start
             while root_of[v] < 0:
                 root_of[v] = r
                 v = parent[v]
-        draws.append(_trusted_forest(n, rs, tuple(parent), tuple(root_of)))
+        key = tuple(parent)
+        forest = built.get(key)
+        if forest is None:
+            forest = built[key] = _trusted_forest(n, rs, key, tuple(root_of))
+        draws.append(forest)
     return draws
 
 
@@ -311,7 +338,7 @@ def sample_forests(p: TransitionMatrix, roots: Iterable[int],
     checks and the stepper are set up once for the whole batch.
     """
     return _draw_forest(*_forest_setup(p, roots, site_order),
-                        [derive_seed(cfg.seed, k) for k in range(cfg.sample_count)])
+                        _batch_seeds(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +429,24 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
     generator.
 
     ``root_of`` is -2 until a state is settled and -1 once it drains into
-    a kept cycle; ``kept`` collects each kept cycle's canonical rotation.
+    a kept cycle; ``kept`` collects each kept cycle's canonical rotation. A
+    step that stays at v closes a cycle of length 1 and tosses its coin.
+    Equal draws share one configuration.
     """
     rng = random.Random()
-    reseed, getrandbits = rng.seed, rng.getrandbits
-    bits, shifts, cells = stepper.bits, stepper.shifts, stepper.cells
-    dens, cuts, targets = stepper.dens, stepper.cuts, stepper.targets
+    # the C seed, as in _draw_forest
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    rows, dens = stepper.rows, stepper.dens
+    cuts, targets = stepper.cuts, stepper.targets
     n = len(order)
     unsettled = [-2] * n
     for r in rs:
         unsettled[r] = r
+    built: dict[tuple[int, ...], Ecrsf] = {}
     draws = []
     for seed in seeds:
         reseed(seed)
-        budget = DRAW_STEP_BUDGET
+        steps = iter(range(DRAW_STEP_BUDGET))
         succ = [-1] * n
         root_of = unsettled.copy()
         kept = []
@@ -425,18 +456,16 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
             path = [start]
             pos = {start: 0}
             v = start
-            while True:
-                if not budget:
-                    raise _over_budget()
-                budget -= 1
-                x = getrandbits(bits[v])
-                u = cells[v][x >> shifts[v]]
+            for _ in steps:
+                bits, shift, cells = rows[v]
+                x = getrandbits(bits)
+                u = cells[x >> shift]
                 while u < 0:
                     if u == -2 and x < dens[v]:
                         u = targets[v][bisect_right(cuts[v], x)]
                         break
-                    x = getrandbits(bits[v])
-                    u = cells[v][x >> shifts[v]]
+                    x = getrandbits(bits)
+                    u = cells[x >> shift]
                 v = u
                 r = root_of[v]
                 if r > -2:
@@ -456,14 +485,20 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
                     continue
                 pos[v] = len(path)
                 path.append(v)
+            else:
+                raise _over_budget()
             # settle the branch: it ends in v, a settled state or its own cycle
             for a, b in zip(path, path[1:]):
                 succ[a] = b
             succ[path[-1]] = v
             for a in path:
                 root_of[a] = r
-        draws.append(_trusted_ecrsf(n, rs, tuple(succ), tuple(root_of),
-                                    tuple(sorted(kept))))
+        key = tuple(succ)
+        ecrsf = built.get(key)
+        if ecrsf is None:
+            ecrsf = built[key] = _trusted_ecrsf(n, rs, key, tuple(root_of),
+                                                tuple(sorted(kept)))
+        draws.append(ecrsf)
     return draws
 
 
@@ -497,7 +532,7 @@ def sample_ecrsf(p: TransitionMatrix, tree_roots: Iterable[int],
     """
     rs, order, stepper = _ecrsf_setup(p, cfg.alpha, tree_roots, site_order, guard)
     return _draw_ecrsf(rs, order, stepper, _CycleCoins(cfg.alpha),
-                       [derive_seed(cfg.seed, k) for k in range(cfg.sample_count)])
+                       _batch_seeds(cfg))
 
 
 def lerw_path_prob(p: TransitionMatrix, roots: Iterable[int],

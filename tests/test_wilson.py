@@ -433,8 +433,8 @@ def test_cell_table_matches_bisection():
     for p in (G4, LAZY4, ODD6, ODD6_LAZY, BIG4, EDGE5):
         stepper = _Stepper(p)
         for i in range(p.n):
-            shift, cells = stepper.shifts[i], stepper.cells[i]
-            assert len(cells) == 1 << (stepper.bits[i] - shift)
+            bits, shift, cells = stepper.rows[i]
+            assert len(cells) == 1 << (bits - shift)
             assert len(cells) <= 32 * len(stepper.targets[i])
             for c, cell in enumerate(cells):
                 lo, hi = c << shift, ((c + 1) << shift) - 1
@@ -444,8 +444,8 @@ def test_cell_table_matches_bisection():
                     assert cell == -2
                 else:
                     assert cell == (-1 if ends == {None} else ends.pop())
-            if stepper.bits[i] <= 12:
-                for x in range(1 << stepper.bits[i]):
+            if bits <= 12:
+                for x in range(1 << bits):
                     cell = cells[x >> shift]
                     if cell != -2:
                         want = _bisected(stepper, i, x)
@@ -480,16 +480,19 @@ def _reference_forest(p, rs, seed):
 
 
 def _reference_ecrsf(p, alpha, rs, seed):
-    """Cycle-rooted forest with a fresh weight and randrange coin per closure."""
+    """Cycle-rooted forest with a fresh weight and randrange coin per
+    closure: (successors, walk steps)."""
     rng = random.Random(seed)
     succ = [-1] * p.n
     settled = set(rs)
+    steps = 0
     for start in range(p.n):
         if start in settled:
             continue
         path = [start]
         while True:
             v = _walk_step(p, rng, path[-1])
+            steps += 1
             if v in settled:
                 break
             if v in path:
@@ -503,7 +506,7 @@ def _reference_ecrsf(p, alpha, rs, seed):
             succ[a] = b
         succ[path[-1]] = v
         settled.update(path)
-    return succ
+    return succ, steps
 
 
 def test_draws_match_randrange_reference():
@@ -518,7 +521,7 @@ def test_draws_match_randrange_reference():
         for roots in ({0}, set()):
             draws = sample_ecrsf(p, roots, cfg)
             assert [list(e.successor) for e in draws] == [
-                _reference_ecrsf(p, alpha, roots, derive_seed(cfg.seed, k))
+                _reference_ecrsf(p, alpha, roots, derive_seed(cfg.seed, k))[0]
                 for k in range(cfg.sample_count)]
 
 
@@ -670,6 +673,106 @@ def test_a_draw_past_its_budget_is_refused(monkeypatch):
     cfg = SamplerConfig(seed=1, alpha=CycleWeights.constant(F(1, 10**12)))
     with pytest.raises(wilson.DrawBudgetError):
         sample_ecrsf(chain([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]), (), cfg)
+
+
+def test_a_huge_batch_is_refused_at_its_first_draw(monkeypatch):
+    # the child seeds are derived as the draws start: a batch of 10^12
+    # whose first draw is refused holds no list of 10^12 seeds
+    monkeypatch.setattr(wilson, "DRAW_STEP_BUDGET", 2)
+    cfg = SamplerConfig(seed=7, sample_count=10**12,
+                        alpha=CycleWeights.constant(0))
+    for draw in (sample_forests, sample_ecrsf):
+        with pytest.raises(wilson.DrawBudgetError):
+            draw(PATH4, {3}, cfg)
+
+
+def _reference_walk(stepper, rs, seed):
+    """Wilson's last-exit walk over states 0..n-1 with one randrange and
+    one bisection per step: (parents, walk steps, steps that stay put)."""
+    rng = random.Random(seed)
+    n = len(stepper.dens)
+    parent = [-1] * n
+    settled = set(rs)
+    steps = stays = 0
+    for start in range(n):
+        v = start
+        while v not in settled:
+            x = rng.randrange(stepper.dens[v])
+            u = stepper.targets[v][bisect_right(stepper.cuts[v], x)]
+            steps += 1
+            stays += u == v
+            parent[v] = v = u
+        v = start
+        while v not in settled:
+            settled.add(v)
+            v = parent[v]
+    return parent, steps, stays
+
+
+def _smallest_passing_budget(monkeypatch, draw, steps):
+    """Check that ``draw`` passes a budget of ``steps`` and fails one less."""
+    monkeypatch.setattr(wilson, "DRAW_STEP_BUDGET", steps)
+    result = draw()
+    monkeypatch.setattr(wilson, "DRAW_STEP_BUDGET", steps - 1)
+    with pytest.raises(wilson.DrawBudgetError):
+        draw()
+    return result
+
+
+def test_walk_steps_match_a_randrange_reference(monkeypatch):
+    # ODD6_LAZY's odd denominators give rejected and straddling cells, and
+    # half of every row's mass is a self-loop, which counts as a step
+    stepper = _Stepper(ODD6_LAZY)
+    assert any(-1 in cells for _bits, _shift, cells in stepper.rows)
+    assert any(-2 in cells for _bits, _shift, cells in stepper.rows)
+    alpha = CycleWeights(lambda c: F(1, len(c) + 2) if len(c) > 1 else F(1, 3))
+    cfg = SamplerConfig(seed=1069, sample_count=40, alpha=alpha)
+    batches = {roots: (sample_forests(ODD6_LAZY, roots, cfg),
+                       sample_ecrsf(ODD6_LAZY, roots, cfg))
+               for roots in (frozenset({0}), frozenset({2, 4}))}
+    stayed = 0
+    for roots, (forests, ecrsfs) in batches.items():
+        for k, forest in enumerate(forests):
+            one = SamplerConfig(seed=derive_seed(cfg.seed, k), alpha=alpha)
+            parent, steps, stays = _reference_walk(stepper, roots, one.seed)
+            stayed += stays
+            assert list(forest.parent) == parent
+            assert _smallest_passing_budget(
+                monkeypatch, lambda: wilson_forest(ODD6_LAZY, roots, one),
+                steps) == forest
+            succ, steps = _reference_ecrsf(ODD6_LAZY, alpha, roots, one.seed)
+            assert list(ecrsfs[k].successor) == succ
+            assert _smallest_passing_budget(
+                monkeypatch, lambda: kkw_sample(ODD6_LAZY, None, roots, one),
+                steps) == ecrsfs[k]
+    assert stayed
+
+
+def test_equal_draws_of_a_batch_are_one_object():
+    cfg = SamplerConfig(seed=1069, sample_count=300, alpha=HALF)
+    cases = (
+        (sample_forests(LAZY4, {0}, cfg),
+         lambda one: wilson_forest(LAZY4, {0}, one),
+         lambda f: RootedForest(f.n, f.roots, f.parent)),
+        (sample_ecrsf(G4, set(), cfg),
+         lambda one: kkw_sample(G4, None, set(), one),
+         lambda e: Ecrsf(e.n, e.tree_roots, e.successor)),
+    )
+    for batch, single, rebuild in cases:
+        first = {}
+        for draw in batch:
+            assert first.setdefault(draw, draw) is draw
+        assert len(first) < len(batch)
+        for k, draw in enumerate(batch):
+            assert draw == single(
+                SamplerConfig(seed=derive_seed(cfg.seed, k), alpha=HALF))
+        # each draw reads as its checked rebuild does
+        rebuilt = [rebuild(draw) for draw in batch]
+        assert [d.to_json() for d in batch] == [d.to_json() for d in rebuilt]
+        assert [hash(d) for d in batch] == [hash(d) for d in rebuilt]
+        assert collections.Counter(batch) == collections.Counter(rebuilt)
+        assert [getattr(d, "cycles", ()) for d in batch] \
+            == [getattr(d, "cycles", ()) for d in rebuilt]
 
 
 # -- branch law --------------------------------------------------------------
