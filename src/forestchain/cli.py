@@ -278,10 +278,16 @@ def cmd_sample(args) -> int:
         # before any draw is printed, so a refused law leaves stdout empty
         law = exact_law(p, roots, alpha, args.guard)
         gof_doc = wilson.gof_test(Counter(draws), law).to_json()
+    # each distinct draw's line is built once
+    lines: dict = {}
+    write = sys.stdout.write
     for f in draws:
-        print(json.dumps(f.to_json()))
+        line = lines.get(f)
+        if line is None:
+            line = lines[f] = json.dumps(f.to_json()) + "\n"
+        write(line)
 
-    distinct = len(set(draws))
+    distinct = len(lines)
     summary = {
         "summary": {
             "mode": args.mode,
@@ -336,7 +342,68 @@ def _seed_int(text: str) -> int:
     return v
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _hit_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--targets", required=True, metavar="R",
+                    help="comma-separated target states")
+    sp.add_argument("--from", dest="source", type=int, required=True,
+                    metavar="I", help="start state")
+
+
+def _green_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--targets", required=True, metavar="R")
+
+
+def _count_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--cayley", nargs=2, type=_positive_int, default=None,
+                    metavar=("N", "K"), help="closed-form forest count check")
+    sp.add_argument("--prism", nargs=2, type=_positive_int, default=None,
+                    metavar=("N", "M"),
+                    help="spanning trees of the complete prism")
+
+
+def _sample_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--mode", choices=("tree", "forest", "ecrsf"),
+                    default="tree")
+    sp.add_argument("--root", type=int, default=None, metavar="J",
+                    help="tree mode root state")
+    sp.add_argument("--roots", default=None, metavar="R",
+                    help="forest/ecrsf mode root states, comma-separated")
+    sp.add_argument("--alpha", default="0", metavar="P/Q",
+                    help="ecrsf cycle-keeping bias (constant)")
+    sp.add_argument("--count", type=_positive_int, default=1)
+    sp.add_argument("--gof", action="store_true",
+                    help="chi-square the draws against the enumerated law")
+
+
+def _verify_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--suite", default="all",
+                    choices=SUITE_NAMES + ("all",))
+    sp.add_argument("--trials", type=_positive_int, default=None,
+                    help="chains per suite (wilson: samples per test)")
+    sp.add_argument("--max-n", type=_positive_int, default=None,
+                    help="largest state count")
+
+
+# name: (help, command, the subcommand's own arguments), in the order the
+# help lists them
+COMMANDS = {
+    "analyze": ("stationary law, MFPT matrix, Kemeny constant",
+                cmd_analyze, None),
+    "hit": ("hitting law, mean hitting time, Green row", cmd_hit, _hit_args),
+    "green": ("full Green matrix of the killed chain", cmd_green,
+              _green_args),
+    "count": ("forest counts and weight sums", cmd_count, _count_args),
+    "sample": ("draw spanning forests by random walk", cmd_sample,
+               _sample_args),
+    "verify": ("randomized identity suites, exit 0 iff all hold",
+               cmd_verify, _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given the name of a subcommand, only that
+    subparser is built; its usage and errors read as with all of them,
+    since the top-level usage line still lists every name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE",
                         help="chain document file, '-' for stdin (default)")
@@ -354,63 +421,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="forestchain",
         description="Exact Markov chain analysis through spanning-forest "
                     "sums, with a linear-algebra cross-check on everything.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analyze", parents=[common],
-                        help="stationary law, MFPT matrix, Kemeny constant")
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("hit", parents=[common],
-                        help="hitting law, mean hitting time, Green row")
-    sp.add_argument("--targets", required=True, metavar="R",
-                    help="comma-separated target states")
-    sp.add_argument("--from", dest="source", type=int, required=True,
-                    metavar="I", help="start state")
-    sp.set_defaults(func=cmd_hit)
-
-    sp = sub.add_parser("green", parents=[common],
-                        help="full Green matrix of the killed chain")
-    sp.add_argument("--targets", required=True, metavar="R")
-    sp.set_defaults(func=cmd_green)
-
-    sp = sub.add_parser("count", parents=[common],
-                        help="forest counts and weight sums")
-    sp.add_argument("--cayley", nargs=2, type=_positive_int, default=None,
-                    metavar=("N", "K"), help="closed-form forest count check")
-    sp.add_argument("--prism", nargs=2, type=_positive_int, default=None,
-                    metavar=("N", "M"),
-                    help="spanning trees of the complete prism")
-    sp.set_defaults(func=cmd_count)
-
-    sp = sub.add_parser("sample", parents=[common],
-                        help="draw spanning forests by random walk")
-    sp.add_argument("--mode", choices=("tree", "forest", "ecrsf"),
-                    default="tree")
-    sp.add_argument("--root", type=int, default=None, metavar="J",
-                    help="tree mode root state")
-    sp.add_argument("--roots", default=None, metavar="R",
-                    help="forest/ecrsf mode root states, comma-separated")
-    sp.add_argument("--alpha", default="0", metavar="P/Q",
-                    help="ecrsf cycle-keeping bias (constant)")
-    sp.add_argument("--count", type=_positive_int, default=1)
-    sp.add_argument("--gof", action="store_true",
-                    help="chi-square the draws against the enumerated law")
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("verify", parents=[common],
-                        help="randomized identity suites, exit 0 iff all hold")
-    sp.add_argument("--suite", default="all",
-                    choices=SUITE_NAMES + ("all",))
-    sp.add_argument("--trials", type=_positive_int, default=None,
-                    help="chains per suite (wilson: samples per test)")
-    sp.add_argument("--max-n", type=_positive_int, default=None,
-                    help="largest state count")
-    sp.set_defaults(func=cmd_verify)
+    if command is not None:
+        # the usage line lists the choices argparse was given, so name them
+        # all; with every subparser built the metavar is left unset, since
+        # it would also rename the argument in "invalid choice" errors
+        sub = parser.add_subparsers(
+            dest="command", required=True,
+            metavar="{" + ",".join(COMMANDS) + "}")
+        names = (command,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = tuple(COMMANDS)
+    for name in names:
+        help_text, func, add_args = COMMANDS[name]
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        if add_args is not None:
+            add_args(sp)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # when the first token names a subcommand, only its parser is built
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if args.seed is None and args.command == "sample":
         args.seed = wilson.DEFAULT_SEED
     try:

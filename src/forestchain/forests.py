@@ -160,10 +160,12 @@ class _SuccessorMap(FrozenValue):
     if it keeps them. Its roots and successor fields are read here through
     their slot descriptors, bound again under the shared names ``_roots``
     and ``_succ``; a forest, which has no ``cycles`` slot, leaves a cycles
-    argument unread.
+    argument unread. The hash of n, roots and successors is computed once,
+    when they are stored, into the base's own ``_hash`` slot: the samplers'
+    tallies hash a configuration per draw.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     # FrozenValue reads each class's fields; the base's are the shared names
     _fields = ("n", "_roots", "_succ")
 
@@ -178,6 +180,7 @@ class _SuccessorMap(FrozenValue):
         cls._put_n, cls._put_roots, cls._put_succ, cls._put_root_of = (
             n.__set__, roots.__set__, succ.__set__, root_of.__set__)
         cls._put_cycles = tuple(slot.__set__ for slot in cycles)
+        cls._put_hash = _SuccessorMap._hash.__set__
 
     def _store(self, n, roots, successor, root_of, cycles=()) -> None:
         self._put_n(self, n)
@@ -186,6 +189,7 @@ class _SuccessorMap(FrozenValue):
         self._put_root_of(self, root_of)
         for put in self._put_cycles:
             put(self, cycles)
+        self._put_hash(self, hash((n, roots, successor)))
 
     @classmethod
     def _trusted(cls, n: int, roots: frozenset[int], successor: tuple[int, ...],
@@ -199,11 +203,11 @@ class _SuccessorMap(FrozenValue):
         c._store(n, roots, successor, root_of, cycles)
         return c
 
-    # the samplers' tallies hash and compare a configuration per draw: an
-    # inline field tuple is read faster than through the base's attrgetter
     def __hash__(self) -> int:
-        return hash((self.n, self._roots, self._succ))
+        return self._hash
 
+    # the samplers' tallies compare a configuration per draw: an inline
+    # field tuple is read faster than through the base's attrgetter
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -563,6 +567,16 @@ def _state_sets(n: int, masks: list[int] | range):
     return got
 
 
+def _check_state_sets(free: int) -> None:
+    """Refuse tree sums over ``free`` states before their 2^free state sets
+    are listed: past the tables' bound the list alone can exhaust memory,
+    whatever guard the caller passed."""
+    if 1 << free > _STATE_SET_TABLE_SIZE:
+        raise EnumerationGuardError(
+            f"tree sums over {free} states need 2^{free} state sets, more "
+            f"than their bound of {_STATE_SET_TABLE_SIZE}")
+
+
 def _subsets(mask: int) -> list[int]:
     """The nonempty subsets of a bitmask, in increasing order."""
     out = []
@@ -748,6 +762,7 @@ class _TreeSums:
         """The memo values of all n states, filled first if not there: at
         each state b, T({b}, V - {b}), the weight of the spanning trees
         rooted at b."""
+        _check_state_sets(self.n)
         self._make_room()
         full = (1 << self.n) - 1
         got = self.memo.get(full)
@@ -823,6 +838,7 @@ class _TreeSums:
         mask in increasing order and ``_make_room`` clears every entry, so
         the free set's own entry means all its subsets are there.
         """
+        _check_state_sets(self.n - len(roots))
         self._make_room()
         free = ((1 << self.n) - 1) ^ sum(1 << v for v in roots)
         subsets = _subsets(free)

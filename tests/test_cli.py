@@ -1,5 +1,4 @@
 import ast
-import gc
 import hashlib
 import io
 import json
@@ -270,6 +269,33 @@ def test_sample_gof_stdout_is_pinned(capsys, tmp_path, mode, digest):
                  "--seed", "1069", "--gof"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cls,mode", [
+    ("RootedForest", ["--root", "0"]),
+    ("Ecrsf", ["--mode", "ecrsf", "--roots", "0", "--alpha", "1/2"]),
+])
+def test_sample_builds_one_line_per_distinct_draw(capsys, monkeypatch,
+                                                  tmp_path, cls, mode):
+    from forestchain import forests
+    path = tmp_path / "c4.json"
+    path.write_text(C4_DOC)
+    argv = ["sample", "--input", str(path), *mode, "--count", "300",
+            "--seed", "1069"]
+    _, plain, _ = run_cli(capsys, argv)
+    real = getattr(forests, cls).to_json
+    built = []
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(getattr(forests, cls), "to_json", counting)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == plain
+    lines = out.splitlines()
+    distinct = json.loads(lines[-1])["summary"]["distinct"]
+    assert len(built) == distinct == len(set(lines[:-1])) < 300
 
 
 # stdout digests of analyze, hit and green as recorded while the forest sums
@@ -610,24 +636,136 @@ def test_module_entry_point_without_stdout_exits_1_quietly():
     assert proc.returncode == 1 and proc.stderr == ""
 
 
-def test_only_the_process_entry_freezes_the_collector(capsys, a_file):
-    before = gc.get_freeze_count()
+def test_process_entry_runs_atexit_handlers_and_main_never_exits(
+        capsys, monkeypatch, a_file):
+    # the process entry ends with os._exit once the command has returned;
+    # cli.main itself returns to its caller
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) called in-process")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
     code, out, _ = run_cli(capsys, ["analyze", "--input", a_file])
     assert code == 0 and json.loads(out)["methods_agree"] is True
-    assert gc.get_freeze_count() == before
+    code, out, _ = run_cli(capsys, ["sample", "--input", a_file, "--root",
+                                    "0", "--count", "3"])
+    assert code == 0 and len(out.splitlines()) == 4
+    code, _, err = run_cli(capsys, ["green", "--input", a_file,
+                                    "--targets", "7"])
+    assert code == 2 and json.loads(err)["error"] == "parse"
 
+    # a handler registered before the entry runs still runs, and what it
+    # writes to a block-buffered stdout is flushed; the entry never returns
     script = (
-        "import gc, runpy, sys\n"
+        "import atexit, runpy, sys\n"
+        "atexit.register(sys.stdout.write, 'handler ran')\n"
         "sys.argv = ['forestchain', 'count', '--cayley', '4', '2']\n"
+        "runpy.run_module('forestchain', run_name='__main__')\n"
+        "print('returned', file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=_module_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc, tail = proc.stdout.rsplit("\n", 1)
+    assert json.loads(doc)["agree"] is True and tail == "handler ran"
+
+    # a usage error leaves through argparse's SystemExit, as before
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['forestchain', 'analyze', '--bogus']\n"
         "try:\n"
         "    runpy.run_module('forestchain', run_name='__main__')\n"
         "except SystemExit as e:\n"
-        "    print(e.code, gc.get_freeze_count(), file=sys.stderr)\n")
+        "    print('SystemExit', e.code)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=_module_env())
-    assert json.loads(proc.stdout)["agree"] is True
-    exit_code, frozen = map(int, proc.stderr.split())
-    assert exit_code == 0 and frozen > 0
+    assert proc.returncode == 0 and proc.stdout == "SystemExit 2\n"
+    assert "unrecognized arguments: --bogus" in proc.stderr
+
+
+def test_importing_the_cli_loads_every_route_module():
+    # the traced cold run (bench/trace_child.py) imports forestchain.cli
+    # alone, and bench/tracing.py wraps functions of each of these modules
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, forestchain.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=120, env=_module_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    for layer in ("chains", "forests", "formulas", "oracle", "wilson"):
+        assert f"forestchain.{layer}" in loaded
+
+
+# argv whose outcome must not depend on how much of the parser is built;
+# "FILE" stands for a readable chain document
+PARSER_CASES = [
+    [], ["--help"], ["-h"], ["bogus"], ["--input", "x", "analyze"],
+    ["--float"], ["analyze", "--bogus"], ["analyze", "--guard", "0"],
+    ["analyze", "--format", "csv"], ["analyze", "--input", "FILE", "--float"],
+    ["hit", "--targets", "0"], ["hit", "--targets", "0", "--from", "x"],
+    ["green"], ["green", "--targets", "1", "--input", "FILE"],
+    ["count", "--cayley", "0", "1"], ["count", "--prism", "3"],
+    ["count", "--cayley", "4", "2"],
+    ["sample", "--mode", "x"], ["sample", "--seed", "-1"],
+    ["sample", "--count", "0"], ["sample", "--root", "0", "--input", "FILE"],
+    ["verify", "--suite", "nope"], ["verify", "--trials", "x"],
+    ["verify", "--max-n", "0"],
+] + [[name, "-h"] for name in cli.COMMANDS]
+
+
+def _main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main, argparse's exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=[" ".join(a) or "(none)" for a in PARSER_CASES])
+def test_one_subparser_reads_as_all_of_them(capsys, monkeypatch, a_file,
+                                            argv):
+    argv = [a_file if a == "FILE" else a for a in argv]
+    real = cli.build_parser
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    one = _main_outcome(capsys, argv)
+    named = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    assert built == [named]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+    assert one == _main_outcome(capsys, argv)
+    if named is not None:
+        assert list(real(named)._subparsers._group_actions[0].choices) \
+            == [named]
+
+
+def test_analyze_usage_error_keeps_the_full_usage_line(capsys):
+    code, out, err = _main_outcome(capsys, ["analyze", "--bogus"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage: forestchain [-h] {analyze,hit,green,count,sample,verify} ...",
+        "forestchain: error: unrecognized arguments: --bogus"]
+
+
+def test_hit_past_the_state_set_bound_exits_2(capsys, tmp_path):
+    # a 40-state ring with a guard that admits its 39 free states: the tree
+    # sums refuse before they list 2^39 state sets
+    n = 40
+    path = tmp_path / "ring.txt"
+    path.write_text("".join(f"{i} {(i + d) % n} 1/2\n"
+                            for i in range(n) for d in (1, -1)))
+    code, out, err = run_cli(capsys, [
+        "hit", "--format", "edges", "--input", str(path), "--targets", "0",
+        "--from", "5", "--guard", "39"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "guard", "detail": (
+        "tree sums over 39 states need 2^39 state sets, more than their "
+        "bound of 131072")}
 
 
 def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):

@@ -659,6 +659,80 @@ def test_two_tree_sums_keep_the_tree_guard(u4):
     assert two_tree_sums(u4, guard=3).total > 0
 
 
+def test_tree_sums_refuse_before_listing_their_state_sets(monkeypatch):
+    # past _STATE_SET_TABLE_SIZE state sets no guard admits the tree sums:
+    # listing the 2^f subsets alone could exhaust memory, so the refusal
+    # comes before _subsets runs
+    listed = []
+    real = forests._subsets
+
+    def counting(mask):
+        listed.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(forests, "_subsets", counting)
+    n = 40
+    half = Fraction(1, 2)
+    ring = chain([[half if (j - i) % n in (1, n - 1) else 0
+                   for j in range(n)] for i in range(n)])
+    refusals = (
+        (lambda: root_set_sums(ring, {0}, guard=39), 39),  # merged roots
+        (lambda: w_sum(ring, {0}, guard=39), 39),
+        (lambda: formulas.absorption(ring, {0}, 39), 39),
+        (lambda: sigma_sums(ring, guard=39), 40),  # all n states
+        (lambda: two_tree_sums(ring, guard=39), 40),
+        (lambda: formulas.analyze(ring, 39), 40),
+    )
+    for call, free in refusals:
+        with pytest.raises(EnumerationGuardError,
+                           match=rf"^tree sums over {free} states need "
+                                 rf"2\^{free} state sets"):
+            call()
+    assert listed == []
+
+    # at the bound the sets are listed, one past it they are not
+    monkeypatch.setattr(forests, "_STATE_SET_TABLE_SIZE", 1 << 4)
+    _layer_sums.cache_clear()
+    assert w_sum(ring, set(range(4, n)), guard=39) > 0
+    assert listed == [0b1111]
+    with pytest.raises(EnumerationGuardError):
+        w_sum(ring, set(range(5, n)), guard=39)
+    with pytest.raises(EnumerationGuardError):
+        sigma_sums(uniform_chain(5), guard=4)
+    assert listed == [0b1111]
+    assert sigma_sums(uniform_chain(4)).sigma1 > 0
+    assert listed == [0b1111, 0b1111]
+
+
+def test_a_configuration_hashes_its_fields_once():
+    # the hash is stored with the fields, whether a configuration was
+    # checked (__init__) or built by the walker or a sampler (_trusted)
+    forest = RootedForest(4, frozenset({0}), (-1, 2, 0, 2))
+    ecrsf = Ecrsf(4, frozenset(), (1, 2, 0, 2))
+    pairs = (
+        (forest, RootedForest._trusted(4, frozenset({0}), (-1, 2, 0, 2),
+                                       forest._root_of)),
+        (ecrsf, Ecrsf._trusted(4, frozenset(), (1, 2, 0, 2),
+                               ecrsf._root_of, ecrsf.cycles)),
+    )
+    for checked, trusted in pairs:
+        assert checked == trusted
+        assert hash(checked) == hash(trusted) == checked._hash \
+            == hash((checked.n, checked._roots, checked._succ))
+    # tallies read as tallies of checked rebuilds do
+    forests_ = list(enumerate_forests(4, {0}))
+    ecrsfs = list(enumerate_ecrsf(4, {3}))
+    for configs, rebuild in (
+            (forests_, lambda f: RootedForest(f.n, f.roots, f.parent)),
+            (ecrsfs, lambda e: Ecrsf(e.n, e.tree_roots, e.successor))):
+        draws = configs + configs[::2]
+        tally = collections.Counter(draws)
+        assert tally == collections.Counter(map(rebuild, draws))
+        assert len(set(draws)) == len(configs)
+        assert sorted(tally.values()) == sorted(
+            2 if k % 2 == 0 else 1 for k in range(len(configs)))
+
+
 def test_root_set_records_match_both_oracle_halves():
     # every proper root set of dense, sparse and reducible chains, n = 1..6:
     # green / weight is the Green matrix and hit / weight the hitting law,
