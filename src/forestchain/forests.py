@@ -41,8 +41,23 @@ tau(X) = sum_{k in X} T({k}, X - {k}) the weight of all spanning trees of
 X, the two-tree Sigma_ij = sum_{k != j} w_ik({j, k}) sums
 tau(X) T({j}, V - X - {j}) over the X that hold i and not j, and
 Sigma^(2) sums tau(X) tau(V - X) over the splits {X, V - X}
-(``two_tree_sums``), about 2^n n^2 / 4 multiply-adds after the fill. The
-Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
+(``two_tree_sums``), about 2^n n^2 / 4 multiply-adds after the fill.
+
+On a chain whose memo is still empty, as ``analyze`` meets a fresh chain,
+that fill and that pass run as one straight-line program per chain size
+(``_program``): the (out, a, b) index triples of every multiply-add
+F[out] += F[a] * F[b] they make, in their order, replayed over one flat
+list F of integers per chain. Each sum is the same integer, with no subset
+loop and no dict lookup; afterwards each state set's memo entry is a slice
+of F. The program is kept in the size's state-set table, shared by every
+chain of the size, and counted against the tables' bound in triples,
+which admits n <= 9 (50,511 triples at n = 9, 150,121 at n = 10). It is
+built on the second full fill of a size, not the first: a build costs
+more than a whole first ``analyze``, which would slow every CLI process
+that reads one chain. A chain whose root sets were read first keeps the
+loops, which reuse the entries those root sets filled.
+
+The Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
 the free sets X that hold i and j, about 2^f f^2 / 4 for f free states.
 
 Each root set keeps one record, as the oracle keeps one solve of
@@ -537,30 +552,38 @@ _TREE_DELETION_CACHE_SIZE = 64
 # by chain size, so that every chain of a size reads the same tuples: a
 # fill or a pass looks a set up where it would otherwise list it. An entry
 # is made when a fill or a pass first needs its set, never for all 2^n
-# sets up front. Like the memo, the tables are cleared before a fill or a
-# pass adds entries once they hold more than _STATE_SET_TABLE_SIZE states
-# in all; an entry of an n-state table holds n, and a fill or a pass adds
-# at most one per set it reads.
+# sets up front. A size's table also holds its straight-line program
+# (``_program``), empty until built. Like the memo, the tables are cleared
+# before a fill, a pass or a program adds entries once they hold more than
+# _STATE_SET_TABLE_SIZE in all, counting the n states of each entry of an
+# n-state table and each triple of a program; a fill or a pass adds at most
+# one entry per set it reads.
 _STATE_SETS: dict[int, tuple[dict[int, tuple[int, ...]],
-                             dict[int, tuple[int, ...]]]] = {}
+                             dict[int, tuple[int, ...]], list[int]]] = {}
 _STATE_SET_TABLE_SIZE = 1 << 17
 
 
+def _tables_held() -> int:
+    """The states and program triples that the tables of every size hold."""
+    return sum([n * len(inside) + len(program) // 3
+                for n, (inside, _outside, program) in _STATE_SETS.items()])
+
+
 def _state_sets(n: int, masks: list[int] | range):
-    """(inside, outside): the shared tables of n-state sets, with an entry
-    for every state set in ``masks``. inside[S] lists S's states and
-    outside[S] the others."""
+    """(inside, outside, program): the shared tables of n-state sets, with
+    an entry for every state set in ``masks``. inside[S] lists S's states
+    and outside[S] the others; program is the size's straight-line program
+    or empty."""
     got = _STATE_SETS.get(n)
     if got is not None and len(got[0]) == (1 << n) - 1:
         return got  # every state set has its entry
     new = [s for s in masks if got is None or s not in got[0]]
-    if new and sum([m * len(t[0]) for m, t in _STATE_SETS.items()]) \
-            > _STATE_SET_TABLE_SIZE:
+    if new and _tables_held() > _STATE_SET_TABLE_SIZE:
         _STATE_SETS.clear()
         got, new = None, list(masks)
     if got is None:
-        got = _STATE_SETS[n] = ({}, {})
-    inside, outside = got
+        got = _STATE_SETS[n] = ({}, {}, [])
+    inside, outside = got[:2]
     for s in new:
         inside[s] = tuple([c for c in range(n) if s >> c & 1])
         outside[s] = tuple([c for c in range(n) if not s >> c & 1])
@@ -569,12 +592,116 @@ def _state_sets(n: int, masks: list[int] | range):
 
 def _check_state_sets(free: int) -> None:
     """Refuse tree sums over ``free`` states before their 2^free state sets
-    are listed: past the tables' bound the list alone can exhaust memory,
-    whatever guard the caller passed."""
+    are listed, and before the chain's scaled rows are built: past the
+    tables' bound the list alone can exhaust memory, whatever guard the
+    caller passed, and the rows of a large chain take n^2 integers."""
     if 1 << free > _STATE_SET_TABLE_SIZE:
         raise EnumerationGuardError(
             f"tree sums over {free} states need 2^{free} state sets, more "
             f"than their bound of {_STATE_SET_TABLE_SIZE}")
+
+
+# The straight-line program of a chain size n lists, as (out, a, b) index
+# triples, every multiply-add F[out] += F[a] * F[b] that ``_fill`` over all
+# 2^n - 1 state sets and then the two-tree pass run, in their order, over
+# one flat list F per chain. F holds dens_c at c, the memo entry of a state
+# set S at S n + c, tau(X) at tau + X, Sigma_ij over dens_j at acc + j n + i,
+# Sigma^(2) at pairs and Sigma_ij at sigma + i n + j. A singleton's entry
+# is its scaled row, put into F before the replay; since c is not d, the
+# pull column's p_dc is read there, at d's entry. Every triple is one
+# multiply-add of the loops, so each sum is the same integer.
+
+def _program_layout(n: int) -> tuple[int, int, int, int, int]:
+    """(tau, acc, pairs, sigma, length) of the flat list F for n states."""
+    tau = n << n
+    acc = tau + (1 << n)
+    pairs = acc + n * n
+    sigma = pairs + 1
+    return tau, acc, pairs, sigma, sigma + n * n
+
+
+def _program_size(n: int) -> int:
+    """Triples in the program of n states: n (3^(n-1) - 1) / 2 for the tree
+    sums of the fill, n 2^(n-1) for tau, n (n - 1) 2^(n-1) for the fill's
+    pulls, the Sigma_ij pass and its scaling, and 2^(n-1) - 1 for
+    Sigma^(2)."""
+    return n * (3 ** (n - 1) - 1) // 2 + (n * n + 1) * 2 ** (n - 1) - 1
+
+
+def _build_program(n: int, inside, outside, program: list[int]) -> None:
+    """Append the triples of the n-state program to ``program``, each index
+    one shared object of one list: a triple takes 24 bytes."""
+    full = (1 << n) - 1
+    tau, acc, pairs, sigma, length = _program_layout(n)
+    idx = list(range(length))
+    # _fill, over every state set in increasing order
+    for s in range(1, full + 1):
+        m0 = s & -s
+        rest = s ^ m0
+        if not rest:
+            continue
+        members = inside[s]
+        i0 = members[0]
+        out = s * n
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            pull = (m0 | sub) * n
+            heads = rest ^ sub
+            tree = heads * n
+            for c in inside[heads]:
+                program += idx[out + c], idx[pull + c], idx[tree + c]
+        m1 = rest & -rest
+        rest2, keep = rest ^ m1, s ^ m1
+        sub = rest2
+        while True:
+            program += (idx[out + i0], idx[(m1 | sub) * n + i0],
+                        idx[(keep ^ sub) * n + i0])
+            if not sub:
+                break
+            sub = (sub - 1) & rest2
+        for c in outside[s]:
+            for d in members:
+                program += idx[out + c], idx[(n << d) + c], idx[out + d]
+    # the two-tree pass
+    for x in range(1, full + 1):
+        for k in inside[x]:
+            program += idx[tau + x], idx[x * n + k], idx[k]
+    for x in range(1, full):
+        y = full ^ x
+        if x & 1:
+            program += idx[pairs], idx[tau + x], idx[tau + y]
+        for j in inside[y]:
+            for i in inside[x]:
+                program += idx[acc + j * n + i], idx[tau + x], idx[y * n + j]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                program += idx[sigma + i * n + j], idx[acc + j * n + i], idx[j]
+
+
+def _program(n: int) -> list[int] | None:
+    """The straight-line program that every n-state chain shares, built on
+    the second full fill of the size since its table was made; None where
+    the loops run instead: on the first, whose loops list every state set,
+    and for a size whose program would not fit the tables' bound.
+
+    A build costs more than a whole first ``analyze`` (about 1.0 ms against
+    0.9 ms at n = 7, and 8.7 ms against 6.6 ms at n = 9, on a 2-vCPU host),
+    so a process that fills a size once, as one CLI command does, never
+    builds it.
+    """
+    table = _STATE_SETS.get(n)
+    if (table is None or (1 << n) - 1 not in table[0]
+            or _program_size(n) > _STATE_SET_TABLE_SIZE):
+        return None
+    inside, outside, program = table
+    if not program:
+        if _tables_held() > _STATE_SET_TABLE_SIZE:
+            _STATE_SETS.clear()
+            return None
+        _build_program(n, inside, outside, program)
+    return program
 
 
 def _subsets(mask: int) -> list[int]:
@@ -672,7 +799,7 @@ class _TreeSums:
         Subsets come in increasing order, so every block is already there.
         """
         memo, nums, cols, n = self.memo, self.nums, self.cols, self.n
-        inside, outside = _state_sets(n, subsets)
+        inside, outside = _state_sets(n, subsets)[:2]
         for s in subsets:
             if s in memo:
                 continue
@@ -762,7 +889,6 @@ class _TreeSums:
         """The memo values of all n states, filled first if not there: at
         each state b, T({b}, V - {b}), the weight of the spanning trees
         rooted at b."""
-        _check_state_sets(self.n)
         self._make_room()
         full = (1 << self.n) - 1
         got = self.memo.get(full)
@@ -787,10 +913,15 @@ class _TreeSums:
         Each tree in tau is taken times its root's dens, so a pair of trees
         spanning all states is over the chain's denominator; Sigma_ij is
         summed with j's tree unscaled and each column j taken times dens_j
-        once, at the end.
+        once, at the end. On an empty memo, once the chain's size has its
+        program, the fill and this pass are one replay of it instead.
         """
         got = self.two_trees
         if got is not None:
+            return got
+        program = None if self.memo else _program(self.n)
+        if program is not None:
+            got = self.two_trees = self._replay(program)
             return got
         trees = self.trees()
         n, memo, dens = self.n, self.memo, self.dens
@@ -827,6 +958,30 @@ class _TreeSums:
             tuple(zip(*sigma)), self.denom)
         return got
 
+    def _replay(self, program: list[int]) -> TwoTreeSums:
+        """The one- and two-tree sums of a chain with an empty memo, from
+        one replay of its size's program over a flat list F of integers
+        laid out as ``_program_layout`` says; each state set's memo entry
+        is then a slice of F, for the root sets to read."""
+        n, dens = self.n, self.dens
+        tau, _acc, pairs, sigma, length = _program_layout(n)
+        F = [0] * length
+        F[:n] = dens
+        for d, row in enumerate(self.nums):
+            at = n << d
+            F[at:at + n] = row
+            F[at + d] = 1
+        it = iter(program)
+        for o, a, b in zip(it, it, it):
+            F[o] += F[a] * F[b]
+        memo = self.memo
+        for s in range(1, 1 << n):
+            memo[s] = F[s * n:s * n + n]
+        return TwoTreeSums(
+            tuple(self.trees()), F[tau + (1 << n) - 1], F[pairs],
+            tuple([tuple(F[at:at + n]) for at in range(sigma, length, n)]),
+            self.denom)
+
     def _merged(self, roots: frozenset[int],
                 col: dict[int, int] | None = None):
         """(free, subsets, col): the mask of the states outside R, its
@@ -838,7 +993,6 @@ class _TreeSums:
         mask in increasing order and ``_make_room`` clears every entry, so
         the free set's own entry means all its subsets are there.
         """
-        _check_state_sets(self.n - len(roots))
         self._make_room()
         free = ((1 << self.n) - 1) ^ sum(1 << v for v in roots)
         subsets = _subsets(free)
@@ -941,6 +1095,7 @@ def root_set_sums(p: TransitionMatrix, roots: Iterable[int],
     """
     rs = check_roots(p.n, roots)
     _check_guard(p.n - len(rs), guard)
+    _check_state_sets(p.n - len(rs))
     return _root_set_sums(p, rs)
 
 
@@ -951,8 +1106,10 @@ def two_tree_sums(p: TransitionMatrix,
 
     The result is cached and shared: read it, do not change it.
     """
-    # the trees span all n states, n - 1 of them free, as at w({j})
+    # the trees span all n states, n - 1 of them free, as at w({j}); the
+    # fill reads every set of all n states
     _check_guard(p.n - 1, guard)
+    _check_state_sets(p.n)
     return _layer_sums(p).two_tree()
 
 
@@ -962,6 +1119,7 @@ def w_sum(p: TransitionMatrix, roots: Iterable[int],
     Green pass."""
     rs = check_roots(p.n, roots)
     _check_guard(p.n - len(rs), guard)
+    _check_state_sets(p.n - len(rs))
     sums = _layer_sums(p)
     return ratio(sums.weight(rs), sums.denom)
 
@@ -1001,6 +1159,7 @@ def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     tree sums of all n states."""
     # each tree leaves n - 1 states free, as at any singleton root set
     _check_guard(p.n - 1, guard)
+    _check_state_sets(p.n)
     sums = _layer_sums(p)
     weights = sums.trees()
     denom = sums.denom
@@ -1012,8 +1171,10 @@ def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction
     """Sigma^(r): total weight of forests with exactly r trees, any root sets."""
     if not 1 <= r <= p.n:
         raise ValueError(f"tree count {r} out of range 1..{p.n}")
-    # every root set of r states leaves n - r free
+    # every root set of r states leaves n - r free; Sigma^(1) reads the
+    # fill of all n states
     _check_guard(p.n - r, guard)
+    _check_state_sets(p.n if r == 1 else p.n - r)
     sums = _layer_sums(p)
     if r == 1:
         return ratio(sum(sums.trees()), sums.denom)

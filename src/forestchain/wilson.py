@@ -430,8 +430,9 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
 
     ``root_of`` is -2 until a state is settled and -1 once it drains into
     a kept cycle; ``kept`` collects each kept cycle's canonical rotation. A
-    step that stays at v closes a cycle of length 1 and tosses its coin.
-    Equal draws share one configuration.
+    step that stays at v closes a cycle of length 1 and tosses v's coin,
+    read from ``loops`` with no slice of the path. Equal draws share one
+    configuration.
     """
     rng = random.Random()
     # the C seed, as in _draw_forest
@@ -442,6 +443,7 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
     unsettled = [-2] * n
     for r in rs:
         unsettled[r] = r
+    loops: list[tuple | None] = [None] * n  # each state's self-loop coin
     built: dict[tuple[int, ...], Ecrsf] = {}
     draws = []
     for seed in seeds:
@@ -471,7 +473,15 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
                 if r > -2:
                     break
                 if v in pos:
-                    cycle, num, den, k = coins[tuple(path[pos[v]:])]
+                    at = pos[v] + 1
+                    if at == len(path):
+                        # a self-loop: v's own coin, and nothing to pop
+                        coin = loops[v]
+                        if coin is None:
+                            coin = loops[v] = coins[(v,)]
+                    else:
+                        coin = coins[tuple(path[at - 1:])]
+                    cycle, num, den, k = coin
                     x = getrandbits(k)
                     while x >= den:
                         x = getrandbits(k)
@@ -479,9 +489,10 @@ def _draw_ecrsf(rs: frozenset[int], order: tuple[int, ...], stepper: _Stepper,
                         kept.append(cycle)
                         r = -1
                         break
-                    for dropped in path[pos[v] + 1:]:
-                        del pos[dropped]
-                    del path[pos[v] + 1:]
+                    if at < len(path):
+                        for dropped in path[at:]:
+                            del pos[dropped]
+                        del path[at:]
                     continue
                 pos[v] = len(path)
                 path.append(v)

@@ -586,14 +586,16 @@ def test_state_set_table_is_shared_and_bounded(monkeypatch):
     monkeypatch.setattr(forests, "_STATE_SETS", tables)
 
     def held():
-        # every entry of an n-state table holds n states, in and out
-        return sum(n * len(inside) for n, (inside, _outside) in tables.items())
+        # every entry of an n-state table holds n states, in and out, and a
+        # size's program one unit per triple
+        return sum(n * len(inside) + len(program) // 3
+                   for n, (inside, _outside, program) in tables.items())
 
     rng = random.Random(71)
     p, q = (random_irreducible_chain(rng, 6) for _ in range(2))
     _layer_sums.cache_clear()
     two_tree_sums(p)
-    inside, outside = tables[6]
+    inside, outside, _program = tables[6]
     entries = dict(inside)
     assert len(entries) == 63
     for s, members in entries.items():
@@ -702,6 +704,176 @@ def test_tree_sums_refuse_before_listing_their_state_sets(monkeypatch):
     assert listed == [0b1111]
     assert sigma_sums(uniform_chain(4)).sigma1 > 0
     assert listed == [0b1111, 0b1111]
+
+
+def _two_trees_and_memo(p):
+    """p's two-tree sums on cold tree sums, and the memo they leave."""
+    _layer_sums.cache_clear()
+    sums = two_tree_sums(p)
+    return sums, dict(_layer_sums(p).memo)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A list that grows by one entry per call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_replayed_two_tree_sums_equal_the_loops(monkeypatch):
+    # for every size whose program fits the bound, n = 1..9, the replay's
+    # memo entries and every two-tree field equal those of the loops, on
+    # sparse irreducible, reducible and dense chains, with no fill after
+    # it; the program holds the size's count of triples
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    fills = _count_calls(monkeypatch, forests._TreeSums, "_fill")
+    rng = random.Random(83)
+    for n in range(1, 10):
+        dense = chain([[Fraction(w, sum(ws)) for w in ws]
+                       for ws in ([rng.randint(1, 9) for _ in range(n)]
+                                  for _ in range(n))])
+        reducible = random_chain(rng, n)
+        while n > 1 and irreducibility_certificate(reducible) is None:
+            reducible = random_chain(rng, n)
+        for p in (random_irreducible_chain(rng, n), reducible, dense):
+            with monkeypatch.context() as m:
+                m.setattr(forests, "_program", lambda n: None)
+                looped = _two_trees_and_memo(p)
+            replays.clear()
+            fills.clear()
+            assert _two_trees_and_memo(p) == looped
+            assert len(replays) == 1 and not fills
+        program = forests._STATE_SETS[n][2]
+        assert len(program) == 3 * forests._program_size(n)
+
+
+def test_a_program_is_built_on_the_second_full_fill_and_shared(monkeypatch):
+    # the first full fill of a size runs the loops and builds nothing, even
+    # where a root set has listed some of the size's sets; the second
+    # builds the program once, and every later chain of the size replays
+    # that same list
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    builds = _count_calls(monkeypatch, forests, "_build_program")
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    rng = random.Random(89)
+    _layer_sums.cache_clear()
+    root_set_sums(random_chain(rng, 7), {0, 1})
+    _two_trees_and_memo(random_chain(rng, 7))
+    assert (builds, replays) == ([], [])
+    assert forests._STATE_SETS[7][2] == []
+    _two_trees_and_memo(random_chain(rng, 7))
+    assert len(builds) == len(replays) == 1
+    program = forests._STATE_SETS[7][2]
+    for _ in range(3):
+        _two_trees_and_memo(random_chain(rng, 7))
+        assert replays[-1][1] is program
+    assert len(builds) == 1 and len(replays) == 4
+    # a size of its own starts again with the loops
+    _two_trees_and_memo(random_chain(rng, 6))
+    assert len(builds) == 1 and forests._STATE_SETS[6][2] == []
+
+
+def test_programs_count_against_the_table_bound(monkeypatch):
+    # a program's triples count toward the tables' bound as listed states
+    # do, and a program is not added to tables past the bound: they are
+    # cleared, and the size builds once its states are listed again
+    tables: dict = {}
+    monkeypatch.setattr(forests, "_STATE_SETS", tables)
+    monkeypatch.setattr(forests, "_STATE_SET_TABLE_SIZE", 300)
+    builds = _count_calls(monkeypatch, forests, "_build_program")
+    rng = random.Random(103)
+    for _ in range(2):
+        _two_trees_and_memo(random_chain(rng, 4))
+    # 15 sets of 4 states and 187 triples
+    assert len(tables[4][2]) == 3 * 187 and forests._tables_held() == 247
+    _layer_sums.cache_clear()
+    root_set_sums(random_chain(rng, 5), {0})
+    assert set(tables) == {4, 5} and forests._tables_held() == 322
+    root_set_sums(random_chain(rng, 5), {1})
+    assert set(tables) == {5}
+    _two_trees_and_memo(random_chain(rng, 4))
+    root_set_sums(random_chain(rng, 8), {0})
+    assert forests._tables_held() > 300
+    _two_trees_and_memo(random_chain(rng, 4))
+    assert set(tables) == {4} and tables[4][2] == [] and len(builds) == 1
+    _two_trees_and_memo(random_chain(rng, 4))
+    assert len(tables[4][2]) == 3 * 187 and len(builds) == 2
+
+
+def test_a_program_past_the_table_bound_is_never_built(monkeypatch):
+    # at n = 10 the program would hold 150,121 triples, more than the
+    # tables' bound of 2^17, so every n = 10 chain keeps the loops
+    assert forests._program_size(9) <= forests._STATE_SET_TABLE_SIZE \
+        < forests._program_size(10)
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    builds = _count_calls(monkeypatch, forests, "_build_program")
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    rng = random.Random(97)
+    for _ in range(2):
+        p = random_chain(rng, 10)
+        _layer_sums.cache_clear()
+        sums = two_tree_sums(p, guard=9)
+        assert sums.total == sum(sums.trees)
+    assert (builds, replays) == ([], [])
+    assert forests._STATE_SETS[10][2] == []
+
+
+def test_root_sets_read_first_keep_the_incremental_fill(monkeypatch):
+    # a chain whose root sets filled part of its memo first, as crosscheck
+    # reads them, gets its two-tree sums through the loops, which reuse
+    # those entries: the same sums and memo as a replay on cold sums
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    rng = random.Random(101)
+    for _ in range(2):
+        _two_trees_and_memo(random_chain(rng, 6))
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    p = random_irreducible_chain(rng, 6)
+    replayed = _two_trees_and_memo(p)
+    assert len(replays) == 1
+    _layer_sums.cache_clear()
+    records = [root_set_sums(p, roots) for roots in ({0}, {2, 5})]
+    sums = two_tree_sums(p)
+    assert len(replays) == 1
+    assert (sums, _layer_sums(p).memo) == replayed
+    # and a record read after a replay is the one read on cold sums
+    _layer_sums.cache_clear()
+    two_tree_sums(p)
+    assert len(replays) == 2
+    assert [root_set_sums(p, roots) for roots in ({0}, {2, 5})] == records
+
+
+def test_tree_sums_refuse_before_the_scaled_rows(monkeypatch):
+    # the refusal comes before the chain's n^2 scaled rows are built: on
+    # the 2048-state ring that is the difference between about 50 and
+    # 114 MB of peak RSS through the CLI
+    n = 2048
+    ring = chains.chain_from_edge_list(
+        "".join(f"{i} {(i + d) % n} 1/2\n" for i in range(n) for d in (1, -1)))
+
+    def no_rows(p):
+        raise AssertionError("built the scaled rows")
+
+    monkeypatch.setattr(forests, "scaled_rows", no_rows)
+    _layer_sums.cache_clear()
+    refusals = (
+        lambda: root_set_sums(ring, {0}, n - 1),
+        lambda: w_sum(ring, {0}, n - 1),
+        lambda: formulas.absorption(ring, {0}, n - 1),
+        lambda: two_tree_sums(ring, n),
+        lambda: sigma_sums(ring, n),
+        lambda: sigma_r(ring, 1, n),
+        lambda: sigma_r(ring, 2, n),
+    )
+    for call in refusals:
+        with pytest.raises(EnumerationGuardError, match="^tree sums over"):
+            call()
 
 
 def test_a_configuration_hashes_its_fields_once():
