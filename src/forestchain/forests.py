@@ -49,13 +49,15 @@ that fill and that pass run as one straight-line program per chain size
 F[out] += F[a] * F[b] they make, in their order, replayed over one flat
 list F of integers per chain. Each sum is the same integer, with no subset
 loop and no dict lookup; afterwards each state set's memo entry is a slice
-of F. The program is kept in the size's state-set table, shared by every
-chain of the size, and counted against the tables' bound in triples,
-which admits n <= 9 (50,511 triples at n = 9, 150,121 at n = 10). It is
-built on the second full fill of a size, not the first: a build costs
-more than a whole first ``analyze``, which would slow every CLI process
-that reads one chain. A chain whose root sets were read first keeps the
-loops, which reuse the entries those root sets filled.
+of F. The tree sums alone (``sigma_sums``, ``sigma_r`` at r = 1) replay
+only the program's first part, the fill. The program is kept in the
+size's state-set table, shared by every chain of the size, and counted
+against the tables' bound in triples, which admits n <= 9 (50,511
+triples at n = 9, 150,121 at n = 10). It is built on the second full fill
+of a size, not the first: a build costs more than a whole first
+``analyze``, which would slow every CLI process that reads one chain. A
+chain whose root sets were read first keeps the loops, which reuse the
+entries those root sets filled.
 
 The Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
 the free sets X that hold i and j, about 2^f f^2 / 4 for f free states.
@@ -620,6 +622,12 @@ def _program_layout(n: int) -> tuple[int, int, int, int, int]:
     return tau, acc, pairs, sigma, sigma + n * n
 
 
+def _fill_size(n: int) -> int:
+    """Triples of the program's first part, ``_fill`` over every state set:
+    n (3^(n-1) - 1) / 2 tree sums and n (n - 1) (2^(n-2) - 1) pulls."""
+    return n * (3 ** (n - 1) - 1) // 2 + n * (n - 1) * ((1 << n >> 2) - 1)
+
+
 def _program_size(n: int) -> int:
     """Triples in the program of n states: n (3^(n-1) - 1) / 2 for the tree
     sums of the fill, n 2^(n-1) for tau, n (n - 1) 2^(n-1) for the fill's
@@ -888,12 +896,18 @@ class _TreeSums:
     def _full(self) -> list[int]:
         """The memo values of all n states, filled first if not there: at
         each state b, T({b}, V - {b}), the weight of the spanning trees
-        rooted at b."""
+        rooted at b. On an empty memo, once the chain's size has its
+        program, the fill is a replay of the program's first part."""
         self._make_room()
         full = (1 << self.n) - 1
         got = self.memo.get(full)
         if got is None:
-            self._fill(_subsets(full))
+            program = None if self.memo else _program(self.n)
+            if program is not None:
+                self._replay(itertools.islice(program,
+                                              3 * _fill_size(self.n)))
+            else:
+                self._fill(_subsets(full))
             got = self.memo[full]
         return got
 
@@ -921,7 +935,13 @@ class _TreeSums:
             return got
         program = None if self.memo else _program(self.n)
         if program is not None:
-            got = self.two_trees = self._replay(program)
+            n = self.n
+            tau, _acc, pairs, sigma, length = _program_layout(n)
+            F = self._replay(program)
+            got = self.two_trees = TwoTreeSums(
+                tuple(self.trees()), F[tau + (1 << n) - 1], F[pairs],
+                tuple([tuple(F[at:at + n]) for at in range(sigma, length, n)]),
+                self.denom)
             return got
         trees = self.trees()
         n, memo, dens = self.n, self.memo, self.dens
@@ -958,15 +978,14 @@ class _TreeSums:
             tuple(zip(*sigma)), self.denom)
         return got
 
-    def _replay(self, program: list[int]) -> TwoTreeSums:
-        """The one- and two-tree sums of a chain with an empty memo, from
-        one replay of its size's program over a flat list F of integers
-        laid out as ``_program_layout`` says; each state set's memo entry
-        is then a slice of F, for the root sets to read."""
-        n, dens = self.n, self.dens
-        tau, _acc, pairs, sigma, length = _program_layout(n)
-        F = [0] * length
-        F[:n] = dens
+    def _replay(self, program: Iterable[int]) -> list[int]:
+        """The flat list F of integers laid out as ``_program_layout`` says,
+        from one replay of ``program``, its size's program or a first part
+        of it, on an empty memo; each state set's memo entry is then a slice
+        of F, for the root sets to read."""
+        n = self.n
+        F = [0] * _program_layout(n)[-1]
+        F[:n] = self.dens
         for d, row in enumerate(self.nums):
             at = n << d
             F[at:at + n] = row
@@ -977,10 +996,7 @@ class _TreeSums:
         memo = self.memo
         for s in range(1, 1 << n):
             memo[s] = F[s * n:s * n + n]
-        return TwoTreeSums(
-            tuple(self.trees()), F[tau + (1 << n) - 1], F[pairs],
-            tuple([tuple(F[at:at + n]) for at in range(sigma, length, n)]),
-            self.denom)
+        return F
 
     def _merged(self, roots: frozenset[int],
                 col: dict[int, int] | None = None):

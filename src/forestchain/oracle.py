@@ -1,38 +1,42 @@
 """Exact linear-algebra reference route, independent of forest enumeration.
 
-Determinants and solves share one fraction-free elimination over integer
-rows, whose last pivot is the determinant or the solution's denominator. On
-top of it sit the stationary, first-passage and Green solves, the
-fundamental matrix, two float checks (the Cesaro average and the trace-power
-series for the tree-sum total) and the undirected counting identities
-(Temperley shift, principal-minor sum, complete prism). Graph-side
-structure (reachability, recurrent classes, periodicity) also lives here so
-that every consumer shares one certified decomposition; the recurrent
-classes come from one strongly-connected-components pass.
+Determinants come from one fraction-free elimination over integer rows,
+and solves from one fraction-free principal exchange of an integer tableau
+[A | B] into [d A^-1 | d A^-1 B], d = det A, with no identity columns
+carried. On top of them sit the stationary, first-passage and Green
+solves, the fundamental matrix, two float checks (the Cesaro average and
+the trace-power series for the tree-sum total) and the undirected counting
+identities (Temperley shift, principal-minor sum, complete prism).
+Graph-side structure (reachability, recurrent classes, periodicity) also
+lives here so that every consumer shares one certified decomposition; the
+recurrent classes come from one strongly-connected-components pass.
 
 The chain and root-set solves take I - P with each row i scaled by its
-denominator dens_i (``chains.scaled_rows``), so their systems are integer
-from the start: dens_i delta_ij - num_ij on the left, and dens_i e_i or
-num_ib on the right. Each solution entry is then one Fraction of two
-integers, built by ``chains.ratio``: the one place a result value of either
-route is built, with one gcd.
+denominator dens_i (``chains.scaled_rows``), so their tableaux are integer
+from the start: dens_i delta_ij - num_ij on the left, and num_ib beside it.
+The inverse of the row-scaled matrix is the unscaled one's with column j
+over dens_j, so each solution entry is one Fraction of two integers, such
+as t_ij dens_j over d, built by ``chains.ratio``: the one place a result
+value of either route is built, with one gcd.
 
-The chain system G = (I - P + 1 e^T)^{-1}, e the last state's unit vector,
-is eliminated once per chain and kept. pi is G's last row, and G differs
+The chain system G = (I - P + 1 e^T)^-1, e the last state's unit vector,
+is exchanged once per chain and kept. pi is G's last row, and G differs
 from the fundamental matrix Z only by a constant down each column whose sum
 is zero (Hunter, 1982), so Kemeny's trace is tr G, every mean first passage
 time is m_ij = (g_jj - g_ij) / pi_j, and Z is read off G too.
 
-The Green and hitting matrices are the two halves of one solve of L(R) X =
-[I | P_R], kept per chain as d X over d = det of the row-scaled L(R). A
-root set R + {v} whose parent R is kept is read off it by one principal
-pivot (Sylvester's identity; Bareiss, Math. Comp. 22, 1968) in f (f + |R|)
-multiply-adds for f free states, where a fresh elimination takes O(f^3);
-a sweep over every root set of an irreducible chain, rank by rank,
-eliminates only the singletons. The integer solves of every proper root
-set of a dense chain take about 1.9, 5 and 12 ms at n = 7, 8 and 9 on a
-2-vCPU host, against 6, 17-21 and 40-54 ms with an elimination per root
-set.
+The Green and hitting matrices are the two halves of one solve of L(R)
+[G | H] = [I | P_R], kept per chain as the exchanged tableau over d = det
+of the row-scaled L(R). A root set R + {v} whose parent R is kept is read
+off it by the same exchange at v's row alone, in f (f + |R|) multiply-adds
+for f free states, where a fresh solve takes O(f^3). A singleton {j} of a
+chain whose chain solve is kept is read off that solve by one exchange at
+j, once the solve's border is moved to column j. So a sweep over every
+root set of an irreducible chain, rank by rank, solves afresh only the
+singletons: about 1.5, 3.4 and 8.4 ms for a dense chain at n = 7, 8 and 9
+on a 2-vCPU host, against 1.55, 3.65 and 9.0 ms by Gauss-Jordan over
+[A | dens I], and 6, 17-21 and 40-54 ms, in an earlier and slower
+measurement, with an elimination per root set.
 """
 
 from __future__ import annotations
@@ -80,17 +84,14 @@ def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[i
 
 
 def _eliminate(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination of n integer rows, in place.
+    """Fraction-free (Bareiss) elimination of n square integer rows, in
+    place, returning the last pivot: the determinant.
 
-    Rows may carry right-hand sides after their n coefficients. Updates
-    divide exactly by the previous pivot, and a swap negates the row it
-    moves down, so the determinant and the solution stay. Without
-    right-hand sides only rows below each pivot are updated and the last
-    pivot d is the determinant; with them every other row is too, leaving
-    d I beside d X. Raises SingularMatrixError on a zero pivot column.
+    Updates divide exactly by the previous pivot, and a swap negates the
+    row it moves down, so the determinant stays. Raises SingularMatrixError
+    on a zero pivot column.
     """
     n = len(rows)
-    below_only = all(len(row) == n for row in rows)
     prev = 1
     for k in range(n):
         r = next((r for r in range(k, n) if rows[r][k]), None)
@@ -100,12 +101,11 @@ def _eliminate(rows: list[list[int]]) -> int:
             rows[k], rows[r] = rows[r], [-x for x in rows[k]]
         row_k = rows[k]
         pivot = row_k[k]
-        for i in range(k + 1 if below_only else 0, n):
-            if i != k:
-                row_i = rows[i]
-                mik = row_i[k]
-                rows[i] = [(x * pivot - mik * y) // prev
-                           for x, y in zip(row_i, row_k)]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            mik = row_i[k]
+            rows[i] = [(x * pivot - mik * y) // prev
+                       for x, y in zip(row_i, row_k)]
         prev = pivot
     return prev
 
@@ -127,24 +127,42 @@ def exact_det(m: Sequence[Sequence[Fraction | int]]) -> Fraction:
         return Fraction(0)
 
 
-def _solve(a: Sequence[Sequence[int]],
-           b: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Solve A X = B exactly for integer A and B as (d X, d), with d X an
-    integer matrix and d = det A the elimination's last pivot; raises
-    SingularMatrixError.
+def _exchange(t: list[list[int]], positions: Iterable[int], d: int = 1) -> int:
+    """Fraction-free principal exchange of the integer tableau t = [A | B],
+    in place, at each of ``positions`` in turn; returns the last pivot.
+
+    With p = t[k][k] and d the previous pivot, every other row becomes
+    (x p - t[i][k] y) / d, exactly (Bareiss, Math. Comp. 22, 1968), column k
+    becomes -t[i][k] and t[k][k] becomes d. Exchanged at every position from
+    d = 1, t is [d A^-1 | d A^-1 B] with d = det A, each pivot a leading
+    principal minor of A: no row is swapped, since every system solved here
+    has them all positive when it is nonsingular. An exchange is its own
+    inverse. Raises SingularMatrixError on a zero pivot.
     """
-    n = len(a)
-    rows = [[*a[i], *b[i]] for i in range(n)]
-    d = _eliminate(rows)
-    return [row[n:] for row in rows], d
+    for k in positions:
+        row_k = t[k]
+        p = row_k[k]
+        if not p:
+            raise SingularMatrixError(f"singular system (pivot {k})")
+        for i, row in enumerate(t):
+            if i != k:
+                m = row[k]
+                new = [(x * p - m * y) // d for x, y in zip(row, row_k)]
+                new[k] = -m
+                t[i] = new
+        row_k[k] = d
+        d = p
+    return d
 
 
-def _scaled_laplacian(p: TransitionMatrix, keep: Sequence[int]) -> list[list[int]]:
-    """I - P on the states ``keep`` with row i times dens_i, so each entry is
-    the integer dens_i delta_ij - num_ij."""
+def _tableau(p: TransitionMatrix, keep: Sequence[int],
+             roots: Sequence[int] = ()) -> list[list[int]]:
+    """[L_s | nums_R] on the states ``keep``: I - P with row i times dens_i,
+    so each entry is the integer dens_i delta_ij - num_ij, beside the columns
+    of the scaled rows at ``roots``."""
     nums, dens = scaled_rows(p)
-    return [[(dens[i] if i == j else 0) - nums[i][j] for j in keep]
-            for i in keep]
+    return [[*[(dens[i] if i == j else 0) - nums[i][j] for j in keep],
+             *[nums[i][j] for j in roots]] for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -325,96 +343,125 @@ _CHAIN_SOLVE_CACHE_SIZE = 1
 _ROOT_SET_STORE_CHAINS = 2
 _ROOT_SET_SOLVE_CACHE_SIZE = 256
 
-# (d [G | H], d) of one root set, as _root_set_solve returns it
-RootSetSolve = tuple[tuple[tuple[int, ...], ...], int]
+# (t, d) of one exchanged tableau t over its last pivot d, as
+# _chain_solve and _root_set_solve return it
+Solve = tuple[tuple[tuple[int, ...], ...], int]
+
+# The chain whose solve _chain_solve keeps, so that a singleton root set
+# can tell whether it may read that solve without starting one.
+_chain_solved: list[TransitionMatrix | None] = [None]
 
 
 @lru_cache(maxsize=_CHAIN_SOLVE_CACHE_SIZE)
-def _chain_solve(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(d G, d) for G = (I - P + 1 e^T)^{-1}, e the last state's unit vector.
+def _chain_solve(p: TransitionMatrix) -> Solve:
+    """(d A^-1, d) for A = D (I - P + 1 e^T) and d = det A, with D = diag(dens)
+    and e the last state's unit vector: dens_i delta_ij - num_ij +
+    dens_i [j = n - 1] in row i.
 
-    pi^T (I - P + 1 e^T) = e^T, so pi is G's last row, and G = Z + 1 w^T
-    with sum(w) = 0 for the fundamental matrix Z (Hunter, 1982). Row i is
-    taken times dens_i: dens_i delta_ij - num_ij + dens_i [j = n - 1] on the
-    left, dens_i e_i on the right.
+    G = (I - P + 1 e^T)^-1 = A^-1 D, so d G is d A^-1 with column j times
+    dens_j. pi^T (I - P + 1 e^T) = e^T, so pi is G's last row, and G =
+    Z + 1 w^T with sum(w) = 0 for the fundamental matrix Z (Hunter, 1982).
+    Each leading minor of A below the last is that of a feasible L_s(R), so
+    positive, and the last is det A, the product of the dens times the
+    total tree sum Sigma^(1) > 0.
     """
     require_irreducible(p)
     n = p.n
-    dens = scaled_rows(p)[1]
-    a = _scaled_laplacian(p, range(n))
-    for row, d in zip(a, dens):
-        row[n - 1] += d
-    b = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(dens)]
-    g, d = _solve(a, b)
-    return tuple(map(tuple, g)), d
+    t = _tableau(p, range(n))
+    for row, dv in zip(t, scaled_rows(p)[1]):
+        row[n - 1] += dv
+    d = _exchange(t, range(n))
+    _chain_solved[0] = p
+    return tuple(map(tuple, t)), d
+
+
+def _kept_chain_solve(p: TransitionMatrix) -> Solve | None:
+    """p's chain solve if it is kept, else None; never starts one."""
+    if _chain_solve.cache_info().currsize and _chain_solved[0] == p:
+        return _chain_solve(p)
+    return None
 
 
 def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
     """Exact solution of pi P = pi, sum(pi) = 1: the last row of G."""
-    g, d = _chain_solve(p)
-    return tuple(ratio(x, d) for x in g[-1])
+    t, d = _chain_solve(p)
+    return tuple(ratio(x * dv, d) for x, dv in zip(t[-1], scaled_rows(p)[1]))
 
 
 @lru_cache(maxsize=_ROOT_SET_STORE_CHAINS)
-def _root_set_store(p: TransitionMatrix) -> dict[frozenset[int], RootSetSolve]:
+def _root_set_store(p: TransitionMatrix) -> dict[frozenset[int], Solve]:
     """The kept root-set solves of one chain, oldest first."""
     return {}
 
 
-def _eliminate_root_set(p: TransitionMatrix, roots: frozenset[int]
-                        ) -> RootSetSolve:
-    """(d [G | H], d) by one elimination of L(R) [G | H] = [dens I | nums_R].
+def _eliminate_root_set(p: TransitionMatrix, roots: frozenset[int]) -> Solve:
+    """The tableau [L_s(R) | nums_R] exchanged at every free state, for
+    L_s(R) = L(R) with row i times dens_i: [d L_s(R)^-1 | d L_s(R)^-1 nums_R]
+    over d = det L_s(R).
 
-    Each right-hand side comes with row i times dens_i, as L(R)'s rows do.
-    Raises InfeasibleRootSetError when L(R) is singular.
+    L_s(R) is a Z-matrix whose rows sum to 0 or more. Nonsingular, it is an
+    M-matrix, whose leading minors are all positive; singular, one of them
+    is 0, the last at the latest. Raises InfeasibleRootSetError when L(R) is
+    singular.
     """
     keep = [v for v in range(p.n) if v not in roots]
     rs = sorted(roots)
-    nums, dens = scaled_rows(p)
-    b = [[*[dens[i] if i == j else 0 for j in keep], *[nums[i][j] for j in rs]]
-         for i in keep]
+    t = _tableau(p, keep, rs)
     try:
-        x, d = _solve(_scaled_laplacian(p, keep), b)
+        d = _exchange(t, range(len(keep)))
     except SingularMatrixError as e:
         raise InfeasibleRootSetError(
             f"root set {rs} infeasible: L(R) is singular") from e
-    return tuple(map(tuple, x)), d
+    return tuple(map(tuple, t)), d
 
 
-def _pivot(parent: RootSetSolve, below: int, a: int, dens_v: int
-           ) -> RootSetSolve:
-    """The solve of R + {v} read off the solve (d X, d) of R by one
-    principal pivot on v's row a; ``below`` counts R's roots less than v.
+def _add_root(parent: Solve, a: int, below: int) -> Solve:
+    """The solve of R + {v} read off the kept solve of R by one exchange at
+    v's row a; ``below`` counts R's roots less than v.
 
-    By Sylvester's identity (Bareiss, 1968) the new determinant is d' =
-    X_aa / dens_v, every other entry is (X_ij X_aa - X_ia X_aj) / (d dens_v),
-    and v's new hitting column is X_ia / dens_v. Every division is exact,
-    and the result is the (d' X', d') a fresh elimination gives: both are
-    the determinant and the adjugate times the right-hand side of one
-    integer system. X_aa = d G_vv with G_vv >= 1, so the pivot is nonzero.
+    The exchange at a undoes R's at a: off row a it leaves d' L_s(R + {v})^-1
+    and its product with nums_R, over d' = det L_s(R + {v}) (R's cofactor
+    t_aa, positive since R + {v} is feasible with R), and in column a
+    L_s(R + {v})^-1 times L_s(R)'s column v, which off row a is -nums_v. So
+    with row a dropped and column a negated into the hitting block, it is
+    the tableau a fresh exchange of R + {v} gives, integer for integer.
     """
-    x_rows, d = parent
-    row_a = x_rows[a]
-    pivot = row_a[a]
-    den = d * dens_v
-    cut = len(x_rows) + below  # v's hitting column once its Green column goes
-    out = []
-    for i, row in enumerate(x_rows):
-        if i != a:
-            m = row[a]
-            t = [(y * pivot - m * z) // den for y, z in zip(row, row_a)]
-            out.append((*t[:a], *t[a + 1:cut], m // dens_v, *t[cut:]))
-    return tuple(out), pivot // dens_v
+    x, d = parent
+    t = list(x)
+    t[a] = list(t[a])
+    d = _exchange(t, (a,), d)
+    cut = len(t) + below  # v's hitting column once its Green column goes
+    return tuple([(*row[:a], *row[a + 1:cut], -row[a], *row[cut:])
+                  for i, row in enumerate(t) if i != a]), d
 
 
-def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]
-                    ) -> RootSetSolve:
-    """(d [G | H], d) for L(R) [G | H] = [dens I | nums_R]: the Green matrix
-    G = L(R)^{-1} and the hitting matrix H = G P_R, rows sorted(S \\ R),
-    G's columns the same states, H's sorted(R).
+def _singleton(chain: Solve, j: int) -> Solve:
+    """The solve of {j} read off the kept chain solve (d A^-1, d).
+
+    Every row of I - P sums to 0, so A 1 = dens and A^-1 dens = 1. By
+    Sherman and Morrison, A_j = A + dens (e_j - e)^T, the border moved to
+    column j, then has A_j^-1 = A^-1 - 1 (row j - row e of A^-1) and the
+    same determinant. Off row and column j, A_j is L_s({j}), so the exchange
+    at j leaves d_j L_s({j})^-1 there, d_j = det L_s({j}); and since every
+    state hits j, the hitting column is d_j throughout.
+    """
+    g, d = chain
+    shift = [x - y for x, y in zip(g[j], g[-1])]
+    t = [[x - s for x, s in zip(row, shift)] for row in g]
+    d = _exchange(t, (j,), d)
+    return tuple([(*row[:j], *row[j + 1:], d)
+                  for i, row in enumerate(t) if i != j]), d
+
+
+def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]) -> Solve:
+    """[d G_s | d H] over d for L(R) [G | H] = [I | P_R]: the Green matrix
+    G = L(R)^-1 = G_s D, with G_s = L_s(R)^-1 and D the dens of the free
+    states, and the hitting matrix H = G P_R, rows sorted(S \\ R), G's
+    columns the same states, H's sorted(R).
 
     A kept root set is read back; one with a kept parent R - {v} is read
-    off it by one pivot; any other is eliminated. Raises
+    off it by one exchange; a singleton of a chain whose chain solve is
+    kept is read off that; any other is eliminated. Raises
     InfeasibleRootSetError when L(R) is singular, and keeps only feasible
     root sets.
     """
@@ -425,10 +472,12 @@ def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]
     for below, v in enumerate(sorted(roots)):
         parent = store.get(roots - {v})
         if parent is not None:
-            got = _pivot(parent, below, v - below, scaled_rows(p)[1][v])
+            got = _add_root(parent, v - below, below)
             break
     else:
-        got = _eliminate_root_set(p, roots)
+        chain = _kept_chain_solve(p) if len(roots) == 1 else None
+        got = (_eliminate_root_set(p, roots) if chain is None
+               else _singleton(chain, min(roots)))
     if len(store) >= _ROOT_SET_SOLVE_CACHE_SIZE:
         del store[next(iter(store))]
     store[roots] = got
@@ -436,10 +485,12 @@ def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]
 
 
 def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
-    """L(R)^{-1}, rows and columns indexed by sorted(S \\ R)."""
-    x, d = _root_set_solve(p, check_roots(p.n, roots, allow_empty=True))
-    f = len(x)
-    return tuple([tuple([ratio(v, d) for v in row[:f]]) for row in x])
+    """L(R)^-1, rows and columns indexed by sorted(S \\ R)."""
+    rs = check_roots(p.n, roots, allow_empty=True)
+    x, d = _root_set_solve(p, rs)
+    dens = [dv for v, dv in enumerate(scaled_rows(p)[1]) if v not in rs]
+    return tuple([tuple([ratio(v * dv, d) for v, dv in zip(row, dens)])
+                  for row in x])
 
 
 def hitting_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
@@ -453,32 +504,38 @@ def mfpt_solve(p: TransitionMatrix) -> Matrix:
     """All mean first passage times from G: m_ij = (g_jj - g_ij) / pi_j for
     i != j and m_jj = 1 / pi_j, as from Z (Kemeny and Snell, Finite Markov
     Chains, 1960), since G - Z is constant down each column."""
-    g, d = _chain_solve(p)
-    # with d G in integers, pi_j = x_j / d for x = d G's last row
-    last = g[-1]
+    t, d = _chain_solve(p)
+    # with t = d A^-1 and G = A^-1 D, column j's dens_j cancels off the
+    # diagonal: m_ij = (t_jj - t_ij) / x_j for x = t's last row
+    last = t[-1]
+    dens = scaled_rows(p)[1]
     return tuple(
-        tuple(ratio(d, x) if i == j else ratio(g[j][j] - gij, x)
-              for j, (gij, x) in enumerate(zip(row, last)))
-        for i, row in enumerate(g))
+        tuple(ratio(d, x * dens[j]) if i == j else ratio(t[j][j] - tij, x)
+              for j, (tij, x) in enumerate(zip(row, last)))
+        for i, row in enumerate(t))
 
 
 def fundamental_matrix(p: TransitionMatrix) -> Matrix:
-    """Z = (I - P + Pi)^{-1} with Pi the stationary projector, as
+    """Z = (I - P + Pi)^-1 with Pi the stationary projector, as
     G - 1 w^T with w^T = pi^T G - pi^T."""
-    g, d = _chain_solve(p)
+    t, d = _chain_solve(p)
+    dens = scaled_rows(p)[1]
+    g = [[x * dv for x, dv in zip(row, dens)] for row in t]
     last = g[-1]
     # d^2 w_j = sum_k (d pi_k) (d g_kj) - d (d pi_j)
-    w = [sum(a * b for a, b in zip(last, col)) - d * t
-         for col, t in zip(zip(*g), last)]
+    w = [sum(a * b for a, b in zip(last, col)) - d * x
+         for col, x in zip(zip(*g), last)]
     return tuple(tuple(ratio(d * x - wj, d * d) for x, wj in zip(row, w))
                  for row in g)
 
 
 def kemeny_trace(p: TransitionMatrix) -> Fraction:
-    """Trace of the fundamental matrix, which equals tr G: the integer
-    diagonal of d G over d."""
-    g, d = _chain_solve(p)
-    return ratio(sum(row[i] for i, row in enumerate(g)), d)
+    """Trace of the fundamental matrix, which equals tr G: the diagonal of
+    d A^-1 times dens, over d."""
+    t, d = _chain_solve(p)
+    return ratio(sum(row[i] * dv
+                     for i, (row, dv) in enumerate(zip(t, scaled_rows(p)[1]))),
+                 d)
 
 
 # ---------------------------------------------------------------------------

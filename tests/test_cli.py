@@ -779,17 +779,17 @@ def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     calls = []
-    real = oracle._solve
+    real = oracle._exchange
 
-    def counting(a, b):
-        calls.append(len(a))
-        return real(a, b)
+    def counting(t, positions, *d):
+        calls.append((len(t), len(positions)))
+        return real(t, positions, *d)
 
-    monkeypatch.setattr(oracle, "_solve", counting)
+    monkeypatch.setattr(oracle, "_exchange", counting)
     oracle._chain_solve.cache_clear()
     code, out, _ = run_cli(capsys, ["analyze", "--input", str(path)])
     assert code == 0 and json.loads(out)["methods_agree"] is True
-    assert calls == [4]
+    assert calls == [(4, 4)]
     assert oracle._chain_solve.cache_info().maxsize is not None
 
 

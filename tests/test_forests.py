@@ -754,6 +754,47 @@ def test_replayed_two_tree_sums_equal_the_loops(monkeypatch):
         assert len(program) == 3 * forests._program_size(n)
 
 
+def test_a_fresh_chains_tree_sums_replay_the_programs_fill(monkeypatch):
+    # sigma_sums and sigma_r(p, 1) on a fresh chain of a size with a program
+    # replay its first part, the fill, and no more: no _fill, and the same
+    # sums and memo as the loops; that part ends where the first triple of
+    # the two-tree pass, into tau, begins
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    fills = _count_calls(monkeypatch, forests._TreeSums, "_fill")
+    replays = []
+    real = forests._TreeSums._replay
+
+    def replay(self, program):
+        program = list(program)
+        replays.append(len(program) // 3)
+        return real(self, program)
+
+    monkeypatch.setattr(forests._TreeSums, "_replay", replay)
+    rng = random.Random(107)
+
+    def tree_sums(p):
+        _layer_sums.cache_clear()
+        return sigma_sums(p), sigma_r(p, 1), dict(_layer_sums(p).memo)
+
+    for n in range(1, 10):
+        dense = chain([[Fraction(w, sum(ws)) for w in ws]
+                       for ws in ([rng.randint(1, 9) for _ in range(n)]
+                                  for _ in range(n))])
+        for p in (random_irreducible_chain(rng, n), random_chain(rng, n),
+                  dense):
+            with monkeypatch.context() as m:
+                m.setattr(forests, "_program", lambda n: None)
+                looped = tree_sums(p)
+            fills.clear()
+            replays.clear()
+            assert tree_sums(p) == looped
+            assert not fills and replays == [forests._fill_size(n)]
+        program = forests._STATE_SETS[n][2]
+        fill = 3 * forests._fill_size(n)
+        tau = forests._program_layout(n)[0]
+        assert max(program[:fill:3], default=0) < tau < program[fill]
+
+
 def test_a_program_is_built_on_the_second_full_fill_and_shared(monkeypatch):
     # the first full fill of a size runs the loops and builds nothing, even
     # where a root set has listed some of the size's sets; the second

@@ -31,16 +31,20 @@ from forestchain import (
     uniform_chain,
 )
 from forestchain import chain_from_edge_list, oracle
+from forestchain.chains import scaled_rows
 from forestchain.oracle import (
     RecurrentClasses,
-    _integer_rows,
+    _exchange,
     _reachable,
-    _solve,
     require_irreducible,
     states_not_reaching,
     states_not_reaching_all,
 )
-from forestchain.verify import random_chain, random_irreducible_chain
+from forestchain.verify import (
+    corpus_chains,
+    random_chain,
+    random_irreducible_chain,
+)
 
 from conftest import chain
 
@@ -111,14 +115,6 @@ def test_exact_det_takes_fraction_int_and_mixed_entries_alike():
     assert rows == [[F(1, 2), 3], [True, 0.25]]
 
 
-def _scaled_solve(a, b):
-    """_solve after each row of [A | B] is scaled to integers, which leaves
-    X unchanged."""
-    n = len(a)
-    rows, _ = _integer_rows([[*a[i], *b[i]] for i in range(n)])
-    return _solve([row[:n] for row in rows], [row[n:] for row in rows])
-
-
 def test_exact_det_matches_leibniz_expansion():
     rng = random.Random(11)
     singular = 0
@@ -135,39 +131,54 @@ def test_exact_det_matches_leibniz_expansion():
     assert singular >= 40
 
 
-def test_solve_satisfies_the_system_exactly():
+def _minors(m, sets):
+    return [_leibniz_det([[m[i][j] for j in s] for i in s]) for s in sets]
+
+
+def test_exchange_solves_systems_with_nonzero_leading_minors():
+    # exchanged at every position, [A | B] becomes [d A^-1 | d A^-1 B] over
+    # d = det A, in integers, with no identity columns carried; exchanged
+    # back at one position, it is the tableau of the other positions alone
     rng = random.Random(12)
-    systems = [([[F(0), F(1)], [F(1), F(0)]], [[F(2)], [F(3)]])]
-    while len(systems) < 100:
-        n = 2 + len(systems) % 4
-        a = _seeded_matrix(rng, n)
-        a[0][0] = F(0)  # the first pivot needs a row swap
-        if _leibniz_det(a) == 0:
+    done = 0
+    while done < 100:
+        n = 1 + done % 5
+        a = [[0 if rng.random() < 0.3 else rng.randint(-6, 6)
+              for _ in range(n)] for _ in range(n)]
+        k = rng.randrange(n)
+        others = [c for c in range(n) if c != k]
+        # every pivot on the way is a principal minor: none may vanish
+        if 0 in _minors(a, [range(c + 1) for c in range(n)]
+                        + [others[:c + 1] for c in range(n - 1)]):
             continue
-        b = [[F(rng.randint(-5, 5), rng.randint(1, 3))
-              for _ in range(1 + n % 3)] for _ in range(n)]
-        systems.append((a, b))
-    for a, b in systems:
-        n, width = len(a), len(b[0])
-        # d X in integers over the last pivot d
-        dx, d = _scaled_solve(a, b)
-        assert all(type(v) is int for row in dx for v in row)
-        x = [[F(v, d) for v in row] for row in dx]
-        assert [[sum((a[i][k] * x[k][j] for k in range(n)), F(0))
-                 for j in range(width)] for i in range(n)] == b
+        b = [[rng.randint(-5, 5) for _ in range(1 + n % 3)] for _ in range(n)]
+        t = [[*ra, *rb] for ra, rb in zip(a, b)]
+        d = _exchange(t, range(n))
+        assert d == _leibniz_det(a)
+        assert all(type(v) is int for row in t for v in row)
+        # A (d A^-1) = d I and A (d A^-1 B) = d B
+        assert [[sum(a[i][k] * t[k][j] for k in range(n))
+                 for j in range(len(t[0]))] for i in range(n)] \
+            == [[d * (i == j) for j in range(n)] + [d * x for x in b[i]]
+                for i in range(n)]
+        rest = [[*ra, *rb] for ra, rb in zip(a, b)]
+        last = _exchange(rest, others)
+        assert _exchange(t, (k,), d) == last
+        assert t == rest
+        done += 1
 
 
-def test_solve_refuses_singular_systems():
-    rng = random.Random(13)
-    for t in range(40):
-        n = 2 + t % 4
-        a = _seeded_matrix(rng, n)
-        a[t % n] = [3 * x for x in a[(t + 1) % n]]
-        eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-        with pytest.raises(SingularMatrixError):
-            _scaled_solve(a, eye)
+def test_exchange_refuses_a_zero_pivot():
+    # no row is swapped: a zero leading minor is refused, as is every
+    # singular system the oracle builds, whose leading minors are all >= 0
     with pytest.raises(SingularMatrixError):
-        _solve([[0, 1], [0, 2]], [[1], [1]])
+        _exchange([[0, 1, 2], [1, 0, 3]], range(2))
+    rng = random.Random(13)
+    for n in range(1, 7):
+        p = random_chain(rng, n)
+        # L(emptyset) = I - P, rows scaled: every row sums to 0
+        with pytest.raises(SingularMatrixError):
+            _exchange(oracle._tableau(p, range(n)), range(n))
 
 
 def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
@@ -184,33 +195,33 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
                 hitting_solve(p, {0}), hitting_solve(p, {0, 2}), mfpt_solve(p))
 
     expected = run()
-    real = oracle._solve
+    real = oracle._exchange
     sizes = []
 
-    def integer_rows(a, b):
-        assert all(type(x) is int for row in (*a, *b) for x in row)
-        sizes.append(len(a))
-        return real(a, b)
+    def integer_rows(t, positions, *d):
+        assert all(type(x) is int for row in t for x in row)
+        sizes.append((len(t), len(positions)))
+        return real(t, positions, *d)
 
     def no_fraction_laplacian(*args, **kwargs):
         raise AssertionError("built I - P over Fractions")
 
-    monkeypatch.setattr(oracle, "_solve", integer_rows)
+    monkeypatch.setattr(oracle, "_exchange", integer_rows)
     # the oracle does not import the Fraction Laplacian at all
     assert not hasattr(oracle, "laplacian")
     monkeypatch.setattr(chains_module, "laplacian", no_fraction_laplacian)
     oracle._root_set_store.cache_clear()
     oracle._chain_solve.cache_clear()
     assert run() == expected
-    # L({0}) and L({1, 2}) once each; L({0, 2}) is a pivot off the kept
-    # L({0}) and eliminates nothing; the chain system once for every
-    # passage time
-    assert sorted(sizes) == [1, 2, 3]
+    # (rows, positions exchanged): L({0}) and L({1, 2}) once each; L({0, 2})
+    # is one exchange at one position of the kept L({0}); the chain system
+    # once for every passage time
+    assert sorted(sizes) == [(1, 1), (2, 1), (2, 2), (3, 3)]
     # pi is read from that same kept solve
     sizes.clear()
     assert stationary_solve(p) == pi and sizes == []
     oracle._chain_solve.cache_clear()
-    assert stationary_solve(p) == pi and sizes == [3]
+    assert stationary_solve(p) == pi and sizes == [(3, 3)]
     assert sum(pi) == 1
     assert expected[1] == ((F(2),),)  # 1 / (1 - p_00)
     m = expected[-1]
@@ -270,15 +281,16 @@ def test_stationary_law_and_fundamental_matrix_meet_their_definitions():
 def test_green_and_hitting_share_one_elimination(monkeypatch):
     from forestchain import oracle
     p = random_irreducible_chain(random.Random(2031), 6)
-    real = oracle._solve
+    real = oracle._exchange
     calls = []
 
-    def counting(a, b):
-        calls.append(len(a))
-        return real(a, b)
+    def counting(t, positions, *d):
+        calls.append((len(t), len(positions)))
+        return real(t, positions, *d)
 
-    monkeypatch.setattr(oracle, "_solve", counting)
+    monkeypatch.setattr(oracle, "_exchange", counting)
     oracle._root_set_store.cache_clear()
+    oracle._chain_solve.cache_clear()
     # {1, 4} has no kept parent, so each root set is eliminated once
     for roots in ({0}, {1, 4}):
         g = green_matrix_solve(p, roots)
@@ -288,13 +300,12 @@ def test_green_and_hitting_share_one_elimination(monkeypatch):
         assert h == tuple(
             tuple(sum(g[a][c] * p.rows[k][b] for c, k in enumerate(keep))
                   for b in sorted(roots)) for a in range(len(keep)))
-    assert calls == [5, 4]
+    assert calls == [(5, 5), (4, 4)]
     # pi, Kemeny's trace, Z and every passage time read one chain solve
-    oracle._chain_solve.cache_clear()
     calls.clear()
     pi, k = stationary_solve(p), kemeny_trace(p)
     z, m = fundamental_matrix(p), mfpt_solve(p)
-    assert calls == [6]
+    assert calls == [(6, 6)]
     assert k == sum(z[i][i] for i in range(6))
     assert m[1][0] == (z[0][0] - z[1][0]) / pi[0]
 
@@ -323,16 +334,19 @@ def test_kept_solves_are_bounded_and_read_only(monkeypatch):
 
 
 def _count_solves(monkeypatch):
+    """A list of the free states of each root set eliminated afresh, on
+    cold root-set solves and no kept chain solve."""
     from forestchain import oracle
-    real = oracle._solve
+    real = oracle._eliminate_root_set
     calls = []
 
-    def counting(a, b):
-        calls.append(len(a))
-        return real(a, b)
+    def counting(p, roots):
+        calls.append(p.n - len(roots))
+        return real(p, roots)
 
-    monkeypatch.setattr(oracle, "_solve", counting)
+    monkeypatch.setattr(oracle, "_eliminate_root_set", counting)
     oracle._root_set_store.cache_clear()
+    oracle._chain_solve.cache_clear()
     return calls
 
 
@@ -433,6 +447,103 @@ def test_pivots_equal_fresh_eliminations(monkeypatch):
                 assert len(calls) == before
                 pivots += 1
     assert pivots >= 5000
+
+
+def test_kept_solves_meet_their_defining_equations():
+    # every kept (t, d), eliminated afresh, read off a kept parent or read
+    # off the kept chain solve: d = det L_s(R) by the swapping elimination,
+    # and L_s(R) t = d [I | nums_R] in integers, for L_s(R) = L(R) with row
+    # i times dens_i; an infeasible root set is refused, and its det is 0
+    checked = refused = 0
+    for p in corpus_chains(150, 7, 1069):
+        n = p.n
+        nums, dens = scaled_rows(p)
+        sets = [frozenset(c) for r in range(n + 1)
+                for c in itertools.combinations(range(n), r)]
+        for fresh in (True, False):
+            oracle._root_set_store.cache_clear()
+            oracle._chain_solve.cache_clear()
+            if not fresh and irreducibility_certificate(p) is None:
+                stationary_solve(p)  # singletons read off the chain solve
+            for roots in sets:
+                if fresh:
+                    oracle._root_set_store.cache_clear()
+                keep = [v for v in range(n) if v not in roots]
+                rs = sorted(roots)
+                lap = [[(dens[i] if i == j else 0) - nums[i][j] for j in keep]
+                       for i in keep]
+                det = exact_det(lap)
+                try:
+                    t, d = oracle._root_set_solve(p, roots)
+                except InfeasibleRootSetError:
+                    assert det == 0
+                    refused += 1
+                    continue
+                assert d == det != 0
+                f = len(keep)
+                assert [[sum(lap[i][k] * t[k][j] for k in range(f))
+                         for j in range(f + len(rs))] for i in range(f)] \
+                    == [[d * (i == j) for j in range(f)]
+                        + [d * nums[keep[i]][b] for b in rs]
+                        for i in range(f)]
+                checked += 1
+    assert checked >= 5000 and refused >= 200
+
+
+def _dense_and_sparse(rng, n):
+    weights = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+    return (chain([[F(w, sum(ws)) for w in ws] for ws in weights]),
+            random_irreducible_chain(rng, n))
+
+
+def test_singletons_read_off_the_chain_solve_equal_fresh_solves(monkeypatch):
+    # once a chain's solve is kept, each singleton is read off it with no
+    # elimination, integer for integer what a fresh solve gives; the empty
+    # root set still is refused
+    rng = random.Random(2039)
+    for n in range(2, 10):
+        for p in _dense_and_sparse(rng, n):
+            with monkeypatch.context() as m:
+                calls = _count_solves(m)
+                fresh = []
+                for v in range(n):
+                    oracle._root_set_store.cache_clear()
+                    fresh.append(oracle._root_set_solve(p, frozenset({v})))
+                assert calls == [n - 1] * n
+                calls.clear()
+                stationary_solve(p)
+                oracle._root_set_store.cache_clear()
+                assert [oracle._root_set_solve(p, frozenset({v}))
+                        for v in range(n)] == fresh
+                assert calls == []
+                with pytest.raises(InfeasibleRootSetError) as err:
+                    green_matrix_solve(p, ())
+                assert str(err.value) == \
+                    "root set [] infeasible: L(R) is singular"
+                assert calls == [n] and oracle._kept_chain_solve(p)
+
+
+def test_a_cold_or_reducible_chain_never_reads_the_chain_solve(monkeypatch):
+    # a singleton reads the chain solve only where it is kept already: a
+    # cold read eliminates and starts no chain solve, and a reducible chain
+    # has none to read, whatever other chain's solve is kept
+    reads = []
+    real = oracle._singleton
+    monkeypatch.setattr(oracle, "_singleton",
+                        lambda *a: reads.append(a) or real(*a))
+    calls = _count_solves(monkeypatch)
+    p = random_irreducible_chain(random.Random(2041), 5)
+    hitting_solve(p, {3})
+    assert calls == [4] and oracle._chain_solve.cache_info().currsize == 0
+    stationary_solve(p)
+    # state 0 absorbs, and every other state drains to it
+    q = chain([[1, 0, 0], [F(1, 2), F(1, 2), 0], [0, F(1, 2), F(1, 2)]])
+    with pytest.raises(ReducibleChainError):
+        stationary_solve(q)
+    assert hitting_solve(q, {0}) == ((F(1),), (F(1),))
+    assert calls == [4, 2] and reads == []
+    hitting_solve(p, {1})
+    assert calls == [4, 2] and len(reads) == 1
 
 
 def test_stationary_solve(fixture_a, d2):
