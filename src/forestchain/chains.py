@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -112,23 +111,27 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _check_row(i: int, cells: Iterable[tuple[int, Fraction]]) -> None:
-    """Row ``i``, given as (column, entry) pairs by ascending column (zero
-    entries may be left out), must be nonnegative and sum to exactly 1.
+# A checked row: (support columns, lcm d of the denominators, entries times d)
+CheckedRow = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+def _check_row(i: int, cells: Sequence[tuple[int, Fraction]]) -> CheckedRow:
+    """Row ``i``, given as its nonzero (column, entry) pairs by ascending
+    column, must be nonnegative and sum to exactly 1.
 
     Sign and sum are taken in integers over the lcm d of the row's
-    denominators."""
-    cells = list(cells)
+    denominators, and the chain keeps what they were taken from."""
     d = lcm(*[x.denominator for _j, x in cells])
-    total = 0
+    scaled = []
     for j, x in cells:
         if x.numerator < 0:
             raise ChainParseError(
                 f"negative entry {format_rational(x)} at ({i},{j})")
-        total += x.numerator * (d // x.denominator)
-    if total != d:
+        scaled.append(x.numerator * (d // x.denominator))
+    if sum(scaled) != d:
         raise ChainParseError(
-            f"row {i} sums to {format_rational(ratio(total, d))}")
+            f"row {i} sums to {format_rational(ratio(sum(scaled), d))}")
+    return tuple([j for j, _x in cells]), d, tuple(scaled)
 
 
 class FrozenValue:
@@ -185,7 +188,7 @@ class TransitionMatrix(FrozenValue):
     exactly 1; entries must be >= 0. Self-loops are allowed.
     """
 
-    __slots__ = ("rows", "labels", "_hash", "_support")
+    __slots__ = ("rows", "labels", "_hash", "_support", "_dens", "_nums")
     _fields = ("rows", "labels")
 
     def __init__(self, rows: Matrix, labels: tuple[str, ...] | None = None):
@@ -196,29 +199,27 @@ class TransitionMatrix(FrozenValue):
         n = len(rows)
         if n == 0:
             raise ChainParseError("empty transition matrix")
-        support = []
+        checked = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ChainParseError(
                     f"row {i} has {len(row)} entries, expected {n}")
-            cols = tuple([j for j, x in enumerate(row) if x])
-            _check_row(i, [(j, row[j]) for j in cols])
-            support.append(cols)
-        self._store(rows, labels, tuple(support))
+            checked.append(
+                _check_row(i, [(j, x) for j, x in enumerate(row) if x]))
+        self._store(rows, labels, checked)
 
     @classmethod
     def _checked(cls, rows: Matrix, labels: tuple[str, ...] | None,
-                 support: tuple[tuple[int, ...], ...]) -> TransitionMatrix:
-        """A chain from Fraction rows already checked as ``__init__`` checks
-        them, with their positive cells' columns: an edge list's listed
-        cells, so its absent ones are never read."""
+                 checked: Sequence[CheckedRow]) -> TransitionMatrix:
+        """A chain from Fraction rows checked as ``__init__`` checks them, from
+        their positive cells alone: an edge list's absent cells are not read."""
         self = cls.__new__(cls)
-        self._store(rows, labels, support)
+        self._store(rows, labels, checked)
         return self
 
     def _store(self, rows: Matrix, labels: tuple[str, ...] | None,
-               support: tuple[tuple[int, ...], ...]) -> None:
-        """Check the labels, then keep the checked rows and their support."""
+               checked: Sequence[CheckedRow]) -> None:
+        """Check the labels, then keep the rows and what their check found."""
         n = len(rows)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
@@ -233,17 +234,19 @@ class TransitionMatrix(FrozenValue):
                     f"{len(labels)} labels for {n} states")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
-        # chains key the forest caches, so hash once, and not through
-        # Fraction.__hash__, Python code with a pow per call: the nonzero
-        # cells' numerators and denominators, which equal Fractions share,
-        # with the support that places them. Unpickling runs __init__, so the
+        # chains key the kept sums and solves, so hash once, and not through
+        # Fraction.__hash__, Python code with a pow per call: the checked
+        # rows, which equal rows share. Unpickling runs __init__, so the
         # memo is never carried across processes, where label hashes differ
-        parts = tuple([(row[j].numerator, row[j].denominator)
-                       for row, cols in zip(rows, support) for j in cols])
-        object.__setattr__(self, "_hash", hash((support, parts, labels)))
+        object.__setattr__(self, "_hash", hash((tuple(checked), labels)))
+        support, dens, cells = zip(*checked)
         # the graph checks ask for the support many times per chain; the
         # entries are checked nonnegative, so nonzero means positive
         object.__setattr__(self, "_support", support)
+        # both routes compute from the row denominators and the scaled
+        # support cells, kept flat, row by row (``scaled_rows``)
+        object.__setattr__(self, "_dens", dens)
+        object.__setattr__(self, "_nums", tuple([x for c in cells for x in c]))
 
     def __hash__(self) -> int:
         return self._hash
@@ -327,9 +330,10 @@ def chain_from_edge_list(text: str) -> TransitionMatrix:
             raise ChainParseError(f"duplicate matrix cell {key}")
         cells[key] = x
         by_row.setdefault(key[0], []).append((key[1], x))
-    listed = [sorted(by_row.get(i, ())) for i in range(n)]
-    for i, row_cells in enumerate(listed):
-        _check_row(i, row_cells)
+    # a listed zero cell ("b c 0") stays out of the support
+    listed = [[(j, x) for j, x in sorted(by_row.get(i, ())) if x.numerator]
+              for i in range(n)]
+    checked = [_check_row(i, row_cells) for i, row_cells in enumerate(listed)]
     # every absent cell is one shared zero, and the chain type takes the
     # rows as checked, with the listed positive cells as their support
     zero = Fraction(0)
@@ -339,9 +343,7 @@ def chain_from_edge_list(text: str) -> TransitionMatrix:
         for j, x in row_cells:
             row[j] = x
         rows.append(tuple(row))
-    support = tuple(tuple([j for j, x in row_cells if x.numerator])
-                    for row_cells in listed)
-    return TransitionMatrix._checked(tuple(rows), labels, support)
+    return TransitionMatrix._checked(tuple(rows), labels, checked)
 
 
 def parse_chain(source: str, fmt: str = "matrix") -> TransitionMatrix:
@@ -386,25 +388,24 @@ def uniform_chain(n: int) -> TransitionMatrix:
 # ---------------------------------------------------------------------------
 # scaled rows and the Laplacian
 
-# Bound, in chains, on the memo below: the forest sums, the sampler and the
-# oracle solves each ask for the scaled rows of the chain in use.
-_SCALED_ROWS_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_SCALED_ROWS_CACHE_SIZE)
 def scaled_rows(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...],
                                               tuple[int, ...]]:
     """(nums, dens): row i of P is nums[i] / dens[i] with integer nums[i],
-    dens[i] the lcm of the denominators in the row's support, all it reads."""
-    dens = tuple(lcm(*[row[j].denominator for j in cols])
-                 for row, cols in zip(p.rows, p.support()))
+    dens[i] the lcm of the denominators in the row's support.
+
+    The row check scaled the support's cells, and the chain keeps only those
+    O(arcs) ints, since a caller may hold many chains: this lays them out as
+    n^2 dense cells, reading no Fraction, and each route keeps what it laid
+    out in its own store."""
+    n = p.n
+    cells = iter(p._nums)
     nums = []
-    for row, cols, d in zip(p.rows, p.support(), dens):
-        scaled = [0] * len(row)
-        for j in cols:
-            scaled[j] = row[j].numerator * (d // row[j].denominator)
-        nums.append(tuple(scaled))
-    return tuple(nums), dens
+    for cols in p._support:
+        row = [0] * n
+        for j, x in zip(cols, cells):
+            row[j] = x
+        nums.append(tuple(row))
+    return tuple(nums), p._dens
 
 
 def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> frozenset[int]:

@@ -2,9 +2,10 @@
 
 Subcommands: analyze, hit, green, count, sample, verify. Chain input is a
 JSON matrix document or a whitespace edge list (--format edges), read from
---input FILE or stdin. All quantities are printed as exact rationals;
---float adds decimal approximations. Exit codes: 0 success, 1 verification
-failure, 2 parse/usage error, 3 reducible chain, 4 infeasible root set.
+--input FILE or stdin. All quantities are printed as exact rationals, of
+any length; --float adds decimal approximations, null past the float
+range. Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
+3 reducible chain, 4 infeasible root set.
 A process whose stdout is closed early by its reader (``| head``) exits 1
 with nothing on stderr; that is handled in the process entry
 (``__main__.run``), so ``main`` lets the ``BrokenPipeError`` through.
@@ -43,30 +44,6 @@ from .forests import (
 )
 
 
-def _fmt(x: Fraction) -> str:
-    return format_rational(x)
-
-
-def _fmt_vec(xs: Iterable[Fraction]) -> list[str]:
-    return [_fmt(x) for x in xs]
-
-
-def _fmt_mat(m) -> list[list[str]]:
-    return [[_fmt(x) for x in row] for row in m]
-
-
-def _flt(x) -> float:
-    return float(format(float(x), ".12g"))
-
-
-def _flt_vec(xs) -> list[float]:
-    return [_flt(x) for x in xs]
-
-
-def _flt_mat(m) -> list[list[float]]:
-    return [[_flt(x) for x in row] for row in m]
-
-
 def _read_chain(args) -> TransitionMatrix:
     if args.input in (None, "-"):
         source = sys.stdin.read()
@@ -94,9 +71,53 @@ def _parse_states(text: str, n: int, what: str) -> list[int]:
     return out
 
 
-def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _flt(x):
+    """x to 12 significant digits as a float, lists and tuples entry by
+    entry; None (JSON null) past the float range."""
+    if isinstance(x, (list, tuple)):
+        return [_flt(y) for y in x]
+    try:
+        return float(format(float(x), ".12g"))
+    except OverflowError:
+        return None
+
+
+def _largest_bits(x) -> int:
+    """Bits of the largest integer in x: in an int, a Fraction's numerator
+    or denominator, or the lists, tuples and dict values that hold them."""
+    if isinstance(x, Fraction):
+        return max(x.numerator.bit_length(), x.denominator.bit_length())
+    if isinstance(x, int):
+        return x.bit_length()
+    if isinstance(x, dict):
+        x = tuple(x.values())
+    if isinstance(x, (list, tuple)):
+        return max(map(_largest_bits, x), default=0)
+    return 0
+
+
+def _emit(doc: dict, floats: Iterable[str] = ()) -> None:
+    """Write doc as indented JSON, each Fraction as "num/den", with a
+    ``key_float`` copy of each key in ``floats`` after the rest.
+
+    The text is built in full under a digit limit raised to fit the
+    document's largest integer, since a valid result can have more digits
+    than the interpreter converts by default (4300); the limit is restored
+    before the text is written, in one call, so parsing keeps it.
+    """
+    for key in floats:
+        doc[f"{key}_float"] = _flt(doc[key])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 30103 / 10^5 > log10(2): no fewer digits than the largest integer has
+    digits = _largest_bits(doc) * 30103 // 100000 + 1
+    if limit and digits > limit:
+        sys.set_int_max_str_digits(digits)
+    try:
+        text = json.dumps(doc, indent=2, default=format_rational)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +133,17 @@ def cmd_analyze(args) -> int:
              and analysis.kemeny == k_solve)
     doc = {
         "n": p.n,
-        "pi": _fmt_vec(analysis.pi),
-        "pi_oracle": _fmt_vec(pi_solve),
-        "mfpt": _fmt_mat(analysis.mfpt),
-        "mfpt_oracle": _fmt_mat(m_solve),
-        "kemeny": _fmt(analysis.kemeny),
-        "kemeny_oracle": _fmt(k_solve),
+        "pi": analysis.pi,
+        "pi_oracle": pi_solve,
+        "mfpt": analysis.mfpt,
+        "mfpt_oracle": m_solve,
+        "kemeny": analysis.kemeny,
+        "kemeny_oracle": k_solve,
         "methods_agree": agree,
     }
     if p.labels is not None:
         doc["labels"] = list(p.labels)
-    if args.float:
-        doc["pi_float"] = _flt_vec(analysis.pi)
-        doc["mfpt_float"] = _flt_mat(analysis.mfpt)
-        doc["kemeny_float"] = _flt(analysis.kemeny)
-    _emit(doc)
+    _emit(doc, ("pi", "mfpt", "kemeny") if args.float else ())
     return 0 if agree else 1
 
 
@@ -154,19 +171,15 @@ def cmd_hit(args) -> int:
         "targets": targets,
         "from": i,
         "interior": interior,
-        "hit": _fmt_vec(hit),
-        "hit_oracle": _fmt_vec(hit_solve),
-        "mean": _fmt(mean),
-        "mean_oracle": _fmt(mean_solve),
-        "green_row": _fmt_vec(row),
-        "green_row_oracle": _fmt_vec(row_solve),
+        "hit": hit,
+        "hit_oracle": hit_solve,
+        "mean": mean,
+        "mean_oracle": mean_solve,
+        "green_row": row,
+        "green_row_oracle": row_solve,
         "methods_agree": agree,
     }
-    if args.float:
-        doc["hit_float"] = _flt_vec(hit)
-        doc["mean_float"] = _flt(mean)
-        doc["green_row_float"] = _flt_vec(row)
-    _emit(doc)
+    _emit(doc, ("hit", "mean", "green_row") if args.float else ())
     return 0 if agree else 1
 
 
@@ -179,13 +192,11 @@ def cmd_green(args) -> int:
     doc = {
         "targets": targets,
         "interior": list(ab.interior),
-        "green": _fmt_mat(ab.green),
-        "green_oracle": _fmt_mat(g_solve),
+        "green": ab.green,
+        "green_oracle": g_solve,
         "methods_agree": agree,
     }
-    if args.float:
-        doc["green_float"] = _flt_mat(ab.green)
-    _emit(doc)
+    _emit(doc, ("green",) if args.float else ())
     return 0 if agree else 1
 
 
@@ -227,7 +238,7 @@ def cmd_count(args) -> int:
     p = _read_chain(args)
     sums = sigma_sums(p, args.guard)
     trees = range(1, p.n + 1)
-    by_r = {str(r): _fmt(sigma_r(p, r, args.guard)) for r in trees}
+    by_r = {str(r): sigma_r(p, r, args.guard) for r in trees}
     counts = [{"trees": r,
                "enumerated": comb(p.n, r) * _rooted_forest_count(
                    p.n, r, args.guard),
@@ -236,15 +247,12 @@ def cmd_count(args) -> int:
     doc = {
         "mode": "chain",
         "n": p.n,
-        "sigma": _fmt_vec(sums.sigma_vector),
-        "sigma1": _fmt(sums.sigma1),
+        "sigma": sums.sigma_vector,
+        "sigma1": sums.sigma1,
         "sigma_r": by_r,
         "forest_counts": counts,
     }
-    if args.float:
-        doc["sigma_float"] = _flt_vec(sums.sigma_vector)
-        doc["sigma1_float"] = _flt(sums.sigma1)
-    _emit(doc)
+    _emit(doc, ("sigma", "sigma1") if args.float else ())
     return 0
 
 

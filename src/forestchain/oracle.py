@@ -19,24 +19,25 @@ over dens_j, so each solution entry is one Fraction of two integers, such
 as t_ij dens_j over d, built by ``chains.ratio``: the one place a result
 value of either route is built, with one gcd.
 
-The chain system G = (I - P + 1 e^T)^-1, e the last state's unit vector,
-is exchanged once per chain and kept. pi is G's last row, and G differs
-from the fundamental matrix Z only by a constant down each column whose sum
-is zero (Hunter, 1982), so Kemeny's trace is tr G, every mean first passage
-time is m_ij = (g_jj - g_ij) / pi_j, and Z is read off G too.
+Each chain's derived data is made once and kept in one store per chain,
+for the last two chains: the irreducibility certificate, the scaled rows,
+the chain solve and the root-set solves. The chain system G = (I - P +
+1 e^T)^-1, e the last state's unit vector, is exchanged once per chain.
+pi is G's last row, and G differs from the fundamental matrix Z only by a
+constant down each column whose sum is zero (Hunter, 1982), so Kemeny's
+trace is tr G, every mean first passage time is m_ij = (g_jj - g_ij) /
+pi_j, and Z is read off G too.
 
 The Green and hitting matrices are the two halves of one solve of L(R)
-[G | H] = [I | P_R], kept per chain as the exchanged tableau over d = det
-of the row-scaled L(R). A root set R + {v} whose parent R is kept is read
-off it by the same exchange at v's row alone, in f (f + |R|) multiply-adds
-for f free states, where a fresh solve takes O(f^3). A singleton {j} of a
-chain whose chain solve is kept is read off that solve by one exchange at
-j, once the solve's border is moved to column j. So a sweep over every
+[G | H] = [I | P_R], kept as the exchanged tableau over d = det of the
+row-scaled L(R). A root set R + {v} whose parent R is kept is read off it
+by the same exchange at v's row alone, in f (f + |R|) multiply-adds for f
+free states, where a fresh solve takes O(f^3). A singleton {j} of a chain
+whose store holds the chain solve is read off that solve by one exchange
+at j, once the solve's border is moved to column j. So a sweep over every
 root set of an irreducible chain, rank by rank, solves afresh only the
 singletons: about 1.5, 3.4 and 8.4 ms for a dense chain at n = 7, 8 and 9
-on a 2-vCPU host, against 1.55, 3.65 and 9.0 ms by Gauss-Jordan over
-[A | dens I], and 6, 17-21 and 40-54 ms, in an earlier and slower
-measurement, with an elimination per root set.
+on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _tableau(p: TransitionMatrix, keep: Sequence[int],
     """[L_s | nums_R] on the states ``keep``: I - P with row i times dens_i,
     so each entry is the integer dens_i delta_ij - num_ij, beside the columns
     of the scaled rows at ``roots``."""
-    nums, dens = scaled_rows(p)
+    nums, dens = _scaled(p)
     return [[*[(dens[i] if i == j else 0) - nums[i][j] for j in keep],
              *[nums[i][j] for j in roots]] for i in keep]
 
@@ -189,13 +190,6 @@ def _reversed_support(p: TransitionMatrix) -> list[list[int]]:
     return rev
 
 
-# Bound, in chains, on the memo below: the formulas check their chain on every
-# call, so the chung suite asks once per index triple, n (n - 1)^2 times per
-# chain.
-_CERTIFICATE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
 def irreducibility_certificate(p: TransitionMatrix) -> tuple[int, int] | None:
     """None when irreducible, else a pair (i, j) with j unreachable from i:
     the least such i, and the least j for that i.
@@ -204,12 +198,14 @@ def irreducibility_certificate(p: TransitionMatrix) -> tuple[int, int] | None:
     state, i = 0. Otherwise a state reaches every state exactly when it
     reaches 0, so the least i that misses anything misses 0, and j = 0.
     """
-    reach = _reachable(p.support(), (0,))
-    for j in range(p.n):
-        if j not in reach:
-            return (0, j)
-    stranded = states_not_reaching(p, {0})
-    return (stranded[0], 0) if stranded else None
+    store = _chain_store(p)
+    if store.certificate is False:
+        reach = _reachable(p.support(), (0,))
+        missed = [j for j in range(p.n) if j not in reach]
+        stranded = () if missed else states_not_reaching(p, {0})
+        store.certificate = ((0, missed[0]) if missed
+                             else (stranded[0], 0) if stranded else None)
+    return store.certificate
 
 
 def require_irreducible(p: TransitionMatrix) -> None:
@@ -329,34 +325,48 @@ def period(p: TransitionMatrix) -> int:
 # ---------------------------------------------------------------------------
 # chain solves
 
-# Bounds on the kept solves. The chain solve joins calls that come one after
-# the other on one chain: the stationary, passage-time, Kemeny and
-# fundamental reads, so one entry serves every caller. Root-set solves are
-# kept per chain for two chains, as the forest route keeps its tree sums, so
-# that a sub-chain read in the middle of a caller's work does not evict the
-# caller's. Each chain keeps up to _ROOT_SET_SOLVE_CACHE_SIZE feasible root
-# sets, oldest dropped first: every one at n = 8. A sweep rank by rank over
-# a larger chain drops the previous rank's first root sets first, and at
-# n = 9 and 10 it still finds a kept parent R - {v} for every root set past
-# the singletons.
-_CHAIN_SOLVE_CACHE_SIZE = 1
-_ROOT_SET_STORE_CHAINS = 2
+# The stores are kept for the last two chains asked about, as the forest
+# route keeps its tree sums, so that a sub-chain read in the middle of a
+# caller's work (``formulas.mfpt_via_modified_chain``) does not evict the
+# caller's. Each keeps up to _ROOT_SET_SOLVE_CACHE_SIZE feasible root sets,
+# oldest dropped first: every one at n = 8; at n = 9 and 10 a sweep rank by
+# rank still finds a kept parent R - {v} for every root set past the
+# singletons.
+_STORE_CHAINS = 2
 _ROOT_SET_SOLVE_CACHE_SIZE = 256
 
-# (t, d) of one exchanged tableau t over its last pivot d, as
-# _chain_solve and _root_set_solve return it
+# (t, d): an exchanged tableau t over its last pivot d, as the solves keep it
 Solve = tuple[tuple[tuple[int, ...], ...], int]
 
-# The chain whose solve _chain_solve keeps, so that a singleton root set
-# can tell whether it may read that solve without starting one.
-_chain_solved: list[TransitionMatrix | None] = [None]
+
+class _Kept(dict):
+    """The oracle's store for one chain: its feasible root-set solves, oldest
+    first, beside its irreducibility certificate (False until it is found),
+    its scaled rows and its chain solve (None until they are made)."""
+
+    certificate: tuple[int, int] | None | bool = False
+    scaled: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
+    chain: Solve | None = None
 
 
-@lru_cache(maxsize=_CHAIN_SOLVE_CACHE_SIZE)
+@lru_cache(maxsize=_STORE_CHAINS)
+def _chain_store(p: TransitionMatrix) -> _Kept:
+    """The oracle's store for p."""
+    return _Kept()
+
+
+def _scaled(p: TransitionMatrix):
+    """p's ``scaled_rows``, laid out once and kept in its store."""
+    store = _chain_store(p)
+    if store.scaled is None:
+        store.scaled = scaled_rows(p)
+    return store.scaled
+
+
 def _chain_solve(p: TransitionMatrix) -> Solve:
     """(d A^-1, d) for A = D (I - P + 1 e^T) and d = det A, with D = diag(dens)
     and e the last state's unit vector: dens_i delta_ij - num_ij +
-    dens_i [j = n - 1] in row i.
+    dens_i [j = n - 1] in row i. Made once per chain and kept in its store.
 
     G = (I - P + 1 e^T)^-1 = A^-1 D, so d G is d A^-1 with column j times
     dens_j. pi^T (I - P + 1 e^T) = e^T, so pi is G's last row, and G =
@@ -365,33 +375,22 @@ def _chain_solve(p: TransitionMatrix) -> Solve:
     positive, and the last is det A, the product of the dens times the
     total tree sum Sigma^(1) > 0.
     """
-    require_irreducible(p)
-    n = p.n
-    t = _tableau(p, range(n))
-    for row, dv in zip(t, scaled_rows(p)[1]):
-        row[n - 1] += dv
-    d = _exchange(t, range(n))
-    _chain_solved[0] = p
-    return tuple(map(tuple, t)), d
-
-
-def _kept_chain_solve(p: TransitionMatrix) -> Solve | None:
-    """p's chain solve if it is kept, else None; never starts one."""
-    if _chain_solve.cache_info().currsize and _chain_solved[0] == p:
-        return _chain_solve(p)
-    return None
+    store = _chain_store(p)
+    if store.chain is None:
+        require_irreducible(p)
+        n = p.n
+        t = _tableau(p, range(n))
+        for row, dv in zip(t, _scaled(p)[1]):
+            row[n - 1] += dv
+        d = _exchange(t, range(n))
+        store.chain = tuple(map(tuple, t)), d
+    return store.chain
 
 
 def stationary_solve(p: TransitionMatrix) -> tuple[Fraction, ...]:
     """Exact solution of pi P = pi, sum(pi) = 1: the last row of G."""
     t, d = _chain_solve(p)
-    return tuple(ratio(x * dv, d) for x, dv in zip(t[-1], scaled_rows(p)[1]))
-
-
-@lru_cache(maxsize=_ROOT_SET_STORE_CHAINS)
-def _root_set_store(p: TransitionMatrix) -> dict[frozenset[int], Solve]:
-    """The kept root-set solves of one chain, oldest first."""
-    return {}
+    return tuple(ratio(x * dv, d) for x, dv in zip(t[-1], _scaled(p)[1]))
 
 
 def _eliminate_root_set(p: TransitionMatrix, roots: frozenset[int]) -> Solve:
@@ -460,12 +459,12 @@ def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]) -> Solve:
     columns the same states, H's sorted(R).
 
     A kept root set is read back; one with a kept parent R - {v} is read
-    off it by one exchange; a singleton of a chain whose chain solve is
-    kept is read off that; any other is eliminated. Raises
-    InfeasibleRootSetError when L(R) is singular, and keeps only feasible
-    root sets.
+    off it by one exchange; a singleton of a chain whose store holds the
+    chain solve is read off that, and never starts one; any other is
+    eliminated. Raises InfeasibleRootSetError when L(R) is singular, and
+    keeps only feasible root sets.
     """
-    store = _root_set_store(p)
+    store = _chain_store(p)
     got = store.get(roots)
     if got is not None:
         return got
@@ -475,9 +474,9 @@ def _root_set_solve(p: TransitionMatrix, roots: frozenset[int]) -> Solve:
             got = _add_root(parent, v - below, below)
             break
     else:
-        chain = _kept_chain_solve(p) if len(roots) == 1 else None
-        got = (_eliminate_root_set(p, roots) if chain is None
-               else _singleton(chain, min(roots)))
+        got = (_singleton(store.chain, min(roots))
+               if len(roots) == 1 and store.chain is not None
+               else _eliminate_root_set(p, roots))
     if len(store) >= _ROOT_SET_SOLVE_CACHE_SIZE:
         del store[next(iter(store))]
     store[roots] = got
@@ -488,7 +487,7 @@ def green_matrix_solve(p: TransitionMatrix, roots: Iterable[int]) -> Matrix:
     """L(R)^-1, rows and columns indexed by sorted(S \\ R)."""
     rs = check_roots(p.n, roots, allow_empty=True)
     x, d = _root_set_solve(p, rs)
-    dens = [dv for v, dv in enumerate(scaled_rows(p)[1]) if v not in rs]
+    dens = [dv for v, dv in enumerate(_scaled(p)[1]) if v not in rs]
     return tuple([tuple([ratio(v * dv, d) for v, dv in zip(row, dens)])
                   for row in x])
 
@@ -508,7 +507,7 @@ def mfpt_solve(p: TransitionMatrix) -> Matrix:
     # with t = d A^-1 and G = A^-1 D, column j's dens_j cancels off the
     # diagonal: m_ij = (t_jj - t_ij) / x_j for x = t's last row
     last = t[-1]
-    dens = scaled_rows(p)[1]
+    dens = _scaled(p)[1]
     return tuple(
         tuple(ratio(d, x * dens[j]) if i == j else ratio(t[j][j] - tij, x)
               for j, (tij, x) in enumerate(zip(row, last)))
@@ -519,7 +518,7 @@ def fundamental_matrix(p: TransitionMatrix) -> Matrix:
     """Z = (I - P + Pi)^-1 with Pi the stationary projector, as
     G - 1 w^T with w^T = pi^T G - pi^T."""
     t, d = _chain_solve(p)
-    dens = scaled_rows(p)[1]
+    dens = _scaled(p)[1]
     g = [[x * dv for x, dv in zip(row, dens)] for row in t]
     last = g[-1]
     # d^2 w_j = sum_k (d pi_k) (d g_kj) - d (d pi_j)
@@ -534,7 +533,7 @@ def kemeny_trace(p: TransitionMatrix) -> Fraction:
     d A^-1 times dens, over d."""
     t, d = _chain_solve(p)
     return ratio(sum(row[i] * dv
-                     for i, (row, dv) in enumerate(zip(t, scaled_rows(p)[1]))),
+                     for i, (row, dv) in enumerate(zip(t, _scaled(p)[1]))),
                  d)
 
 

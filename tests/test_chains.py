@@ -329,7 +329,30 @@ def test_scaled_rows_match_the_dense_scan():
         dens = tuple(lcm(*[x.denominator for x in row]) for row in p.rows)
         nums = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
                      for row, d in zip(p.rows, dens))
-        assert chains.scaled_rows.__wrapped__(p) == (nums, dens)
+        assert chains.scaled_rows(p) == (nums, dens)
+
+
+def test_scaled_rows_read_no_fraction_once_the_chain_is_built(monkeypatch):
+    # the row check scales each row's support cells, and the chain keeps
+    # them: scaled_rows lays them out without reading a Fraction
+    n = 64
+    ring = "".join(f"{i} {(i + d) % n} {d % 3}/3\n"
+                   for i in range(n) for d in (1, 2))
+    built = [chain_from_edge_list(ring), random_chain(random.Random(37), 7)]
+    calls = []
+    for name in ("numerator", "denominator"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, property(
+            lambda x, real=real: calls.append(x) or real.__get__(x)))
+    real_bool = Fraction.__bool__
+    monkeypatch.setattr(Fraction, "__bool__",
+                        lambda x: calls.append(x) or real_bool(x))
+    scaled = [chains.scaled_rows(p) for p in built]
+    assert calls == []
+    monkeypatch.undo()
+    nums, dens = scaled[0]
+    assert dens == (3,) * n
+    assert nums[0][1] == 1 and nums[0][2] == 2 and nums[0][3] == 0
 
 
 def test_chains_one_cell_apart_keep_separate_sums():

@@ -3,17 +3,25 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestchain import cli, format_rational
+from forestchain import (
+    cli,
+    format_rational,
+    formulas,
+    oracle,
+    parse_chain,
+    parse_rational,
+)
 
 A_DOC = json.dumps({
     "n": 3,
@@ -477,6 +485,95 @@ def test_unreadable_integer_is_a_parse_error(capsys, monkeypatch, fmt, text):
     assert json.loads(err)["error"] == "parse"
 
 
+def _dense_chain_doc(digits, n=9):
+    """A dense n-state matrix document whose row i is w_ij / d_i over one
+    random d_i of ``digits`` digits: n - 1 weights in [1, d_i / n) and a
+    last one that makes the row sum to d_i."""
+    rng = random.Random(1)
+    rows = []
+    for _ in range(n):
+        d = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        weights = [rng.randrange(1, d // n) for _ in range(n - 1)]
+        rows.append([f"{w}/{d}" for w in [*weights, d - sum(weights)]])
+    return json.dumps({"rows": rows})
+
+
+@contextmanager
+def _any_digits():
+    """Integer strings of any length convert inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_past_digit_limit
+def test_results_past_the_digit_limit_print(capsys, monkeypatch):
+    # every literal has 500 digits, far below the limit, and the results
+    # about 4500: they print, and the limit is back in place for parsing
+    text = _dense_chain_doc(500)
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, ["analyze"])
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    expected = formulas.analyze(parse_chain(text))
+    assert max(x.denominator for row in expected.mfpt
+               for x in row).bit_length() > 4300 * 3.33
+    with _any_digits():
+        doc = json.loads(out)
+        mfpt = [[parse_rational(x) for x in row] for row in doc["mfpt"]]
+        kemeny = parse_rational(doc["kemeny"])
+    assert doc["methods_agree"] is True
+    assert mfpt == [list(row) for row in expected.mfpt]
+    assert kemeny == expected.kemeny
+    # a literal past the limit is still refused
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        json.dumps({"rows": [[f"{_BIG}/{_BIG}"]]})))
+    code, out, err = run_cli(capsys, ["analyze"])
+    assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
+
+
+@_past_digit_limit
+def test_a_prism_count_past_the_digit_limit_prints_whole(capsys):
+    code, out, err = run_cli(capsys, ["count", "--prism", "682", "3"])
+    assert code == 0 and err == ""
+    with _any_digits():
+        doc = json.loads(out)
+    assert doc == {"mode": "prism", "n": 682, "m": 3,
+                   "closed_form": oracle.prism_tree_count(682, 3)}
+    assert doc["closed_form"].bit_length() > 4300 * 3.33
+
+
+_TINY = "1/1" + "0" * 400  # 10^-400
+_STICKY_DOC = json.dumps(
+    {"rows": [[f"{10 ** 400 - 1}/{10 ** 400}", _TINY], ["1/2", "1/2"]]})
+
+
+@pytest.mark.parametrize("argv, floats", [
+    (["analyze"], {"pi_float": [1.0, 0.0],
+                   "mfpt_float": [[1.0, None], [2.0, None]],
+                   "kemeny_float": 3.0}),
+    (["hit", "--targets", "1", "--from", "0"],
+     {"hit_float": [1.0], "mean_float": None, "green_row_float": [None]}),
+])
+def test_floats_past_the_float_range_print_null(capsys, monkeypatch, argv,
+                                                floats):
+    # state 0 leaves with probability 10^-400: passage times into state 1
+    # are past the float range, and only their floats change
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_STICKY_DOC))
+    code, exact, _ = run_cli(capsys, argv)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_STICKY_DOC))
+    code_float, out, err = run_cli(capsys, [*argv, "--float"])
+    assert code == code_float == 0 and err == ""
+    doc = json.loads(out)
+    assert {k: v for k, v in doc.items() if k.endswith("_float")} == floats
+    assert {k: v for k, v in doc.items() if k not in floats} \
+        == json.loads(exact)
+
+
 @pytest.mark.parametrize("suite", cli.SUITE_NAMES)
 def test_verify_below_two_states_exits_2(capsys, suite):
     # checked before any suite runs: wilson once divided by max_n - 1
@@ -771,7 +868,6 @@ def test_hit_past_the_state_set_bound_exits_2(capsys, tmp_path):
 def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
     # pi, the MFPT matrix and Kemeny's trace share one solve of I - P + 1 e^T:
     # pi is G's last row and m_ij = (g_jj - g_ij) / pi_j
-    from forestchain import oracle
     doc = {"n": 4, "rows": [["1/8", "3/8", "1/4", "1/4"],
                             ["1/5", "0", "2/5", "2/5"],
                             ["1/2", "1/6", "0", "1/3"],
@@ -786,11 +882,10 @@ def test_analyze_solves_pi_once(capsys, monkeypatch, tmp_path):
         return real(t, positions, *d)
 
     monkeypatch.setattr(oracle, "_exchange", counting)
-    oracle._chain_solve.cache_clear()
+    oracle._chain_store.cache_clear()
     code, out, _ = run_cli(capsys, ["analyze", "--input", str(path)])
     assert code == 0 and json.loads(out)["methods_agree"] is True
     assert calls == [(4, 4)]
-    assert oracle._chain_solve.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------

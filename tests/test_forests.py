@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import math
 import random
@@ -33,7 +34,7 @@ from forestchain import (
     w_target_sum,
 )
 
-from forestchain import chains, forests, formulas, oracle
+from forestchain import chains, forests, formulas, oracle, wilson
 from forestchain.forests import (
     DEFAULT_GUARD,
     RootSetSums,
@@ -1329,8 +1330,7 @@ def test_w_ec_sums_empty_roots(d2):
 
 
 def test_forest_caches_are_bounded():
-    caches = (_layer_sums, chains.scaled_rows, _tree_deletion_row,
-              irreducibility_certificate)
+    caches = (_layer_sums, _tree_deletion_row, oracle._chain_store)
     assert all(c.cache_info().maxsize is not None for c in caches)
     # one row per target state, and the guard admits trees on this many
     assert _tree_deletion_row.cache_info().maxsize >= DEFAULT_GUARD + 1
@@ -1344,6 +1344,31 @@ def test_forest_caches_are_bounded():
     for cached in caches:
         info = cached.cache_info()
         assert info.currsize <= info.maxsize
+
+
+def test_dropped_chains_are_not_kept_alive():
+    # what both routes derive from a chain is kept for the last two chains
+    # at most, so chains run through every route and then dropped are freed
+    def alive():
+        gc.collect()
+        return sum(1 for o in gc.get_objects()
+                   if type(o) is chains.TransitionMatrix
+                   and o.labels is not None and o.labels[0] == "dropped")
+
+    assert alive() == 0
+    rng = random.Random(2043)
+    cfg = wilson.SamplerConfig(seed=7, sample_count=5)
+    for k in range(20):
+        p = random_irreducible_chain(rng, 3 + k % 3)
+        p = chains.TransitionMatrix(
+            p.rows, ("dropped", *(f"{k}.{v}" for v in range(1, p.n))))
+        formulas.analyze(p)
+        oracle.mfpt_solve(p)
+        oracle.green_matrix_solve(p, {0})
+        formulas.absorption(p, {0})
+        wilson.sample_forests(p, {0}, cfg)
+    del p
+    assert alive() <= 2
 
 
 def _enumerated_law(p, roots, alpha):

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestchain import (
     CycleWeights,
@@ -35,6 +36,7 @@ from forestchain import (
     uniform_chain,
 )
 from forestchain import forests, formulas, verify
+from forestchain.chains import scaled_rows
 
 from conftest import chain
 
@@ -497,3 +499,65 @@ def test_routes_agree_on_edge_chains(rows):
                 for bt, j in enumerate(interior):
                     assert ab.green[at][bt] == green_occupation(p, roots, i, j)
     assert (infeasible > 0) == (not irreducible)
+
+
+@st.composite
+def _large_number_cases(draw):
+    """(chain, root set): 2..6 states whose rows have denominators up to
+    about 10^60, with zero cells, self-loops and absorbing rows, and a
+    nonempty root set."""
+    n = draw(st.integers(2, 6))
+    # a weight of 1 to 60 digits, or about one time in six a zero
+    weight = st.integers(0, 71).flatmap(
+        lambda k: st.just(0) if k % 6 == 3
+        else st.integers(10 ** (k * 5 // 6), 10 ** (k * 5 // 6 + 1) - 1))
+    rows = []
+    for i in range(n):
+        # about one row in ten absorbing
+        if draw(st.integers(0, 9)) == 4:
+            rows.append([Fraction(int(j == i)) for j in range(n)])
+            continue
+        weights = draw(st.lists(weight, min_size=n, max_size=n))
+        if not any(weights):
+            weights[draw(st.integers(0, n - 1))] = 1
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    roots = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    return chain(rows), roots
+
+
+def _outcome(route, *args):
+    """route(*args), or the class of the chain error it raises."""
+    try:
+        return route(*args)
+    except ValueError as e:
+        return type(e)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_large_number_cases())
+def test_both_routes_agree_on_large_numbers(case):
+    # exactly equal, or refused alike, with no float anywhere
+    p, roots = case
+    got = _outcome(analyze, p)
+    if isinstance(got, type):
+        assert got is ReducibleChainError
+        assert _outcome(stationary_solve, p) is got
+        assert _outcome(mfpt_solve, p) is got
+    else:
+        assert got.pi == stationary_solve(p)
+        assert got.mfpt == mfpt_solve(p)
+        assert got.kemeny == kemeny_trace(p)
+    got = _outcome(absorption, p, roots)
+    green = _outcome(green_matrix_solve, p, roots)
+    hit = _outcome(hitting_solve, p, roots)
+    if isinstance(got, type):
+        assert got is InfeasibleRootSetError
+        assert green is hit is got
+    else:
+        assert got.green == green and got.hit == hit
+        assert got.mean_hit == tuple(sum(row, Fraction(0)) for row in green)
+    # the scaled rows the chain kept from its row check are its rows
+    dens = tuple(math.lcm(*[x.denominator for x in row]) for row in p.rows)
+    nums = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row, d in zip(p.rows, dens))
+    assert scaled_rows(p) == (nums, dens)

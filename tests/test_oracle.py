@@ -210,8 +210,7 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     # the oracle does not import the Fraction Laplacian at all
     assert not hasattr(oracle, "laplacian")
     monkeypatch.setattr(chains_module, "laplacian", no_fraction_laplacian)
-    oracle._root_set_store.cache_clear()
-    oracle._chain_solve.cache_clear()
+    oracle._chain_store.cache_clear()
     assert run() == expected
     # (rows, positions exchanged): L({0}) and L({1, 2}) once each; L({0, 2})
     # is one exchange at one position of the kept L({0}); the chain system
@@ -220,7 +219,7 @@ def test_passage_green_and_hitting_solves_take_integer_rows(monkeypatch):
     # pi is read from that same kept solve
     sizes.clear()
     assert stationary_solve(p) == pi and sizes == []
-    oracle._chain_solve.cache_clear()
+    oracle._chain_store(p).chain = None
     assert stationary_solve(p) == pi and sizes == [(3, 3)]
     assert sum(pi) == 1
     assert expected[1] == ((F(2),),)  # 1 / (1 - p_00)
@@ -289,8 +288,7 @@ def test_green_and_hitting_share_one_elimination(monkeypatch):
         return real(t, positions, *d)
 
     monkeypatch.setattr(oracle, "_exchange", counting)
-    oracle._root_set_store.cache_clear()
-    oracle._chain_solve.cache_clear()
+    oracle._chain_store.cache_clear()
     # {1, 4} has no kept parent, so each root set is eliminated once
     for roots in ({0}, {1, 4}):
         g = green_matrix_solve(p, roots)
@@ -312,25 +310,23 @@ def test_green_and_hitting_share_one_elimination(monkeypatch):
 
 def test_kept_solves_are_bounded_and_read_only(monkeypatch):
     from forestchain import oracle
-    # the chain-solve calls come one after the other, so one entry does;
-    # root-set solves are kept for two chains, a bounded store each
-    assert oracle._chain_solve.cache_info().maxsize == 1
-    assert oracle._root_set_store.cache_info().maxsize == 2
+    # the chain solve and the root-set solves are kept as tuples, and each
+    # chain's store holds a bounded number of root sets
     p = random_irreducible_chain(random.Random(2033), 4)
     g, _ = oracle._chain_solve(p)
     assert all(type(t) is tuple for t in (g, *g))
     monkeypatch.setattr(oracle, "_ROOT_SET_SOLVE_CACHE_SIZE", 3)
-    oracle._root_set_store.cache_clear()
+    oracle._chain_store(p).clear()
     sweep = [frozenset(c) for r in (1, 2, 3)
              for c in itertools.combinations(range(4), r)]
     for roots in sweep:
         oracle._root_set_solve(p, roots)
-        store = oracle._root_set_store(p)
+        store = oracle._chain_store(p)
         assert len(store) <= 3
         assert all(type(t) is tuple for x, _ in store.values()
                    for t in (x, *x))
     # first in, first out: the last three root sets are the ones kept
-    assert list(oracle._root_set_store(p)) == sweep[-3:]
+    assert list(oracle._chain_store(p)) == sweep[-3:]
 
 
 def _count_solves(monkeypatch):
@@ -345,8 +341,7 @@ def _count_solves(monkeypatch):
         return real(p, roots)
 
     monkeypatch.setattr(oracle, "_eliminate_root_set", counting)
-    oracle._root_set_store.cache_clear()
-    oracle._chain_solve.cache_clear()
+    oracle._chain_store.cache_clear()
     return calls
 
 
@@ -360,13 +355,13 @@ def test_a_root_set_with_a_kept_parent_is_pivoted(monkeypatch):
     g2, h2 = green_matrix_solve(p, {2, 4}), hitting_solve(p, {4, 2})
     g3 = green_matrix_solve(p, {0, 2, 4})
     assert calls == [5]
-    assert set(oracle._root_set_store(p)) == {
+    assert set(oracle._chain_store(p)) == {
         frozenset({2}), frozenset({2, 4}), frozenset({0, 2, 4})}
     # the same as eliminating each afresh
-    oracle._root_set_store.cache_clear()
+    oracle._chain_store(p).clear()
     assert (green_matrix_solve(p, {2, 4}), hitting_solve(p, {2, 4})) \
         == (g2, h2)
-    oracle._root_set_store.cache_clear()
+    oracle._chain_store(p).clear()
     assert green_matrix_solve(p, {0, 2, 4}) == g3
     assert green_matrix_solve(p, {2}) == g1
     assert calls == [5, 4, 3, 5]
@@ -381,13 +376,13 @@ def test_an_infeasible_root_set_is_never_kept(monkeypatch, r3):
             hitting_solve(r3, {1})
         messages.append(str(err.value))
     assert messages == ["root set [1] infeasible: L(R) is singular"] * 2
-    assert calls == [2, 2] and not oracle._root_set_store(r3)
+    assert calls == [2, 2] and not oracle._chain_store(r3)
     # neither parent of {1, 2} is kept, so it is eliminated, not pivoted
     with pytest.raises(InfeasibleRootSetError):
         green_matrix_solve(r3, {2})
     assert hitting_solve(r3, {1, 2}) == ((F(1, 2), F(1, 2)),)
     assert calls == [2, 2, 2, 1]
-    assert list(oracle._root_set_store(r3)) == [frozenset({1, 2})]
+    assert list(oracle._chain_store(r3)) == [frozenset({1, 2})]
 
 
 def _proper_root_sets(n):
@@ -428,10 +423,10 @@ def test_pivots_equal_fresh_eliminations(monkeypatch):
         sets = _proper_root_sets(p.n)
         fresh = {}
         for roots in sets:
-            oracle._root_set_store.cache_clear()
+            oracle._chain_store(p).clear()
             fresh[roots] = solve(p, roots)
         for order in (sets, sets[::-1]):
-            oracle._root_set_store.cache_clear()
+            oracle._chain_store(p).clear()
             before = len(calls)
             assert [solve(p, roots) for roots in order] \
                 == [fresh[roots] for roots in order]
@@ -440,7 +435,7 @@ def test_pivots_equal_fresh_eliminations(monkeypatch):
             if fresh[roots] is None:
                 continue
             for v in set(range(p.n)) - roots - {max(set(range(p.n)) - roots)}:
-                oracle._root_set_store.cache_clear()
+                oracle._chain_store(p).clear()
                 solve(p, roots)
                 before = len(calls)
                 assert solve(p, roots | {v}) == fresh[roots | {v}]
@@ -461,13 +456,12 @@ def test_kept_solves_meet_their_defining_equations():
         sets = [frozenset(c) for r in range(n + 1)
                 for c in itertools.combinations(range(n), r)]
         for fresh in (True, False):
-            oracle._root_set_store.cache_clear()
-            oracle._chain_solve.cache_clear()
+            oracle._chain_store.cache_clear()
             if not fresh and irreducibility_certificate(p) is None:
                 stationary_solve(p)  # singletons read off the chain solve
             for roots in sets:
                 if fresh:
-                    oracle._root_set_store.cache_clear()
+                    oracle._chain_store(p).clear()
                 keep = [v for v in range(n) if v not in roots]
                 rs = sorted(roots)
                 lap = [[(dens[i] if i == j else 0) - nums[i][j] for j in keep]
@@ -507,12 +501,12 @@ def test_singletons_read_off_the_chain_solve_equal_fresh_solves(monkeypatch):
                 calls = _count_solves(m)
                 fresh = []
                 for v in range(n):
-                    oracle._root_set_store.cache_clear()
+                    oracle._chain_store(p).clear()
                     fresh.append(oracle._root_set_solve(p, frozenset({v})))
                 assert calls == [n - 1] * n
                 calls.clear()
                 stationary_solve(p)
-                oracle._root_set_store.cache_clear()
+                oracle._chain_store(p).clear()
                 assert [oracle._root_set_solve(p, frozenset({v}))
                         for v in range(n)] == fresh
                 assert calls == []
@@ -520,7 +514,7 @@ def test_singletons_read_off_the_chain_solve_equal_fresh_solves(monkeypatch):
                     green_matrix_solve(p, ())
                 assert str(err.value) == \
                     "root set [] infeasible: L(R) is singular"
-                assert calls == [n] and oracle._kept_chain_solve(p)
+                assert calls == [n] and oracle._chain_store(p).chain
 
 
 def test_a_cold_or_reducible_chain_never_reads_the_chain_solve(monkeypatch):
@@ -534,7 +528,7 @@ def test_a_cold_or_reducible_chain_never_reads_the_chain_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     p = random_irreducible_chain(random.Random(2041), 5)
     hitting_solve(p, {3})
-    assert calls == [4] and oracle._chain_solve.cache_info().currsize == 0
+    assert calls == [4] and oracle._chain_store(p).chain is None
     stationary_solve(p)
     # state 0 absorbs, and every other state drains to it
     q = chain([[1, 0, 0], [F(1, 2), F(1, 2), 0], [0, F(1, 2), F(1, 2)]])
@@ -697,15 +691,21 @@ def test_irreducibility_certificate_matches_one_search_per_state():
     assert [irreducibility_certificate(p) for p in chains] == certs
 
 
-def test_require_irreducible_error_is_the_same_when_cached(r3):
-    irreducibility_certificate.cache_clear()
-    errors = []
+def test_require_irreducible_error_is_the_same_when_cached(r3, monkeypatch):
+    from forestchain import oracle
+    oracle._chain_store.cache_clear()
+    searches = []
+    real = oracle._reachable
+    monkeypatch.setattr(oracle, "_reachable",
+                        lambda *a: searches.append(a) or real(*a))
+    errors, counts = [], []
     for _ in range(2):
         with pytest.raises(ReducibleChainError) as exc:
             require_irreducible(r3)
         errors.append(exc.value)
-    info = irreducibility_certificate.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+        counts.append(len(searches))
+    # the certificate is searched for once and then read from the store
+    assert counts[0] > 0 and counts[1] == counts[0]
     first, second = errors
     assert str(first) == str(second)
     assert first.certificate == second.certificate == irreducibility_certificate(r3)

@@ -611,8 +611,8 @@ def test_cycle_weight_out_of_range_still_raises():
 def test_stepper_checks_every_row_at_build():
     p = chain([[F(1, 2), F(1, 2)], [0, 1]])
     # a row that lost mass after validation: its one positive cell, state 1,
-    # now holds 1/4; the injected 1/2 lies outside the support, which is read
-    object.__setattr__(p, "rows", ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))))
+    # is now kept as 1/4, scaled by 4
+    object.__setattr__(p, "_dens", (2, 4))
     with pytest.raises(ValueError,
                        match="^row 1 mass 1 does not cover its denominator 4$"):
         _Stepper(p)
@@ -636,7 +636,6 @@ def test_setup_reads_only_the_support_cells(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__bool__", counting_bool)
     monkeypatch.setattr(Fraction, "denominator", property(counting_den))
-    wilson._scaled_rows.cache_clear()
     p = chain_from_edge_list(text)
     stepper = _Stepper(p)
     arcs = 2 * n
