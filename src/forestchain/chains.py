@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -128,9 +129,14 @@ def _check_row(i: int, cells: Sequence[tuple[int, Fraction]]) -> CheckedRow:
             raise ChainParseError(
                 f"negative entry {format_rational(x)} at ({i},{j})")
         scaled.append(x.numerator * (d // x.denominator))
-    if sum(scaled) != d:
-        raise ChainParseError(
-            f"row {i} sums to {format_rational(ratio(sum(scaled), d))}")
+    total = sum(scaled)
+    if total != d:
+        q = ratio(total, d)
+        # a sum of literals within the interpreter's digit limit can pass it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(q.numerator, q.denominator) >= 10 ** limit:
+            raise ChainParseError(f"row {i} does not sum to 1")
+        raise ChainParseError(f"row {i} sums to {format_rational(q)}")
     return tuple([j for j, _x in cells]), d, tuple(scaled)
 
 

@@ -32,16 +32,17 @@ column at every free state, about 3^f multiply-adds after the fill
 (``w_sum`` and ``sigma_r`` take it alone). Each root set keeps one entry,
 up to _ROOT_SET_CACHE_SIZE root sets, oldest dropped first: w(R) and its
 column, 2^f integers, until R's record replaces them, so the sweep that
-reads w(R) and then R's Green numerators convolves it once. The memo
-entry of all n states holds every T({b}, V - {b}) = w({b}):
-``sigma_sums`` and ``sigma_r`` at r = 1 read them there, with one fill of
-all n states and no column. The sums that split the states into two
-blocks are read straight from the memo, one pass over its subsets X. With
-tau(X) = sum_{k in X} T({k}, X - {k}) the weight of all spanning trees of
-X, the two-tree Sigma_ij = sum_{k != j} w_ik({j, k}) sums
-tau(X) T({j}, V - X - {j}) over the X that hold i and not j, and
-Sigma^(2) sums tau(X) tau(V - X) over the splits {X, V - X}
-(``two_tree_sums``), about 2^n n^2 / 4 multiply-adds after the fill.
+reads w(R) and then R's Green numerators convolves it once. The sums
+that split the states into two blocks are read straight from the memo,
+one pass over its subsets X. With tau(X) = sum_{k in X} T({k}, X - {k})
+the weight of all spanning trees of X, the two-tree
+Sigma_ij = sum_{k != j} w_ik({j, k}) sums tau(X) T({j}, V - X - {j})
+over the X that hold i and not j, and Sigma^(2) sums tau(X) tau(V - X)
+over the splits {X, V - X} (``two_tree_sums``), about 2^n n^2 / 4
+multiply-adds after the fill. The same record keeps the memo entry of all
+n states, every T({b}, V - {b}) = w({b}), as Sigma_j, and their total
+tau(V) as Sigma^(1): ``sigma_sums`` and ``sigma_r`` at r = 1 read them
+there, with no column.
 
 On a chain whose memo is still empty, as ``analyze`` meets a fresh chain,
 that fill and that pass run as one straight-line program per chain size
@@ -49,15 +50,13 @@ that fill and that pass run as one straight-line program per chain size
 F[out] += F[a] * F[b] they make, in their order, replayed over one flat
 list F of integers per chain. Each sum is the same integer, with no subset
 loop and no dict lookup; afterwards each state set's memo entry is a slice
-of F. The tree sums alone (``sigma_sums``, ``sigma_r`` at r = 1) replay
-only the program's first part, the fill. The program is kept in the
-size's state-set table, shared by every chain of the size, and counted
-against the tables' bound in triples, which admits n <= 9 (50,511
-triples at n = 9, 150,121 at n = 10). It is built on the second full fill
-of a size, not the first: a build costs more than a whole first
-``analyze``, which would slow every CLI process that reads one chain. A
-chain whose root sets were read first keeps the loops, which reuse the
-entries those root sets filled.
+of F. The program is kept in the size's state-set table, shared by every
+chain of the size, and counted against the tables' bound in triples,
+which admits n <= 9 (50,511 triples at n = 9, 150,121 at n = 10). It is
+built on the second full fill of a size, not the first: a build costs
+more than a whole first ``analyze``, which would slow every CLI process
+that reads one chain. A chain whose root sets were read first keeps the
+loops, which reuse the entries those root sets filled.
 
 The Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
 the free sets X that hold i and j, about 2^f f^2 / 4 for f free states.
@@ -104,9 +103,10 @@ __all__ = [
     "DEFAULT_GUARD", "EnumerationGuardError", "InfeasibleRootSetError",
     "RootedForest", "Ecrsf", "CycleWeights", "ForestSums", "check_roots",
     "canonical_cycle", "enumerate_forests", "enumerate_ecrsf", "cayley_count",
-    "forest_weight", "ecrsf_weight", "RootSetSums", "root_set_sums",
-    "TwoTreeSums", "two_tree_sums", "w_sum", "w_target_sum", "sigma_sums",
-    "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums", "exact_law",
+    "forest_weight", "ecrsf_weight", "positive_forest_exists", "RootSetSums",
+    "root_set_sums", "TwoTreeSums", "two_tree_sums", "w_sum", "w_target_sum",
+    "sigma_sums", "sigma_r", "sigma_pair", "last_exit_state", "w_ec_sums",
+    "exact_law",
 ]
 
 #: Maximum number of free (non-root) vertices enumerated without an override.
@@ -474,6 +474,17 @@ def enumerate_forests(n: int, roots: Iterable[int],
         yield RootedForest._trusted(n, rs, tuple(succ), root_of)
 
 
+def positive_forest_exists(p: TransitionMatrix, roots: Iterable[int],
+                           guard: int = DEFAULT_GUARD) -> bool:
+    """Whether some forest rooted exactly at R has every arc of positive
+    probability: a walk over the positive arcs alone, stopped at the first
+    forest it completes, with no tree sum."""
+    rs = check_roots(p.n, roots)
+    _check_guard(p.n - len(rs), guard)
+    walk = _walk(p.n, rs, _arcs(p.n, rs, scaled_rows(p)[0]))
+    return next(walk, None) is not None
+
+
 def enumerate_ecrsf(n: int, tree_roots: Iterable[int],
                     guard: int = DEFAULT_GUARD) -> Iterator[Ecrsf]:
     """Yield every ECRSF with these tree roots: every successor map, in order."""
@@ -531,9 +542,10 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
     return ratio(num, den)
 
 
-# Cache bounds. The tree sums keep two chains, so that a sub-chain read in
-# the middle of a caller's work (mfpt_via_modified_chain) does not evict the
-# caller's: per chain its memo, its two-tree sums and one entry for each of
+# Cache bounds. The tree sums and the tree-deletion rows keep two chains
+# each, so that a sub-chain read in the middle of a caller's work
+# (mfpt_via_modified_chain) does not evict the caller's. The tree sums keep
+# per chain its memo, its two-tree sums and one entry for each of
 # up to _ROOT_SET_CACHE_SIZE root sets (126 at n = 9 for the largest r,
 # which sigma_r reads and the kirchhoff suite reads again): R's record, or
 # w(R) with its merged-root column, 2^f integers for f free states, until
@@ -545,9 +557,6 @@ def ecrsf_weight(f: Ecrsf, p: TransitionMatrix, alpha: CycleWeights) -> Fraction
 _LAYER_CACHE_SIZE = 2
 _ROOT_SET_CACHE_SIZE = 256
 _LAYER_MEMO_SIZE = 1 << 17
-# A chain has one tree-deletion row per target state, and the guard admits
-# trees on at most 9 states by default.
-_TREE_DELETION_CACHE_SIZE = 64
 
 
 # Each state set's members and the states outside it, in ascending order,
@@ -620,12 +629,6 @@ def _program_layout(n: int) -> tuple[int, int, int, int, int]:
     pairs = acc + n * n
     sigma = pairs + 1
     return tau, acc, pairs, sigma, sigma + n * n
-
-
-def _fill_size(n: int) -> int:
-    """Triples of the program's first part, ``_fill`` over every state set:
-    n (3^(n-1) - 1) / 2 tree sums and n (n - 1) (2^(n-2) - 1) pulls."""
-    return n * (3 ** (n - 1) - 1) // 2 + n * (n - 1) * ((1 << n >> 2) - 1)
 
 
 def _program_size(n: int) -> int:
@@ -893,96 +896,80 @@ class _TreeSums:
             col[x] = t
         return col
 
-    def _full(self) -> list[int]:
-        """The memo values of all n states, filled first if not there: at
-        each state b, T({b}, V - {b}), the weight of the spanning trees
-        rooted at b. On an empty memo, once the chain's size has its
-        program, the fill is a replay of the program's first part."""
-        self._make_room()
-        full = (1 << self.n) - 1
-        got = self.memo.get(full)
-        if got is None:
-            program = None if self.memo else _program(self.n)
-            if program is not None:
-                self._replay(itertools.islice(program,
-                                              3 * _fill_size(self.n)))
-            else:
-                self._fill(_subsets(full))
-            got = self.memo[full]
-        return got
-
-    def trees(self) -> list[int]:
-        """[w({b}) D for every state b], read off the memo entry of all n
-        states with no column: each tree sum times its root's dens."""
-        return [t * d for t, d in zip(self._full(), self.dens)]
-
     def two_tree(self) -> TwoTreeSums:
         """The one- and two-tree sums, read in one pass over the memo
-        entries of every state set, and kept.
+        entries of every state set, and kept: the chain's one record of its
+        whole-chain sums.
 
-        A forest of two trees splits the states into k's tree on X and j's
-        tree on V - X. So Sigma_ij sums tau(X) T({j}, V - X - {j}) over the
-        X that hold i and not j, and Sigma^(2) sums tau(X) tau(V - X) over
-        the X that hold state 0, where tau(X) = sum_{k in X} T({k}, X - {k}).
-        Each tree in tau is taken times its root's dens, so a pair of trees
-        spanning all states is over the chain's denominator; Sigma_ij is
-        summed with j's tree unscaled and each column j taken times dens_j
-        once, at the end. On an empty memo, once the chain's size has its
-        program, the fill and this pass are one replay of it instead.
+        The memo entry of all n states holds T({b}, V - {b}) at each b, the
+        weight of the spanning trees rooted at b, which times dens_b is
+        Sigma_b D. A forest of two trees splits the states into k's tree on
+        X and j's tree on V - X. So Sigma_ij sums tau(X) T({j}, V - X - {j})
+        over the X that hold i and not j, and Sigma^(2) sums
+        tau(X) tau(V - X) over the X that hold state 0, where
+        tau(X) = sum_{k in X} T({k}, X - {k}). Each tree in tau is taken
+        times its root's dens, so a pair of trees spanning all states is
+        over the chain's denominator, and so is tau(V) = Sigma^(1) D;
+        Sigma_ij is summed with j's tree unscaled and each column j taken
+        times dens_j once, at the end. On an empty memo, once the chain's
+        size has its program, the fill and this pass are one replay of it
+        instead; otherwise the loops fill what the memo lacks first.
         """
         got = self.two_trees
         if got is not None:
             return got
-        program = None if self.memo else _program(self.n)
-        if program is not None:
-            n = self.n
-            tau, _acc, pairs, sigma, length = _program_layout(n)
-            F = self._replay(program)
-            got = self.two_trees = TwoTreeSums(
-                tuple(self.trees()), F[tau + (1 << n) - 1], F[pairs],
-                tuple([tuple(F[at:at + n]) for at in range(sigma, length, n)]),
-                self.denom)
-            return got
-        trees = self.trees()
+        self._make_room()
         n, memo, dens = self.n, self.memo, self.dens
         full = (1 << n) - 1
-        inside = _state_sets(n, range(1, full + 1))[0]
-        tau = [0] * (full + 1)
-        for x in range(1, full + 1):
-            vals = memo[x]
-            t = 0
-            for k in inside[x]:
-                t += vals[k] * dens[k]
-            tau[x] = t
-        # by_target[j][i] = Sigma_ij, over dens_j until the pass ends
-        by_target = [[0] * n for _ in range(n)]
-        pairs = 0
-        for x in range(1, full):
-            t = tau[x]
-            if not t:
-                continue
-            y = full ^ x
-            if x & 1:
-                pairs += t * tau[y]
-            members = inside[x]
-            tails = memo[y]
-            for j in inside[y]:
-                g = t * tails[j]
-                if g:
-                    row = by_target[j]
-                    for i in members:
-                        row[i] += g
-        sigma = [[g * d for g in row] for row, d in zip(by_target, dens)]
+        program = None if memo else _program(n)
+        if program is not None:
+            at_tau, _acc, at_pairs, at_sigma, length = _program_layout(n)
+            F = self._replay(program)
+            total, pairs = F[at_tau + full], F[at_pairs]
+            sigma = tuple([tuple(F[at:at + n])
+                           for at in range(at_sigma, length, n)])
+        else:
+            if full not in memo:
+                self._fill(_subsets(full))
+            inside = _state_sets(n, range(1, full + 1))[0]
+            tau = [0] * (full + 1)
+            for x in range(1, full + 1):
+                vals = memo[x]
+                t = 0
+                for k in inside[x]:
+                    t += vals[k] * dens[k]
+                tau[x] = t
+            # by_target[j][i] = Sigma_ij, over dens_j until the pass ends
+            by_target = [[0] * n for _ in range(n)]
+            pairs = 0
+            for x in range(1, full):
+                t = tau[x]
+                if not t:
+                    continue
+                y = full ^ x
+                if x & 1:
+                    pairs += t * tau[y]
+                members = inside[x]
+                tails = memo[y]
+                for j in inside[y]:
+                    g = t * tails[j]
+                    if g:
+                        row = by_target[j]
+                        for i in members:
+                            row[i] += g
+            total = tau[full]
+            sigma = tuple(zip(*[[g * d for g in row]
+                                for row, d in zip(by_target, dens)]))
         got = self.two_trees = TwoTreeSums(
-            tuple(trees), tau[full], pairs,
-            tuple(zip(*sigma)), self.denom)
+            tuple([t * d for t, d in zip(memo[full], dens)]), total, pairs,
+            sigma, self.denom)
         return got
 
-    def _replay(self, program: Iterable[int]) -> list[int]:
+    def _replay(self, program: list[int]) -> list[int]:
         """The flat list F of integers laid out as ``_program_layout`` says,
-        from one replay of ``program``, its size's program or a first part
-        of it, on an empty memo; each state set's memo entry is then a slice
-        of F, for the root sets to read."""
+        from one replay of its size's ``program`` on an empty memo; each
+        state set's memo entry is then a slice of F, for the root sets to
+        read."""
         n = self.n
         F = [0] * _program_layout(n)[-1]
         F[:n] = self.dens
@@ -1172,28 +1159,23 @@ class ForestSums(NamedTuple):
 
 def sigma_sums(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> ForestSums:
     """Tree sums Sigma_j = w({j}) and their total Sigma^(1), read off the
-    tree sums of all n states."""
-    # each tree leaves n - 1 states free, as at any singleton root set
-    _check_guard(p.n - 1, guard)
-    _check_state_sets(p.n)
-    sums = _layer_sums(p)
-    weights = sums.trees()
-    denom = sums.denom
-    return ForestSums(tuple([ratio(w, denom) for w in weights]),
-                      ratio(sum(weights), denom))
+    chain's kept one- and two-tree sums."""
+    got = two_tree_sums(p, guard)
+    return ForestSums(tuple([ratio(w, got.denom) for w in got.trees]),
+                      ratio(got.total, got.denom))
 
 
 def sigma_r(p: TransitionMatrix, r: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """Sigma^(r): total weight of forests with exactly r trees, any root sets."""
     if not 1 <= r <= p.n:
         raise ValueError(f"tree count {r} out of range 1..{p.n}")
-    # every root set of r states leaves n - r free; Sigma^(1) reads the
-    # fill of all n states
-    _check_guard(p.n - r, guard)
-    _check_state_sets(p.n if r == 1 else p.n - r)
-    sums = _layer_sums(p)
     if r == 1:
-        return ratio(sum(sums.trees()), sums.denom)
+        got = two_tree_sums(p, guard)
+        return ratio(got.total, got.denom)
+    # every root set of r states leaves n - r free
+    _check_guard(p.n - r, guard)
+    _check_state_sets(p.n - r)
+    sums = _layer_sums(p)
     return ratio(sum([sums.weight(frozenset(rs))
                       for rs in itertools.combinations(range(p.n), r)]),
                  sums.denom)
@@ -1226,14 +1208,25 @@ def sigma_pair(p: TransitionMatrix, i: int, j: int,
     return _tree_deletion_row(p, j)[i]
 
 
-@lru_cache(maxsize=_TREE_DELETION_CACHE_SIZE)
-def _tree_deletion_row(p: TransitionMatrix, j: int):
-    """Sigma_ij by tree deletion for every start state i, 0 at i = j.
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
+def _tree_deletion_rows(p: TransitionMatrix) -> dict:
+    """p's tree-deletion rows by target state, each made once; kept apart
+    from the tree sums, which the rows are the reference for."""
+    return {}
+
+
+def _tree_deletion_row(p: TransitionMatrix, j: int) -> tuple[Fraction, ...]:
+    """Sigma_ij by tree deletion for every start state i, 0 at i = j, kept
+    in p's store.
 
     A tree's term for i depends on i only through k(i, j, t), the last state
     before j on i's branch, so one walk over the trees rooted at j sums the
     integer weights per vector of those heads and spreads each group once.
     """
+    kept = _tree_deletion_rows(p)
+    got = kept.get(j)
+    if got is not None:
+        return got
     n = p.n
     nums, dens = scaled_rows(p)
     free = [v for v in range(n) if v != j]
@@ -1265,7 +1258,8 @@ def _tree_deletion_row(p: TransitionMatrix, j: int):
             if k >= 0:
                 row[i] += share[k]
     denom = prod(dens[v] for v in free)
-    return tuple(ratio(x, denom) for x in row)
+    got = kept[j] = tuple(ratio(x, denom) for x in row)
+    return got
 
 
 def last_exit_state(t: RootedForest, i: int) -> int:

@@ -36,8 +36,7 @@ from .forests import (
     CycleWeights,
     RootSetSums,
     check_roots,
-    enumerate_forests,
-    forest_weight,
+    positive_forest_exists,
     root_set_sums,
     two_tree_sums,
     w_ec_sums,
@@ -256,11 +255,7 @@ def feasibility(p: TransitionMatrix, roots: Iterable[int],
     """Evaluate the feasibility conditions separately; they must agree."""
     rs = frozenset(roots)
     weight_positive = root_set_sums(p, rs, guard).weight > 0
-    exists = False
-    for f in enumerate_forests(p.n, rs, guard):
-        if forest_weight(f, p) > 0:
-            exists = True
-            break
+    exists = positive_forest_exists(p, rs, guard)
     unreachable = oracle.states_not_reaching(p, rs)
     keep = [v for v in range(p.n) if v not in rs]
     lap = laplacian(p)

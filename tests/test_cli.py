@@ -485,6 +485,30 @@ def test_unreadable_integer_is_a_parse_error(capsys, monkeypatch, fmt, text):
     assert json.loads(err)["error"] == "parse"
 
 
+@_past_digit_limit
+def test_row_sum_past_the_digit_limit_is_a_parse_error(capsys, monkeypatch):
+    # each literal has 4001 digits, within the limit, but the row's reduced
+    # sum has about 8001: the detail names the row and prints no sum
+    big = 10 ** 4000
+    text = json.dumps({"rows": [[f"1/{big + 1}", f"1/{big + 3}"],
+                                ["1/2", "1/2"]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, ["analyze"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "parse",
+                               "detail": "row 0 does not sum to 1"}
+    # at the limit's edge a sum still prints: 1/10^4299 + 1/10^4299 in
+    # lowest terms has a 4299-digit denominator
+    small = 10 ** (sys.get_int_max_str_digits() - 1)
+    text = json.dumps({"rows": [[f"1/{small}", f"1/{small}"],
+                                ["1/2", "1/2"]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, ["analyze"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "parse",
+                               "detail": f"row 0 sums to 1/{small // 2}"}
+
+
 def _dense_chain_doc(digits, n=9):
     """A dense n-state matrix document whose row i is w_ij / d_i over one
     random d_i of ``digits`` digits: n - 1 weights in [1, d_i / n) and a

@@ -36,10 +36,9 @@ from forestchain import (
 
 from forestchain import chains, forests, formulas, oracle, wilson
 from forestchain.forests import (
-    DEFAULT_GUARD,
     RootSetSums,
     _layer_sums,
-    _tree_deletion_row,
+    _tree_deletion_rows,
     root_set_sums,
     two_tree_sums,
 )
@@ -474,7 +473,7 @@ def test_tree_deletion_reads_no_pair_tables(monkeypatch, fixture_a, u4):
         return real(p, roots)
 
     monkeypatch.setattr(forests, "_root_set_sums", singletons_only)
-    _tree_deletion_row.cache_clear()
+    _tree_deletion_rows.cache_clear()
     assert [sigma_pair(p, i, j) for p, i, j in pairs] == expected
 
 
@@ -490,7 +489,7 @@ def test_tree_deletion_reads_no_layer_sums(monkeypatch, fixture_a, u4):
         raise AssertionError("tree deletion read the layer sums")
 
     monkeypatch.setattr(forests, "_layer_sums", no_layers)
-    _tree_deletion_row.cache_clear()
+    _tree_deletion_rows.cache_clear()
     assert [sigma_pair(p, i, j) for p, i, j in pairs] == expected
 
 
@@ -755,45 +754,44 @@ def test_replayed_two_tree_sums_equal_the_loops(monkeypatch):
         assert len(program) == 3 * forests._program_size(n)
 
 
-def test_a_fresh_chains_tree_sums_replay_the_programs_fill(monkeypatch):
-    # sigma_sums and sigma_r(p, 1) on a fresh chain of a size with a program
-    # replay its first part, the fill, and no more: no _fill, and the same
-    # sums and memo as the loops; that part ends where the first triple of
-    # the two-tree pass, into tau, begins
+def test_a_fresh_chains_whole_chain_sums_are_one_replay(monkeypatch):
+    # sigma_sums, then sigma_r(p, 1), then two_tree_sums on a fresh chain of
+    # a size with a program read one kept record, made by one replay of the
+    # whole program and no fill, and each equals what the loops give; on a
+    # chain whose root sets were read first, sigma_sums runs the loops over
+    # the entries they left and gives the same sums
     monkeypatch.setattr(forests, "_STATE_SETS", {})
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
     fills = _count_calls(monkeypatch, forests._TreeSums, "_fill")
-    replays = []
-    real = forests._TreeSums._replay
-
-    def replay(self, program):
-        program = list(program)
-        replays.append(len(program) // 3)
-        return real(self, program)
-
-    monkeypatch.setattr(forests._TreeSums, "_replay", replay)
     rng = random.Random(107)
 
-    def tree_sums(p):
+    def whole_chain_sums(p):
         _layer_sums.cache_clear()
-        return sigma_sums(p), sigma_r(p, 1), dict(_layer_sums(p).memo)
+        return sigma_sums(p), sigma_r(p, 1), two_tree_sums(p)
 
     for n in range(1, 10):
         dense = chain([[Fraction(w, sum(ws)) for w in ws]
                        for ws in ([rng.randint(1, 9) for _ in range(n)]
                                   for _ in range(n))])
-        for p in (random_irreducible_chain(rng, n), random_chain(rng, n),
-                  dense):
+        reducible = random_chain(rng, n)
+        while n > 1 and irreducibility_certificate(reducible) is None:
+            reducible = random_chain(rng, n)
+        for p in (random_irreducible_chain(rng, n), reducible, dense):
             with monkeypatch.context() as m:
                 m.setattr(forests, "_program", lambda n: None)
-                looped = tree_sums(p)
-            fills.clear()
+                looped = whole_chain_sums(p)
             replays.clear()
-            assert tree_sums(p) == looped
-            assert not fills and replays == [forests._fill_size(n)]
-        program = forests._STATE_SETS[n][2]
-        fill = 3 * forests._fill_size(n)
-        tau = forests._program_layout(n)[0]
-        assert max(program[:fill:3], default=0) < tau < program[fill]
+            fills.clear()
+            assert whole_chain_sums(p) == looped
+            assert len(replays) == 1 and not fills
+            sums, sigma1, _two = looped
+            assert sigma1 == sums.sigma1 == sum(sums.sigma_vector)
+            if n > 1:
+                _layer_sums.cache_clear()
+                root_set_sums(p, {n - 1})
+                fills.clear()
+                assert sigma_sums(p) == sums
+                assert fills and len(replays) == 1
 
 
 def test_a_program_is_built_on_the_second_full_fill_and_shared(monkeypatch):
@@ -1330,20 +1328,22 @@ def test_w_ec_sums_empty_roots(d2):
 
 
 def test_forest_caches_are_bounded():
-    caches = (_layer_sums, _tree_deletion_row, oracle._chain_store)
+    caches = (_layer_sums, _tree_deletion_rows, oracle._chain_store)
     assert all(c.cache_info().maxsize is not None for c in caches)
-    # one row per target state, and the guard admits trees on this many
-    assert _tree_deletion_row.cache_info().maxsize >= DEFAULT_GUARD + 1
     # more distinct chains than any cache holds
     for k in range(max(c.cache_info().maxsize for c in caches) + 10):
         q = Fraction(1, k + 2)
         p = chain([[1 - q, q], [Fraction(1, 2), Fraction(1, 2)]])
         w_sum(p, {0})
         sigma_pair(p, 1, 0)
+        sigma_pair(p, 0, 1)
         irreducibility_certificate(p)
     for cached in caches:
         info = cached.cache_info()
         assert info.currsize <= info.maxsize
+    # a chain's tree-deletion rows are one entry, keyed by the chain and
+    # holding a row per target
+    assert set(_tree_deletion_rows(p)) == {0, 1}
 
 
 def test_dropped_chains_are_not_kept_alive():
@@ -1367,6 +1367,9 @@ def test_dropped_chains_are_not_kept_alive():
         oracle.green_matrix_solve(p, {0})
         formulas.absorption(p, {0})
         wilson.sample_forests(p, {0}, cfg)
+        # the tree-deletion reference, every target's row
+        for j in range(p.n):
+            sigma_pair(p, (j + 1) % p.n, j)
     del p
     assert alive() <= 2
 

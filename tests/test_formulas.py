@@ -310,6 +310,52 @@ def test_feasibility_report(fixture_a, r3):
     assert feasibility(r3, {1, 2}).consistent
 
 
+def test_positive_forest_check_agrees_with_every_listed_forest(fixture_a, r3):
+    # the walk over the positive arcs answers as listing and weighing every
+    # forest does, on the cases above and on a seeded corpus
+    rng = random.Random(97)
+    cases = [fixture_a, r3, chain([[1, 0], [1, 0]])]
+    cases += [verify.random_chain(rng, n) for n in range(2, 7)
+              for _ in range(4)]
+    answers = set()
+    for p in cases:
+        for k in range(1, p.n + 1):
+            for roots in itertools.combinations(range(p.n), k):
+                rep = feasibility(p, roots)
+                listed = any(forests.forest_weight(f, p) > 0
+                             for f in forests.enumerate_forests(p.n, roots))
+                assert rep.positive_forest_exists == listed
+                assert rep.consistent
+                answers.add(listed)
+    assert answers == {True, False}
+
+
+def test_feasibility_lists_no_forest(monkeypatch):
+    # the 9-state path 0 -> 1 -> ... -> 8, holding 1/2, state 8 absorbing:
+    # R = {0} has 9^7 forests and none of positive weight, which the walk
+    # over the positive arcs finds without listing or weighing one
+    n = 9
+    rows = [[0] * n for _ in range(n)]
+    for v in range(n - 1):
+        rows[v][v] = rows[v][v + 1] = F(1, 2)
+    rows[n - 1][n - 1] = 1
+    p = chain(rows)
+
+    def refuse(*args):
+        raise AssertionError("listed or weighed a forest")
+
+    for module in (forests, formulas):
+        for name in ("enumerate_forests", "forest_weight"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert feasibility(p, {0}) == formulas.FeasibilityReport(
+        roots=(0,), weight_positive=False, positive_forest_exists=False,
+        all_states_reach_roots=False, det_nonzero=False,
+        unreachable=tuple(range(1, n)))
+    rep = feasibility(p, {n - 1})
+    assert rep.positive_forest_exists and rep.feasible and rep.consistent
+
+
 def test_mfpt_via_modified_chain(fixture_a, u4):
     for p in (fixture_a, u4):
         for i in range(p.n):
