@@ -45,18 +45,21 @@ tau(V) as Sigma^(1): ``sigma_sums`` and ``sigma_r`` at r = 1 read them
 there, with no column.
 
 On a chain whose memo is still empty, as ``analyze`` meets a fresh chain,
-that fill and that pass run as one straight-line program per chain size
-(``_program``): the (out, a, b) index triples of every multiply-add
-F[out] += F[a] * F[b] they make, in their order, replayed over one flat
-list F of integers per chain. Each sum is the same integer, with no subset
-loop and no dict lookup; afterwards each state set's memo entry is a slice
-of F. The program is kept in the size's state-set table, shared by every
-chain of the size, and counted against the tables' bound in triples,
-which admits n <= 9 (50,511 triples at n = 9, 150,121 at n = 10). It is
-built on the second full fill of a size, not the first: a build costs
-more than a whole first ``analyze``, which would slow every CLI process
-that reads one chain. A chain whose root sets were read first keeps the
-loops, which reuse the entries those root sets filled.
+the fill of every state set runs as one straight-line program per chain
+size (``_program``): the (out, a, b) index triples of every multiply-add
+F[out] += F[a] * F[b] the fill makes, in its order, replayed over one flat
+list F of n 2^n integers per chain. Each entry is the same integer, with
+no subset loop and no dict lookup; afterwards each state set's memo entry
+is a slice of F, and the two-tree pass reads them as it reads any fill.
+The program is kept in the size's state-set table, shared by every chain
+of the size, and counted against the tables' bound in triples. A size has
+one only where the program and the size's full table fit the bound
+together, which admits n <= 9 (38,664 triples and 4,599 listed states at
+n = 9; 121,360 and 10,230 at n = 10). It is built on the second full fill
+of a size, not the first: a build and a replay cost more than the loops of
+a whole first ``analyze``, which would slow every CLI process that reads
+one chain. A chain whose root sets were read first keeps the loops, which
+reuse the entries those root sets filled.
 
 The Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
 the free sets X that hold i and j, about 2^f f^2 / 4 for f free states.
@@ -77,7 +80,8 @@ ascending order, trying targets in ascending order, so configurations come
 out in ``itertools.product`` order with the cyclic ones dropped. It
 follows only positive-probability arcs of a chain, rejects an arc the
 moment it closes a cycle (the cycle-rooted case keeps it) and carries the
-integer prefix product down. No configuration is stored: a walk holds one
+integer prefix product down; a free state with no candidate arc ends it
+before the first step. No configuration is stored: a walk holds one
 length-n vector per level.
 """
 
@@ -371,8 +375,9 @@ def _arcs(n: int, roots: frozenset[int], nums=None, cyclic: bool = False):
 def _walk(n: int, roots: frozenset[int], arcs, cyclic: bool = False):
     """Yield (succ, root_of, w) for every successor map drawn from ``arcs``.
 
-    ``arcs[d]`` lists the candidate arcs of the d-th free state. An arc that
-    closes a cycle is rejected, or kept when ``cyclic``. ``root_of[v]`` is
+    ``arcs[d]`` lists the candidate arcs of the d-th free state; when one
+    of those lists is empty, no map is walked at all. An arc that closes a
+    cycle is rejected, or kept when ``cyclic``. ``root_of[v]`` is
     the root v drains into, or -1 when v's component holds a cycle; ``w``
     is the product of the chosen factors. ``succ`` is one list updated in
     place (-1 at the roots): copy it to keep it.
@@ -383,6 +388,8 @@ def _walk(n: int, roots: frozenset[int], arcs, cyclic: bool = False):
     if last < 0:
         yield succ, tuple(range(n)), 1
         return
+    if not all(arcs):
+        return  # a free state with no candidate arc ends every map
     # ends[d][v]: where v's path leads once free[:d] are assigned, which is
     # a root, an unassigned state, or -1 for a cycle
     ends = [tuple(range(n))] + [()] * last
@@ -613,40 +620,25 @@ def _check_state_sets(free: int) -> None:
 
 
 # The straight-line program of a chain size n lists, as (out, a, b) index
-# triples, every multiply-add F[out] += F[a] * F[b] that ``_fill`` over all
-# 2^n - 1 state sets and then the two-tree pass run, in their order, over
-# one flat list F per chain. F holds dens_c at c, the memo entry of a state
-# set S at S n + c, tau(X) at tau + X, Sigma_ij over dens_j at acc + j n + i,
-# Sigma^(2) at pairs and Sigma_ij at sigma + i n + j. A singleton's entry
-# is its scaled row, put into F before the replay; since c is not d, the
-# pull column's p_dc is read there, at d's entry. Every triple is one
-# multiply-add of the loops, so each sum is the same integer.
-
-def _program_layout(n: int) -> tuple[int, int, int, int, int]:
-    """(tau, acc, pairs, sigma, length) of the flat list F for n states."""
-    tau = n << n
-    acc = tau + (1 << n)
-    pairs = acc + n * n
-    sigma = pairs + 1
-    return tau, acc, pairs, sigma, sigma + n * n
-
+# triples, every multiply-add F[out] += F[a] * F[b] that ``_fill`` makes
+# over all 2^n - 1 state sets, in its order, over one flat list F of n 2^n
+# integers per chain: the memo entry of a state set S sits at S n. A
+# singleton's entry is its scaled row, put into F before the replay; since c
+# is not d, the pull column's p_dc is read there, at d's entry. Every triple
+# is one multiply-add of the loops, so each entry is the same integer.
 
 def _program_size(n: int) -> int:
     """Triples in the program of n states: n (3^(n-1) - 1) / 2 for the tree
-    sums of the fill, n 2^(n-1) for tau, n (n - 1) 2^(n-1) for the fill's
-    pulls, the Sigma_ij pass and its scaling, and 2^(n-1) - 1 for
-    Sigma^(2)."""
-    return n * (3 ** (n - 1) - 1) // 2 + (n * n + 1) * 2 ** (n - 1) - 1
+    sums of the fill and n (n - 1) (2^(n-2) - 1) for its pulls."""
+    return n * (3 ** (n - 1) - 1) // 2 + n * (n - 1) * ((1 << n) // 4 - 1)
 
 
 def _build_program(n: int, inside, outside, program: list[int]) -> None:
-    """Append the triples of the n-state program to ``program``, each index
-    one shared object of one list: a triple takes 24 bytes."""
-    full = (1 << n) - 1
-    tau, acc, pairs, sigma, length = _program_layout(n)
-    idx = list(range(length))
-    # _fill, over every state set in increasing order
-    for s in range(1, full + 1):
+    """Append the triples of the n-state program, ``_fill`` over every state
+    set in increasing order, to ``program``, each index one shared object of
+    one list: a triple takes 24 bytes."""
+    idx = list(range(n << n))
+    for s in range(1, 1 << n):
         m0 = s & -s
         rest = s ^ m0
         if not rest:
@@ -674,37 +666,27 @@ def _build_program(n: int, inside, outside, program: list[int]) -> None:
         for c in outside[s]:
             for d in members:
                 program += idx[out + c], idx[(n << d) + c], idx[out + d]
-    # the two-tree pass
-    for x in range(1, full + 1):
-        for k in inside[x]:
-            program += idx[tau + x], idx[x * n + k], idx[k]
-    for x in range(1, full):
-        y = full ^ x
-        if x & 1:
-            program += idx[pairs], idx[tau + x], idx[tau + y]
-        for j in inside[y]:
-            for i in inside[x]:
-                program += idx[acc + j * n + i], idx[tau + x], idx[y * n + j]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                program += idx[sigma + i * n + j], idx[acc + j * n + i], idx[j]
 
 
 def _program(n: int) -> list[int] | None:
     """The straight-line program that every n-state chain shares, built on
     the second full fill of the size since its table was made; None where
     the loops run instead: on the first, whose loops list every state set,
-    and for a size whose program would not fit the tables' bound.
+    and for a size whose program and full table of state sets would not fit
+    the tables' bound together. A program that fit alone, as n = 10's
+    would, would leave no room for the other tables, which would then be
+    cleared and listed again over and over.
 
-    A build costs more than a whole first ``analyze`` (about 1.0 ms against
-    0.9 ms at n = 7, and 8.7 ms against 6.6 ms at n = 9, on a 2-vCPU host),
-    so a process that fills a size once, as one CLI command does, never
-    builds it.
+    A build and one ``analyze`` that replays it cost more than one
+    ``analyze`` with the loops: 1.1-1.2 ms against 0.9-1.1 ms at n = 7, and
+    10.4-12.1 ms against 6.3-7.3 ms at n = 9 (minimum of five, 2-vCPU
+    host). So a process that fills a size once, as one CLI command does,
+    never builds it.
     """
     table = _STATE_SETS.get(n)
-    if (table is None or (1 << n) - 1 not in table[0]
-            or _program_size(n) > _STATE_SET_TABLE_SIZE):
+    full = (1 << n) - 1
+    if (table is None or full not in table[0]
+            or _program_size(n) + n * full > _STATE_SET_TABLE_SIZE):
         return None
     inside, outside, program = table
     if not program:
@@ -808,8 +790,15 @@ class _TreeSums:
         rest is a tree on S - Y rooted at c. So T({c}, S - {c}) sums
         A({c}, Y) T({c}, S - Y - {c}) over the Y ⊆ S - {c} that contain m.
         Subsets come in increasing order, so every block is already there.
+        Asked for every state set on an empty memo, once the chain's size
+        has its program, the fill is one replay of it instead.
         """
         memo, nums, cols, n = self.memo, self.nums, self.cols, self.n
+        if not memo and len(subsets) == (1 << n) - 1:
+            program = _program(n)
+            if program is not None:
+                self._replay(program)
+                return
         inside, outside = _state_sets(n, subsets)[:2]
         for s in subsets:
             if s in memo:
@@ -911,9 +900,8 @@ class _TreeSums:
         times its root's dens, so a pair of trees spanning all states is
         over the chain's denominator, and so is tau(V) = Sigma^(1) D;
         Sigma_ij is summed with j's tree unscaled and each column j taken
-        times dens_j once, at the end. On an empty memo, once the chain's
-        size has its program, the fill and this pass are one replay of it
-        instead; otherwise the loops fill what the memo lacks first.
+        times dens_j once, at the end. What the memo lacks is filled first
+        (``_fill``).
         """
         got = self.two_trees
         if got is not None:
@@ -921,58 +909,47 @@ class _TreeSums:
         self._make_room()
         n, memo, dens = self.n, self.memo, self.dens
         full = (1 << n) - 1
-        program = None if memo else _program(n)
-        if program is not None:
-            at_tau, _acc, at_pairs, at_sigma, length = _program_layout(n)
-            F = self._replay(program)
-            total, pairs = F[at_tau + full], F[at_pairs]
-            sigma = tuple([tuple(F[at:at + n])
-                           for at in range(at_sigma, length, n)])
-        else:
-            if full not in memo:
-                self._fill(_subsets(full))
-            inside = _state_sets(n, range(1, full + 1))[0]
-            tau = [0] * (full + 1)
-            for x in range(1, full + 1):
-                vals = memo[x]
-                t = 0
-                for k in inside[x]:
-                    t += vals[k] * dens[k]
-                tau[x] = t
-            # by_target[j][i] = Sigma_ij, over dens_j until the pass ends
-            by_target = [[0] * n for _ in range(n)]
-            pairs = 0
-            for x in range(1, full):
-                t = tau[x]
-                if not t:
-                    continue
-                y = full ^ x
-                if x & 1:
-                    pairs += t * tau[y]
-                members = inside[x]
-                tails = memo[y]
-                for j in inside[y]:
-                    g = t * tails[j]
-                    if g:
-                        row = by_target[j]
-                        for i in members:
-                            row[i] += g
-            total = tau[full]
-            sigma = tuple(zip(*[[g * d for g in row]
-                                for row, d in zip(by_target, dens)]))
+        if full not in memo:
+            self._fill(_subsets(full))
+        inside = _state_sets(n, range(1, full + 1))[0]
+        tau = [0] * (full + 1)
+        for x in range(1, full + 1):
+            vals = memo[x]
+            t = 0
+            for k in inside[x]:
+                t += vals[k] * dens[k]
+            tau[x] = t
+        # by_target[j][i] = Sigma_ij, over dens_j until the pass ends
+        by_target = [[0] * n for _ in range(n)]
+        pairs = 0
+        for x in range(1, full):
+            t = tau[x]
+            if not t:
+                continue
+            y = full ^ x
+            if x & 1:
+                pairs += t * tau[y]
+            members = inside[x]
+            tails = memo[y]
+            for j in inside[y]:
+                g = t * tails[j]
+                if g:
+                    row = by_target[j]
+                    for i in members:
+                        row[i] += g
+        sigma = tuple(zip(*[[g * d for g in row]
+                            for row, d in zip(by_target, dens)]))
         got = self.two_trees = TwoTreeSums(
-            tuple([t * d for t, d in zip(memo[full], dens)]), total, pairs,
-            sigma, self.denom)
+            tuple([t * d for t, d in zip(memo[full], dens)]), tau[full],
+            pairs, sigma, self.denom)
         return got
 
-    def _replay(self, program: list[int]) -> list[int]:
-        """The flat list F of integers laid out as ``_program_layout`` says,
-        from one replay of its size's ``program`` on an empty memo; each
-        state set's memo entry is then a slice of F, for the root sets to
-        read."""
+    def _replay(self, program: list[int]) -> None:
+        """Fill the empty memo by one replay of its size's ``program`` over a
+        flat list F of n 2^n integers; each state set's memo entry is then a
+        slice of F."""
         n = self.n
-        F = [0] * _program_layout(n)[-1]
-        F[:n] = self.dens
+        F = [0] * (n << n)
         for d, row in enumerate(self.nums):
             at = n << d
             F[at:at + n] = row
@@ -983,7 +960,6 @@ class _TreeSums:
         memo = self.memo
         for s in range(1, 1 << n):
             memo[s] = F[s * n:s * n + n]
-        return F
 
     def _merged(self, roots: frozenset[int],
                 col: dict[int, int] | None = None):

@@ -726,38 +726,54 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _sized_chains(rng, n):
+    """A sparse irreducible, a reducible and a dense chain of n states."""
+    dense = chain([[Fraction(w, sum(ws)) for w in ws]
+                   for ws in ([rng.randint(1, 9) for _ in range(n)]
+                              for _ in range(n))])
+    reducible = random_chain(rng, n)
+    while n > 1 and irreducibility_certificate(reducible) is None:
+        reducible = random_chain(rng, n)
+    return random_irreducible_chain(rng, n), reducible, dense
+
+
+def _one_replay_equals_the_loops(monkeypatch, read, p, replays, fills):
+    """Check that ``read(p)``, which reads p's tree sums cold, gives what the
+    loops alone give (``_program`` patched to None) and makes one fill that
+    is one replay of the size's whole program; return the loops' result."""
+    with monkeypatch.context() as m:
+        m.setattr(forests, "_program", lambda n: None)
+        looped = read(p)
+    replays.clear()
+    fills.clear()
+    assert read(p) == looped
+    assert len(fills) == len(replays) == 1
+    (sums, subsets), (replayed, program) = fills[0], replays[0]
+    assert replayed is sums and subsets == list(range(1, 1 << p.n))
+    assert program is forests._STATE_SETS[p.n][2]
+    assert len(program) == 3 * forests._program_size(p.n)
+    return looped
+
+
 def test_replayed_two_tree_sums_equal_the_loops(monkeypatch):
-    # for every size whose program fits the bound, n = 1..9, the replay's
-    # memo entries and every two-tree field equal those of the loops, on
-    # sparse irreducible, reducible and dense chains, with no fill after
-    # it; the program holds the size's count of triples
+    # for every size that has a program, n = 1..9, the memo entries of the
+    # replayed fill and every two-tree field of the loop pass over them
+    # equal those of the loops alone, on sparse irreducible, reducible and
+    # dense chains: the replay runs inside the one fill of all state sets
     monkeypatch.setattr(forests, "_STATE_SETS", {})
     replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
     fills = _count_calls(monkeypatch, forests._TreeSums, "_fill")
     rng = random.Random(83)
     for n in range(1, 10):
-        dense = chain([[Fraction(w, sum(ws)) for w in ws]
-                       for ws in ([rng.randint(1, 9) for _ in range(n)]
-                                  for _ in range(n))])
-        reducible = random_chain(rng, n)
-        while n > 1 and irreducibility_certificate(reducible) is None:
-            reducible = random_chain(rng, n)
-        for p in (random_irreducible_chain(rng, n), reducible, dense):
-            with monkeypatch.context() as m:
-                m.setattr(forests, "_program", lambda n: None)
-                looped = _two_trees_and_memo(p)
-            replays.clear()
-            fills.clear()
-            assert _two_trees_and_memo(p) == looped
-            assert len(replays) == 1 and not fills
-        program = forests._STATE_SETS[n][2]
-        assert len(program) == 3 * forests._program_size(n)
+        for p in _sized_chains(rng, n):
+            _one_replay_equals_the_loops(monkeypatch, _two_trees_and_memo, p,
+                                         replays, fills)
 
 
 def test_a_fresh_chains_whole_chain_sums_are_one_replay(monkeypatch):
     # sigma_sums, then sigma_r(p, 1), then two_tree_sums on a fresh chain of
-    # a size with a program read one kept record, made by one replay of the
-    # whole program and no fill, and each equals what the loops give; on a
+    # a size with a program read one kept record, made by one fill that is
+    # one replay of the program, and each equals what the loops give; on a
     # chain whose root sets were read first, sigma_sums runs the loops over
     # the entries they left and gives the same sums
     monkeypatch.setattr(forests, "_STATE_SETS", {})
@@ -770,21 +786,9 @@ def test_a_fresh_chains_whole_chain_sums_are_one_replay(monkeypatch):
         return sigma_sums(p), sigma_r(p, 1), two_tree_sums(p)
 
     for n in range(1, 10):
-        dense = chain([[Fraction(w, sum(ws)) for w in ws]
-                       for ws in ([rng.randint(1, 9) for _ in range(n)]
-                                  for _ in range(n))])
-        reducible = random_chain(rng, n)
-        while n > 1 and irreducibility_certificate(reducible) is None:
-            reducible = random_chain(rng, n)
-        for p in (random_irreducible_chain(rng, n), reducible, dense):
-            with monkeypatch.context() as m:
-                m.setattr(forests, "_program", lambda n: None)
-                looped = whole_chain_sums(p)
-            replays.clear()
-            fills.clear()
-            assert whole_chain_sums(p) == looped
-            assert len(replays) == 1 and not fills
-            sums, sigma1, _two = looped
+        for p in _sized_chains(rng, n):
+            sums, sigma1, _two = _one_replay_equals_the_loops(
+                monkeypatch, whole_chain_sums, p, replays, fills)
             assert sigma1 == sums.sigma1 == sum(sums.sigma_vector)
             if n > 1:
                 _layer_sums.cache_clear()
@@ -826,35 +830,44 @@ def test_programs_count_against_the_table_bound(monkeypatch):
     # cleared, and the size builds once its states are listed again
     tables: dict = {}
     monkeypatch.setattr(forests, "_STATE_SETS", tables)
-    monkeypatch.setattr(forests, "_STATE_SET_TABLE_SIZE", 300)
+    monkeypatch.setattr(forests, "_STATE_SET_TABLE_SIZE", 200)
     builds = _count_calls(monkeypatch, forests, "_build_program")
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    fills = _count_calls(monkeypatch, forests._TreeSums, "_fill")
     rng = random.Random(103)
-    for _ in range(2):
-        _two_trees_and_memo(random_chain(rng, 4))
-    # 15 sets of 4 states and 187 triples
-    assert len(tables[4][2]) == 3 * 187 and forests._tables_held() == 247
+    for p in (random_chain(rng, 4), random_chain(rng, 4)):
+        _one_replay_equals_the_loops(monkeypatch, _two_trees_and_memo, p,
+                                     replays, fills)
+    # 15 sets of 4 states and the fill's 88 triples
+    assert forests._program_size(4) == 88 and forests._tables_held() == 148
     _layer_sums.cache_clear()
     root_set_sums(random_chain(rng, 5), {0})
-    assert set(tables) == {4, 5} and forests._tables_held() == 322
+    assert set(tables) == {4, 5} and forests._tables_held() == 223
     root_set_sums(random_chain(rng, 5), {1})
     assert set(tables) == {5}
     _two_trees_and_memo(random_chain(rng, 4))
     root_set_sums(random_chain(rng, 8), {0})
-    assert forests._tables_held() > 300
+    assert forests._tables_held() > 200
     _two_trees_and_memo(random_chain(rng, 4))
     assert set(tables) == {4} and tables[4][2] == [] and len(builds) == 1
     _two_trees_and_memo(random_chain(rng, 4))
-    assert len(tables[4][2]) == 3 * 187 and len(builds) == 2
+    assert len(tables[4][2]) == 3 * 88 and len(builds) == 2
 
 
 def test_a_program_past_the_table_bound_is_never_built(monkeypatch):
-    # at n = 10 the program would hold 150,121 triples, more than the
-    # tables' bound of 2^17, so every n = 10 chain keeps the loops
-    assert forests._program_size(9) <= forests._STATE_SET_TABLE_SIZE \
-        < forests._program_size(10)
+    # a size has a program only where the program and the size's full table
+    # of state sets fit the tables' bound together: at n = 10 the program
+    # alone would fit, with 121,360 triples, but its 1023 sets of 10 states
+    # take it past 2^17, so every n = 10 chain keeps the loops, and n = 9
+    # replays
+    bound = forests._STATE_SET_TABLE_SIZE
+    assert forests._program_size(9) + 9 * 511 <= bound
+    assert forests._program_size(10) <= bound \
+        < forests._program_size(10) + 10 * 1023
     monkeypatch.setattr(forests, "_STATE_SETS", {})
     builds = _count_calls(monkeypatch, forests, "_build_program")
     replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    fills = _count_calls(monkeypatch, forests._TreeSums, "_fill")
     rng = random.Random(97)
     for _ in range(2):
         p = random_chain(rng, 10)
@@ -863,6 +876,20 @@ def test_a_program_past_the_table_bound_is_never_built(monkeypatch):
         assert sums.total == sum(sums.trees)
     assert (builds, replays) == ([], [])
     assert forests._STATE_SETS[10][2] == []
+    for p in (random_chain(rng, 9), random_irreducible_chain(rng, 9)):
+        _one_replay_equals_the_loops(monkeypatch, _two_trees_and_memo, p,
+                                     replays, fills)
+    assert len(builds) == 1
+
+    # the same rule at its edge: 4 states, 15 sets and 88 triples
+    for bound, built in ((147, False), (148, True)):
+        monkeypatch.setattr(forests, "_STATE_SETS", {})
+        monkeypatch.setattr(forests, "_STATE_SET_TABLE_SIZE", bound)
+        replays.clear()
+        for _ in range(3):
+            _two_trees_and_memo(random_chain(rng, 4))
+        assert len(replays) == 2 * built
+        assert len(forests._STATE_SETS[4][2]) == 3 * 88 * built
 
 
 def test_root_sets_read_first_keep_the_incremental_fill(monkeypatch):
@@ -1418,3 +1445,52 @@ def test_exact_law_refusals(r3, u4):
         exact_law(u4, set(), CycleWeights.constant(1), guard=3)
     with pytest.raises(ValueError, match="root set must be nonempty"):
         exact_law(u4, set())
+
+
+class _CountingArcs(list):
+    """Candidate arcs that count the walker's reads of a free state's list."""
+
+    reads = 0
+
+    def __getitem__(self, d):
+        _CountingArcs.reads += 1
+        return super().__getitem__(d)
+
+
+def _dead_end(n):
+    """States 0..n-2 uniform among themselves, state n - 1 absorbing."""
+    rows = [[Fraction(1, n - 1) if i < n - 1 and j < n - 1 else 0
+             for j in range(n)] for i in range(n)]
+    rows[n - 1][n - 1] = 1
+    return chain(rows)
+
+
+def test_the_walker_stops_where_a_free_state_has_no_arc(monkeypatch):
+    # with R = {0} on the 9-state dead end, state 8 has no arc but its
+    # self-loop, so no forest exists, and the walker answers before it reads
+    # any free state's arcs, where it once walked every partial forest of
+    # states 1..7 first
+    p = _dead_end(9)
+    real = forests._arcs
+    monkeypatch.setattr(forests, "_arcs",
+                        lambda *args: _CountingArcs(real(*args)))
+    _CountingArcs.reads = 0
+    rep = formulas.feasibility(p, {0})
+    assert not rep.feasible and not rep.positive_forest_exists and rep.consistent
+    assert not forests.positive_forest_exists(p, {0})
+    with pytest.raises(InfeasibleRootSetError):
+        exact_law(p, {0})
+    assert _CountingArcs.reads == 0
+    # with 8 a root every free state has arcs, and the walk reads them
+    assert forests.positive_forest_exists(p, {0, 8})
+    assert _CountingArcs.reads > 0
+    # a cycle-rooted walk keeps the absorbing state's self-loop, so it walks
+    _CountingArcs.reads = 0
+    assert w_ec_sums(_dead_end(4), CycleWeights.constant(1), {0})[0] == 1
+    assert _CountingArcs.reads > 0
+
+    # the walker itself: one empty list ends it with no map and no read
+    arcs = _CountingArcs([[(0, 1)], [], [(0, 1)]])
+    _CountingArcs.reads = 0
+    assert list(forests._walk(4, frozenset([0]), arcs)) == []
+    assert _CountingArcs.reads == 0
