@@ -2,11 +2,12 @@
 
 Transition matrices over exact rationals (``fractions.Fraction``), ingestion
 from matrix/edge-list documents, the Laplacian L = I - P that the forest
-identities are stated in, and each chain's rows scaled to integers, which
-both routes compute from. Both routes carry their sums as integers over one
-denominator and build each value they return with ``ratio``, the one
-constructor of a Fraction from two ints. Everything here is immutable and
-arithmetic is never rounded.
+identities are stated in, each chain's rows scaled to integers, which
+both routes compute from, and the one reachability search, the graph
+structure both routes share. Both routes carry their sums as integers
+over one denominator and build each value they return with ``ratio``, the
+one constructor of a Fraction from two ints. Everything here is immutable
+and arithmetic is never rounded.
 """
 
 from __future__ import annotations
@@ -424,6 +425,19 @@ def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> froz
         if not 0 <= r < n:
             raise ValueError(f"root {r} out of range for n={n}")
     return rs
+
+
+def reachable(adjacent: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
+    """``starts`` and every state reached from them along ``adjacent``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for v in adjacent[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def laplacian(p: TransitionMatrix) -> Matrix:

@@ -80,8 +80,9 @@ ascending order, trying targets in ascending order, so configurations come
 out in ``itertools.product`` order with the cyclic ones dropped. It
 follows only positive-probability arcs of a chain, rejects an arc the
 moment it closes a cycle (the cycle-rooted case keeps it) and carries the
-integer prefix product down; a free state with no candidate arc ends it
-before the first step. No configuration is stored: a walk holds one
+integer prefix product down; a free state that reaches no root along the
+candidate arcs (``chains.reachable``, the one search both routes share)
+ends it before the first step. No configuration is stored: a walk holds one
 length-n vector per level.
 """
 
@@ -100,6 +101,7 @@ from .chains import (
     check_roots,
     format_rational,
     ratio,
+    reachable,
     scaled_rows,
 )
 
@@ -375,12 +377,12 @@ def _arcs(n: int, roots: frozenset[int], nums=None, cyclic: bool = False):
 def _walk(n: int, roots: frozenset[int], arcs, cyclic: bool = False):
     """Yield (succ, root_of, w) for every successor map drawn from ``arcs``.
 
-    ``arcs[d]`` lists the candidate arcs of the d-th free state; when one
-    of those lists is empty, no map is walked at all. An arc that closes a
-    cycle is rejected, or kept when ``cyclic``. ``root_of[v]`` is
-    the root v drains into, or -1 when v's component holds a cycle; ``w``
-    is the product of the chosen factors. ``succ`` is one list updated in
-    place (-1 at the roots): copy it to keep it.
+    ``arcs[d]`` lists the candidate arcs of the d-th free state; when some
+    free state cannot reach a root along them, no map is walked at all. An
+    arc that closes a cycle is rejected, or kept when ``cyclic``.
+    ``root_of[v]`` is the root v drains into, or -1 when v's component
+    holds a cycle; ``w`` is the product of the chosen factors. ``succ`` is
+    one list updated in place (-1 at the roots): copy it to keep it.
     """
     free = [v for v in range(n) if v not in roots]
     succ = [-1] * n
@@ -388,8 +390,16 @@ def _walk(n: int, roots: frozenset[int], arcs, cyclic: bool = False):
     if last < 0:
         yield succ, tuple(range(n)), 1
         return
-    if not all(arcs):
-        return  # a free state with no candidate arc ends every map
+    if not cyclic:
+        # a free state that reaches no root along the candidate arcs ends
+        # every map, one with no arc at all the simplest case; a cyclic walk
+        # needs no check, as every chain row has a positive cell
+        into: list[list[int]] = [[] for _ in range(n)]
+        for v, row in zip(free, arcs):
+            for u, _x in row:
+                into[u].append(v)
+        if len(reachable(into, roots)) < n:
+            return
     # ends[d][v]: where v's path leads once free[:d] are assigned, which is
     # a root, an unassigned state, or -1 for a cycle
     ends = [tuple(range(n))] + [()] * last
@@ -485,7 +495,8 @@ def positive_forest_exists(p: TransitionMatrix, roots: Iterable[int],
                            guard: int = DEFAULT_GUARD) -> bool:
     """Whether some forest rooted exactly at R has every arc of positive
     probability: a walk over the positive arcs alone, stopped at the first
-    forest it completes, with no tree sum."""
+    forest it completes, with no tree sum. Where some free state reaches no
+    root along them, the walker's reachability search answers alone."""
     rs = check_roots(p.n, roots)
     _check_guard(p.n - len(rs), guard)
     walk = _walk(p.n, rs, _arcs(p.n, rs, scaled_rows(p)[0]))

@@ -234,7 +234,7 @@ class FeasibilityReport(NamedTuple):
     """Independent evaluations of the root-set feasibility equivalences."""
 
     roots: tuple[int, ...]
-    weight_positive: bool           # w(R) > 0 by enumeration
+    weight_positive: bool           # w(R) > 0 from the tree sums
     positive_forest_exists: bool    # some forest has all factors positive
     all_states_reach_roots: bool    # graph search on the support digraph
     det_nonzero: bool               # det L(R) != 0, exact

@@ -1,15 +1,17 @@
 """Exact linear-algebra reference route, independent of forest enumeration.
 
-Determinants come from one fraction-free elimination over integer rows,
-and solves from one fraction-free principal exchange of an integer tableau
-[A | B] into [d A^-1 | d A^-1 B], d = det A, with no identity columns
-carried. On top of them sit the stationary, first-passage and Green
-solves, the fundamental matrix, two float checks (the Cesaro average and
-the trace-power series for the tree-sum total) and the undirected counting
+Determinants and solves come from one fraction-free principal exchange
+of integer rows: a determinant from exchanges at the leading position of
+a shrinking tableau, a solve from the exchange of a tableau [A | B] into
+[d A^-1 | d A^-1 B], d = det A, with no identity columns carried. On
+top of it sit the stationary, first-passage and Green solves, the
+fundamental matrix, two float checks (the Cesaro average and the
+trace-power series for the tree-sum total) and the undirected counting
 identities (Temperley shift, principal-minor sum, complete prism).
 Graph-side structure (reachability, recurrent classes, periodicity) also
-lives here so that every consumer shares one certified decomposition; the
-recurrent classes come from one strongly-connected-components pass.
+lives here so that every consumer shares one certified decomposition; its
+searches are ``chains.reachable``, the one the forest walker shares, and
+the recurrent classes come from one strongly-connected-components pass.
 
 The chain and root-set solves take I - P with each row i scaled by its
 denominator dens_i (``chains.scaled_rows``), so their tableaux are integer
@@ -56,6 +58,7 @@ from .chains import (
     TransitionMatrix,
     check_roots,
     ratio,
+    reachable,
     scaled_rows,
 )
 
@@ -84,50 +87,6 @@ def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[i
     return out, scale
 
 
-def _eliminate(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination of n square integer rows, in
-    place, returning the last pivot: the determinant.
-
-    Updates divide exactly by the previous pivot, and a swap negates the
-    row it moves down, so the determinant stays. Raises SingularMatrixError
-    on a zero pivot column.
-    """
-    n = len(rows)
-    prev = 1
-    for k in range(n):
-        r = next((r for r in range(k, n) if rows[r][k]), None)
-        if r is None:
-            raise SingularMatrixError(f"singular system (column {k})")
-        if r != k:
-            rows[k], rows[r] = rows[r], [-x for x in rows[k]]
-        row_k = rows[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            mik = row_i[k]
-            rows[i] = [(x * pivot - mik * y) // prev
-                       for x, y in zip(row_i, row_k)]
-        prev = pivot
-    return prev
-
-
-def exact_det(m: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Fraction and int entries are taken as they are; any other entry is
-    converted with Fraction(x) first.
-    """
-    rows = [[x if isinstance(x, (Fraction, int)) else Fraction(x) for x in row]
-            for row in m]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
-    cleared, scale = _integer_rows(rows)
-    try:
-        return ratio(_eliminate(cleared), scale)
-    except SingularMatrixError:
-        return Fraction(0)
-
-
 def _exchange(t: list[list[int]], positions: Iterable[int], d: int = 1) -> int:
     """Fraction-free principal exchange of the integer tableau t = [A | B],
     in place, at each of ``positions`` in turn; returns the last pivot.
@@ -136,9 +95,10 @@ def _exchange(t: list[list[int]], positions: Iterable[int], d: int = 1) -> int:
     (x p - t[i][k] y) / d, exactly (Bareiss, Math. Comp. 22, 1968), column k
     becomes -t[i][k] and t[k][k] becomes d. Exchanged at every position from
     d = 1, t is [d A^-1 | d A^-1 B] with d = det A, each pivot a leading
-    principal minor of A: no row is swapped, since every system solved here
-    has them all positive when it is nonsingular. An exchange is its own
-    inverse. Raises SingularMatrixError on a zero pivot.
+    principal minor of A. The solves swap no row, since every system solved
+    here has those minors all positive when it is nonsingular; ``exact_det``
+    swaps rows below the pivot between its exchanges. An exchange is its
+    own inverse. Raises SingularMatrixError on a zero pivot.
     """
     for k in positions:
         row_k = t[k]
@@ -156,6 +116,36 @@ def _exchange(t: list[list[int]], positions: Iterable[int], d: int = 1) -> int:
     return d
 
 
+def exact_det(m: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Exact determinant of a square rational matrix.
+
+    Fraction and int entries are taken as they are; any other entry is
+    converted with Fraction(x) first. The integer rows are exchanged at
+    their leading position and that row and column dropped, until none is
+    left: the last pivot is the determinant. Before each exchange the first
+    row with a nonzero leading entry moves to the top, and the row it
+    displaces is negated so the determinant keeps its sign; with no such
+    row, the determinant is 0.
+    """
+    rows = [[x if isinstance(x, (Fraction, int)) else Fraction(x) for x in row]
+            for row in m]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    t, scale = _integer_rows(rows)
+    d = 1
+    while t:
+        r = next((r for r, row in enumerate(t) if row[0]), None)
+        if r is None:
+            return Fraction(0)
+        if r:
+            t[0], t[r] = t[r], [-x for x in t[0]]
+        d = _exchange(t, (0,), d)
+        del t[0]
+        for row in t:
+            del row[0]
+    return ratio(d, scale)
+
+
 def _tableau(p: TransitionMatrix, keep: Sequence[int],
              roots: Sequence[int] = ()) -> list[list[int]]:
     """[L_s | nums_R] on the states ``keep``: I - P with row i times dens_i,
@@ -168,19 +158,6 @@ def _tableau(p: TransitionMatrix, keep: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # graph structure
-
-def _reachable(adjacent: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
-    """``starts`` and every state reached from them along ``adjacent``."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for v in adjacent[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
 
 def _reversed_support(p: TransitionMatrix) -> list[list[int]]:
     rev: list[list[int]] = [[] for _ in range(p.n)]
@@ -200,7 +177,7 @@ def irreducibility_certificate(p: TransitionMatrix) -> tuple[int, int] | None:
     """
     store = _chain_store(p)
     if store.certificate is False:
-        reach = _reachable(p.support(), (0,))
+        reach = reachable(p.support(), (0,))
         missed = [j for j in range(p.n) if j not in reach]
         stranded = () if missed else states_not_reaching(p, {0})
         store.certificate = ((0, missed[0]) if missed
@@ -221,7 +198,7 @@ def require_irreducible(p: TransitionMatrix) -> None:
 
 def states_not_reaching(p: TransitionMatrix, targets: Iterable[int]) -> tuple[int, ...]:
     """States with no positive-probability path into ``targets``."""
-    seen = _reachable(_reversed_support(p), targets)
+    seen = reachable(_reversed_support(p), targets)
     return tuple(v for v in range(p.n) if v not in seen)
 
 
@@ -595,6 +572,8 @@ def sigma1_series(p: TransitionMatrix, terms: int) -> float:
 
 def _check_symmetric_laplacian(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     n = len(m)
+    if not n:
+        raise ValueError("empty matrix; a Laplacian needs a vertex")
     rows = [[Fraction(x) for x in row] for row in m]
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -615,7 +594,11 @@ def _drop(m: Sequence[Sequence[Fraction]], row: int, col: int) -> list[list[Frac
 
 
 def laplacian_cofactor(m: Sequence[Sequence[Fraction]], i: int, j: int) -> Fraction:
-    """(i,j) cofactor (-1)^{i+j} det of the minor; all equal on a Laplacian."""
+    """(i,j) cofactor (-1)^{i+j} det of the minor; all equal on a Laplacian.
+    Raises ValueError for an index outside 0..n-1."""
+    n = len(m)
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"cofactor index ({i},{j}) out of range for n={n}")
     sign = -1 if (i + j) % 2 else 1
     return sign * exact_det(_drop(m, i, j))
 

@@ -1465,24 +1465,34 @@ def _dead_end(n):
     return chain(rows)
 
 
+def _closed_pair(n):
+    """States 0..n-3 uniform among themselves, the last two swapping."""
+    rows = [[Fraction(1, n - 2) if i < n - 2 and j < n - 2 else 0
+             for j in range(n)] for i in range(n)]
+    rows[n - 2][n - 1] = rows[n - 1][n - 2] = 1
+    return chain(rows)
+
+
 def test_the_walker_stops_where_a_free_state_has_no_arc(monkeypatch):
     # with R = {0} on the 9-state dead end, state 8 has no arc but its
     # self-loop, so no forest exists, and the walker answers before it reads
     # any free state's arcs, where it once walked every partial forest of
-    # states 1..7 first
-    p = _dead_end(9)
+    # states 1..7 first; so too where the dead end is a closed class of two
+    # states, each with an arc, from which no root is reached
     real = forests._arcs
     monkeypatch.setattr(forests, "_arcs",
                         lambda *args: _CountingArcs(real(*args)))
-    _CountingArcs.reads = 0
-    rep = formulas.feasibility(p, {0})
-    assert not rep.feasible and not rep.positive_forest_exists and rep.consistent
-    assert not forests.positive_forest_exists(p, {0})
-    with pytest.raises(InfeasibleRootSetError):
-        exact_law(p, {0})
-    assert _CountingArcs.reads == 0
+    for p in (_dead_end(9), _closed_pair(9)):
+        _CountingArcs.reads = 0
+        rep = formulas.feasibility(p, {0})
+        assert not rep.feasible and not rep.positive_forest_exists
+        assert rep.consistent
+        assert not forests.positive_forest_exists(p, {0})
+        with pytest.raises(InfeasibleRootSetError):
+            exact_law(p, {0})
+        assert _CountingArcs.reads == 0
     # with 8 a root every free state has arcs, and the walk reads them
-    assert forests.positive_forest_exists(p, {0, 8})
+    assert forests.positive_forest_exists(_dead_end(9), {0, 8})
     assert _CountingArcs.reads > 0
     # a cycle-rooted walk keeps the absorbing state's self-loop, so it walks
     _CountingArcs.reads = 0

@@ -31,11 +31,10 @@ from forestchain import (
     uniform_chain,
 )
 from forestchain import chain_from_edge_list, oracle
-from forestchain.chains import scaled_rows
+from forestchain.chains import reachable, scaled_rows
 from forestchain.oracle import (
     RecurrentClasses,
     _exchange,
-    _reachable,
     require_irreducible,
     states_not_reaching,
     states_not_reaching_all,
@@ -117,18 +116,55 @@ def test_exact_det_takes_fraction_int_and_mixed_entries_alike():
 
 def test_exact_det_matches_leibniz_expansion():
     rng = random.Random(11)
-    singular = 0
+    singular = late_swaps = 0
     for t in range(300):
         n = 1 + t % 5
         m = _seeded_matrix(rng, n)
         if t % 3 == 0:
             m[0][0] = F(0)  # the first pivot needs a row swap
+        late = t % 3 == 1 and n > 2
+        if late:
+            # the leading 2 x 2 minor vanishes under a nonzero first pivot,
+            # so the second pivot needs a row swap
+            m[0][0] = m[0][0] or F(1)
+            m[1][1] = m[0][1] * m[1][0] / m[0][0]
         if t % 7 == 0 and n > 1:
             m[-1] = [x * F(-2, 3) for x in m[0]]
         expected = _leibniz_det(m)
         assert exact_det(m) == expected
         singular += expected == 0
+        late_swaps += late and expected != 0
     assert singular >= 40
+    assert late_swaps >= 30
+
+
+def test_exact_det_steps_through_the_exchange(monkeypatch):
+    # each step of a determinant is one exchange at the leading position of
+    # the shrinking tableau: n of them on a nonsingular n x n matrix, and
+    # none once no row has a nonzero leading entry
+    calls = []
+    real = oracle._exchange
+
+    def counting(t, positions, d=1):
+        positions = tuple(positions)
+        calls.append((len(t), positions))
+        return real(t, positions, d)
+
+    monkeypatch.setattr(oracle, "_exchange", counting)
+    rng = random.Random(13)
+    for n in range(1, 7):
+        m = [[F(0)]]
+        while _leibniz_det(m) == 0:
+            m = _seeded_matrix(rng, n)
+            if n > 1:
+                m[0][0] = F(0)  # a swap before the first exchange
+        calls.clear()
+        assert exact_det(m) == _leibniz_det(m)
+        assert calls == [(n - k, (0,)) for k in range(n)]
+    # below the first pivot the second column vanishes: one exchange, then 0
+    calls.clear()
+    assert exact_det([[1, 2, 3], [2, 4, 5], [3, 6, 7]]) == 0
+    assert calls == [(3, (0,))]
 
 
 def _minors(m, sets):
@@ -446,9 +482,11 @@ def test_pivots_equal_fresh_eliminations(monkeypatch):
 
 def test_kept_solves_meet_their_defining_equations():
     # every kept (t, d), eliminated afresh, read off a kept parent or read
-    # off the kept chain solve: d = det L_s(R) by the swapping elimination,
-    # and L_s(R) t = d [I | nums_R] in integers, for L_s(R) = L(R) with row
-    # i times dens_i; an infeasible root set is refused, and its det is 0
+    # off the kept chain solve: d = det L_s(R) by ``exact_det``, which swaps
+    # rows where a solve never does and is checked against the Leibniz
+    # expansion above, and L_s(R) t = d [I | nums_R] in integers, for
+    # L_s(R) = L(R) with row i times dens_i; an infeasible root set is
+    # refused, and its det is 0
     checked = refused = 0
     for p in corpus_chains(150, 7, 1069):
         n = p.n
@@ -664,7 +702,7 @@ def test_irreducibility_certificate(fixture_a, r3):
 
 def _certificate_by_one_search_per_state(p):
     for i in range(p.n):
-        reach = _reachable(p.support(), (i,))
+        reach = reachable(p.support(), (i,))
         for j in range(p.n):
             if j not in reach:
                 return (i, j)
@@ -695,8 +733,8 @@ def test_require_irreducible_error_is_the_same_when_cached(r3, monkeypatch):
     from forestchain import oracle
     oracle._chain_store.cache_clear()
     searches = []
-    real = oracle._reachable
-    monkeypatch.setattr(oracle, "_reachable",
+    real = oracle.reachable
+    monkeypatch.setattr(oracle, "reachable",
                         lambda *a: searches.append(a) or real(*a))
     errors, counts = [], []
     for _ in range(2):
@@ -749,7 +787,7 @@ def test_recurrent_classes(fixture_a, r3):
 
 
 def _reach_from_every_state(p):
-    return [_reachable(p.support(), (i,)) for i in range(p.n)]
+    return [reachable(p.support(), (i,)) for i in range(p.n)]
 
 
 def _reach_masks(adjacent):
@@ -858,13 +896,13 @@ def test_recurrent_classes_of_long_chains_match_the_reach_set_reference():
 def test_infeasible_singletons_of_a_reducible_ring_take_few_searches(monkeypatch):
     p = _reducible_ring(2048)
     calls = []
-    real = oracle._reachable
+    real = oracle.reachable
 
     def counting(adjacent, starts):
         calls.append(starts)
         return real(adjacent, starts)
 
-    monkeypatch.setattr(oracle, "_reachable", counting)
+    monkeypatch.setattr(oracle, "reachable", counting)
     # the classes, and with them the infeasible singletons, come from one
     # strongly-connected-components pass, with no reachability search
     assert states_not_reaching_all(p) == tuple(range(1, 2048))
@@ -922,6 +960,28 @@ def test_cofactor_choice_independence():
     values = {laplacian_cofactor(lap, i, j)
               for i in range(3) for j in range(3)}
     assert values == {F(3)}
+
+
+def test_cofactor_indices_outside_the_matrix_are_refused():
+    # an index past either end once dropped nothing, and the cofactor read
+    # det L = 0 in place of the 3 spanning trees of K3
+    lap = _triangle_laplacian()
+    for i, j in ((3, 3), (-1, -1), (0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            laplacian_cofactor(lap, i, j)
+    assert laplacian_cofactor(lap, 2, 0) == laplacian_cofactor(lap, 0, 2) == 3
+
+
+def test_undirected_checks_refuse_an_empty_matrix():
+    # the identities divide by n, and an empty graph has no tree to count
+    for check in (undirected_tree_count, temperley_check, minor_product_check):
+        for empty in ((), []):
+            with pytest.raises(ValueError, match="empty matrix"):
+                check(empty)
+    # one vertex is a graph with one spanning tree
+    one = ((F(0),),)
+    assert undirected_tree_count(one) == 1
+    assert temperley_check(one) == minor_product_check(one) == (1, 1)
 
 
 def test_temperley_check():
