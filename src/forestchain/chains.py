@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, Sequence
 
 #: Row-major square matrix of exact rationals.
@@ -417,8 +417,16 @@ def scaled_rows(p: TransitionMatrix) -> tuple[tuple[tuple[int, ...], ...],
 
 def check_roots(n: int, roots: Iterable[int], allow_empty: bool = False) -> frozenset[int]:
     """The root set as a frozenset of ints, each checked to be a state of
-    an n-state chain; empty only when ``allow_empty``."""
-    rs = frozenset(int(r) for r in roots)
+    an n-state chain; empty only when ``allow_empty``. A root is taken with
+    ``operator.index``, so one that is not an integer, such as 0.9 or '0',
+    is refused rather than truncated."""
+    rs = set()
+    for r in roots:
+        try:
+            rs.add(index(r))
+        except TypeError:
+            raise ValueError(f"root {r!r} is not an integer") from None
+    rs = frozenset(rs)
     if not rs and not allow_empty:
         raise ValueError("root set must be nonempty")
     for r in rs:

@@ -50,16 +50,24 @@ size (``_program``): the (out, a, b) index triples of every multiply-add
 F[out] += F[a] * F[b] the fill makes, in its order, replayed over one flat
 list F of n 2^n integers per chain. Each entry is the same integer, with
 no subset loop and no dict lookup; afterwards each state set's memo entry
-is a slice of F, and the two-tree pass reads them as it reads any fill.
-The program is kept in the size's state-set table, shared by every chain
-of the size, and counted against the tables' bound in triples. A size has
-one only where the program and the size's full table fit the bound
-together, which admits n <= 9 (38,664 triples and 4,599 listed states at
-n = 9; 121,360 and 10,230 at n = 10). It is built on the second full fill
-of a size, not the first: a build and a replay cost more than the loops of
-a whole first ``analyze``, which would slow every CLI process that reads
-one chain. A chain whose root sets were read first keeps the loops, which
-reuse the entries those root sets filled.
+is a slice of F. The program is kept in the size's state-set table, shared
+by every chain of the size, and counted against the tables' bound in
+triples. A size has one only where the program and the size's full table
+fit the bound together, which admits n <= 9 (38,664 triples and 4,599
+listed states at n = 9; 121,360 and 10,230 at n = 10). A size runs in
+three tiers. Its first full fill runs the loops: a build and a replay cost
+more than the loops of a whole first ``analyze``, which would slow every
+CLI process that reads one chain. Fills 2 to _COMPILE_AT (200) replay the
+triples. On the _COMPILE_AT-th replay the triples are compiled into short
+Python functions of integer indices alone, one sum per output, with the
+two-tree pass below written out the same way, and the compiled form takes
+their place: from then on a fresh chain's fill and two-tree pass run as
+straight-line code, about 0.4 ms in place of 0.7 ms at n = 7. A compile
+costs about what 170-300 chains' saving comes to at n = 5..8, and holds
+0.6, 2.1 and 6.9 MB at n = 7, 8 and 9, against 0.12, 0.38 and 1.2 MB for
+the triples. A chain whose root sets were read first keeps the loops,
+which reuse the entries those root sets filled, for its fill and its
+two-tree pass.
 
 The Green numerators w_ij(R ∪ {j}) sum T({j}, X - {j}) T(R, free - X) over
 the free sets X that hold i and j, about 2^f f^2 / 4 for f free states.
@@ -582,27 +590,30 @@ _LAYER_MEMO_SIZE = 1 << 17
 # fill or a pass looks a set up where it would otherwise list it. An entry
 # is made when a fill or a pass first needs its set, never for all 2^n
 # sets up front. A size's table also holds its straight-line program
-# (``_program``), empty until built. Like the memo, the tables are cleared
-# before a fill, a pass or a program adds entries once they hold more than
-# _STATE_SET_TABLE_SIZE in all, counting the n states of each entry of an
-# n-state table and each triple of a program; a fill or a pass adds at most
-# one entry per set it reads.
-_STATE_SETS: dict[int, tuple[dict[int, tuple[int, ...]],
-                             dict[int, tuple[int, ...]], list[int]]] = {}
+# (``_program``), empty until built, and the count of its replays. Like the
+# memo, the tables are cleared before a fill, a pass or a program adds
+# entries once they hold more than _STATE_SET_TABLE_SIZE in all, counting
+# the n states of each entry of an n-state table and each triple of a
+# program, compiled or not; a fill or a pass adds at most one entry per set
+# it reads.
+_STATE_SETS: dict[int, list] = {}
 _STATE_SET_TABLE_SIZE = 1 << 17
 
 
 def _tables_held() -> int:
     """The states and program triples that the tables of every size hold."""
-    return sum([n * len(inside) + len(program) // 3
-                for n, (inside, _outside, program) in _STATE_SETS.items()])
+    return sum([n * len(inside) + (len(program) // 3
+                                   if program.__class__ is list
+                                   else _program_size(n))
+                for n, (inside, _outside, program, _replays)
+                in _STATE_SETS.items()])
 
 
 def _state_sets(n: int, masks: list[int] | range):
-    """(inside, outside, program): the shared tables of n-state sets, with
-    an entry for every state set in ``masks``. inside[S] lists S's states
-    and outside[S] the others; program is the size's straight-line program
-    or empty."""
+    """[inside, outside, program, replays]: the shared tables of n-state
+    sets, with an entry for every state set in ``masks``. inside[S] lists
+    S's states and outside[S] the others; program is the size's
+    straight-line program or empty, and replays counts its replays."""
     got = _STATE_SETS.get(n)
     if got is not None and len(got[0]) == (1 << n) - 1:
         return got  # every state set has its entry
@@ -611,7 +622,7 @@ def _state_sets(n: int, masks: list[int] | range):
         _STATE_SETS.clear()
         got, new = None, list(masks)
     if got is None:
-        got = _STATE_SETS[n] = ({}, {}, [])
+        got = _STATE_SETS[n] = [{}, {}, [], 0]
     inside, outside = got[:2]
     for s in new:
         inside[s] = tuple([c for c in range(n) if s >> c & 1])
@@ -679,32 +690,148 @@ def _build_program(n: int, inside, outside, program: list[int]) -> None:
                 program += idx[out + c], idx[(n << d) + c], idx[out + d]
 
 
-def _program(n: int) -> list[int] | None:
-    """The straight-line program that every n-state chain shares, built on
-    the second full fill of the size since its table was made; None where
-    the loops run instead: on the first, whose loops list every state set,
-    and for a size whose program and full table of state sets would not fit
-    the tables' bound together. A program that fit alone, as n = 10's
-    would, would leave no room for the other tables, which would then be
-    cleared and listed again over and over.
+class _Compiled:
+    """A size's program compiled, with the two-tree pass over the entries it
+    fills: ``fill`` and ``two_tree`` are short functions, each a run of
+    assignments target = a1 * b1 + a2 * b2 + ..., called in order."""
+
+    __slots__ = ("fill", "two_tree")
+
+    def __init__(self, fill: tuple, two_tree: tuple):
+        self.fill, self.two_tree = fill, two_tree
+
+
+# A size's program is compiled on its _COMPILE_AT-th replay. A compile
+# costs what 170-300 chains save over the triples' replay and loop pass at
+# n = 5..8: 59-73 ms against 0.29-0.32 ms a chain at n = 7, 7-8 ms against
+# 0.04 ms at n = 5, 174-241 ms against 0.59 ms at n = 8 (2-vCPU host).
+# Compiled on the first replay, ``verify --suite kemeny --trials 200
+# --max-n 9``, which meets about 25 chains per size, took 1.03-1.40 s in
+# place of 0.46-0.62 s.
+_COMPILE_AT = 200
+# terms per generated function, a longer sum split over several: the
+# compiler holds about 3 KB per term while it compiles one, and what it
+# frees stays with the process. At n = 7 the resident set grew 0.9 MB at
+# the compile with 64 terms a function, 1.2 MB with 128 and 1.4 MB with one
+# function per state set (up to 224 terms), in a process running the
+# benchmark's ``exact`` chains
+_UNIT_TERMS = 64
+# the generated functions' globals: no builtins, and ``unit`` for the moment
+# between a compile and its read
+_UNITS: dict = {"__builtins__": {}}
+
+
+def _unit(args: str, lines: list[str]):
+    """The function of ``args`` whose body is ``lines``. Its source holds
+    integer indices and names made here, nothing read from any input."""
+    exec(compile("\n".join([f"def unit({args}):", *lines]),
+                 "<forests program>", "exec"), _UNITS)
+    return _UNITS.pop("unit")
+
+
+def _units(args: str, sums: Iterable[tuple[str, list[str]]]) -> tuple:
+    """Functions of ``args`` that, called in order, set each target of
+    ``sums`` to the sum of its terms, about _UNIT_TERMS terms to a function.
+    A long sum is split over several, and a target with no terms keeps the
+    0 it starts at."""
+    units, lines, held = [], [], 0
+    for target, terms in sums:
+        for k in range(0, len(terms), _UNIT_TERMS):
+            part = terms[k:k + _UNIT_TERMS]
+            if lines and held + len(part) > _UNIT_TERMS:
+                units.append(_unit(args, lines))
+                lines, held = [], 0
+            lines.append(f" {target} {'+=' if k else '='} {' + '.join(part)}")
+            held += len(part)
+    if lines:
+        units.append(_unit(args, lines))
+    return tuple(units)
+
+
+def _compile_program(n: int, program: list[int]) -> _Compiled:
+    """``program`` compiled, with the two-tree pass of ``_TreeSums.two_tree``
+    over the F it fills.
+
+    The triples of a state set S write S's entry alone, and its pulls read
+    its tree sums only after every triple of those, so summing each
+    output's products in one expression gives each entry the same integer.
+    The two-tree pass takes the chain's dens d and fills three lists that
+    start at 0: T[X] = tau(X) D-scaled; G[Y n + j] = T[V - Y] F[Y n + j]
+    for j in Y, the weight of a two-tree forest's j tree on Y times that of
+    the trees spanning the rest; and S, with Sigma_ij over dens_j at
+    S[j n + i], the sum of G[(V - X) n + j] over the X that hold i and not
+    j, and Sigma^(2) D at S[n n], the sum of T[X] T[V - X] over the X that
+    hold state 0.
+    """
+    full = (1 << n) - 1
+    it = iter(program)
+    # the sums are listed as the functions are made, so that only one
+    # function's source is held at a time
+
+    def fill():
+        # one state set's triples at a time: its outputs are interleaved
+        for _s, triples in itertools.groupby(zip(it, it, it),
+                                             key=lambda t: t[0] // n):
+            outputs: dict[int, list[str]] = {}
+            for o, a, b in triples:
+                outputs.setdefault(o, []).append(f"F[{a}]*F[{b}]")
+            yield from ((f"F[{o}]", terms) for o, terms in outputs.items())
+
+    sets = range(1, full + 1)
+    tau = ((f"T[{x}]", [f"F[{x * n + k}]*d[{k}]" for k in range(n) if x >> k & 1])
+           for x in sets)
+    pairs = [(f"S[{n * n}]", [f"T[{x}]*T[{full ^ x}]" for x in range(1, full, 2)])]
+    products = ((f"G[{y * n + j}]", [f"T[{full ^ y}]*F[{y * n + j}]"])
+                for y in range(1, full) for j in range(n) if y >> j & 1)
+    sigma = ((f"S[{j * n + i}]", [f"G[{(full ^ x) * n + j}]" for x in sets
+                                  if x >> i & 1 and not x >> j & 1])
+             for j in range(n) for i in range(n) if i != j)
+    return _Compiled(
+        _units("F", fill()),
+        _units("F, d, T, G, S", itertools.chain(tau, pairs, products, sigma)))
+
+
+def _program(n: int) -> list[int] | _Compiled | None:
+    """The straight-line program that every n-state chain shares; None where
+    the loops run instead. A size runs in three tiers, counted from the
+    first full fill since its table was made:
+
+    - the first full fill runs the loops, which list every state set;
+    - the second builds the triples, and fills 2 to _COMPILE_AT replay
+      them;
+    - the _COMPILE_AT-th replay compiles them (``_compile_program``), and
+      from then on every chain of the size runs the compiled fill and
+      two-tree pass. The compiled form takes the triples' place in the
+      table and is counted as they were.
+
+    A size whose program and full table of state sets would not fit the
+    tables' bound together keeps the loops: a program that fit alone, as
+    n = 10's would, would leave no room for the other tables, which would
+    then be cleared and listed again over and over.
 
     A build and one ``analyze`` that replays it cost more than one
     ``analyze`` with the loops: 1.1-1.2 ms against 0.9-1.1 ms at n = 7, and
     10.4-12.1 ms against 6.3-7.3 ms at n = 9 (minimum of five, 2-vCPU
     host). So a process that fills a size once, as one CLI command does,
-    never builds it.
+    never builds it, let alone compiles it. The compiled form holds 0.6,
+    2.1 and 6.9 MB at n = 7, 8 and 9 (under tracemalloc), against 0.12,
+    0.38 and 1.2 MB for the triples it replaces.
     """
     table = _STATE_SETS.get(n)
     full = (1 << n) - 1
     if (table is None or full not in table[0]
             or _program_size(n) + n * full > _STATE_SET_TABLE_SIZE):
         return None
-    inside, outside, program = table
+    inside, outside, program, replays = table
     if not program:
         if _tables_held() > _STATE_SET_TABLE_SIZE:
             _STATE_SETS.clear()
             return None
         _build_program(n, inside, outside, program)
+    if program.__class__ is list:
+        table[3] = replays = replays + 1
+        if replays == _COMPILE_AT:
+            program = table[2] = _compile_program(n, program)
     return program
 
 
@@ -912,7 +1039,8 @@ class _TreeSums:
         over the chain's denominator, and so is tau(V) = Sigma^(1) D;
         Sigma_ij is summed with j's tree unscaled and each column j taken
         times dens_j once, at the end. What the memo lacks is filled first
-        (``_fill``).
+        (``_fill``); where that fill ran its size's compiled program, the
+        compiled pass over it has already kept the record.
         """
         got = self.two_trees
         if got is not None:
@@ -922,6 +1050,8 @@ class _TreeSums:
         full = (1 << n) - 1
         if full not in memo:
             self._fill(_subsets(full))
+            if self.two_trees is not None:
+                return self.two_trees
         inside = _state_sets(n, range(1, full + 1))[0]
         tau = [0] * (full + 1)
         for x in range(1, full + 1):
@@ -948,29 +1078,49 @@ class _TreeSums:
                     row = by_target[j]
                     for i in members:
                         row[i] += g
+        return self._two_tree_record(by_target, pairs, tau[full])
+
+    def _two_tree_record(self, by_target, pairs: int, total: int
+                         ) -> TwoTreeSums:
+        """Keep and return the record of Sigma_ij over dens_j at
+        ``by_target[j][i]``, Sigma^(2) D and Sigma^(1) D, with the trees
+        read off the memo entry of all n states."""
+        dens = self.dens
         sigma = tuple(zip(*[[g * d for g in row]
                             for row, d in zip(by_target, dens)]))
         got = self.two_trees = TwoTreeSums(
-            tuple([t * d for t, d in zip(memo[full], dens)]), tau[full],
-            pairs, sigma, self.denom)
+            tuple([t * d for t, d in zip(self.memo[(1 << self.n) - 1], dens)]),
+            total, pairs, sigma, self.denom)
         return got
 
-    def _replay(self, program: list[int]) -> None:
+    def _replay(self, program: list[int] | _Compiled) -> None:
         """Fill the empty memo by one replay of its size's ``program`` over a
         flat list F of n 2^n integers; each state set's memo entry is then a
-        slice of F."""
+        slice of F. A compiled program runs the two-tree pass over F too,
+        which keeps the chain's record."""
         n = self.n
         F = [0] * (n << n)
         for d, row in enumerate(self.nums):
             at = n << d
             F[at:at + n] = row
             F[at + d] = 1
-        it = iter(program)
-        for o, a, b in zip(it, it, it):
-            F[o] += F[a] * F[b]
+        compiled = program.__class__ is _Compiled
+        if compiled:
+            for unit in program.fill:
+                unit(F)
+        else:
+            it = iter(program)
+            for o, a, b in zip(it, it, it):
+                F[o] += F[a] * F[b]
         memo = self.memo
         for s in range(1, 1 << n):
             memo[s] = F[s * n:s * n + n]
+        if compiled:
+            T, G, S = [0] * (1 << n), [0] * (n << n), [0] * (n * n + 1)
+            for unit in program.two_tree:
+                unit(F, self.dens, T, G, S)
+            self._two_tree_record([S[j * n:j * n + n] for j in range(n)],
+                                  S[n * n], T[-1])
 
     def _merged(self, roots: frozenset[int],
                 col: dict[int, int] | None = None):
@@ -1120,10 +1270,11 @@ def w_target_sum(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
 
     When j is already a root this is the harmonic numerator w_ij(R); when it
     is not, the root set is enlarged to R ∪ {j} as in the Green numerator.
+    R may be empty: w_ij({j}) is the tree sum Sigma_j at every i.
     """
     if not 0 <= i < p.n:
         raise ValueError(f"state {i} out of range")
-    rs = check_roots(p.n, roots) | {int(j)}
+    rs = check_roots(p.n, roots, allow_empty=True) | check_roots(p.n, [j])
     got = root_set_sums(p, rs, guard)
     if i == j:
         x = got.weight

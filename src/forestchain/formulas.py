@@ -53,13 +53,14 @@ def _check_pair(p: TransitionMatrix, i: int, j: int) -> None:
         raise ValueError(f"states ({i},{j}) out of range")
 
 
-def _weight(p: TransitionMatrix, roots: Iterable[int],
+def _weight(p: TransitionMatrix, roots: frozenset[int],
             guard: int) -> RootSetSums:
-    """The integer sums of a root set, which must have positive weight."""
+    """The integer sums of a checked root set, which must have positive
+    weight."""
     got = root_set_sums(p, roots, guard)
     if got.weight == 0:
         raise InfeasibleRootSetError(
-            f"root set {sorted(set(roots))} has zero forest weight")
+            f"root set {sorted(roots)} has zero forest weight")
     return got
 
 
@@ -106,7 +107,7 @@ def kemeny(p: TransitionMatrix, guard: int = DEFAULT_GUARD) -> Fraction:
 def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
                      guard: int = DEFAULT_GUARD) -> Fraction:
     """Expected visits to j before hitting R, from i: w_ij(R ∪ {j}) / w(R)."""
-    rs = frozenset(roots)
+    rs = check_roots(p.n, roots)
     if i in rs or j in rs:
         raise ValueError("green_occupation needs i and j outside the root set")
     _check_state(p, i)
@@ -121,10 +122,9 @@ def green_occupation(p: TransitionMatrix, roots: Iterable[int], i: int, j: int,
 def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
                       guard: int = DEFAULT_GUARD) -> Fraction:
     """E_i[T_R] = sum_j w_ij(R ∪ {j}) / w(R) over j outside R."""
-    rs = frozenset(roots)
+    rs = check_roots(p.n, roots)
     if i in rs:
         raise ValueError("mean_hitting_time needs i outside the root set")
-    check_roots(p.n, rs)
     _check_state(p, i)
     got = _weight(p, rs, guard)
     return ratio(sum(got.green[got.interior.index(i)]), got.weight)
@@ -133,10 +133,9 @@ def mean_hitting_time(p: TransitionMatrix, roots: Iterable[int], i: int,
 def hitting_distribution(p: TransitionMatrix, roots: Iterable[int], i: int,
                          guard: int = DEFAULT_GUARD) -> tuple[Fraction, ...]:
     """P_i(X_{T_R} = j) for j in sorted(R): w_ij(R) / w(R); point mass on R."""
-    rs = sorted(set(roots))
-    check_roots(p.n, rs)
+    rs = check_roots(p.n, roots)
     if i in rs:
-        return tuple(Fraction(1 if j == i else 0) for j in rs)
+        return tuple(Fraction(1 if j == i else 0) for j in sorted(rs))
     _check_state(p, i)
     got = _weight(p, rs, guard)
     return tuple(ratio(x, got.weight)
@@ -214,8 +213,7 @@ def ecrsf_stopped_distribution(
     cycle weights: P_i(X = j) = w^ec_ij(R) / w^ec(R). With empty R all mass
     is on loop formation and the vector is empty.
     """
-    rs = sorted(set(roots))
-    check_roots(p.n, rs, allow_empty=True)
+    rs = sorted(check_roots(p.n, roots, allow_empty=True))
     _check_state(p, i)
     if i in rs:
         return tuple(Fraction(1 if j == i else 0) for j in rs), Fraction(1)
@@ -320,14 +318,15 @@ class AbsorptionAnalysis(NamedTuple):
 def absorption(p: TransitionMatrix, roots: Iterable[int],
                guard: int = DEFAULT_GUARD) -> AbsorptionAnalysis:
     """Tree-formula absorption picture for a feasible root set."""
-    rs = sorted(set(roots))
+    rs = check_roots(p.n, roots)
     got = _weight(p, rs, guard)
     w = got.weight
     # G_ij = w_ij(R ∪ {j}) / w(R) and h_ib = w_ib(R) / w(R)
     green = tuple([tuple([ratio(x, w) for x in row]) for row in got.green])
     hit = tuple([tuple([ratio(x, w) for x in row]) for row in got.hit])
     mean_hit = tuple([ratio(sum(row), w) for row in got.green])
-    return AbsorptionAnalysis(tuple(rs), got.interior, green, hit, mean_hit)
+    return AbsorptionAnalysis(tuple(sorted(rs)), got.interior, green, hit,
+                              mean_hit)
 
 
 def mfpt_via_modified_chain(p: TransitionMatrix, i: int, j: int,

@@ -1,6 +1,7 @@
 import collections
 import gc
 import itertools
+import json
 import math
 import random
 import time
@@ -42,7 +43,11 @@ from forestchain.forests import (
     root_set_sums,
     two_tree_sums,
 )
-from forestchain.verify import random_chain, random_irreducible_chain
+from forestchain.verify import (
+    corpus_chains,
+    random_chain,
+    random_irreducible_chain,
+)
 
 from conftest import chain
 
@@ -589,13 +594,14 @@ def test_state_set_table_is_shared_and_bounded(monkeypatch):
         # every entry of an n-state table holds n states, in and out, and a
         # size's program one unit per triple
         return sum(n * len(inside) + len(program) // 3
-                   for n, (inside, _outside, program) in tables.items())
+                   for n, (inside, _outside, program, _replays)
+                   in tables.items())
 
     rng = random.Random(71)
     p, q = (random_irreducible_chain(rng, 6) for _ in range(2))
     _layer_sums.cache_clear()
     two_tree_sums(p)
-    inside, outside, _program = tables[6]
+    inside, outside = tables[6][:2]
     entries = dict(inside)
     assert len(entries) == 63
     for s, members in entries.items():
@@ -914,6 +920,145 @@ def test_root_sets_read_first_keep_the_incremental_fill(monkeypatch):
     two_tree_sums(p)
     assert len(replays) == 2
     assert [root_set_sums(p, roots) for roots in ({0}, {2, 5})] == records
+
+
+def _triple_replay(p):
+    """p's two-tree sums and memo from a replay of the triples of its size,
+    built apart from the shared tables, and the loop pass over them."""
+    n = p.n
+    triples: list[int] = []
+    forests._build_program(n, *forests._state_sets(n, range(1, 1 << n))[:2],
+                           triples)
+    sums = forests._TreeSums(p)
+    sums._replay(triples)
+    return sums.two_tree(), sums.memo
+
+
+def test_compiled_two_tree_sums_equal_the_loops_and_the_replay(monkeypatch):
+    # for every size that has a program, n = 1..9, a compiled fill's memo
+    # entries and the compiled two-tree pass over them equal both the loops
+    # alone and the triples' replay with the loop pass, on sparse
+    # irreducible, reducible and dense chains. n = 9 compiles the longest
+    # generated sums, which every supported interpreter must take
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    monkeypatch.setattr(forests, "_COMPILE_AT", 1)
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    rng = random.Random(109)
+    for n in range(1, 10):
+        sized = _sized_chains(rng, n)
+        with monkeypatch.context() as m:
+            m.setattr(forests, "_program", lambda n: None)
+            looped = [_two_trees_and_memo(p) for p in sized]
+        for p, (sums, memo) in zip(sized, looped):
+            replays.clear()
+            compiled = _two_trees_and_memo(p)
+            assert len(replays) == 1
+            assert replays[0][1] is forests._STATE_SETS[n][2]
+            assert replays[0][1].__class__ is forests._Compiled
+            assert compiled == (sums, memo) == _triple_replay(p)
+
+
+def test_a_program_is_compiled_on_its_kth_replay_and_shared(monkeypatch):
+    # with _COMPILE_AT = K the first full fill runs the loops, fills 2..K
+    # replay the triples, and the K-th replay compiles them once: the
+    # compiled form takes the triples' place in the size's table, counted
+    # as they were, and every later chain of the size runs it
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    monkeypatch.setattr(forests, "_COMPILE_AT", 3)
+    compiles = _count_calls(monkeypatch, forests, "_compile_program")
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    rng = random.Random(113)
+    _two_trees_and_memo(random_chain(rng, 7))
+    assert (compiles, replays) == ([], [])
+    triples = []
+    for k in (1, 2):
+        _two_trees_and_memo(random_chain(rng, 7))
+        triples.append(replays[-1][1])
+        assert triples[-1].__class__ is list and forests._STATE_SETS[7][3] == k
+    assert triples[0] is triples[1] and compiles == []
+    _two_trees_and_memo(random_chain(rng, 7))
+    assert len(compiles) == 1 and compiles[0] == (7, triples[0])
+    compiled = forests._STATE_SETS[7][2]
+    assert compiled.__class__ is forests._Compiled
+    assert replays[-1][1] is compiled
+    assert forests._tables_held() == 7 * 127 + forests._program_size(7)
+    for _ in range(3):
+        _two_trees_and_memo(random_irreducible_chain(rng, 7))
+        assert replays[-1][1] is compiled
+    assert len(compiles) == 1 and len(replays) == 6
+    # a size of its own starts again with the loops
+    _two_trees_and_memo(random_chain(rng, 6))
+    assert len(compiles) == 1 and forests._STATE_SETS[6][2:] == [[], 0]
+
+
+def test_a_table_clear_drops_the_compiled_program(monkeypatch):
+    # the compiled form is cleared with the tables, and the size's count
+    # starts again: loops, then triples, then a second compile
+    tables: dict = {}
+    monkeypatch.setattr(forests, "_STATE_SETS", tables)
+    monkeypatch.setattr(forests, "_STATE_SET_TABLE_SIZE", 200)
+    monkeypatch.setattr(forests, "_COMPILE_AT", 2)
+    compiles = _count_calls(monkeypatch, forests, "_compile_program")
+    rng = random.Random(127)
+    for _ in range(3):
+        _two_trees_and_memo(random_chain(rng, 4))
+    assert len(compiles) == 1 and tables[4][2].__class__ is forests._Compiled
+    # 15 sets of 4 states and the fill's 88 triples, compiled
+    assert forests._tables_held() == 148
+    _layer_sums.cache_clear()
+    root_set_sums(random_chain(rng, 5), {0})
+    assert forests._tables_held() == 223
+    root_set_sums(random_chain(rng, 5), {1})
+    assert set(tables) == {5}
+    for k, program in ((0, []), (1, list), (2, forests._Compiled)):
+        _two_trees_and_memo(random_chain(rng, 4))
+        assert tables[4][3] == k
+        if k:
+            assert tables[4][2].__class__ is program
+        else:
+            assert tables[4][2] == program
+    assert len(compiles) == 2
+
+
+def test_root_sets_read_first_keep_the_loops_two_tree_pass(monkeypatch):
+    # once a size runs compiled, a chain whose root sets filled part of its
+    # memo first still gets its two-tree sums from the loops, with no
+    # replay, and they equal the compiled ones read on cold sums
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    monkeypatch.setattr(forests, "_COMPILE_AT", 1)
+    rng = random.Random(131)
+    for _ in range(2):
+        _two_trees_and_memo(random_chain(rng, 6))
+    assert forests._STATE_SETS[6][2].__class__ is forests._Compiled
+    replays = _count_calls(monkeypatch, forests._TreeSums, "_replay")
+    p = random_irreducible_chain(rng, 6)
+    compiled = _two_trees_and_memo(p)
+    assert len(replays) == 1
+    _layer_sums.cache_clear()
+    for roots in ({0}, {2, 5}):
+        root_set_sums(p, roots)
+    assert (two_tree_sums(p), _layer_sums(p).memo) == compiled
+    assert len(replays) == 1
+
+
+def test_one_chain_analyze_compiles_nothing(monkeypatch, capsys, tmp_path):
+    # a CLI process that reads one chain fills its size once, with the
+    # loops, so it compiles nothing, however low the compile threshold
+    import builtins
+    from forestchain import cli
+
+    monkeypatch.setattr(forests, "_STATE_SETS", {})
+    monkeypatch.setattr(forests, "_COMPILE_AT", 1)
+    _layer_sums.cache_clear()
+    compiles = _count_calls(monkeypatch, builtins, "compile")
+    doc = tmp_path / "chain.json"
+    rows = [[f"{1 + (i + j) % 3}/{sum(1 + (i + c) % 3 for c in range(7))}"
+             for j in range(7)] for i in range(7)]
+    doc.write_text(json.dumps({"rows": rows}))
+    assert cli.main(["analyze", "--input", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["methods_agree"] is True
+    assert compiles == []
+    assert forests._STATE_SETS[7][2:] == [[], 0]
 
 
 def test_tree_sums_refuse_before_the_scaled_rows(monkeypatch):
@@ -1238,6 +1383,15 @@ def test_w_target_sum_rejects_states_out_of_range(monkeypatch, u4):
     monkeypatch.setattr(forests, "_root_set_sums", no_record)
     with pytest.raises(ValueError, match="state 7 out of range"):
         w_target_sum(u4, {0}, 7, 1)
+
+
+def test_w_target_sum_over_an_empty_root_set_is_sigma_j():
+    # R = {} leaves the root set {j}, where every state's tree has root j:
+    # w_ij({j}) = Sigma_j for every i
+    for p in corpus_chains(40, 6, 1069):
+        sums = sigma_sums(p)
+        for i, j in itertools.product(range(p.n), repeat=2):
+            assert w_target_sum(p, (), i, j) == sums.sigma(j)
 
 
 def test_last_exit_state():

@@ -512,6 +512,31 @@ def test_out_of_range_roots_are_refused(call, args, root):
         call(uniform_chain(3), *args)
 
 
+def test_roots_that_are_not_integers_are_refused():
+    # a root is taken with operator.index: 0.9, 2.5 and '0' were once
+    # truncated to 0, 2 and 0, so every route and the sampler answered for
+    # another root set, and absorption labelled the sums of {1} as (1.99,)
+    from forestchain import oracle, wilson
+
+    p = uniform_chain(3)
+    cfg = wilson.SamplerConfig(seed=1069, sample_count=5)
+    calls = {
+        "w_sum": lambda roots: forests.w_sum(p, roots),
+        "root_set_sums": lambda roots: forests.root_set_sums(p, roots),
+        "absorption": lambda roots: absorption(p, roots),
+        "green_matrix_solve": lambda roots: oracle.green_matrix_solve(p, roots),
+        "hitting_solve": lambda roots: oracle.hitting_solve(p, roots),
+        "sample_forests": lambda roots: wilson.sample_forests(p, roots, cfg),
+    }
+    for name, call in calls.items():
+        for roots in ([0.9], [1.99], [2.5], ["0"], [0, 1.0]):
+            with pytest.raises(ValueError,
+                               match=f"^root {roots[-1]!r} is not an integer$"):
+                call(roots)
+        call([1])
+    assert absorption(p, [2, True]).targets == (1, 2)
+
+
 @pytest.mark.parametrize("rows", EDGE_CHAINS)
 def test_routes_agree_on_edge_chains(rows):
     p = chain(rows)
